@@ -5,13 +5,10 @@ reproduced, 2 when the computation ran but the claim failed, 1 for usage,
 validation, or I/O problems.
 
 Reports are JSON envelopes (schemas/report.schema.json).  Payloads are
-deterministic across runs and worker counts; floats serialize as shortest
-round-trip decimals (<= 17 significant digits).  Matrices travel in their
-own JSON format (schemas/matrix.schema.json) whose "pi" scale stores the
-integer part of pi-scaled entries exactly.
-
-The only environment variable honored is COMMEXP_WORKERS (worker count for
-the exhaustive search; the --workers flag overrides it).
+deterministic across runs; floats serialize as shortest round-trip decimals
+(<= 17 significant digits).  Matrices travel in their own JSON format
+(schemas/matrix.schema.json) whose "pi" scale stores the integer part of
+pi-scaled entries exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -242,6 +238,23 @@ def _evaluate_claim(name: str, expected: dict, verdicts) -> dict:
 # builtin pair construction
 
 
+# defaults of flags that several pairs share: real2d needs
+# nu^2 != (lambda +- mu)^2, and families real2d checks the star identity at
+# t = 1, which needs nu = lambda + mu (mod 2)
+_NAME_DEFAULTS = {
+    "real2d": {"lam": 1, "mu": 2, "nu": 5},
+    "dim2case1": {"lam": 1, "mu": 1},
+    "iii2": {"m": [1, 2, 3]},
+    "iii2ii": {"m": [1]},
+}
+
+
+def _apply_name_defaults(ns, name: str):
+    for key, value in _NAME_DEFAULTS.get(name, {}).items():
+        if getattr(ns, key) is None:
+            setattr(ns, key, value)
+
+
 def _resolve_builtin(name: str, ns) -> tuple[CMat, CMat, dict]:
     if name == "intro":
         f, g = families.intro_pair()
@@ -282,6 +295,7 @@ def cmd_verify(ns, argv) -> int:
     inputs = {}
     claim = None
     if ns.builtin:
+        _apply_name_defaults(ns, ns.builtin)
         f, g, params = _resolve_builtin(ns.builtin, ns)
         inputs["builtin"] = ns.builtin
         inputs["digest"] = _digest_params(ns.builtin, params)
@@ -381,8 +395,7 @@ def cmd_search(ns, argv) -> int:
         if len(ns.n_values) != 1:
             raise UsageError("iii4 takes a single --n (the scale integer)")
         n = ns.n_values[0]
-        workers = ns.workers or int(os.environ.get("COMMEXP_WORKERS", "1"))
-        outcome = intsearch.grobner_replacement_search(ns.box, n, workers=workers)
+        outcome = intsearch.grobner_replacement_search(ns.box, n)
         if n >= 2:
             reproduced = not outcome.survivors
             detail = (
@@ -457,6 +470,7 @@ def _eig_matches(m, targets, tol=1e-8) -> bool:
 def cmd_families(ns, argv) -> int:
     started = time.monotonic()
     name = ns.name
+    _apply_name_defaults(ns, name)
     checks: dict[str, bool] = {}
     inputs: dict = {"family": name}
     if name == "intro":
@@ -568,9 +582,10 @@ def build_parser() -> _Parser:
                     help="include the swapped product exp(G)exp(tF) verdicts")
     pv.add_argument("--triangularizable", action="store_true",
                     help="include the simultaneous-triangularizability verdict")
-    pv.add_argument("--lambda", dest="lam", type=int, default=1)
-    pv.add_argument("--mu", type=int, default=1)
-    pv.add_argument("--nu", type=int, default=2)
+    pv.add_argument("--lambda", dest="lam", type=int,
+                    help="default 1 (real2d, dim2case1)")
+    pv.add_argument("--mu", type=int, help="default 2 (real2d) or 1 (dim2case1)")
+    pv.add_argument("--nu", type=int, help="default 5 (real2d)")
     pv.add_argument("--a", type=float, default=0.0)
     pv.add_argument("--u-branch", dest="u_branch", type=int, default=1)
     pv.add_argument("-o", "--out", help="write the report here instead of stdout")
@@ -591,20 +606,19 @@ def build_parser() -> _Parser:
     ps.add_argument("--alpha", help="rational alpha, e.g. 1 or 3/2")
     ps.add_argument("--products", nargs=3, help="a1b1 a2b2 a3b3 as rationals")
     ps.add_argument("--nmax", type=int, default=50)
-    ps.add_argument("--workers", type=int, default=0,
-                    help="worker processes for iii4 (default COMMEXP_WORKERS or 1)")
     ps.add_argument("-o", "--out")
     ps.set_defaults(func=cmd_search)
 
     pf = sub.add_parser("families", help="construct an exhibited pair, emit matrices")
     pf.add_argument("name", choices=["intro", "real2d", "theorem2", "dim2case1", "iii2", "iii2ii"])
-    pf.add_argument("--lambda", dest="lam", type=int, default=1)
-    pf.add_argument("--mu", type=int, default=1)
-    pf.add_argument("--nu", type=int, default=2)
+    pf.add_argument("--lambda", dest="lam", type=int,
+                    help="default 1 (real2d, dim2case1)")
+    pf.add_argument("--mu", type=int, help="default 2 (real2d) or 1 (dim2case1)")
+    pf.add_argument("--nu", type=int, help="default 5 (real2d)")
     pf.add_argument("--a", type=float, default=0.0)
     pf.add_argument("--u-branch", dest="u_branch", type=int, default=1)
     pf.add_argument("--l1", type=int, default=3)
-    pf.add_argument("--m", nargs="+", type=int, default=[1, 2, 3])
+    pf.add_argument("--m", nargs="+", type=int, help="default 1 2 3 (iii2) or 1 (iii2ii)")
     pf.add_argument("--n", dest="n_pair", nargs=2, type=int, default=[4, 5])
     pf.add_argument("--alpha", default="1")
     pf.add_argument("--form", default="symmetric-rank1",

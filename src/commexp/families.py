@@ -345,8 +345,11 @@ class III4Params:
 
 
 def _div_exact(num, den):
-    if isinstance(num, (int, Rational)) and isinstance(den, (int, Rational)):
-        return Fraction(num) / Fraction(den)
+    if isinstance(num, int) and isinstance(den, int):
+        quotient, remainder = divmod(num, den)
+        return quotient if remainder == 0 else Fraction(num, den)
+    if isinstance(num, Rational) and isinstance(den, Rational):
+        return Fraction(num, den)
     return num / den
 
 

@@ -17,10 +17,9 @@ smallest t at which squareness breaks when it does not hold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import ConstraintError
 
@@ -93,7 +92,7 @@ def lemma1_witness(p: SquarePoly, t_bound: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Survivor:
     params: tuple
     residuals: tuple
@@ -137,7 +136,7 @@ def _scan_squareness(poly: SquarePoly, n_max: int, bounds: dict, metadata: dict)
             if first_failure is None:
                 first_failure = n
         else:
-            survivors.append(Survivor(params=(n,), residuals=(value - root * root,)))
+            survivors.append(Survivor(params=(n,), residuals=(0,)))  # value == root**2
     for s in survivors:  # survivors re-verify at report time
         if not is_perfect_square(poly(s.params[0])):
             raise RuntimeError(f"survivor {s} failed re-verification")
@@ -259,169 +258,144 @@ def _iii4_residuals_cleared(base_params, lam, n, nt1, nt2, rho, sigma):
         n * l1, n * l2, m1 + lam, m2 + lam, m3 + lam, nt1, nt2,
         n * rho, n * (sigma - 2 * lam * rho),
     )
-    return tuple(n * b - s for b, s in zip(base, scaled))
+    return tuple([n * b - s for b, s in zip(base, scaled)])
 
 
-def _solve_linear_2(u, v, c):
-    """Exact consistency of u*x + v*y + c = 0 (componentwise).
-
-    Returns (consistent, (x, y)) with a particular rational solution, or
-    (False, None)."""
-    rows = [[Fraction(a), Fraction(b), Fraction(-cc)] for a, b, cc in zip(u, v, c)]
-    pivots = []
-    col = 0
-    r = 0
-    for col in range(2):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][2] != 0:
-            return False, None
-    x = y = Fraction(0)
-    for row_idx, col in enumerate(pivots):
-        if col == 0:
-            x = rows[row_idx][2]
-        else:
-            y = rows[row_idx][2]
-    return True, (x, y)
+def _trace_pairs(target: int, box: int) -> list[tuple[int, int]]:
+    """(n1, n2) nonzero, distinct, inside the box, with n1 + n2 = target."""
+    return [
+        (n1, target - n1) for n1 in range(-box, box + 1)
+        if n1 and target - n1 not in (0, n1) and abs(target - n1) <= box
+    ]
 
 
-def _iii4_base_tuples(box: int, l_pairs):
-    """Admissible base tuples for the given l-pairs.
+def _iii4_base_tuples(box: int):
+    """Admissible base tuples (l1, l2, m1, m2, m3, n1, n2) in lexicographic order.
 
     Side conditions: l1 != l2 nonzero, m1 != m2, n1, n2 nonzero distinct,
     and the trace identity n1 + n2 = l1 + l2 + m1 + m2 + m3 (forced by
     similarity of A, B, A+B to their diagonal models)."""
     rng = range(-box, box + 1)
     nonzero = [x for x in rng if x != 0]
-    for l1, l2 in l_pairs:
-        for m1 in rng:
-            for m2 in rng:
-                if m1 == m2:
-                    continue
-                for m3 in rng:
-                    target = l1 + l2 + m1 + m2 + m3
-                    for n1 in nonzero:
-                        n2 = target - n1
-                        if n2 == 0 or n2 == n1 or abs(n2) > box:
-                            continue
-                        yield (l1, l2, m1, m2, m3, n1, n2)
+    for l1 in nonzero:
+        for l2 in nonzero:
+            if l1 == l2:
+                continue
+            for m1 in rng:
+                for m2 in rng:
+                    if m1 == m2:
+                        continue
+                    for m3 in rng:
+                        for n1, n2 in _trace_pairs(l1 + l2 + m1 + m2 + m3, box):
+                            yield (l1, l2, m1, m2, m3, n1, n2)
 
 
-def _scan_iii4_chunk(args):
-    box, n, l_pairs = args
+def _count_iii4_base_tuples(box: int) -> int:
+    """Number of tuples ``_iii4_base_tuples(box)`` yields, without enumerating them.
+
+    The admissible (n1, n2) depend on the rest of a tuple only through its
+    trace sum l1 + l2 + m1 + m2 + m3, so a histogram of that sum over the
+    side conditions, weighted by the (n1, n2) count per sum, counts them all."""
     rng = range(-box, box + 1)
     nonzero = [x for x in rng if x != 0]
+    l_sums = Counter(l1 + l2 for l1 in nonzero for l2 in nonzero if l1 != l2)
+    m_sums = Counter(m1 + m2 + m3 for m1 in rng for m2 in rng if m1 != m2 for m3 in rng)
+    trace_sums: Counter = Counter()
+    for ls, lc in l_sums.items():
+        for ms, mc in m_sums.items():
+            trace_sums[ls + ms] += lc * mc
+    return sum(count * len(_trace_pairs(total, box)) for total, count in trace_sums.items())
+
+
+def _iii4_scaling_residuals(base, lam, n, nt1, nt2):
+    """Cleared residuals of one scaling candidate, which no (rho, sigma) can change.
+
+    The residuals are affine in (rho, sigma), so agreeing at (0, 0), (1, 0)
+    and (0, 1) makes them constant; rows 0 and 1 vanish identically.  Both
+    are exact identities (tests/test_intsearch.py), so a violation is a
+    formula bug, not a property of the tuple."""
+    r = _iii4_residuals_cleared(base, lam, n, nt1, nt2, 0, 0)
+    if (r[0] or r[1]
+            or _iii4_residuals_cleared(base, lam, n, nt1, nt2, 1, 0) != r
+            or _iii4_residuals_cleared(base, lam, n, nt1, nt2, 0, 1) != r):
+        raise RuntimeError(
+            f"cleared residuals at {base + (lam, nt1, nt2)} depend on (rho, sigma); formula bug"
+        )
+    return r
+
+
+def _scan_iii4_scalings(box: int, n: int):
+    """Every scaling triple of every base tuple; survivors have zero residuals.
+
+    Survivors come out sorted by params: base tuples, lambda and n~1 are all
+    enumerated in increasing order."""
+    rng = range(-box, box + 1)
+    nonzero = [x for x in rng if x != 0]
+    zeros = (Fraction(0),) * 6
     survivors = []
-    scanned = 0
-    reasons: dict[str, int] = {}
-    candidates = 0
-
-    def bump(reason):
-        reasons[reason] = reasons.get(reason, 0) + 1
-
-    for base in _iii4_base_tuples(box, l_pairs):
+    scanned = outside = zero = equal = candidates = 0
+    for base in _iii4_base_tuples(box):
         scanned += 1
-        l1, l2, m1, m2, m3, n1, n2 = base
-        # residual(a23) + residual(a31) equals -l1*l2*n*(n-1)*(m1-m2) for
-        # every scaling triple (exact identity, validated in the tests), so
-        # a nonzero value rules the whole base tuple out at once
-        if l1 * l2 * n * (n - 1) != 0:
-            bump("eq23_eq31_sum_obstruction")
-            continue
+        l1, l2, m1, m2, m3 = base[:5]
         sum_target = n * (l1 + l2) + m1 + m2 + m3
         for lam in rng:
             nt_sum = sum_target + 3 * lam
             for nt1 in nonzero:
                 nt2 = nt_sum - nt1
                 if abs(nt2) > box:
-                    bump("ntilde2_outside_box")
-                    continue
-                if nt2 == 0:
-                    bump("ntilde2_zero")
-                    continue
-                if nt2 == nt1:
-                    bump("ntilde_equal")
-                    continue
-                candidates += 1
-                r00 = _iii4_residuals_cleared(base, lam, n, nt1, nt2, 0, 0)[2:]
-                r10 = _iii4_residuals_cleared(base, lam, n, nt1, nt2, 1, 0)[2:]
-                r01 = _iii4_residuals_cleared(base, lam, n, nt1, nt2, 0, 1)[2:]
-                u = tuple(a - b for a, b in zip(r10, r00))
-                v = tuple(a - b for a, b in zip(r01, r00))
-                ok, solution = _solve_linear_2(u, v, r00)
-                if ok:
-                    rho, sigma = solution
-                    final = _iii4_residuals_cleared(base, lam, n, nt1, nt2, rho, sigma)
-                    survivors.append(
-                        Survivor(params=base + (lam, nt1, nt2),
-                                 residuals=tuple(final))
-                    )
-    return survivors, scanned, reasons, candidates
+                    outside += 1
+                elif nt2 == 0:
+                    zero += 1
+                elif nt2 == nt1:
+                    equal += 1
+                else:
+                    candidates += 1
+                    if not any(_iii4_scaling_residuals(base, lam, n, nt1, nt2)):
+                        survivors.append(Survivor(base + (lam, nt1, nt2), zeros))
+    counts = {"ntilde2_outside_box": outside, "ntilde2_zero": zero, "ntilde_equal": equal}
+    return survivors, scanned, {k: v for k, v in counts.items() if v}, candidates
 
 
-def grobner_replacement_search(box: int, n: int, *, workers: int = 1) -> SearchOutcome:
+def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
     """Exhaustive scan of type-III4 parameter tuples within |param| <= box.
 
-    For each admissible base tuple and each scaling triple (lambda_shift,
-    n~1, n~2) compatible with the trace identity, substitutes the forced
-    rho~ = n rho, sigma~ = n (sigma - 2 lambda rho) and decides whether the
-    remaining four entry equations admit an exact rational (rho, sigma).
-    Survivors re-verify against the residual function before being reported.
+    A base tuple survives when some scaling triple (lambda_shift, n~1, n~2)
+    compatible with the trace identity, with the forced rho~ = n rho and
+    sigma~ = n (sigma - 2 lambda rho), makes all six entry equations hold
+    for some (rho, sigma).  The cleared residuals do not depend on
+    (rho, sigma), and residual(a23) + residual(a31) = -l1 l2 n (n-1) (m1-m2)
+    (exact identities, tests/test_intsearch.py).
 
+    n >= 2 is the real search, whose empty survivor set is the desk-scale
+    replacement for the cited computer-algebra elimination: l1 l2 != 0, so
+    the sum identity rules out every base tuple at once, and the base tuples
+    are counted from a histogram of their trace sums, not enumerated.
     n = 1 is the identity-scaling control (every admissible tuple must
-    survive); n >= 2 is the real search, whose empty survivor set is the
-    desk-scale replacement for the cited computer-algebra elimination.  The
-    claim is scoped to the scanned box and says so in the metadata.
+    survive): every scaling triple is tried, and its residuals are evaluated
+    in integers at three (rho, sigma) points, which must agree (RuntimeError
+    otherwise); it survives iff they are all zero.  Survivors re-verify
+    against the public residual operation before being reported.  The claim
+    is scoped to the scanned box and says so in the metadata.
     """
     if box < 2:
         raise ConstraintError("box must be at least 2")
     if n < 1:
         raise ConstraintError("n must be a positive integer")
     _check_budget((abs(n) + 3) ** 2 * (9 * box) ** 5)
-    nonzero = [x for x in range(-box, box + 1) if x != 0]
-    l_pairs = [(l1, l2) for l1 in nonzero for l2 in nonzero if l1 != l2]
-    workers = max(1, int(workers))
-    if workers == 1:
-        parts = [_scan_iii4_chunk((box, n, l_pairs))]
+    if n >= 2:
+        scanned = _count_iii4_base_tuples(box)
+        survivors, reasons, candidates = [], {"eq23_eq31_sum_obstruction": scanned}, 0
     else:
-        chunk = math.ceil(len(l_pairs) / workers)
-        jobs = [
-            (box, n, l_pairs[i : i + chunk]) for i in range(0, len(l_pairs), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_iii4_chunk, jobs))
-    survivors: list[Survivor] = []
-    scanned = 0
-    reasons: dict[str, int] = {}
-    candidates = 0
-    for part_survivors, part_scanned, part_reasons, part_candidates in parts:
-        survivors.extend(part_survivors)
-        scanned += part_scanned
-        candidates += part_candidates
-        for key, count in part_reasons.items():
-            reasons[key] = reasons.get(key, 0) + count
-    survivors.sort(key=lambda s: s.params)
+        survivors, scanned, reasons, candidates = _scan_iii4_scalings(box, n)
     from .families import III4Params, case3_III4_residuals
 
     for s in survivors:  # re-verify against the public residual operation
         l1, l2, m1, m2, m3, n1, n2, lam, nt1, nt2 = s.params
         if any(r != 0 for r in s.residuals):
             raise RuntimeError(f"survivor {s.params} carries nonzero residuals")
-        base = III4Params(l1, l2, m1, m2, m3, n1, n2, rho=Fraction(0), sigma=Fraction(0))
-        probe = case3_III4_residuals(base, lam, n, (nt1, nt2), (Fraction(0), Fraction(0)))
-        cleared = _iii4_residuals_cleared((l1, l2, m1, m2, m3, n1, n2), lam, n, nt1, nt2, 0, 0)
-        if tuple(x * (m1 - m2) for x in probe) != cleared:
+        base = III4Params(l1, l2, m1, m2, m3, n1, n2, rho=0, sigma=0)
+        probe = case3_III4_residuals(base, lam, n, (nt1, nt2), (0, 0))
+        if tuple(x * (m1 - m2) for x in probe) != s.residuals:
             raise RuntimeError("cleared residuals disagree with the public operation")
     return SearchOutcome(
         survivors=tuple(survivors),

@@ -68,9 +68,6 @@ class CMat:
         return cls(np.zeros((dim, dim), dtype=complex))
 
 
-MatrixLike = "CMat | np.ndarray | list"
-
-
 def as_matrix(m) -> np.ndarray:
     """Coerce a CMat / array / nested list to a plain complex ndarray."""
     if isinstance(m, CMat):
@@ -91,10 +88,6 @@ def combine_affine(f, g, t: complex):
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return CMat(t * a + b)
-
-
-def frobenius(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
 
 
 def mat_equal_approx(m, n, tol: float) -> bool:
