@@ -13,6 +13,7 @@ from .errors import (
     InvalidUError,
     NoConvergenceError,
     RankError,
+    SchemaError,
     SnapUnavailableError,
     ZeroRootError,
 )

@@ -9,14 +9,25 @@ deterministic across runs; floats serialize as shortest round-trip decimals
 (<= 17 significant digits).  Matrices travel in their own JSON format
 (schemas/matrix.schema.json) whose "pi" scale stores the integer part of
 pi-scaled entries exactly.
+
+Every report, and every matrix file read with -f/-g, is checked against
+those schema files by a built-in validator with draft 2020-12 semantics.
+It implements the keywords the two schemas use: type, const, enum,
+required, properties, additionalProperties (false only), items,
+prefixItems, minItems, maxItems, minimum and maximum, and ignores $schema,
+$id, title and description.  A schema with any other keyword is refused
+(SchemaError), so a schema edit cannot go unchecked.  A document that does
+not match raises SchemaError with its JSON path: exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -24,10 +35,9 @@ from importlib import resources
 from numbers import Rational
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import families, intsearch, uset
-from .errors import CommexpError
+from .errors import CommexpError, SchemaError
 from .expmkit import ExpMethod, expm
 from .numkernel import CMat, as_matrix, combine_affine, eigen_decompose
 from .relations import (
@@ -45,18 +55,118 @@ class UsageError(Exception):
     pass
 
 
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); 2 is reserved for claim-failed
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # argparse reads -1 and -0.5 as values, not options; read -1/2 the same way
+        if _NEGATIVE_RATIONAL.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 # ---------------------------------------------------------------------------
 # JSON helpers
 
 
+# what the two schemas use; validate ignores the four annotations
+_KEYWORDS = frozenset({
+    "$schema", "$id", "title", "description",
+    "type", "const", "enum", "required", "properties", "additionalProperties",
+    "items", "prefixItems", "minItems", "maxItems", "minimum", "maximum",
+})
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _json_equal(a, b) -> bool:
+    # JSON equality, as const and enum compare: 1 == 1.0, but true != 1
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def check_schema(schema: dict, path: str = "#") -> None:
+    """Raise SchemaError if the schema uses anything ``validate`` does not implement."""
+    types = schema.get("type", [])
+    unknown = schema.keys() - _KEYWORDS
+    unknown |= ({types} if isinstance(types, str) else set(types)) - _TYPES.keys()
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise SchemaError(f"schema {path}: unsupported keywords or types {sorted(unknown)}")
+    for key, sub in schema.get("properties", {}).items():
+        check_schema(sub, f"{path}/properties/{key}")
+    for i, sub in enumerate(schema.get("prefixItems", [])):
+        check_schema(sub, f"{path}/prefixItems/{i}")
+    if "items" in schema:
+        check_schema(schema["items"], f"{path}/items")
+
+
+def validate(instance, schema: dict, path: str = "$") -> None:
+    """Raise SchemaError, naming the JSON path, unless ``instance`` matches ``schema``."""
+    def fail(what):
+        raise SchemaError(f"{path}: {what}")
+
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_TYPES[name](instance) for name in names):
+            fail(f"{instance!r:.60} is not of type {' or '.join(names)}")
+    if "const" in schema and not _json_equal(instance, schema["const"]):
+        fail(f"{instance!r:.60} is not {schema['const']!r}")
+    if "enum" in schema and not any(_json_equal(instance, v) for v in schema["enum"]):
+        fail(f"{instance!r:.60} is not one of {schema['enum']!r}")
+    if isinstance(instance, dict):
+        properties = schema.get("properties", {})
+        missing = [key for key in schema.get("required", []) if key not in instance]
+        if missing:
+            fail(f"missing required keys {missing}")
+        if "additionalProperties" in schema and instance.keys() - properties.keys():
+            fail(f"unexpected keys {sorted(instance.keys() - properties.keys())}")
+        for key, sub in properties.items():
+            if key in instance:
+                validate(instance[key], sub, f"{path}.{key}")
+    elif isinstance(instance, list):
+        if not schema.get("minItems", 0) <= len(instance) <= schema.get("maxItems", math.inf):
+            fail(f"has {len(instance)} items, expected {schema.get('minItems', 0)}"
+                 f"..{schema.get('maxItems', 'any')}")
+        prefix = schema.get("prefixItems", [])
+        for i, item in enumerate(instance):
+            sub = prefix[i] if i < len(prefix) else schema.get("items")
+            if sub is not None:
+                validate(item, sub, f"{path}[{i}]")
+    elif _is_number(instance):
+        low, high = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+        if not low <= instance <= high:
+            fail(f"{instance!r} is outside [{low}, {high}]")
+
+
+@functools.cache
 def _schema(name: str) -> dict:
-    text = resources.files("commexp.schemas").joinpath(name).read_text()
-    return json.loads(text)
+    schema = json.loads(resources.files("commexp.schemas").joinpath(name).read_text())
+    check_schema(schema, name)
+    return schema
 
 
 def _jsonable(obj):
@@ -89,14 +199,14 @@ def matrix_to_obj(m: CMat) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> CMat:
-    Draft202012Validator(_schema("matrix.schema.json")).validate(obj)
-    entries = np.array(
-        [[complex(re, im) for re, im in row] for row in obj["entries"]], dtype=complex
-    )
-    if entries.shape != (obj["dim"], obj["dim"]):
+    validate(obj, _schema("matrix.schema.json"))
+    rows = obj["entries"]
+    if len(rows) != obj["dim"] or any(len(row) != obj["dim"] for row in rows):
         raise UsageError(
-            f"entries shape {entries.shape} inconsistent with dim {obj['dim']}"
+            f"entries with row lengths {[len(row) for row in rows]} inconsistent "
+            f"with dim {obj['dim']}"
         )
+    entries = np.array([[complex(x, y) for x, y in row] for row in rows], dtype=complex)
     return CMat(entries, pi_scaled=obj["scale"] == "pi")
 
 
@@ -112,7 +222,10 @@ def load_matrix_file(path: str) -> CMat:
             obj = json.load(fp)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
-    return matrix_from_obj(obj)
+    try:
+        return matrix_from_obj(obj)
+    except (SchemaError, UsageError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _digest_file(path: str) -> str:
@@ -135,7 +248,7 @@ def emit_report(args, inputs, tolerances, payload, claim, started, out_path=None
         "claim": _jsonable(claim),
         "wall_clock_seconds": time.monotonic() - started,
     }
-    Draft202012Validator(_schema("report.schema.json")).validate(report)
+    validate(report, _schema("report.schema.json"))
     text = json.dumps(report, indent=2)
     if out_path:
         with open(out_path, "w") as fp:
@@ -187,7 +300,7 @@ def _star_expected_rotation_family(lam: int, mu: int, nu: int, t: int) -> bool:
 def _expected_for_builtin(name: str, params: dict, t_values) -> dict:
     expected = {}
     if name == "intro":
-        lam, mu, nu = 60, 241, 209
+        lam, mu, nu = families.INTRO_ROTATION
         for t in t_values:
             holds = _star_expected_rotation_family(lam, mu, nu, t)
             expected[(RelationKind.SUM_PRODUCT.value, t)] = holds
@@ -477,7 +590,8 @@ def cmd_families(ns, argv) -> int:
         f, g = families.intro_pair()
         for t in range(1, 7):
             v = check_relation_star(f, g, t, 1e-6)
-            checks[f"star_t{t}"] = v.holds == _star_expected_rotation_family(60, 241, 209, t)
+            checks[f"star_t{t}"] = v.holds == _star_expected_rotation_family(
+                *families.INTRO_ROTATION, t)
     elif name == "real2d":
         params = families.Real2DParams(lam=ns.lam, mu=ns.mu, nu=ns.nu, a=ns.a)
         f, g = families.real2d_family(params)

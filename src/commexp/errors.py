@@ -49,3 +49,8 @@ class NoConvergenceError(CommexpError):
 
 class ZeroRootError(CommexpError):
     """Iteration converged to the excluded trivial root u = 0."""
+
+
+class SchemaError(CommexpError):
+    """A report or matrix document does not match its JSON schema, or a
+    schema uses a keyword the built-in validator does not implement."""

@@ -54,6 +54,11 @@ def _require(cond: bool, message: str):
 # dimension 2
 
 
+# (lambda, mu, nu) of the intro pair read as a rotation family: A, B and A + B
+# have eigenvalues +-i*pi*lambda, +-i*pi*mu and +-i*pi*nu
+INTRO_ROTATION = (60, 241, 209)
+
+
 def intro_pair() -> tuple[CMat, CMat]:
     """A = 60*i*pi*diag(1,-1) and B = pi*[[-150i,-91],[391,150i]], exactly."""
     a = CMat.from_rows([[60j, 0], [0, -60j]], pi_scaled=True)
@@ -67,7 +72,7 @@ def intro_square_polynomial() -> tuple[int, int, int]:
     The sum/product identity at integer t holds exactly when this quadratic
     is a perfect square (the square root is automatically odd).
     """
-    lam, mu, nu = 60, 241, 209
+    lam, mu, nu = INTRO_ROTATION
     return lam, nu * nu - lam * lam - mu * mu, mu * mu
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from commexp import cli
+from commexp import cli, families
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -94,3 +94,69 @@ class TestSearchExitCodes:
         assert ok.returncode == 0
         assert json.loads(ok.stdout)["payload"]["prune_reasons"] == {
             "eq23_eq31_sum_obstruction": 20360}
+
+
+def write_matrix(path, **changes):
+    obj = cli.matrix_to_obj(families.intro_pair()[0])
+    obj.update(changes)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestMatrixFiles:
+    @pytest.mark.parametrize("changes, message", [
+        ({"scale": "two"}, "SchemaError: F.json: $.scale: 'two' is not one of"),
+        ({"entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+         "F.json: entries with row lengths [2, 1] inconsistent with dim 2"),
+        ({"entries": [[[1.0, 0.0], [0.0, 0.0]]]},
+         "F.json: entries with row lengths [2] inconsistent with dim 2"),
+    ])
+    def test_rejected_file_exits_one_with_one_line(self, capsys, tmp_path, changes, message):
+        f = write_matrix(tmp_path / "F.json", **changes)
+        g = write_matrix(tmp_path / "G.json")
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err.replace(str(tmp_path) + os.sep, "")
+
+    def test_round_trip_reproduces_builtin_verdicts(self, capsys, tmp_path):
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        assert run(capsys, "families", "intro", "-o", f, g)[0] == 0
+        code, from_files, _ = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..6")
+        assert code == 0
+        code, builtin, _ = run(capsys, "verify", "--builtin", "intro", "--t", "1..6")
+        assert code == 0
+        from_files, builtin = json.loads(from_files), json.loads(builtin)
+        assert from_files["payload"]["verdicts"] == builtin["payload"]["verdicts"]
+        assert [v["t"] for v in builtin["payload"]["verdicts"]
+                if v["relation"] == "sum-product"] == list(range(1, 7))
+
+
+class TestNegativeValues:
+    PRODUCTS = ("search", "iii2ii-discriminant", "--m", "2", "--products", "1", "1/2")
+
+    def test_negative_rational_product(self, capsys):
+        code, out, err = run(capsys, *self.PRODUCTS, "-1/2")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["claim"]["reproduced"] is True
+        assert report["claim"]["detail"].startswith("degenerate discriminant")
+        code, decimal, _ = run(capsys, *self.PRODUCTS, "-0.5")
+        assert code == 0
+        assert report["payload"] == json.loads(decimal)["payload"]
+        assert report["inputs"] == json.loads(decimal)["inputs"]
+
+    def test_negative_ranges_still_parse(self, capsys):
+        code, out, _ = run(capsys, "solve-u", "--k", "-3..3")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"k": "-3..3"}
+        ns = cli.build_parser().parse_args(cli._merge_dash_values(
+            ["verify", "--builtin", "intro", "--t", "-2..2"]))
+        assert ns.t == "-2..2"
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c",
+                    "import commexp.cli, sys; assert 'jsonschema' not in sys.modules"],
+                   check=True, env=env)
