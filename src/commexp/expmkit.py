@@ -19,6 +19,20 @@ Frobenius norm ~1e3; above that (large integer multiples of pi-scaled
 inputs, norms up to ~3e4) route through EXACT_PI_SNAP or SPECTRAL_HERMITE.
 ``AUTO`` does exactly that, falling back to Pade only when the eigenvector
 basis is ill conditioned.
+
+Whether the eigenbasis is usable (diagonalizable, condition <= COND_LIMIT)
+is decided in one place, ``_eigenbasis``, for AUTO and both spectral
+engines; the exponential formulas never read eigenvectors.  A simple
+spectrum is certified without an SVD: its Frobenius covariants
+P_i = prod_{j != i} (A - l_j I) / (l_i - l_j) bound the condition of the
+unit-column eigenbasis by sqrt(d * sum ||P_i||_F^2), and the same products
+show whether the computed eigenvalues are accurate enough for the SVD
+kernels to find those eigenvectors.  If they are, and the bound (widened
+for that error) is below COND_LIMIT / 100, that settles it.  Otherwise (a
+larger bound, inaccurate eigenvalues, or a repeated eigenvalue where the
+exact path needs a full eigenbasis) the kernel basis of the spectrum is
+computed and its SVD condition referees, so decisions near the threshold,
+and the error messages, are those of the SVD test.
 """
 
 from __future__ import annotations
@@ -35,10 +49,13 @@ from .errors import (
     SnapUnavailableError,
 )
 from .numkernel import (
+    KERNEL_FLOOR,
+    KERNEL_TOL,
     Spectrum,
     as_matrix,
     combine_affine,
     eigen_decompose,
+    eigenvector_basis,
     spectrum_congruence_free,
 )
 
@@ -49,6 +66,11 @@ CONGRUENCE_TOL = 1e-8
 # machine precision; a merely tolerance-level snap (1e-8) can hide a
 # near-Jordan structure whose exponential is nowhere near +/-I.
 SNAP_SHARPNESS = 1e-11
+# The covariant bound certifies an eigenbasis only this far below
+# COND_LIMIT, so that rounding in the bound or in the SVD cannot flip a
+# decision; bounds above it go to the SVD.
+_CERTIFY_LIMIT = COND_LIMIT / 100
+_EPS = float(np.finfo(float).eps)
 
 
 class ExpMethod(enum.Enum):
@@ -127,12 +149,75 @@ def _hermite_data_exp(spectrum: Spectrum):
     return nodes, cluster_ids, derivs
 
 
-def _eigvec_condition(spectrum: Spectrum) -> float:
+def _certified_condition(a: np.ndarray, eigenvalues) -> float:
+    """Upper bound on the SVD condition ``_eigenbasis`` would find for the
+    kernel basis of ``a``, whose computed ``eigenvalues`` are distinct; inf
+    when the bound cannot be made.
+
+    The Frobenius covariant P_i = N_i / D_i, with N_i = prod_{j!=i} B_j,
+    B_j = A - l_j I and D_i = prod_{j!=i} (l_i - l_j), equals v_i w_i^* for
+    a unit eigenvector v_i and row w_i^* of V^-1, so ||w_i|| = ||P_i||_F
+    and, as ||V|| <= sqrt(d), cond(V) <= sqrt(d * sum_i ||P_i||_F^2).
+
+    The l_i are only approximate, so each must also give the kernel
+    extraction in ``numkernel`` one good column.  R = B_i N_i is the same
+    for every i; the smallest singular value of B_i is at most
+    rho_i = sqrt(d) ||R||_F / ||N_i||_F (plus rounding), which must sit
+    below the kernel cutoff's absolute floor, and by Weyl's product
+    inequality the next one is at least lo_i = |D_i| / ||B_i||_F^(d-2),
+    which must clear the largest cutoff.  The column found is then within
+    sin(theta) <= cond * rho_i / (lo_i - rho_i) of v_i, which changes the
+    condition by a factor of at most (1 + delta) / (1 - delta),
+    delta = 2 sqrt(d) cond max_i sin(theta_i).
+    """
+    d = a.shape[0]
+    if d == 1:
+        return 1.0
+    shifted = a - np.array(eigenvalues)[:, None, None] * np.eye(d)
+    nums = shifted[::-1] if d == 2 else shifted[[1, 0, 0]] @ shifted[[2, 2, 1]]
+    # every Frobenius norm in one pass: N_i, B_i, R, A
+    stack = np.concatenate((nums, shifted, [shifted[0] @ nums[0], a])).reshape(2 * d + 2, -1)
+    norms = np.sqrt((abs(stack) ** 2).sum(axis=1)).tolist()
+    num_norms, b_norms = norms[:d], norms[d:2 * d]
+    floor = KERNEL_FLOOR * max(1.0, norms[-1])
+    # rounding in the computed R, then in the SVD of B_i
+    resid_norm = norms[2 * d] + 2 * d * _EPS * math.prod(b_norms)
+    total = 0.0
+    drift = 0.0
+    for i, (num_norm, b_norm) in enumerate(zip(num_norms, b_norms)):
+        den = math.prod(abs(eigenvalues[i] - lam) for j, lam in enumerate(eigenvalues) if j != i)
+        if num_norm == 0.0 or b_norm == 0.0 or den == 0.0:
+            return math.inf
+        total += (num_norm / den) ** 2
+        rho = math.sqrt(d) * resid_norm / num_norm + d * _EPS * b_norm
+        lo = den / b_norm ** (d - 2)
+        if not (rho <= floor / 4 and lo >= 4 * max(KERNEL_TOL * b_norm, floor)):
+            return math.inf
+        drift = max(drift, rho / (lo - rho))
+    cond = math.sqrt(d * total)
+    delta = 2 * math.sqrt(d) * cond * cond * drift
+    return cond * (1 + delta) / (1 - delta) if delta <= 0.1 else math.inf
+
+
+def _eigenbasis(a: np.ndarray, spectrum: Spectrum) -> tuple[bool, float]:
+    """(diagonalizable, condition bound) of the eigenbasis of ``a``.
+
+    The condition is inf for a defective matrix.  A certified simple
+    spectrum returns its covariant bound; otherwise the kernel basis that
+    ``eigen_decompose`` would return is computed and its SVD condition is
+    returned.
+    """
+    if spectrum.distinct_count == spectrum.dim:
+        bound = _certified_condition(a, spectrum.eigenvalues)
+        if bound < _CERTIFY_LIMIT:
+            return True, bound
     vecs = spectrum.eigenvectors
-    if vecs is None or vecs.shape[1] != spectrum.dim:
-        return math.inf
+    if vecs is None:
+        vecs = eigenvector_basis(a, spectrum)
+    if vecs.shape[1] != spectrum.dim:
+        return False, math.inf
     sv = np.linalg.svd(vecs, compute_uv=False)
-    return math.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
+    return True, math.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
 
 
 def _snap_sharpness(spectrum: Spectrum) -> float:
@@ -144,25 +229,23 @@ def _snap_sharpness(spectrum: Spectrum) -> float:
     return worst
 
 
-def _expm_spectral(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    if spectrum.distinct_count == spectrum.dim:
-        cond = _eigvec_condition(spectrum)
-        if cond > COND_LIMIT:
-            raise IllConditionedError(
-                f"eigenvector basis condition {cond:.2e} exceeds {COND_LIMIT:.0e}"
-            )
+def _hermite(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     nodes, cluster_ids, derivs = _hermite_data_exp(spectrum)
     coeffs = _confluent_divided_differences(nodes, cluster_ids, derivs)
     return _newton_apply(coeffs, nodes, a)
 
 
-def _expm_pi_snap(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    if spectrum.snap is None:
-        raise SnapUnavailableError("spectrum is not an integer multiple of i*pi")
-    if not spectrum.diagonalizable:
-        raise SnapUnavailableError("matrix is defective; exact path needs a full eigenbasis")
-    if _eigvec_condition(spectrum) > COND_LIMIT:
-        raise SnapUnavailableError("eigenbasis too ill conditioned for the exact path")
+def _expm_spectral(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    if spectrum.distinct_count == spectrum.dim:
+        _, cond = _eigenbasis(a, spectrum)
+        if cond > COND_LIMIT:
+            raise IllConditionedError(
+                f"eigenvector basis condition {cond:.2e} exceeds {COND_LIMIT:.0e}"
+            )
+    return _hermite(a, spectrum)
+
+
+def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     d = spectrum.dim
     ks = []
     i = 0
@@ -186,6 +269,17 @@ def _expm_pi_snap(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return result
 
 
+def _expm_pi_snap(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    if spectrum.snap is None:
+        raise SnapUnavailableError("spectrum is not an integer multiple of i*pi")
+    diagonalizable, cond = _eigenbasis(a, spectrum)
+    if not diagonalizable:
+        raise SnapUnavailableError("matrix is defective; exact path needs a full eigenbasis")
+    if cond > COND_LIMIT:
+        raise SnapUnavailableError("eigenbasis too ill conditioned for the exact path")
+    return _pi_snap_projectors(a, spectrum)
+
+
 def expm(m, method: ExpMethod = ExpMethod.AUTO, *, pade_theta: float = PADE_THETA) -> np.ndarray:
     """Matrix exponential of a d <= 3 complex matrix.
 
@@ -196,22 +290,22 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO, *, pade_theta: float = PADE_THET
     a = as_matrix(m)
     if method == ExpMethod.PADE_SQUARING:
         return _expm_pade(a, pade_theta)
-    spectrum = eigen_decompose(a)
+    spectrum = eigen_decompose(a, want_vectors=False)
     if method == ExpMethod.EXACT_PI_SNAP:
         return _expm_pi_snap(a, spectrum)
     if method == ExpMethod.SPECTRAL_HERMITE:
         return _expm_spectral(a, spectrum)
-    if (
-        spectrum.snap is not None
-        and spectrum.diagonalizable
-        and _snap_sharpness(spectrum) <= SNAP_SHARPNESS
-        and _eigvec_condition(spectrum) <= COND_LIMIT
-    ):
-        return _expm_pi_snap(a, spectrum)
-    try:
-        return _expm_spectral(a, spectrum)
-    except IllConditionedError:
-        return _expm_pade(a, pade_theta)
+    cond = None
+    if spectrum.snap is not None and _snap_sharpness(spectrum) <= SNAP_SHARPNESS:
+        _, cond = _eigenbasis(a, spectrum)
+        if cond <= COND_LIMIT:
+            return _pi_snap_projectors(a, spectrum)
+    if spectrum.distinct_count == spectrum.dim:
+        if cond is None:
+            _, cond = _eigenbasis(a, spectrum)
+        if cond > COND_LIMIT:
+            return _expm_pade(a, pade_theta)
+    return _hermite(a, spectrum)
 
 
 def expm_affine(f, g, t: complex, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:

@@ -72,9 +72,19 @@ def lemma1_decide(p: SquarePoly) -> bool:
 
 
 def lemma1_witness_bound(p: SquarePoly) -> int:
-    # empirical default; squareness provably breaks once
-    # alpha*t + beta/(2 alpha) outgrows the square gap near P(t)
-    return 4 * (abs(p.beta) + abs(p.gamma) + 1) ** 2
+    """A t >= 1 at which P(t) is provably not a perfect square.
+
+    With X = 2 alpha^2 t + beta and D = 4 alpha^2 gamma - beta^2 != 0,
+    4 alpha^2 P(t) = X^2 + D, so P(t) = s^2 (s >= 0) forces
+    (2 alpha s - X)(2 alpha s + X) = D.  Both factors are nonzero
+    integers, so once X > |D| the second exceeds |D| and no s exists.
+    Returns the first t with X > |D|, at least 1.
+    """
+    if lemma1_decide(p):
+        raise ConstraintError("a perfect-square polynomial has no witness bound")
+    two_a2 = 2 * p.alpha * p.alpha
+    disc = abs(4 * p.alpha * p.alpha * p.gamma - p.beta * p.beta)
+    return max(1, (disc - p.beta) // two_a2 + 1)
 
 
 def lemma1_witness(p: SquarePoly, t_bound: int) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .errors import DimensionError
 CLUSTER_TOL = 1e-8
 # An eigenvalue snaps to i*pi*k when |l - i*pi*k| <= SNAP_TOL * max(1, |l|).
 SNAP_TOL = 1e-8
+# Kernel of M - lambda*I: singular values <= max(KERNEL_TOL * sigma_max,
+# KERNEL_FLOOR * max(1, ||M||_F)).
+KERNEL_TOL = 1e-8
+KERNEL_FLOOR = 1e-10
 
 MAX_DIM = 3
 
@@ -252,15 +256,16 @@ def _kernel_columns(shifted: np.ndarray, scale: float) -> np.ndarray:
     # kernel extraction with an absolute floor so that M - lambda*I ~ 0
     # (multiple eigenvalue of a scalar-like matrix) yields the full space
     _, sv, vh = np.linalg.svd(shifted)
-    floor = 1e-10 * max(1.0, scale)
-    cutoff = max(1e-8 * (sv[0] if sv.size else 0.0), floor)
+    floor = KERNEL_FLOOR * max(1.0, scale)
+    cutoff = max(KERNEL_TOL * (sv[0] if sv.size else 0.0), floor)
     keep = sv <= cutoff
     return vh[keep].conj().T
 
 
 def _cluster(values: list[complex], tol_abs: float):
     """Greedy clustering; returns (representatives repeated, multiplicities)."""
-    remaining = sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    # float() first: rounding a numpy float64 costs several microseconds
+    remaining = sorted(values, key=lambda z: (round(float(z.real), 12), round(float(z.imag), 12)))
     clusters: list[list[complex]] = []
     for v in remaining:
         placed = False
@@ -308,24 +313,29 @@ def eigen_decompose(m, *, want_vectors: bool = True) -> Spectrum:
     roots = _polish_roots(coeffs, roots, scale)
 
     reps, mults = _cluster(roots, CLUSTER_TOL * max(1.0, scale))
-    vectors = None
-    if want_vectors:
-        cols = []
-        i = 0
-        for mult in mults:
-            lam = reps[i]
-            ker = _kernel_columns(a - lam * np.eye(d), scale)
-            cols.append(ker[:, :mult])
-            i += mult
-        vectors = np.hstack(cols) if cols else np.zeros((d, 0), dtype=complex)
-    snap = _snap_ints(reps, SNAP_TOL)
-    return Spectrum(
+    spectrum = Spectrum(
         eigenvalues=tuple(reps),
         distinct_count=len(mults),
         multiplicities=tuple(mults),
-        eigenvectors=vectors,
-        snap=snap,
+        snap=_snap_ints(reps, SNAP_TOL),
     )
+    if want_vectors:
+        spectrum = replace(spectrum, eigenvectors=eigenvector_basis(a, spectrum))
+    return spectrum
+
+
+def eigenvector_basis(m, spectrum: Spectrum) -> np.ndarray:
+    """Kernel columns of M - lambda*I, at most one per multiplicity, for
+    each cluster of ``spectrum`` (the spectrum of M) in order: the
+    ``eigenvectors`` of ``eigen_decompose(M)``."""
+    a = as_matrix(m)
+    d = a.shape[0]
+    scale = float(np.linalg.norm(a))
+    cols = [
+        _kernel_columns(a - lam * np.eye(d), scale)[:, :mult]
+        for lam, mult in spectrum.distinct()
+    ]
+    return np.hstack(cols) if cols else np.zeros((d, 0), dtype=complex)
 
 
 def spectrum_congruence_free(values, tol: float) -> bool:

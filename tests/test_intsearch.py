@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commexp import intsearch
@@ -15,7 +15,12 @@ from commexp.intsearch import (
     _iii4_cleared_entries,
     _iii4_residuals_cleared,
     _scan_iii4_scalings,
+    SquarePoly,
     grobner_replacement_search,
+    is_perfect_square,
+    lemma1_decide,
+    lemma1_witness,
+    lemma1_witness_bound,
 )
 
 # admissible base tuples per box, from brute-force enumeration of the side
@@ -148,3 +153,47 @@ class TestIII4Search:
             grobner_replacement_search(2, 0)
         with pytest.raises(TypeError):
             grobner_replacement_search(2, 2, workers=2)
+
+
+@st.composite
+def _non_square_polys(draw):
+    """Non-square SquarePoly, half of them (alpha t + r)^2 + k with k small,
+    which take square values at many small t."""
+    alpha = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        r = draw(st.integers(-10**4, 10**4))
+        k = draw(st.integers(-500, 500).filter(bool))
+        p = SquarePoly(alpha, 2 * alpha * r, r * r + k)
+    else:
+        p = SquarePoly(alpha, draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6)))
+    assume(not lemma1_decide(p))
+    return p
+
+
+class TestLemma1WitnessBound:
+    """With X = 2 alpha^2 t + beta and D = 4 alpha^2 gamma - beta^2 != 0,
+    P(t) = s^2 forces (2 alpha s - X)(2 alpha s + X) = D, so P(t) is not a
+    square once X > |D|."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_non_square_polys())
+    def test_bound_is_a_witness(self, p):
+        bound = lemma1_witness_bound(p)
+        disc = abs(4 * p.alpha**2 * p.gamma - p.beta**2)
+        assert bound >= 1
+        assert 2 * p.alpha**2 * bound + p.beta > disc
+        assert bound == 1 or 2 * p.alpha**2 * (bound - 1) + p.beta <= disc
+        assert not is_perfect_square(p(bound))
+        t = lemma1_witness(p, bound)
+        assert t is not None and 1 <= t <= bound
+
+    def test_squares_below_the_bound(self):
+        # t^2 + 2t - 35 = (t + 1)^2 - 36 is square at t = 5 and t = 9 (0 and
+        # 64); D = -144, so the bound is the first t with 2t + 2 > 144
+        p = SquarePoly(1, 2, -35)
+        assert [t for t in range(1, 80) if is_perfect_square(p(t))] == [5, 9]
+        assert lemma1_witness_bound(p) == 72
+
+    def test_square_polynomial_has_no_bound(self):
+        with pytest.raises(ConstraintError):
+            lemma1_witness_bound(SquarePoly(3, 12, 4))
