@@ -32,13 +32,12 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
-from numbers import Rational
 
 import numpy as np
 
 from . import families, intsearch, uset
 from .errors import CommexpError, SchemaError
-from .expmkit import ExpMethod, expm
+from .expmkit import expm
 from .numkernel import CMat, as_matrix, combine_affine, eigen_decompose
 from .relations import (
     RelationKind,
@@ -55,7 +54,7 @@ class UsageError(Exception):
     pass
 
 
-_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d\S*")  # no option of this CLI starts with a digit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def _parse_optional(self, arg_string):
-        # argparse reads -1 and -0.5 as values, not options; read -1/2 the same way
-        if _NEGATIVE_RATIONAL.fullmatch(arg_string):
+        # argparse reads -1 and -0.5 as values, not options; read -1/2, -3..-1
+        # and -0.5,-0.25 the same way
+        if _NEGATIVE_VALUE.fullmatch(arg_string):
             return None
         return super()._parse_optional(arg_string)
 
@@ -743,26 +743,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    # let range flags take values like -3..3 without argparse mistaking
-    # them for options
-    merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in ("--k", "--t") and nxt and len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit():
-            merged.append(f"{tok}={nxt}")
-            skip = True
-        else:
-            merged.append(tok)
-    return merged
-
-
 def main(argv=None) -> int:
-    argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -88,9 +88,9 @@ _PADE13 = (
 )
 
 
-def _expm_pade(a: np.ndarray, theta: float) -> np.ndarray:
+def _expm_pade(a: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
-    squarings = max(0, math.ceil(math.log2(norm / theta))) if norm > theta else 0
+    squarings = max(0, math.ceil(math.log2(norm / PADE_THETA))) if norm > PADE_THETA else 0
     x = a / (2.0 ** squarings)
     d = a.shape[0]
     ident = np.eye(d, dtype=complex)
@@ -280,7 +280,7 @@ def _expm_pi_snap(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return _pi_snap_projectors(a, spectrum)
 
 
-def expm(m, method: ExpMethod = ExpMethod.AUTO, *, pade_theta: float = PADE_THETA) -> np.ndarray:
+def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
     """Matrix exponential of a d <= 3 complex matrix.
 
     Raises IllConditionedError (spectral path) or SnapUnavailableError
@@ -289,7 +289,7 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO, *, pade_theta: float = PADE_THET
     """
     a = as_matrix(m)
     if method == ExpMethod.PADE_SQUARING:
-        return _expm_pade(a, pade_theta)
+        return _expm_pade(a)
     spectrum = eigen_decompose(a, want_vectors=False)
     if method == ExpMethod.EXACT_PI_SNAP:
         return _expm_pi_snap(a, spectrum)
@@ -304,7 +304,7 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO, *, pade_theta: float = PADE_THET
         if cond is None:
             _, cond = _eigenbasis(a, spectrum)
         if cond > COND_LIMIT:
-            return _expm_pade(a, pade_theta)
+            return _expm_pade(a)
     return _hermite(a, spectrum)
 
 

@@ -12,6 +12,16 @@ perfect-square values along any strictly increasing integer sequence, then
 P is the square of a linear polynomial, i.e. beta^2 = 4 alpha^2 gamma.
 ``lemma1_decide`` tests the exact identity; ``lemma1_witness`` finds the
 smallest t at which squareness breaks when it does not hold.
+
+The type-III4 search (``grobner_replacement_search``) stands in for the
+paper's computer-algebra elimination and is decided from exact identities of
+the residuals r of ``families.case3_III4_residuals``, with no candidate
+scan.  For the scale n >= 2, r[2] + r[3] = -l1 l2 n (n - 1) != 0 rules out
+every tuple.  For the identity-scaling control n = 1, with both trace
+identities imposed and P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
+(m1 - m2) r[4] = -(m1 - m2) r[5] = P and
+(m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
+so a scaling survives iff P = 0 and lambda is 0, -n1 or -n2.
 """
 
 from __future__ import annotations
@@ -240,37 +250,6 @@ def discriminant_scan_III2ii(products, m: int, n_max: int) -> SearchOutcome:
 # bounded replacement for the computer-algebra elimination (type III4)
 
 
-def _iii4_cleared_entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
-    """(m1 - m2) times the six pinned entries, all-integer when inputs are.
-
-    Order: (a33, a12, a23, a31, a11, a22)."""
-    diff = m1 - m2
-    lprod = l1 * l2
-    cubic = m3 * (m3 - n1) * (m3 - n2)
-    e2 = m1 * m2 + m2 * m3 + m3 * m1
-    k1 = (l1 + l2) * (m1 + m3) + lprod + e2 - n1 * n2
-    k2 = (l1 + l2) * (m2 + m3) + lprod + e2 - n1 * n2
-    return (
-        rho * diff * diff,
-        (rho * (m1 + m2) + sigma) * diff * diff,
-        (rho * (m2 * m2 - m3 * m3) + sigma * (m2 - m3)) * diff - ((m2 - m3) * lprod + cubic),
-        (rho * (m3 * m3 - m1 * m1) + sigma * (m3 - m1)) * diff + ((m1 - m3) * lprod + cubic),
-        rho * (m2 - m3) * diff + k1,
-        rho * (m3 - m1) * diff - k2,
-    )
-
-
-def _iii4_residuals_cleared(base_params, lam, n, nt1, nt2, rho, sigma):
-    """(m1 - m2) * (n * a_ij - a~_ij) with rho~ = n rho, sigma~ = n(sigma - 2 lam rho)."""
-    l1, l2, m1, m2, m3, n1, n2 = base_params
-    base = _iii4_cleared_entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma)
-    scaled = _iii4_cleared_entries(
-        n * l1, n * l2, m1 + lam, m2 + lam, m3 + lam, nt1, nt2,
-        n * rho, n * (sigma - 2 * lam * rho),
-    )
-    return tuple([n * b - s for b, s in zip(base, scaled)])
-
-
 def _trace_pairs(target: int, box: int) -> list[tuple[int, int]]:
     """(n1, n2) nonzero, distinct, inside the box, with n1 + n2 = target."""
     return [
@@ -300,113 +279,115 @@ def _iii4_base_tuples(box: int):
                             yield (l1, l2, m1, m2, m3, n1, n2)
 
 
-def _count_iii4_base_tuples(box: int) -> int:
-    """Number of tuples ``_iii4_base_tuples(box)`` yields, without enumerating them.
+def _base_tuples_by_trace_sum(box: int) -> Counter:
+    """Number of tuples ``_iii4_base_tuples(box)`` yields per trace sum
+    T = l1 + l2 + m1 + m2 + m3, without enumerating them.
 
-    The admissible (n1, n2) depend on the rest of a tuple only through its
-    trace sum l1 + l2 + m1 + m2 + m3, so a histogram of that sum over the
-    side conditions, weighted by the (n1, n2) count per sum, counts them all."""
+    The admissible (n1, n2) depend on the rest of a tuple only through T, so a
+    histogram of T over the side conditions, weighted by the (n1, n2) count per
+    sum, counts them all."""
     rng = range(-box, box + 1)
     nonzero = [x for x in rng if x != 0]
     l_sums = Counter(l1 + l2 for l1 in nonzero for l2 in nonzero if l1 != l2)
     m_sums = Counter(m1 + m2 + m3 for m1 in rng for m2 in rng if m1 != m2 for m3 in rng)
-    trace_sums: Counter = Counter()
+    by_sum: Counter = Counter()
     for ls, lc in l_sums.items():
         for ms, mc in m_sums.items():
-            trace_sums[ls + ms] += lc * mc
-    return sum(count * len(_trace_pairs(total, box)) for total, count in trace_sums.items())
+            by_sum[ls + ms] += lc * mc
+    return Counter({total: count * len(_trace_pairs(total, box))
+                    for total, count in by_sum.items()})
 
 
-def _iii4_scaling_residuals(base, lam, n, nt1, nt2):
-    """Cleared residuals of one scaling candidate, which no (rho, sigma) can change.
+def _identity_scaling_classes(box: int, by_sum: Counter) -> Counter:
+    """How the n = 1 scaling triples (lambda, n~1, n~2) of all base tuples split,
+    from their counts per trace sum (``_base_tuples_by_trace_sum``).
 
-    The residuals are affine in (rho, sigma), so agreeing at (0, 0), (1, 0)
-    and (0, 1) makes them constant; rows 0 and 1 vanish identically.  Both
-    are exact identities (tests/test_intsearch.py), so a violation is a
-    formula bug, not a property of the tuple."""
-    r = _iii4_residuals_cleared(base, lam, n, nt1, nt2, 0, 0)
-    if (r[0] or r[1]
-            or _iii4_residuals_cleared(base, lam, n, nt1, nt2, 1, 0) != r
-            or _iii4_residuals_cleared(base, lam, n, nt1, nt2, 0, 1) != r):
-        raise RuntimeError(
-            f"cleared residuals at {base + (lam, nt1, nt2)} depend on (rho, sigma); formula bug"
-        )
-    return r
-
-
-def _scan_iii4_scalings(box: int, n: int):
-    """Every scaling triple of every base tuple; survivors have zero residuals.
-
-    Survivors come out sorted by params: base tuples, lambda and n~1 are all
-    enumerated in increasing order."""
+    lambda and n~1 != 0 range over the box and the trace identity fixes
+    n~2 = T + 3 lambda - n~1, so the split depends on a base tuple only
+    through its trace sum T.  "candidate" counts the admissible triples; the
+    other keys count the ones each side condition excludes."""
     rng = range(-box, box + 1)
     nonzero = [x for x in rng if x != 0]
+    classes: Counter = Counter()
+    for total, tuples in by_sum.items():
+        for lam in rng:
+            for nt1 in nonzero:
+                nt2 = total + 3 * lam - nt1
+                if abs(nt2) > box:
+                    classes["ntilde2_outside_box"] += tuples
+                elif nt2 == 0:
+                    classes["ntilde2_zero"] += tuples
+                elif nt2 == nt1:
+                    classes["ntilde_equal"] += tuples
+                else:
+                    classes["candidate"] += tuples
+    return +classes  # unary + drops the classes that no base tuple reaches
+
+
+def _identity_scaling_survivors(box: int) -> list[Survivor]:
+    """The n = 1 survivors, sorted by params: for each base tuple, lambda = 0
+    with {n~1, n~2} = {n1, n2}, lambda = -n1 with {-n1, n2 - n1} and
+    lambda = -n2 with {-n2, n1 - n2}, both orders, inside the box."""
     zeros = (Fraction(0),) * 6
     survivors = []
-    scanned = outside = zero = equal = candidates = 0
     for base in _iii4_base_tuples(box):
-        scanned += 1
-        l1, l2, m1, m2, m3 = base[:5]
-        sum_target = n * (l1 + l2) + m1 + m2 + m3
-        for lam in rng:
-            nt_sum = sum_target + 3 * lam
-            for nt1 in nonzero:
-                nt2 = nt_sum - nt1
-                if abs(nt2) > box:
-                    outside += 1
-                elif nt2 == 0:
-                    zero += 1
-                elif nt2 == nt1:
-                    equal += 1
-                else:
-                    candidates += 1
-                    if not any(_iii4_scaling_residuals(base, lam, n, nt1, nt2)):
-                        survivors.append(Survivor(base + (lam, nt1, nt2), zeros))
-    counts = {"ntilde2_outside_box": outside, "ntilde2_zero": zero, "ntilde_equal": equal}
-    return survivors, scanned, {k: v for k, v in counts.items() if v}, candidates
+        n1, n2 = base[5:]
+        for lam, nt1, nt2 in sorted([(0, n1, n2), (0, n2, n1),
+                                     (-n1, -n1, n2 - n1), (-n1, n2 - n1, -n1),
+                                     (-n2, -n2, n1 - n2), (-n2, n1 - n2, -n2)]):
+            if abs(nt1) <= box and abs(nt2) <= box:
+                survivors.append(Survivor(base + (lam, nt1, nt2), zeros))
+    return survivors
 
 
 def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
-    """Exhaustive scan of type-III4 parameter tuples within |param| <= box.
+    """Exhaustive decision over type-III4 parameter tuples within |param| <= box.
 
     A base tuple survives when some scaling triple (lambda_shift, n~1, n~2)
     compatible with the trace identity, with the forced rho~ = n rho and
     sigma~ = n (sigma - 2 lambda rho), makes all six entry equations hold
-    for some (rho, sigma).  The cleared residuals do not depend on
-    (rho, sigma), and residual(a23) + residual(a31) = -l1 l2 n (n-1) (m1-m2)
-    (exact identities, tests/test_intsearch.py).
+    for some (rho, sigma).  The residuals r = case3_III4_residuals(...) do
+    not depend on (rho, sigma), r[0] = r[1] = 0, and
+    r[2] + r[3] = -l1 l2 n (n-1) (exact identities, tests/test_intsearch.py).
 
     n >= 2 is the real search, whose empty survivor set is the desk-scale
     replacement for the cited computer-algebra elimination: l1 l2 != 0, so
     the sum identity rules out every base tuple at once, and the base tuples
     are counted from a histogram of their trace sums, not enumerated.
+
     n = 1 is the identity-scaling control (every admissible tuple must
-    survive): every scaling triple is tried, and its residuals are evaluated
-    in integers at three (rho, sigma) points, which must agree (RuntimeError
-    otherwise); it survives iff they are all zero.  Survivors re-verify
-    against the public residual operation before being reported.  The claim
-    is scoped to the scanned box and says so in the metadata.
+    survive).  With P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
+    (m1 - m2) r[4] = -(m1 - m2) r[5] = P and
+    (m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
+    so a triple survives iff P = 0 and lambda is 0, -n1 or -n2, which fixes
+    {n~1, n~2} (see ``_identity_scaling_survivors``); the only filter left is
+    |n~| <= box.  The prune and candidate counts follow from the trace-sum
+    histogram (``_identity_scaling_classes``).
+
+    Every survivor re-verifies against the public residual operation before
+    being reported (RuntimeError otherwise).  The claim is scoped to the
+    scanned box and says so in the metadata.
     """
     if box < 2:
         raise ConstraintError("box must be at least 2")
     if n < 1:
         raise ConstraintError("n must be a positive integer")
     _check_budget((abs(n) + 3) ** 2 * (9 * box) ** 5)
+    by_sum = _base_tuples_by_trace_sum(box)
+    scanned = sum(by_sum.values())
     if n >= 2:
-        scanned = _count_iii4_base_tuples(box)
         survivors, reasons, candidates = [], {"eq23_eq31_sum_obstruction": scanned}, 0
     else:
-        survivors, scanned, reasons, candidates = _scan_iii4_scalings(box, n)
+        survivors = _identity_scaling_survivors(box)
+        reasons = _identity_scaling_classes(box, by_sum)
+        candidates = reasons.pop("candidate")
     from .families import III4Params, case3_III4_residuals
 
     for s in survivors:  # re-verify against the public residual operation
         l1, l2, m1, m2, m3, n1, n2, lam, nt1, nt2 = s.params
-        if any(r != 0 for r in s.residuals):
-            raise RuntimeError(f"survivor {s.params} carries nonzero residuals")
         base = III4Params(l1, l2, m1, m2, m3, n1, n2, rho=0, sigma=0)
-        probe = case3_III4_residuals(base, lam, n, (nt1, nt2), (0, 0))
-        if tuple(x * (m1 - m2) for x in probe) != s.residuals:
-            raise RuntimeError("cleared residuals disagree with the public operation")
+        if any(case3_III4_residuals(base, lam, n, (nt1, nt2), (0, 0))):
+            raise RuntimeError(f"survivor {s.params} has nonzero residuals; formula bug")
     return SearchOutcome(
         survivors=tuple(survivors),
         tuples_scanned=scanned,

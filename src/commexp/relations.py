@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .expmkit import ExpMethod, expm, expm_affine
+from .expmkit import expm, expm_affine
 from .numkernel import (
     Spectrum,
     as_matrix,
@@ -113,39 +113,35 @@ def _scaled(f, t):
 
 
 def check_relation_star(
-    f, g, t: complex, tol: float = DEFAULT_TOL,
-    method: ExpMethod = ExpMethod.AUTO, swapped: bool = False,
+    f, g, t: complex, tol: float = DEFAULT_TOL, swapped: bool = False,
 ) -> RelationVerdict:
     """exp(t F + G) versus exp(t F) exp(G), or exp(G) exp(t F) when swapped."""
-    lhs = expm_affine(f, g, t, method)
-    etf = expm(_scaled(f, t), method)
-    eg = expm(g, method)
+    lhs = expm_affine(f, g, t)
+    etf = expm(_scaled(f, t))
+    eg = expm(g)
     rhs = eg @ etf if swapped else etf @ eg
     kind = RelationKind.SUM_PRODUCT_SWAPPED if swapped else RelationKind.SUM_PRODUCT
     return _verdict(kind, lhs, rhs, tol, t)
 
 
-def check_exp_equal(f, g, tol: float = DEFAULT_TOL,
-                    method: ExpMethod = ExpMethod.AUTO) -> RelationVerdict:
-    return _verdict(RelationKind.EXP_EQUAL, expm(f, method), expm(g, method), tol)
+def check_exp_equal(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
+    return _verdict(RelationKind.EXP_EQUAL, expm(f), expm(g), tol)
 
 
-def check_exp_swap(f, g, tol: float = DEFAULT_TOL,
-                   method: ExpMethod = ExpMethod.AUTO) -> RelationVerdict:
-    ef, eg = expm(f, method), expm(g, method)
+def check_exp_swap(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
+    ef, eg = expm(f), expm(g)
     return _verdict(RelationKind.EXP_SWAP, ef @ eg, eg @ ef, tol)
 
 
-def scan_integer_t(f, g, cfg: TScanConfig,
-                   method: ExpMethod = ExpMethod.AUTO) -> list[RelationVerdict]:
+def scan_integer_t(f, g, cfg: TScanConfig) -> list[RelationVerdict]:
     """Star and swapped-star verdicts at each configured integer t.
 
     Output order is deterministic: (star, swapped-star) per t, ascending t.
     """
     out = []
     for t in cfg.t_values:
-        out.append(check_relation_star(f, g, t, cfg.tol, method, swapped=False))
-        out.append(check_relation_star(f, g, t, cfg.tol, method, swapped=True))
+        out.append(check_relation_star(f, g, t, cfg.tol, swapped=False))
+        out.append(check_relation_star(f, g, t, cfg.tol, swapped=True))
     return out
 
 
@@ -164,15 +160,14 @@ def relation_report(
     f, g, cfg: TScanConfig, *,
     pair: str = "",
     include_triangularizable: bool = False,
-    method: ExpMethod = ExpMethod.AUTO,
 ) -> RelationReport:
     """Aggregate every check for one pair."""
     verdicts = [
         check_commute(f, g, cfg.tol),
-        check_exp_equal(f, g, cfg.tol, method),
-        check_exp_swap(f, g, cfg.tol, method),
+        check_exp_equal(f, g, cfg.tol),
+        check_exp_swap(f, g, cfg.tol),
     ]
-    verdicts.extend(scan_integer_t(f, g, cfg, method))
+    verdicts.extend(scan_integer_t(f, g, cfg))
     spec_f = eigen_decompose(f, want_vectors=False)
     spec_g = eigen_decompose(g, want_vectors=False)
     spec_fg = eigen_decompose(combine_affine(f, g, 1.0), want_vectors=False)

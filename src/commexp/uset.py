@@ -37,15 +37,14 @@ def _h(u: complex) -> complex:
     return cmath.exp(u) - 1 - u
 
 
-def solve_u(seed: complex, *, max_iterations: int = MAX_ITERATIONS,
-            residual_target: float = RESIDUAL_TARGET) -> URoot:
+def solve_u(seed: complex) -> URoot:
     """Newton iteration on h(u) = e^u - 1 - u from the given seed."""
     if seed == 0:
         raise ValueError("seed must be nonzero")
     u = complex(seed)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         h = _h(u)
-        if abs(h) <= residual_target:
+        if abs(h) <= RESIDUAL_TARGET:
             if abs(u) < ZERO_BALL:
                 raise ZeroRootError(f"iteration from {seed} converged to the trivial root")
             return URoot(u, abs(h), round(u.imag / (2 * math.pi)))
@@ -56,7 +55,7 @@ def solve_u(seed: complex, *, max_iterations: int = MAX_ITERATIONS,
         if not (math.isfinite(u.real) and math.isfinite(u.imag)):
             raise NoConvergenceError(f"iteration from {seed} diverged")
     raise NoConvergenceError(
-        f"no residual <= {residual_target} within {max_iterations} iterations from {seed}"
+        f"no residual <= {RESIDUAL_TARGET} within {MAX_ITERATIONS} iterations from {seed}"
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from commexp import cli, families
+from commexp import cli, families, intsearch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -96,6 +97,49 @@ class TestSearchExitCodes:
             "eq23_eq31_sum_obstruction": 20360}
 
 
+class TestClaimFailedExitsTwo:
+    """Exit code 2: the computation ran but its claim was not reproduced.
+    Each case breaks one expectation, check or result, and the report is
+    still printed and schema-valid."""
+
+    def assert_claim_failed(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err == ""
+        report = json.loads(out)
+        cli.validate(report, cli._schema("report.schema.json"))
+        assert report["claim"]["reproduced"] is False
+        return report
+
+    def test_verify_with_a_wrong_expectation(self, capsys, monkeypatch):
+        expected_for = cli._expected_for_builtin
+
+        def wrong(name, params, t_values):
+            expected = expected_for(name, params, t_values)
+            expected[("exp-swap", None)] = not expected[("exp-swap", None)]
+            return expected
+
+        monkeypatch.setattr(cli, "_expected_for_builtin", wrong)
+        report = self.assert_claim_failed(capsys, "verify", "--builtin", "intro")
+        assert report["claim"]["detail"] == "exp-swap@t=None: expected holds=False, got True"
+
+    def test_families_with_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_eig_matches", lambda m, targets, tol=1e-8: False)
+        report = self.assert_claim_failed(capsys, "families", "real2d")
+        assert report["payload"]["checks"]["spectrum_g"] is False
+        assert "spectrum_g=FAIL" in report["claim"]["detail"]
+
+    def test_search_with_a_survivor(self, capsys, monkeypatch):
+        search = intsearch.grobner_replacement_search
+
+        def with_survivor(box, n):
+            survivor = intsearch.Survivor((1, 2, 0, 1, 0, 1, 3, 0, 1, 3), (0,) * 6)
+            return dataclasses.replace(search(box, n), survivors=(survivor,))
+
+        monkeypatch.setattr(intsearch, "grobner_replacement_search", with_survivor)
+        report = self.assert_claim_failed(capsys, "search", "iii4", "--box", "2", "--n", "2")
+        assert report["claim"]["detail"] == "1 unexpected survivors"
+
+
 def write_matrix(path, **changes):
     obj = cli.matrix_to_obj(families.intro_pair()[0])
     obj.update(changes)
@@ -150,9 +194,31 @@ class TestNegativeValues:
         code, out, _ = run(capsys, "solve-u", "--k", "-3..3")
         assert code == 0
         assert json.loads(out)["inputs"] == {"k": "-3..3"}
-        ns = cli.build_parser().parse_args(cli._merge_dash_values(
-            ["verify", "--builtin", "intro", "--t", "-2..2"]))
+        ns = cli.build_parser().parse_args(["verify", "--builtin", "intro", "--t", "-2..2"])
         assert ns.t == "-2..2"
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (("solve-u", "--k", "-2,1"), "k", "-2,1"),
+        (("solve-u", "--k", "-3..-1"), "k", "-3..-1"),
+        (("solve-u", "--k", "-3,-1"), "k", "-3,-1"),
+        (("verify", "--t", "-5..-2"), "t", "-5..-2"),
+        (("verify", "--t", "-2,-1"), "t", "-2,-1"),
+        (("verify", "--t-complex", "-0.5,-0.25"), "t_complex", ["-0.5,-0.25"]),
+        (("verify", "--t-complex", "-0.5,0.25", "1,-2"), "t_complex", ["-0.5,0.25", "1,-2"]),
+        (("search", "iii2ii-discriminant", "--products", "1", "1/2", "-1/2"),
+         "products", ["1", "1/2", "-1/2"]),
+    ])
+    def test_negative_values_parse(self, argv, dest, value):
+        assert getattr(cli.build_parser().parse_args(list(argv)), dest) == value
+
+    def test_negative_complex_t(self, capsys):
+        code, out, err = run(capsys, "verify", "--builtin", "theorem2", "--t-complex",
+                             "-0.5,0.25")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["claim"]["reproduced"] is True
+        [verdict] = report["payload"]["complex_t_verdicts"]
+        assert verdict["t"] == [-0.5, 0.25] and verdict["holds"] is True
 
 
 def test_importing_the_cli_leaves_jsonschema_unloaded():

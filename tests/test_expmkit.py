@@ -11,7 +11,6 @@ from commexp.errors import (
 )
 from commexp.expmkit import (
     COND_LIMIT,
-    PADE_THETA,
     SNAP_SHARPNESS,
     ExpMethod,
     _CERTIFY_LIMIT,
@@ -198,7 +197,7 @@ def _svd_path(m, method):
     if spec.snap is not None and _snap_sharpness(spec) <= SNAP_SHARPNESS and cond <= COND_LIMIT:
         return _pi_snap_projectors(a, spec)
     if simple and cond > COND_LIMIT:
-        return _expm_pade(a, PADE_THETA)
+        return _expm_pade(a)
     return _hermite(a, spec)
 
 

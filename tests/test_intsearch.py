@@ -1,20 +1,18 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commexp import intsearch
+from commexp import families
 from commexp.errors import ConstraintError
-from commexp.families import iii4_entries
+from commexp.families import III4Params, case3_III4_residuals
 from commexp.intsearch import (
-    _count_iii4_base_tuples,
+    _base_tuples_by_trace_sum,
     _iii4_base_tuples,
-    _iii4_cleared_entries,
-    _iii4_residuals_cleared,
-    _scan_iii4_scalings,
     SquarePoly,
     grobner_replacement_search,
     is_perfect_square,
@@ -30,61 +28,111 @@ BASE_TUPLES = {2: 1632, 3: 20360, 4: 119232, 5: 466136}
 BIG = 2**64
 
 
-def _random_point(seed):
-    """Uniform integers in [-2^64, 2^64]: base tuple, lambda, n, n~1, n~2."""
-    rng = random.Random(seed)
-    draw = lambda: rng.randint(-BIG, BIG)  # noqa: E731
-    base = tuple(draw() for _ in range(7))
-    return rng, base, draw(), draw(), draw(), draw()
+class _Point:
+    """A uniform random point of [-2^64, 2^64]: base tuple, lambda, n, n~1,
+    n~2 and two Fraction-valued (rho, sigma).  With ``identity_scaling`` the
+    scale is n = 1 and both trace identities are imposed, n1 + n2 =
+    l1 + l2 + m1 + m2 + m3 and n~1 + n~2 = n1 + n2 + 3 lambda."""
+
+    def __init__(self, seed, identity_scaling=False):
+        rng = random.Random(seed)
+        draw = lambda: rng.randint(-BIG, BIG)  # noqa: E731
+        while True:
+            l1, l2, m1, m2, m3, n1, n2, lam, n, nt1, nt2 = (draw() for _ in range(11))
+            if identity_scaling:
+                n = 1
+                n2 = l1 + l2 + m1 + m2 + m3 - n1
+                nt2 = n1 + n2 + 3 * lam - nt1
+            if (0 not in (l1, l2, n1, n2, nt1, nt2)
+                    and l1 != l2 and m1 != m2 and n1 != n2 and nt1 != nt2):
+                break
+        self.l1, self.l2, self.m1, self.m2, self.m3, self.n1, self.n2 = l1, l2, m1, m2, m3, n1, n2
+        self.lam, self.n, self.nt = lam, n, (nt1, nt2)
+        self.rho_sigma = [
+            tuple(Fraction(draw(), rng.randint(1, BIG)) for _ in range(2)) for _ in range(2)]
+
+    def residuals(self, which=0):
+        """The public residuals at the forced rho~ = n rho, sigma~ = n (sigma - 2 lambda rho)."""
+        rho, sigma = self.rho_sigma[which]
+        base = III4Params(self.l1, self.l2, self.m1, self.m2, self.m3, self.n1, self.n2,
+                          rho=rho, sigma=sigma)
+        scaled = (self.n * rho, self.n * (sigma - 2 * self.lam * rho))
+        return case3_III4_residuals(base, self.lam, self.n, self.nt, scaled)
 
 
 class TestIII4ClearedIdentities:
-    """Polynomial identities of the cleared III4 residuals that the search
-    relies on, checked at uniform random points of [-2^64, 2^64]^k: a
-    nonzero polynomial of degree d vanishes at such a point with probability
-    at most d / 2^65 (Schwartz-Zippel), so each example is a proof up to
-    that probability.  Every variable is free (the trace identities are not
+    """Polynomial identities of the public III4 residuals (the n = 1 ones
+    cleared by m1 - m2) that the search relies on, checked at uniform random
+    points of [-2^64, 2^64]^k: a nonzero polynomial of degree d vanishes at
+    such a point with probability at most d / 2^65 (Schwartz-Zippel), so
+    each example is a proof up to that probability.  Outside the n = 1
+    identities every variable is free (the trace identities are not
     imposed), which is stronger than what the search needs."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_rows_0_and_1_vanish(self, seed):
-        rng, base, lam, n, nt1, nt2 = _random_point(seed)
-        rho, sigma = rng.randint(-BIG, BIG), rng.randint(-BIG, BIG)
-        r = _iii4_residuals_cleared(base, lam, n, nt1, nt2, rho, sigma)
+        r = _Point(seed).residuals()
         assert r[0] == 0 and r[1] == 0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_rows_2_to_5_do_not_depend_on_rho_sigma(self, seed):
-        rng, base, lam, n, nt1, nt2 = _random_point(seed)
-        rho, sigma, rho2, sigma2 = (rng.randint(-BIG, BIG) for _ in range(4))
-        r = _iii4_residuals_cleared(base, lam, n, nt1, nt2, rho, sigma)
-        r2 = _iii4_residuals_cleared(base, lam, n, nt1, nt2, rho2, sigma2)
-        assert r[2:] == r2[2:]
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_cleared_entries_match_public_entries(self, seed):
-        # the survivor re-check compares these two implementations
-        rng, base, *_ = _random_point(seed)
-        l1, l2, m1, m2, m3, n1, n2 = base
-        if m1 == m2:
-            m2 += 1
-        rho, sigma = (Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG)) for _ in range(2))
-        for r, s in ((rho, sigma), (rho.numerator, sigma.numerator)):
-            public = iii4_entries(l1, l2, m1, m2, m3, n1, n2, r, s)
-            assert tuple(x * (m1 - m2) for x in public) == _iii4_cleared_entries(
-                l1, l2, m1, m2, m3, n1, n2, r, s)
+        point = _Point(seed)
+        assert point.residuals(0)[2:] == point.residuals(1)[2:]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_sum_obstruction(self, seed):
-        rng, base, lam, n, nt1, nt2 = _random_point(seed)
-        rho, sigma = rng.randint(-BIG, BIG), rng.randint(-BIG, BIG)
-        l1, l2, m1, m2 = base[:4]
-        r = _iii4_residuals_cleared(base, lam, n, nt1, nt2, rho, sigma)
-        assert r[2] + r[3] == -l1 * l2 * n * (n - 1) * (m1 - m2)
+        p = _Point(seed)
+        r = p.residuals()
+        assert r[2] + r[3] == -p.l1 * p.l2 * p.n * (p.n - 1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_identity_scaling_identities(self, seed):
+        p = _Point(seed, identity_scaling=True)
+        lam, (nt1, nt2) = p.lam, p.nt
+        diff = p.m1 - p.m2
+        r = [x * diff for x in p.residuals()]
+        big_p = nt1 * nt2 - p.n1 * p.n2 - 2 * lam * (p.n1 + p.n2) - 3 * lam * lam
+        assert r[4] == -r[5] == big_p
+        assert r[2] == -r[3] == lam * (lam + p.n1) * (lam + p.n2) + (p.m3 + lam) * big_p
+
+
+def _scan_every_candidate(box, n):
+    """Brute-force reference for ``grobner_replacement_search``: every scaling
+    triple of every base tuple, classified by the side conditions, and the
+    admissible ones tried with the public residual operation at
+    (rho, sigma) = (0, 0), which the identities above make sufficient.
+    Returns the survivors' params, the base-tuple count, the prune counts,
+    the candidate count and the number of base tuples whose candidates all
+    have r[2] + r[3] != 0."""
+    rng = range(-box, box + 1)
+    survivors, reasons = [], Counter()
+    scanned = candidates = obstructed = 0
+    for base in _iii4_base_tuples(box):
+        scanned += 1
+        l1, l2, m1, m2, m3 = base[:5]
+        params = III4Params(*base)
+        all_obstructed = True
+        for lam in rng:
+            for nt1 in (x for x in rng if x):
+                nt2 = n * (l1 + l2) + m1 + m2 + m3 + 3 * lam - nt1
+                if abs(nt2) > box:
+                    reasons["ntilde2_outside_box"] += 1
+                elif nt2 == 0:
+                    reasons["ntilde2_zero"] += 1
+                elif nt2 == nt1:
+                    reasons["ntilde_equal"] += 1
+                else:
+                    candidates += 1
+                    r = case3_III4_residuals(params, lam, n, (nt1, nt2), (0, 0))
+                    all_obstructed &= r[2] + r[3] != 0
+                    if not any(r):
+                        survivors.append(base + (lam, nt1, nt2))
+        obstructed += all_obstructed
+    return survivors, scanned, dict(reasons), candidates, obstructed
 
 
 class TestIII4Search:
@@ -94,7 +142,7 @@ class TestIII4Search:
 
     @pytest.mark.parametrize("box", sorted(BASE_TUPLES))
     def test_count_matches_enumeration(self, box):
-        assert _count_iii4_base_tuples(box) == BASE_TUPLES[box]
+        assert sum(_base_tuples_by_trace_sum(box).values()) == BASE_TUPLES[box]
         assert sum(1 for _ in _iii4_base_tuples(box)) == BASE_TUPLES[box]
 
     @pytest.mark.parametrize("box", [3, 4, 5])
@@ -111,11 +159,21 @@ class TestIII4Search:
                 "scaling_candidates_tested": 0,
             }
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_counted_decision_agrees_with_scanning_every_candidate(self, n):
-        survivors, scanned, _, candidates = _scan_iii4_scalings(2, n)
-        assert survivors == [] and candidates > 0
-        assert scanned == grobner_replacement_search(2, n).tuples_scanned
+        out = grobner_replacement_search(2, n)
+        survivors, scanned, reasons, candidates, obstructed = _scan_every_candidate(2, n)
+        assert [s.params for s in out.survivors] == survivors
+        assert out.tuples_scanned == scanned == BASE_TUPLES[2]
+        assert candidates > 0
+        if n == 1:
+            assert out.prune_reasons == reasons
+            assert out.pruned == sum(reasons.values())
+            assert out.metadata["scaling_candidates_tested"] == candidates
+            assert survivors
+        else:
+            assert out.prune_reasons == {"eq23_eq31_sum_obstruction": obstructed}
+            assert obstructed == scanned
 
     def test_identity_scaling_control(self, control):
         params = sorted(s.params for s in control.survivors)
@@ -133,17 +191,18 @@ class TestIII4Search:
             assert len(s.residuals) == 6
             assert all(type(r) is Fraction and r == 0 for r in s.residuals)
 
-    @pytest.mark.parametrize("row, shift", [(2, lambda sigma: sigma), (0, lambda sigma: 1)],
-                             ids=["row2_depends_on_sigma", "row0_nonzero"])
-    def test_broken_identity_raises(self, monkeypatch, row, shift):
-        cleared = intsearch._iii4_residuals_cleared
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_broken_entry_formula_raises(self, monkeypatch, row):
+        # adding m1 to one entry makes that row's n = 1 residual -lambda, which
+        # the survivor re-check sees at the first survivor with lambda != 0
+        entries = families.iii4_entries
 
-        def broken(base, lam, n, nt1, nt2, rho, sigma):
-            r = cleared(base, lam, n, nt1, nt2, rho, sigma)
-            return r[:row] + (r[row] + shift(sigma),) + r[row + 1:]
+        def broken(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
+            e = entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma)
+            return e[:row] + (e[row] + m1,) + e[row + 1:]
 
-        monkeypatch.setattr(intsearch, "_iii4_residuals_cleared", broken)
-        with pytest.raises(RuntimeError, match="formula bug"):
+        monkeypatch.setattr(families, "iii4_entries", broken)
+        with pytest.raises(RuntimeError, match="nonzero residuals"):
             grobner_replacement_search(2, 1)
 
     def test_validation(self):

@@ -82,6 +82,17 @@ class TestEnumerateU:
         for r in roots:
             assert abs(r.value) <= math.hypot(10, 7 * math.pi)
 
+    def test_roots_match_lambert_w(self):
+        # e^u = 1 + u with v = -1 - u reads v e^v = -1/e, so u = -1 - W_j(-1/e);
+        # branch k of the solver is W's branch j = -k - 1 (k >= 1) or -k (k <= -1)
+        lambertw = pytest.importorskip("scipy.special").lambertw
+        roots = enumerate_u(-6, 6)
+        assert [r.branch_hint for r in roots] == [k for k in range(-6, 7) if k]
+        for r in roots:
+            k = r.branch_hint
+            oracle = -1 - complex(lambertw(-1 / math.e, -k - 1 if k >= 1 else -k))
+            assert abs(r.value - oracle) <= 1e-13 * abs(oracle)
+
     def test_conjugation_closure(self):
         roots = enumerate_u(-3, 3)
         values = [r.value for r in roots]
