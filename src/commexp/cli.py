@@ -169,7 +169,13 @@ def _schema(name: str) -> dict:
     return schema
 
 
+# exact types only: np.float64 subclasses float and must go through .item()
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(obj):
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -17,12 +17,17 @@ in the entries.
 Accuracy budget: the Pade engine is trusted to ~1e-9 relative only up to
 Frobenius norm ~1e3; above that (large integer multiples of pi-scaled
 inputs, norms up to ~3e4) route through EXACT_PI_SNAP or SPECTRAL_HERMITE.
-``AUTO`` does exactly that, falling back to Pade only when the eigenvector
-basis is ill conditioned.
+``AUTO`` does exactly that at d = 1 and 3, falling back to Pade only when
+the eigenvector basis is ill conditioned.  At d = 2 AUTO needs no
+eigenvalues at all: with mu = tr A / 2, B = A - mu I and s^2 = -det B,
+exp(A) = e^mu (cosh s I + sinh(s)/s B) (Higham 2008, Functions of
+Matrices, ch. 10), or the exact path when mu +/- s snap sharply; it never
+runs Pade.
 
 Whether the eigenbasis is usable (diagonalizable, condition <= COND_LIMIT)
-is decided in one place, ``_eigenbasis``, for AUTO and both spectral
-engines; the exponential formulas never read eigenvectors.  A simple
+is decided in one place, ``_eigenbasis``, for AUTO at d = 1 and 3 and both
+spectral engines (the d = 2 closed form checks its snap with a scalar
+bound); the exponential formulas never read eigenvectors.  A simple
 spectrum is certified without an SVD: its Frobenius covariants
 P_i = prod_{j != i} (A - l_j I) / (l_i - l_j) bound the condition of the
 unit-column eigenbasis by sqrt(d * sum ||P_i||_F^2), and the same products
@@ -37,6 +42,7 @@ and the error messages, are those of the SVD test.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -52,6 +58,7 @@ from .numkernel import (
     KERNEL_FLOOR,
     KERNEL_TOL,
     Spectrum,
+    _snap_ints,
     as_matrix,
     combine_affine,
     eigen_decompose,
@@ -71,6 +78,9 @@ SNAP_SHARPNESS = 1e-11
 # decision; bounds above it go to the SVD.
 _CERTIFY_LIMIT = COND_LIMIT / 100
 _EPS = float(np.finfo(float).eps)
+# Below this |s|, sinh(s)/s is summed from its Taylor series; the first
+# omitted term, s^8/9!, is then below 3e-22.
+_SINHC_SERIES_BELOW = 1e-2
 
 
 class ExpMethod(enum.Enum):
@@ -280,16 +290,71 @@ def _expm_pi_snap(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return _pi_snap_projectors(a, spectrum)
 
 
+def _sinhc(s: complex) -> complex:
+    """sinh(s) / s, continuous through s = 0."""
+    if abs(s) < _SINHC_SERIES_BELOW:
+        z = s * s
+        return 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
+    return np.sinh(s) / s
+
+
+def _expm_2x2(a: np.ndarray) -> np.ndarray:
+    """AUTO's exponential of a 2x2 matrix, with no eigen-decomposition.
+
+    With mu = tr A / 2, B = A - mu I and s = sqrt(-det B), B^2 = s^2 I, so
+    the eigenvalues are mu +/- s and exp(A) = e^mu (cosh s I + sinh(s)/s B);
+    for a nilpotent B that is e^mu (I + B).  For Re s > 1 the same formula
+    is evaluated as e^(mu+s) ((1 + e^-2s) I + (1 - e^-2s) / s B) / 2.
+
+    When both eigenvalues snap sharply to i*pi*Z the exact path runs
+    instead, if the eigenbasis allows it: a repeated snapped eigenvalue
+    needs B ~ 0 (otherwise A is defective), and two distinct ones need the
+    Frobenius-covariant bound sqrt(||B||_F^2 + 2 |s|^2) / |s| on the
+    eigenbasis condition to stay within COND_LIMIT.
+    """
+    (a00, a01), (a10, a11) = a.tolist()
+    mu = (a00 + a11) / 2
+    b00 = (a00 - a11) / 2
+    s = complex(np.sqrt(b00 * b00 + a01 * a10))
+    lams = (mu + s, mu - s)
+    ks = _snap_ints(lams, SNAP_SHARPNESS) if all(map(cmath.isfinite, lams)) else None
+    if ks is not None:
+        b_norm = math.hypot(abs(b00), abs(b00), abs(a01), abs(a10))
+        if ks[0] == ks[1]:
+            # ||A||_F^2 = ||B||_F^2 + 2 |mu|^2, as tr B = 0
+            a_norm = math.hypot(b_norm, abs(mu), abs(mu))
+            if b_norm <= KERNEL_FLOOR * max(1.0, a_norm):
+                return _pi_snap_projectors(a, Spectrum((mu, mu), 1, (2,), snap=ks))
+        elif math.hypot(b_norm, abs(s), abs(s)) <= COND_LIMIT * abs(s):
+            return _pi_snap_projectors(a, Spectrum(lams, 2, (1, 1), snap=ks))
+    if s.real > 1:
+        # e^mu and cosh s can under- and overflow where exp(A) does not, so
+        # factor out the dominant e^(mu + s) (np.sqrt gives Re s >= 0)
+        w = np.exp(-2 * s)
+        e = np.exp(mu + s) / 2
+        c = e * (1 + w)
+        q = e * (1 - w) / s
+    else:
+        e = np.exp(mu)
+        c = e * np.cosh(s)
+        q = e * _sinhc(s)
+    return np.array([[c + q * b00, q * a01], [q * a10, c - q * b00]])
+
+
 def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
     """Matrix exponential of a d <= 3 complex matrix.
 
     Raises IllConditionedError (spectral path) or SnapUnavailableError
     (exact path) when the requested engine cannot honor its contract; AUTO
-    never raises, it degrades from exact to spectral to Pade.
+    never raises.  At d = 2 AUTO is the closed form of ``_expm_2x2`` (or
+    its exact snap) and never runs Pade; at d = 1 and 3 it degrades from
+    exact to spectral to Pade.
     """
     a = as_matrix(m)
     if method == ExpMethod.PADE_SQUARING:
         return _expm_pade(a)
+    if method == ExpMethod.AUTO and a.shape[0] == 2:
+        return _expm_2x2(a)
     spectrum = eigen_decompose(a, want_vectors=False)
     if method == ExpMethod.EXACT_PI_SNAP:
         return _expm_pi_snap(a, spectrum)

@@ -2,7 +2,7 @@
 
 Everything here is closed form: characteristic polynomials from trace /
 principal minors / determinant, eigenvalues from the quadratic formula or
-Cardano's cubic, kernels from an SVD.  Matrices whose spectrum sits in
+Cardano's cubic (applied to M - (tr M / d) I), kernels from an SVD.  Matrices whose spectrum sits in
 i*pi*Z are recognized ("snapped") so that exponentials can later be taken
 exactly.
 """
@@ -118,23 +118,21 @@ def char_poly(m) -> tuple[complex, ...]:
     d = a.shape[0]
     if d > MAX_DIM:
         raise DimensionError(f"char_poly supports d <= {MAX_DIM}, got {d}")
+    # Python complex arithmetic: numpy scalars cost several times more
+    entries = a.tolist()
     if d == 1:
-        return (1.0 + 0j, -a[0, 0])
-    tr = a.trace()
+        return (1.0 + 0j, -entries[0][0])
     if d == 2:
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        return (1.0 + 0j, -tr, det)
-    s2 = (
-        a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    )
+        (a00, a01), (a10, a11) = entries
+        return (1.0 + 0j, -(a00 + a11), a00 * a11 - a01 * a10)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = entries
+    s2 = a00 * a11 - a01 * a10 + a00 * a22 - a02 * a20 + a11 * a22 - a12 * a21
     det = (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
     )
-    return (1.0 + 0j, -tr, s2, -det)
+    return (1.0 + 0j, -(a00 + a11 + a22), s2, -det)
 
 
 def _poly_eval(coeffs, x):
@@ -302,16 +300,21 @@ def eigen_decompose(m, *, want_vectors: bool = True) -> Spectrum:
     d = a.shape[0]
     if d > MAX_DIM:
         raise DimensionError(f"eigen_decompose supports d <= {MAX_DIM}, got {d}")
-    coeffs = char_poly(a)
+    # roots of A - mu I, mu = tr A / d, then shifted back: a large common
+    # shift would otherwise swamp the characteristic polynomial's coefficients
+    mu = complex(a.trace()) / d
+    shifted = a.copy()
+    shifted.flat[:: d + 1] -= mu
+    coeffs = char_poly(shifted)
     if d == 1:
-        roots = [a[0, 0]]
+        roots = [-coeffs[1]]
     elif d == 2:
         roots = _poly_roots_quadratic(coeffs[1], coeffs[2])
     else:
         roots = _poly_roots_cubic(coeffs[1], coeffs[2], coeffs[3])
-    scale = float(np.linalg.norm(a))
-    roots = _polish_roots(coeffs, roots, scale)
+    roots = [r + mu for r in _polish_roots(coeffs, roots, float(np.linalg.norm(shifted)))]
 
+    scale = float(np.linalg.norm(a))
     reps, mults = _cluster(roots, CLUSTER_TOL * max(1.0, scale))
     spectrum = Spectrum(
         eigenvalues=tuple(reps),

@@ -226,3 +226,36 @@ def test_importing_the_cli_leaves_jsonschema_unloaded():
     subprocess.run([sys.executable, "-c",
                     "import commexp.cli, sys; assert 'jsonschema' not in sys.modules"],
                    check=True, env=env)
+
+
+class TestJsonable:
+    def test_mixed_payload_bytes(self):
+        import numpy as np
+        from fractions import Fraction
+
+        obj = {
+            "float64": np.float64(0.1), "int64": np.int64(-3), "bool_": np.bool_(True),
+            "float32": np.float32(0.25), "complex128": np.complex128(3 - 4j),
+            "fractions": [Fraction(1, 3), Fraction(-2), Fraction(0)],
+            "complex": 1 + 2j, "array": np.array([[1.5, 2], [3, 4]]), "int_array": np.arange(3),
+            "complex_array": np.array([1j, 2]),
+            "leaves": (None, True, False, "s", 7, 2.5, -0.0),
+            5: {"nested": [np.array([0.5]), {"x": [Fraction(7, 2), np.int32(4)]}]},
+        }
+        out = cli._jsonable(obj)
+        assert json.dumps(out, sort_keys=True) == (
+            '{"5": {"nested": [[0.5], {"x": ["7/2", 4]}]}, "array": [[1.5, 2.0], [3.0, 4.0]], '
+            '"bool_": true, "complex": [1.0, 2.0], "complex128": [3.0, -4.0], '
+            '"complex_array": [[0.0, 1.0], [2.0, 0.0]], "float32": 0.25, "float64": 0.1, '
+            '"fractions": ["1/3", "-2", "0"], "int64": -3, "int_array": [0, 1, 2], '
+            '"leaves": [null, true, false, "s", 7, 2.5, -0.0]}'
+        )
+        # numpy scalars come back as the plain Python types
+        assert type(out["float64"]) is float
+        assert type(out["int64"]) is int
+        assert type(out["bool_"]) is bool
+        assert type(out["5"]["nested"][1]["x"][1]) is int
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError):
+            cli._jsonable({"x": object()})

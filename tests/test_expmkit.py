@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from commexp import numkernel
+from commexp import expmkit, numkernel
 from commexp.errors import (
     CongruenceViolationError,
     IllConditionedError,
@@ -14,16 +14,21 @@ from commexp.expmkit import (
     SNAP_SHARPNESS,
     ExpMethod,
     _CERTIFY_LIMIT,
+    _EPS,
+    _SINHC_SERIES_BELOW,
     _certified_condition,
+    _eigenbasis,
     _expm_pade,
     _hermite,
     _pi_snap_projectors,
+    _sinhc,
     _snap_sharpness,
     expm,
     expm_affine,
     log_poly_recover,
 )
-from commexp.families import intro_pair
+from commexp.families import intro_pair, intro_square_polynomial
+from commexp.intsearch import SquarePoly, square_root_exact
 from commexp.numkernel import CMat, as_matrix, combine_affine, eigen_decompose
 from commexp.relations import TScanConfig, relation_report
 
@@ -41,12 +46,14 @@ class TestExpmBasics:
         n = np.array([[0, 1], [0, 0]], dtype=complex)
         for method in ENGINES:
             assert np.allclose(expm(n, method), np.eye(2) + n, atol=1e-14)
+        assert np.array_equal(expm(n), np.eye(2) + n)
 
     def test_intro_exponentials(self):
+        # AUTO snaps the rotation pair to literal +/-I
         a, b = intro_pair()
-        assert np.allclose(expm(a), np.eye(2), atol=1e-10)
-        assert np.allclose(expm(b), -np.eye(2), atol=1e-10)
-        assert np.allclose(expm(combine_affine(a, b, 1)), -np.eye(2), atol=1e-10)
+        assert np.array_equal(expm(a), np.eye(2))
+        assert np.array_equal(expm(b), -np.eye(2))
+        assert np.array_equal(expm(combine_affine(a, b, 1)), -np.eye(2))
 
     def test_exact_snap_returns_literal_units(self):
         a, b = intro_pair()
@@ -70,13 +77,31 @@ class TestExpmBasics:
         with pytest.raises(SnapUnavailableError):
             expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
 
-    def test_ill_conditioned_raises_then_auto_falls_back(self):
+    def test_ill_conditioned_raises_then_auto_falls_back(self, monkeypatch):
         lam = 8e-9  # eigenvalues +-8e-9: distinct clusters, eigenbasis cond ~1.2e8
         m = np.array([[0, 1], [lam * lam, 0]], dtype=complex)
         with pytest.raises(IllConditionedError):
             expm(m, ExpMethod.SPECTRAL_HERMITE)
-        auto = expm(m)
-        assert np.allclose(auto, np.eye(2) + m, atol=1e-12)
+        # the same block with a third eigenvalue 1: d = 3 AUTO goes to Pade
+        m3 = np.zeros((3, 3), dtype=complex)
+        m3[:2, :2] = m
+        m3[2, 2] = 1
+        with pytest.raises(IllConditionedError):
+            expm(m3, ExpMethod.SPECTRAL_HERMITE)
+        pade_calls = []
+
+        def spy(a):
+            pade_calls.append(a.shape)
+            return _expm_pade(a)
+
+        monkeypatch.setattr(expmkit, "_expm_pade", spy)
+        auto3 = expm(m3)
+        assert pade_calls == [(3, 3)]
+        assert np.allclose(auto3[:2, :2], np.eye(2) + m, rtol=0, atol=1e-12)
+        assert auto3[2, 2] == pytest.approx(math.e, rel=1e-14)
+        # d = 2 AUTO is the closed form, with no Pade
+        assert np.allclose(expm(m), np.eye(2) + m, rtol=0, atol=1e-12)
+        assert pade_calls == [(3, 3)]
 
     def test_affine(self):
         a, b = intro_pair()
@@ -251,13 +276,18 @@ class TestEigenbasisCertificate:
         assert certified >= 400
 
     # Pade overflows on the snapped inputs of condition ~1e9 (norms ~1e10),
-    # the same way on both paths
+    # the same way on both paths.  AUTO at d = 2 is the closed form, which
+    # decides without eigenvectors (its accuracy is TestClosedForm2x2's);
+    # here it must only not raise.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_engines_match_svd_path(self, rng):
         outcomes = set()
         for m in _certificate_inputs(rng):
             for method in (ExpMethod.AUTO, ExpMethod.SPECTRAL_HERMITE, ExpMethod.EXACT_PI_SNAP):
                 got = _outcome(expm, m, method)
+                if method is ExpMethod.AUTO and m.shape[0] == 2:
+                    assert got.shape == (2, 2)
+                    continue
                 want = _outcome(_svd_path, m, method)
                 if isinstance(want, type):
                     assert got is want, (m, method)
@@ -327,3 +357,136 @@ class TestKernelSVDGuard:
         with pytest.raises(SnapUnavailableError):
             expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
         assert calls
+
+
+def _closed_form_inputs(rng):
+    """2x2 families for the closed form: random, near-defective at shifts
+    up to 1e3i, [[0,1],[lam^2,0]] and conjugated i*pi*k spectra."""
+    for _ in range(200):
+        m = random_matrix(rng, 2)
+        yield m * (10 ** rng.uniform(-1, 2) / np.linalg.norm(m))
+    for k in range(3, 10):
+        gap = 10.0 ** -k
+        for base in (0.0, 2.5 - 1j, 30.0, 1j * PI, 7j * PI, 1e2j, 1e3j):
+            m = np.array([[base, 1], [0, base + gap]])
+            yield m
+            q, _ = np.linalg.qr(random_matrix(rng, 2))
+            yield q @ m @ q.conj().T
+    for lam in np.geomspace(1e-10, 1e-3, 29):
+        yield np.array([[0, 1], [lam * lam, 0]])
+        yield np.array([[1j * PI, 1], [lam * lam, 1j * PI]])
+    for _ in range(100):
+        u, _, vh = np.linalg.svd(random_matrix(rng, 2))
+        s = u @ np.diag([1, 10 ** -rng.uniform(0, 6)]) @ vh
+        yield s @ np.diag(1j * PI * rng.integers(-6, 7, size=2)) @ np.linalg.inv(s)
+
+
+def _mpmath_expm(mpmath, a):
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(exact[i, j]) for j in range(2)] for i in range(2)])
+
+
+def _spy_snap(monkeypatch):
+    snapped = []
+
+    def spy(a, spectrum):
+        snapped.append(1)
+        return _pi_snap_projectors(a, spectrum)
+
+    monkeypatch.setattr(expmkit, "_pi_snap_projectors", spy)
+    return snapped
+
+
+class TestClosedForm2x2:
+    """AUTO at d = 2: e^mu (cosh s I + sinh(s)/s B), or the exact snap."""
+
+    def test_against_mpmath(self, rng, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        snapped = _spy_snap(monkeypatch)
+        checked = snaps = 0
+        for m in _closed_form_inputs(rng):
+            a = np.asarray(m, dtype=complex)
+            snapped.clear()
+            got = expm(a)
+            if snapped:
+                assert np.array_equal(got, _pi_snap_projectors(a, eigen_decompose(a))), a
+                snaps += 1
+                continue
+            want = _mpmath_expm(mpmath, a)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            pade_err = np.linalg.norm(_expm_pade(a) - want) / np.linalg.norm(want)
+            assert err <= max(1e-12, pade_err), (a, err, pade_err)
+            checked += 1
+        assert checked >= 400 and snaps >= 20
+
+    def test_intro_scan(self, monkeypatch):
+        # pi-scaled tA + B up to ||.||_F ~ 2.7e4: a sharp snap exactly where
+        # det(tA + B) / pi^2 is a square, otherwise the closed form, as
+        # accurate as rounding the entries allows (eps * ||tA + B||_F)
+        mpmath = pytest.importorskip("mpmath")
+        snapped = _spy_snap(monkeypatch)
+        a, b = intro_pair()
+        square = SquarePoly(*intro_square_polynomial())
+        for t in range(101):
+            m = as_matrix(combine_affine(a, b, t))
+            snapped.clear()
+            got = expm(m)
+            root = square_root_exact(square(t))
+            assert bool(snapped) == (root is not None), t
+            if snapped:
+                assert np.array_equal(got, (-1) ** root * np.eye(2)), t
+                assert np.array_equal(got, _pi_snap_projectors(m, eigen_decompose(m))), t
+                continue
+            want = _mpmath_expm(mpmath, m)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= _EPS * np.linalg.norm(m), (t, err)
+
+    def test_sinhc_continuous_at_series_threshold(self):
+        for phase in np.linspace(0, 2 * PI, 37):
+            unit = complex(math.cos(phase), math.sin(phase))
+            below = _sinhc(_SINHC_SERIES_BELOW * (1 - 1e-12) * unit)
+            above = _sinhc(_SINHC_SERIES_BELOW * (1 + 1e-12) * unit)
+            assert abs(below - above) <= 1e-15 * abs(above)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_does_not_raise(self):
+        # Re mu = 800 overflows e^mu; the last two overflow s itself (to inf
+        # and to nan; their characteristic polynomials made AUTO raise
+        # ValueError before)
+        for m in ([[800, 1], [0, 800]], [[801, 2], [0.5, 799]], [[800j + 800, 0], [0, 800]],
+                  [[1e300, 1e300], [1e300, -1e300]], [[1e300, 1e300], [-1e300, -1e300]]):
+            assert expm(m).shape == (2, 2)
+
+    def test_snap_gate_follows_eigenbasis_condition(self, monkeypatch):
+        # eigenvalues exactly 0 and i*pi; eigenbasis condition ~ c / (pi/2)
+        snapped = _spy_snap(monkeypatch)
+        for c in (2e7, 2e8):
+            a = np.array([[0, c], [0, 1j * PI]])
+            snapped.clear()
+            expm(a)
+            _, cond = _eigenbasis(a, eigen_decompose(a, want_vectors=False))
+            assert bool(snapped) == (cond <= COND_LIMIT) == (c == 2e7)
+
+    def test_far_apart_real_parts(self):
+        # e^mu underflows and cosh s overflows, but exp(A) is representable
+        for m in (np.diag([-1500.0, -100.0]), np.array([[-1500, 1], [0, -100]]),
+                  np.array([[-800, 700], [700, -800]]), np.diag([600.0, -800.0])):
+            want = expm(m, ExpMethod.SPECTRAL_HERMITE)
+            assert np.abs(expm(m) - want).max() <= 1e-14 * np.abs(want).max(), m
+
+    def test_defective_snapped_double_eigenvalue(self):
+        # i*pi I + N has a double snapped eigenvalue but no eigenbasis:
+        # exp = -(I + N), not -I
+        n = np.array([[0, 1e-3], [0, 0]])
+        got = expm(1j * PI * np.eye(2) + n)
+        assert rel_residual(got, -(np.eye(2) + n)) <= 1e-15
+
+    def test_runs_no_eigen_decomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(expmkit, "eigen_decompose", lambda *a, **k: calls.append(1))
+        a, b = intro_pair()
+        for t in range(1, 11):
+            expm(combine_affine(a, b, t))
+        expm(random_matrix(np.random.default_rng(1), 2))
+        assert calls == []

@@ -188,6 +188,22 @@ class TestEigenDecompose:
         assert spec.distinct_count == 3
         assert vals == pytest.approx([1 - eps, 1, 1 + eps], abs=1e-7)
 
+    @pytest.mark.parametrize("shift", [1e3, 1e3j])
+    def test_large_common_shift_keeps_kernels(self, shift):
+        # [[c,1,0],[0,c+g,1],[0,0,c-2g]] has eigenvalues c, c+g, c-2g; without
+        # the shift by tr / d the characteristic polynomial's roots miss them
+        # by more than the kernel floor, and no kernel column is found for
+        # 25 (c = 1e3) and 11 (c = 1e3i) of these 39 gaps
+        for e in np.arange(1, 10.75, 0.25):
+            gap = 10 ** -e
+            m = np.array([[shift, 1, 0], [0, shift + gap, 1], [0, 0, shift - 2 * gap]])
+            spec = eigen_decompose(m)
+            assert spec.eigenvectors.shape[1] == spec.distinct_count, e
+            if spec.distinct_count == 3:
+                for want in (shift, shift + gap, shift - 2 * gap):
+                    assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * abs(shift)
+                assert spec.diagonalizable
+
 
 class TestNullSpace:
     def test_zero_matrix(self):

@@ -3,7 +3,13 @@ import pytest
 
 from commexp.families import Theorem2Params, intro_pair, theorem2_family
 from commexp.numkernel import CMat
-from commexp.simtrig import TrigVerdict, common_eigenvector, sim_triangularizable
+from commexp.simtrig import (
+    BASIS_VERIFY_TOL,
+    TrigVerdict,
+    common_eigenvector,
+    sim_triangularizable,
+)
+from commexp.uset import branch_seed, solve_u
 
 from conftest import random_matrix
 
@@ -42,6 +48,25 @@ class TestSimTriangularizable:
     def test_theorem2_pair_accepted(self):
         f, g = theorem2_family(Theorem2Params(u=U1))
         assert sim_triangularizable(f, g).triangularizable
+
+    def test_shifted_conjugated_theorem2_pair(self):
+        # F has a defective double eigenvalue known only to ~sqrt(eps) after
+        # a shift and a basis change; common_eigenvector meets its 1e-8
+        # tolerance here only because eigen_decompose shifts by tr / d
+        u = solve_u(branch_seed(-3)).value
+        basis = np.array([
+            [1.1634003423762678 + 0.10429517955465285j, 0.31286264297488614 + 0.07426372228885426j],
+            [-0.06208693086249718 + 0.3296438305243225j, 0.7559453374055283 - 0.38537423364160345j],
+        ])
+        f, g = theorem2_family(Theorem2Params(
+            u=u, sigma=-0.33080646517777385 - 0.41908348035783727j,
+            tau=-0.8670074231164258 + 0.0632172775984981j, basis=basis))
+        verdict = sim_triangularizable(f, g)
+        assert verdict.triangularizable
+        t = verdict.basis
+        for m in (f.expanded(), g.expanded()):
+            c = np.linalg.inv(t) @ m @ t
+            assert np.linalg.norm(np.tril(c, -1)) <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
 
     def test_exactly_one_of_basis_witness(self, rng):
         a, b = intro_pair()
