@@ -359,19 +359,24 @@ def _evaluate_claim(name: str, expected: dict, verdicts) -> dict:
 
 # defaults of flags that several pairs share: real2d needs
 # nu^2 != (lambda +- mu)^2, and families real2d checks the star identity at
-# t = 1, which needs nu = lambda + mu (mod 2)
+# t = 1, which needs nu = lambda + mu (mod 2); the iii2 forms a1 and a2 take
+# m3 = 0 and fix tr F = n1 + n2 - m1 - m2, which is 6 at the default --n
 _NAME_DEFAULTS = {
     "real2d": {"lam": 1, "mu": 2, "nu": 5},
     "dim2case1": {"lam": 1, "mu": 1},
-    "iii2": {"m": [1, 2, 3]},
+    "iii2 --form a1": {"m": [1, 2, 0], "l1": 6},
+    "iii2 --form a2": {"m": [1, 2, 0], "l1": 6},
+    "iii2": {"m": [1, 2, 3], "l1": 3},
     "iii2ii": {"m": [1]},
 }
 
 
-def _apply_name_defaults(ns, name: str):
-    for key, value in _NAME_DEFAULTS.get(name, {}).items():
-        if getattr(ns, key) is None:
-            setattr(ns, key, value)
+def _apply_name_defaults(ns, *names: str):
+    # the first name that sets a flag wins
+    for name in names:
+        for key, value in _NAME_DEFAULTS.get(name, {}).items():
+            if getattr(ns, key) is None:
+                setattr(ns, key, value)
 
 
 def _resolve_builtin(name: str, ns) -> tuple[CMat, CMat, dict]:
@@ -589,7 +594,7 @@ def _eig_matches(m, targets, tol=1e-8) -> bool:
 def cmd_families(ns, argv) -> int:
     started = time.monotonic()
     name = ns.name
-    _apply_name_defaults(ns, name)
+    _apply_name_defaults(ns, f"{name} --form {ns.form}", name)
     checks: dict[str, bool] = {}
     inputs: dict = {"family": name}
     if name == "intro":
@@ -737,8 +742,9 @@ def build_parser() -> _Parser:
     pf.add_argument("--nu", type=int, help="default 5 (real2d)")
     pf.add_argument("--a", type=float, default=0.0)
     pf.add_argument("--u-branch", dest="u_branch", type=int, default=1)
-    pf.add_argument("--l1", type=int, default=3)
-    pf.add_argument("--m", nargs="+", type=int, help="default 1 2 3 (iii2) or 1 (iii2ii)")
+    pf.add_argument("--l1", type=int, help="default 3 (iii2) or 6 (iii2 --form a1, a2)")
+    pf.add_argument("--m", nargs="+", type=int,
+                    help="default 1 2 3 (iii2), 1 2 0 (iii2 --form a1, a2) or 1 (iii2ii)")
     pf.add_argument("--n", dest="n_pair", nargs=2, type=int, default=[4, 5])
     pf.add_argument("--alpha", default="1")
     pf.add_argument("--form", default="symmetric-rank1",

@@ -2,10 +2,13 @@
 
 Two independent floating engines act as each other's oracle:
 
-* ``SPECTRAL_HERMITE``: evaluate the unique polynomial of degree < d that
-  matches e^lambda on the spectrum (with derivative conditions at repeated
-  eigenvalues, i.e. the primary-matrix-function definition) and apply it to
-  the matrix.
+* ``SPECTRAL_HERMITE``: the Newton form of the polynomial p of degree < d
+  that interpolates e^x at the computed eigenvalues z_1..z_d (repeated
+  ones included), applied to the matrix.  The divided differences are
+  computed stably (McCurdy, Ng & Parlett 1984): [x, y] = e^m sinh(h) / h
+  with m = (x + y) / 2 and h = (y - x) / 2, for any two nodes, equal ones
+  included; [x, y, z] is the quotient over the farthest pair, or the
+  Taylor series about the mean when all three nodes are close.
 * ``PADE_SQUARING``: diagonal degree-13 rational approximation with
   power-of-two scaling so the scaled 1-norm stays below ``PADE_THETA``.
 
@@ -14,36 +17,37 @@ i*pi*Z: there e^(i*pi*k) = (-1)^k exactly, so spectral projectors (or, when
 every parity agrees, a bare +/-I) give exponentials with no floating error
 in the entries.
 
+One test decides every path, and no engine reads an eigenvector: a path's
+nodes z_i must annihilate A,
+
+    ||prod_i (A - z_i I)||_F <= ANNIHILATION_TOL * max(1, ||A - (tr A / d) I||_F)^m
+
+with m the number of factors.  For the polynomial p that interpolates e^x
+at the z_i, exp(A) - p(A) = g(A) prod_i (A - z_i I), g being the divided
+difference of e^x over the z_i and one more argument (Higham 2008,
+Functions of Matrices), so the residual measures the error itself.
+The Hermite engine's nodes are the computed eigenvalues; the exact path's
+are i*pi*k, one per distinct snapped cluster, and they annihilate A only
+when A is diagonalizable with that spectrum.  The factors are taken from
+A - (tr A / d) I so that a large common shift adds no rounding to them.
+
 Accuracy budget: the Pade engine is trusted to ~1e-9 relative only up to
 Frobenius norm ~1e3; above that (large integer multiples of pi-scaled
 inputs, norms up to ~3e4) route through EXACT_PI_SNAP or SPECTRAL_HERMITE.
-``AUTO`` does exactly that at d = 1 and 3, falling back to Pade only when
-the eigenvector basis is ill conditioned.  At d = 2 AUTO needs no
-eigenvalues at all: with mu = tr A / 2, B = A - mu I and s^2 = -det B,
-exp(A) = e^mu (cosh s I + sinh(s)/s B) (Higham 2008, Functions of
-Matrices, ch. 10), or the exact path when mu +/- s snap sharply; it never
-runs Pade.
-
-Whether the eigenbasis is usable (diagonalizable, condition <= COND_LIMIT)
-is decided in one place, ``_eigenbasis``, for AUTO at d = 1 and 3 and both
-spectral engines (the d = 2 closed form checks its snap with a scalar
-bound); the exponential formulas never read eigenvectors.  A simple
-spectrum is certified without an SVD: its Frobenius covariants
-P_i = prod_{j != i} (A - l_j I) / (l_i - l_j) bound the condition of the
-unit-column eigenbasis by sqrt(d * sum ||P_i||_F^2), and the same products
-show whether the computed eigenvalues are accurate enough for the SVD
-kernels to find those eigenvectors.  If they are, and the bound (widened
-for that error) is below COND_LIMIT / 100, that settles it.  Otherwise (a
-larger bound, inaccurate eigenvalues, or a repeated eigenvalue where the
-exact path needs a full eigenbasis) the kernel basis of the spectrum is
-computed and its SVD condition referees, so decisions near the threshold,
-and the error messages, are those of the SVD test.
+``AUTO`` at d = 1 and 3 takes the first engine whose nodes pass the test:
+the exact path, then the Hermite engine, then Pade, which runs only when
+the eigenvalues fail (near-defective spectra whose close eigenvalues were
+clustered together or computed too inaccurately).  At d = 2 AUTO needs no eigen-decomposition at all:
+with mu = tr A / 2, B = A - mu I and s^2 = -det B,
+exp(A) = e^mu (cosh s I + sinh(s)/s B) (Higham 2008, ch. 10), or the exact
+path when mu +/- s snap and pass the same test in scalars; it never runs
+Pade.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,31 +59,23 @@ from .errors import (
     SnapUnavailableError,
 )
 from .numkernel import (
-    KERNEL_FLOOR,
-    KERNEL_TOL,
+    SNAP_TOL,
     Spectrum,
     _snap_ints,
     as_matrix,
     combine_affine,
     eigen_decompose,
-    eigenvector_basis,
     spectrum_congruence_free,
 )
 
 PADE_THETA = 5.4
-COND_LIMIT = 1e8
 CONGRUENCE_TOL = 1e-8
-# AUTO takes the exact path only when eigenvalues sit on i*pi*Z to near
-# machine precision; a merely tolerance-level snap (1e-8) can hide a
-# near-Jordan structure whose exponential is nowhere near +/-I.
-SNAP_SHARPNESS = 1e-11
-# The covariant bound certifies an eigenbasis only this far below
-# COND_LIMIT, so that rounding in the bound or in the SVD cannot flip a
-# decision; bounds above it go to the SVD.
-_CERTIFY_LIMIT = COND_LIMIT / 100
-_EPS = float(np.finfo(float).eps)
+# A path's nodes z_i are accepted when ||prod (A - z_i I)||_F is at most
+# this times max(1, ||A - (tr A / d) I||_F)^(number of factors).
+ANNIHILATION_TOL = 1e-13
 # Below this |s|, sinh(s)/s is summed from its Taylor series; the first
-# omitted term, s^8/9!, is then below 3e-22.
+# omitted term, s^8/9!, is then below 3e-22.  Three nodes this close to
+# each other take their second divided difference from its series too.
 _SINHC_SERIES_BELOW = 1e-2
 
 
@@ -100,6 +96,8 @@ _PADE13 = (
 
 def _expm_pade(a: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
+    if not math.isfinite(norm):
+        return np.full(a.shape, complex(math.nan, math.nan))
     squarings = max(0, math.ceil(math.log2(norm / PADE_THETA))) if norm > PADE_THETA else 0
     x = a / (2.0 ** squarings)
     d = a.shape[0]
@@ -138,130 +136,129 @@ def _confluent_divided_differences(nodes, cluster_ids, derivs):
     return [table[0][k] for k in range(n)]
 
 
-def _newton_apply(coeffs, nodes, a: np.ndarray) -> np.ndarray:
-    d = a.shape[0]
-    ident = np.eye(d, dtype=complex)
-    result = coeffs[0] * ident
-    basis = ident
-    for k in range(1, len(coeffs)):
-        basis = basis @ (a - nodes[k - 1] * ident)
-        result = result + coeffs[k] * basis
-    return result
+def _sinhc(s: complex) -> complex:
+    """sinh(s) / s, continuous through s = 0."""
+    if abs(s) < _SINHC_SERIES_BELOW:
+        z = s * s
+        return 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
+    return np.sinh(s) / s
 
 
-def _hermite_data_exp(spectrum: Spectrum):
-    nodes, cluster_ids, derivs = [], [], []
-    for cid, (lam, mult) in enumerate(spectrum.distinct()):
-        e = np.exp(lam)
-        derivs.append([e / math.factorial(r) for r in range(mult)])
-        nodes.extend([lam] * mult)
-        cluster_ids.extend([cid] * mult)
-    return nodes, cluster_ids, derivs
+def _cosh_sinhc(mu: complex, s: complex) -> tuple[complex, complex]:
+    """(e^mu cosh s, e^mu sinh(s)/s), even in s.
 
-
-def _certified_condition(a: np.ndarray, eigenvalues) -> float:
-    """Upper bound on the SVD condition ``_eigenbasis`` would find for the
-    kernel basis of ``a``, whose computed ``eigenvalues`` are distinct; inf
-    when the bound cannot be made.
-
-    The Frobenius covariant P_i = N_i / D_i, with N_i = prod_{j!=i} B_j,
-    B_j = A - l_j I and D_i = prod_{j!=i} (l_i - l_j), equals v_i w_i^* for
-    a unit eigenvector v_i and row w_i^* of V^-1, so ||w_i|| = ||P_i||_F
-    and, as ||V|| <= sqrt(d), cond(V) <= sqrt(d * sum_i ||P_i||_F^2).
-
-    The l_i are only approximate, so each must also give the kernel
-    extraction in ``numkernel`` one good column.  R = B_i N_i is the same
-    for every i; the smallest singular value of B_i is at most
-    rho_i = sqrt(d) ||R||_F / ||N_i||_F (plus rounding), which must sit
-    below the kernel cutoff's absolute floor, and by Weyl's product
-    inequality the next one is at least lo_i = |D_i| / ||B_i||_F^(d-2),
-    which must clear the largest cutoff.  The column found is then within
-    sin(theta) <= cond * rho_i / (lo_i - rho_i) of v_i, which changes the
-    condition by a factor of at most (1 + delta) / (1 - delta),
-    delta = 2 sqrt(d) cond max_i sin(theta_i).
+    For |Re s| > 1 they are evaluated as e^(mu+s) (1 +/- e^-2s) / 2 (divided
+    by s for the second), with Re s > 0: e^mu and cosh s can under- and
+    overflow where the products do not.
     """
-    d = a.shape[0]
-    if d == 1:
-        return 1.0
-    shifted = a - np.array(eigenvalues)[:, None, None] * np.eye(d)
-    nums = shifted[::-1] if d == 2 else shifted[[1, 0, 0]] @ shifted[[2, 2, 1]]
-    # every Frobenius norm in one pass: N_i, B_i, R, A
-    stack = np.concatenate((nums, shifted, [shifted[0] @ nums[0], a])).reshape(2 * d + 2, -1)
-    norms = np.sqrt((abs(stack) ** 2).sum(axis=1)).tolist()
-    num_norms, b_norms = norms[:d], norms[d:2 * d]
-    floor = KERNEL_FLOOR * max(1.0, norms[-1])
-    # rounding in the computed R, then in the SVD of B_i
-    resid_norm = norms[2 * d] + 2 * d * _EPS * math.prod(b_norms)
-    total = 0.0
-    drift = 0.0
-    for i, (num_norm, b_norm) in enumerate(zip(num_norms, b_norms)):
-        den = math.prod(abs(eigenvalues[i] - lam) for j, lam in enumerate(eigenvalues) if j != i)
-        if num_norm == 0.0 or b_norm == 0.0 or den == 0.0:
-            return math.inf
-        total += (num_norm / den) ** 2
-        rho = math.sqrt(d) * resid_norm / num_norm + d * _EPS * b_norm
-        lo = den / b_norm ** (d - 2)
-        if not (rho <= floor / 4 and lo >= 4 * max(KERNEL_TOL * b_norm, floor)):
-            return math.inf
-        drift = max(drift, rho / (lo - rho))
-    cond = math.sqrt(d * total)
-    delta = 2 * math.sqrt(d) * cond * cond * drift
-    return cond * (1 + delta) / (1 - delta) if delta <= 0.1 else math.inf
+    if s.real < 0:
+        s = -s
+    if s.real > 1:
+        w = np.exp(-2 * s)
+        e = np.exp(mu + s) / 2
+        return e * (1 + w), e * (1 - w) / s
+    e = np.exp(mu)
+    return e * np.cosh(s), e * _sinhc(s)
 
 
-def _eigenbasis(a: np.ndarray, spectrum: Spectrum) -> tuple[bool, float]:
-    """(diagonalizable, condition bound) of the eigenbasis of ``a``.
+def _exp_divided_differences(nodes) -> list[complex]:
+    """[z_0], [z_0, z_1], [z_0, z_1, z_2] of e^x, for up to three nodes."""
+    coeffs = [np.exp(nodes[0])]
+    if len(nodes) > 1:
+        x, y = nodes[:2]
+        coeffs.append(_cosh_sinhc((x + y) / 2, (y - x) / 2)[1])
+    if len(nodes) > 2:
+        coeffs.append(_exp_second_difference(*nodes))
+    return coeffs
 
-    The condition is inf for a defective matrix.  A certified simple
-    spectrum returns its covariant bound; otherwise the kernel basis that
-    ``eigen_decompose`` would return is computed and its SVD condition is
-    returned.
+
+def _exp_second_difference(x: complex, y: complex, z: complex) -> complex:
+    """[x, y, z] of e^x.
+
+    Labelled so that x and z are the farthest pair, with Re x >= Re z, it is
+    ([y, z] - [x, y]) / (z - x), which cancels little.  Both first
+    differences are taken relative to e^x, as e^h1 sinh(h1)/h1 and
+    e^(2 h1 + h2) sinh(h2)/h2 with h1 = (y - x)/2 and h2 = (z - y)/2, so
+    the rounding of a large common part of the nodes is not amplified by
+    the cancellation.  When every pair is closer than
+    ``_SINHC_SERIES_BELOW`` it is the Taylor series about the mean c: with
+    u_i the nodes minus c, e2 = u1 u2 + u1 u3 + u2 u3 and e3 = u1 u2 u3,
+    the complete symmetric polynomials are h2 = -e2, h3 = e3, h4 = e2^2,
+    h5 = -2 e2 e3, h6 = e3^2 - e2^3, and [x, y, z] = e^c sum_k h_k / (k + 2)!;
+    the omitted h7 / 9! is below 1e-19 relative.
     """
-    if spectrum.distinct_count == spectrum.dim:
-        bound = _certified_condition(a, spectrum.eigenvalues)
-        if bound < _CERTIFY_LIMIT:
-            return True, bound
-    vecs = spectrum.eigenvectors
-    if vecs is None:
-        vecs = eigenvector_basis(a, spectrum)
-    if vecs.shape[1] != spectrum.dim:
-        return False, math.inf
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    return True, math.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
+    dxy, dyz, dxz = abs(y - x), abs(z - y), abs(z - x)
+    if max(dxy, dyz, dxz) < _SINHC_SERIES_BELOW:
+        c = (x + y + z) / 3
+        u, v, w = x - c, y - c, z - c
+        e2 = u * v + u * w + v * w
+        e3 = u * v * w
+        series = (1 / 2 - e2 / 24 + e3 / 120 + e2 * e2 / 720 - e2 * e3 / 2520
+                  + (e3 * e3 - e2 * e2 * e2) / 40320)
+        return np.exp(c) * series
+    if dxy >= max(dyz, dxz):
+        y, z = z, y
+    elif dyz > dxz:
+        x, y = y, x
+    if z.real > x.real:
+        x, z = z, x
+    h1, h2 = (y - x) / 2, (z - y) / 2
+    first = _cosh_sinhc(h1, h1)[1]
+    second = _cosh_sinhc(2 * h1 + h2, h2)[1]
+    return np.exp(x) * (second - first) / (z - x)
 
 
-def _snap_sharpness(spectrum: Spectrum) -> float:
-    if spectrum.snap is None:
-        return math.inf
-    worst = 0.0
-    for lam, k in zip(spectrum.eigenvalues, spectrum.snap):
-        worst = max(worst, abs(lam - 1j * math.pi * k) / max(1.0, abs(lam)))
-    return worst
+def _annihilation_bound(shifted_norm: float, factors: int) -> float:
+    # an np.float64 power overflows to inf instead of raising
+    return ANNIHILATION_TOL * np.float64(max(1.0, shifted_norm)) ** factors
 
 
-def _hermite(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    nodes, cluster_ids, derivs = _hermite_data_exp(spectrum)
-    coeffs = _confluent_divided_differences(nodes, cluster_ids, derivs)
-    return _newton_apply(coeffs, nodes, a)
+def _node_factors(a: np.ndarray, nodes) -> tuple[list[np.ndarray], float]:
+    """A - z I for each node z, and the bound their product must meet.
+
+    The factors are taken from A - (tr A / d) I, so a large common shift
+    adds no rounding to them.
+    """
+    ident = np.eye(a.shape[0], dtype=complex)
+    mu = complex(a.trace()) / a.shape[0]
+    shifted = a - mu * ident
+    bound = _annihilation_bound(np.linalg.norm(shifted), len(nodes))
+    return [shifted - (z - mu) * ident for z in nodes], bound
 
 
-def _expm_spectral(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    if spectrum.distinct_count == spectrum.dim:
-        _, cond = _eigenbasis(a, spectrum)
-        if cond > COND_LIMIT:
-            raise IllConditionedError(
-                f"eigenvector basis condition {cond:.2e} exceeds {COND_LIMIT:.0e}"
-            )
-    return _hermite(a, spectrum)
+def _hermite(a: np.ndarray, spectrum: Spectrum) -> tuple[np.ndarray, float, float]:
+    """(p(A), residual, bound): p interpolates e^x at the eigenvalues z_i of
+    ``spectrum`` and residual is ||prod_i (A - z_i I)||_F, the Newton basis
+    times its last factor."""
+    nodes = spectrum.eigenvalues
+    factors, bound = _node_factors(a, nodes)
+    coeffs = _exp_divided_differences(nodes)
+    result = coeffs[0] * np.eye(a.shape[0], dtype=complex)
+    basis = factors[0]
+    for coeff, factor in zip(coeffs[1:], factors[1:]):
+        result = result + coeff * basis
+        basis = basis @ factor
+    return result, float(np.linalg.norm(basis)), bound
 
 
-def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    d = spectrum.dim
+def _cluster_snaps(spectrum: Spectrum) -> list[int]:
     ks = []
     i = 0
     for mult in spectrum.multiplicities:
         ks.append(spectrum.snap[i])
         i += mult
+    return ks
+
+
+def _snap_annihilates(a: np.ndarray, spectrum: Spectrum) -> bool:
+    """Whether i*pi*k, one per distinct snapped cluster, annihilate ``a``."""
+    factors, bound = _node_factors(a, [1j * math.pi * k for k in _cluster_snaps(spectrum)])
+    return bool(np.linalg.norm(functools.reduce(np.matmul, factors)) <= bound)
+
+
+def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    d = spectrum.dim
+    ks = _cluster_snaps(spectrum)
     signs = [(-1) ** (k & 1) for k in ks]
     if all(s == signs[0] for s in signs):
         # sum of spectral projectors is the identity, so a uniform parity
@@ -279,76 +276,54 @@ def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return result
 
 
-def _expm_pi_snap(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    if spectrum.snap is None:
-        raise SnapUnavailableError("spectrum is not an integer multiple of i*pi")
-    diagonalizable, cond = _eigenbasis(a, spectrum)
-    if not diagonalizable:
-        raise SnapUnavailableError("matrix is defective; exact path needs a full eigenbasis")
-    if cond > COND_LIMIT:
-        raise SnapUnavailableError("eigenbasis too ill conditioned for the exact path")
-    return _pi_snap_projectors(a, spectrum)
-
-
-def _sinhc(s: complex) -> complex:
-    """sinh(s) / s, continuous through s = 0."""
-    if abs(s) < _SINHC_SERIES_BELOW:
-        z = s * s
-        return 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
-    return np.sinh(s) / s
-
-
 def _expm_2x2(a: np.ndarray) -> np.ndarray:
     """AUTO's exponential of a 2x2 matrix, with no eigen-decomposition.
 
     With mu = tr A / 2, B = A - mu I and s = sqrt(-det B), B^2 = s^2 I, so
     the eigenvalues are mu +/- s and exp(A) = e^mu (cosh s I + sinh(s)/s B);
-    for a nilpotent B that is e^mu (I + B).  For Re s > 1 the same formula
-    is evaluated as e^(mu+s) ((1 + e^-2s) I + (1 - e^-2s) / s B) / 2.
+    for a nilpotent B that is e^mu (I + B).
 
-    When both eigenvalues snap sharply to i*pi*Z the exact path runs
-    instead, if the eigenbasis allows it: a repeated snapped eigenvalue
-    needs B ~ 0 (otherwise A is defective), and two distinct ones need the
-    Frobenius-covariant bound sqrt(||B||_F^2 + 2 |s|^2) / |s| on the
-    eigenbasis condition to stay within COND_LIMIT.
+    When both eigenvalues snap to i*pi*Z the exact path runs instead, if
+    its nodes annihilate A.  Their product is omega = alpha I + beta B and,
+    as tr B = 0, ||omega||_F^2 = 2 |alpha|^2 + |beta|^2 ||B||_F^2: one node
+    z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1; two give
+    alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
     """
     (a00, a01), (a10, a11) = a.tolist()
     mu = (a00 + a11) / 2
     b00 = (a00 - a11) / 2
-    s = complex(np.sqrt(b00 * b00 + a01 * a10))
+    s2 = b00 * b00 + a01 * a10
+    s = complex(np.sqrt(s2))
     lams = (mu + s, mu - s)
-    ks = _snap_ints(lams, SNAP_SHARPNESS) if all(map(cmath.isfinite, lams)) else None
+    ks = _snap_ints(lams, SNAP_TOL)
     if ks is not None:
-        b_norm = math.hypot(abs(b00), abs(b00), abs(a01), abs(a10))
+        z1, z2 = (1j * math.pi * k for k in ks)
         if ks[0] == ks[1]:
-            # ||A||_F^2 = ||B||_F^2 + 2 |mu|^2, as tr B = 0
-            a_norm = math.hypot(b_norm, abs(mu), abs(mu))
-            if b_norm <= KERNEL_FLOOR * max(1.0, a_norm):
-                return _pi_snap_projectors(a, Spectrum((mu, mu), 1, (2,), snap=ks))
-        elif math.hypot(b_norm, abs(s), abs(s)) <= COND_LIMIT * abs(s):
-            return _pi_snap_projectors(a, Spectrum(lams, 2, (1, 1), snap=ks))
-    if s.real > 1:
-        # e^mu and cosh s can under- and overflow where exp(A) does not, so
-        # factor out the dominant e^(mu + s) (np.sqrt gives Re s >= 0)
-        w = np.exp(-2 * s)
-        e = np.exp(mu + s) / 2
-        c = e * (1 + w)
-        q = e * (1 - w) / s
-    else:
-        e = np.exp(mu)
-        c = e * np.cosh(s)
-        q = e * _sinhc(s)
+            alpha, beta = mu - z1, 1.0
+            spectrum = Spectrum((mu, mu), 1, (2,), snap=ks)
+        else:
+            alpha, beta = s2 + (mu - z1) * (mu - z2), 2 * mu - z1 - z2
+            spectrum = Spectrum(lams, 2, (1, 1), snap=ks)
+        b_norm = math.hypot(abs(b00), abs(b00), abs(a01), abs(a10))
+        omega_norm = math.hypot(abs(alpha), abs(alpha), abs(beta) * b_norm)
+        if omega_norm <= _annihilation_bound(b_norm, spectrum.distinct_count):
+            return _pi_snap_projectors(a, spectrum)
+    c, q = _cosh_sinhc(mu, s)
     return np.array([[c + q * b00, q * a01], [q * a10, c - q * b00]])
 
 
 def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
     """Matrix exponential of a d <= 3 complex matrix.
 
-    Raises IllConditionedError (spectral path) or SnapUnavailableError
-    (exact path) when the requested engine cannot honor its contract; AUTO
-    never raises.  At d = 2 AUTO is the closed form of ``_expm_2x2`` (or
-    its exact snap) and never runs Pade; at d = 1 and 3 it degrades from
-    exact to spectral to Pade.
+    Each path is taken only when its nodes annihilate the matrix (see the
+    module docstring).  ``EXACT_PI_SNAP`` raises SnapUnavailableError when
+    the spectrum does not snap to i*pi*Z or the snapped values fail that
+    test (a defective matrix, or eigenvalues off the lattice);
+    ``SPECTRAL_HERMITE`` raises IllConditionedError when the computed
+    eigenvalues fail it (close eigenvalues of a near-defective matrix,
+    clustered together or computed too inaccurately).  AUTO never raises: at d = 2 it is the closed
+    form of ``_expm_2x2`` (or its exact snap) and never runs Pade; at d = 1
+    and 3 it tries the exact path, then Hermite, then Pade.
     """
     a = as_matrix(m)
     if method == ExpMethod.PADE_SQUARING:
@@ -356,21 +331,23 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
     if method == ExpMethod.AUTO and a.shape[0] == 2:
         return _expm_2x2(a)
     spectrum = eigen_decompose(a, want_vectors=False)
-    if method == ExpMethod.EXACT_PI_SNAP:
-        return _expm_pi_snap(a, spectrum)
-    if method == ExpMethod.SPECTRAL_HERMITE:
-        return _expm_spectral(a, spectrum)
-    cond = None
-    if spectrum.snap is not None and _snap_sharpness(spectrum) <= SNAP_SHARPNESS:
-        _, cond = _eigenbasis(a, spectrum)
-        if cond <= COND_LIMIT:
+    if method != ExpMethod.SPECTRAL_HERMITE:
+        if spectrum.snap is not None and _snap_annihilates(a, spectrum):
             return _pi_snap_projectors(a, spectrum)
-    if spectrum.distinct_count == spectrum.dim:
-        if cond is None:
-            _, cond = _eigenbasis(a, spectrum)
-        if cond > COND_LIMIT:
-            return _expm_pade(a)
-    return _hermite(a, spectrum)
+        if method == ExpMethod.EXACT_PI_SNAP:
+            raise SnapUnavailableError(
+                "no i*pi*k annihilate the matrix: its spectrum is off the lattice, "
+                "or it is defective"
+            )
+    result, residual, bound = _hermite(a, spectrum)
+    if residual <= bound:
+        return result
+    if method == ExpMethod.SPECTRAL_HERMITE:
+        raise IllConditionedError(
+            f"the eigenvalues do not annihilate the matrix: residual {residual:.2e} "
+            f"exceeds {bound:.2e}"
+        )
+    return _expm_pade(a)
 
 
 def expm_affine(f, g, t: complex, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:

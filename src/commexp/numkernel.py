@@ -2,9 +2,13 @@
 
 Everything here is closed form: characteristic polynomials from trace /
 principal minors / determinant, eigenvalues from the quadratic formula or
-Cardano's cubic (applied to M - (tr M / d) I), kernels from an SVD.  Matrices whose spectrum sits in
-i*pi*Z are recognized ("snapped") so that exponentials can later be taken
-exactly.
+Cardano's cubic (applied to M - (tr M / d) I), and, only when
+``eigen_decompose`` is asked for them, eigenvectors as kernels from an SVD.
+Matrices whose spectrum sits in i*pi*Z are recognized ("snapped") so that
+exponentials can later be taken exactly; ``expmkit`` reads eigenvalues and
+snaps only, never eigenvectors.  On overflowing input the eigenvalues
+come out NaN or infinite instead of raising (the eigenvectors' SVD does
+raise).
 """
 
 from __future__ import annotations
@@ -153,15 +157,18 @@ def _poly_roots_quadratic(b, c):
 
 
 def _poly_roots_cubic(b, c, d):
-    # x^3 + b x^2 + c x + d; depressed via x = y - b/3
+    # x^3 + b x^2 + c x + d; depressed via x = y - b/3.  Where Python's **
+    # raises OverflowError, complex powers are written as the same products
+    # and real ones taken in np.float64, so they overflow to inf; a
+    # non-finite radical gives NaN roots
     p = c - b * b / 3
-    q = 2 * b**3 / 27 - b * c / 3 + d
+    q = 2 * (b * b * b) / 27 - b * c / 3 + d
     shift = -b / 3
     if abs(p) < 1e-30 and abs(q) < 1e-30:
         return [shift, shift, shift]
     real_coeffs = abs(b.imag) + abs(c.imag) + abs(d.imag) == 0.0
     if real_coeffs:
-        disc = -4 * p.real**3 - 27 * q.real**2
+        disc = -4 * np.float64(p.real) ** 3 - 27 * np.float64(q.real) ** 2
         if p.real < 0 and disc > 0:
             # three real roots: trigonometric form avoids the cancellation
             # the radical form suffers when the roots are close
@@ -173,9 +180,12 @@ def _poly_roots_cubic(b, c, d):
                 complex(mcoef * math.cos((theta - 2 * math.pi * k) / 3)) + shift
                 for k in range(3)
             ]
-    delta = cmath.sqrt((q / 2) ** 2 + (p / 3) ** 3)
+    half_q, third_p = q / 2, p / 3
+    delta = cmath.sqrt(half_q * half_q + third_p * (third_p * third_p))
     cand1, cand2 = -q / 2 + delta, -q / 2 - delta
     w = cand1 if abs(cand1) >= abs(cand2) else cand2
+    if not cmath.isfinite(w):
+        return [complex(math.nan, math.nan)] * 3
     u = w ** (1 / 3)
     if abs(u) == 0.0:
         y0 = (-q) ** (1 / 3)
@@ -287,6 +297,8 @@ def _cluster(values: list[complex], tol_abs: float):
 def _snap_ints(values, tol: float):
     ks = []
     for v in values:
+        if not cmath.isfinite(v):
+            return None
         k = round(v.imag / math.pi)
         if abs(v - 1j * math.pi * k) > tol * max(1.0, abs(v)):
             return None
@@ -323,22 +335,13 @@ def eigen_decompose(m, *, want_vectors: bool = True) -> Spectrum:
         snap=_snap_ints(reps, SNAP_TOL),
     )
     if want_vectors:
-        spectrum = replace(spectrum, eigenvectors=eigenvector_basis(a, spectrum))
+        # kernel columns of M - lambda*I, at most one per multiplicity
+        cols = [
+            _kernel_columns(a - lam * np.eye(d), scale)[:, :mult]
+            for lam, mult in spectrum.distinct()
+        ]
+        spectrum = replace(spectrum, eigenvectors=np.hstack(cols))
     return spectrum
-
-
-def eigenvector_basis(m, spectrum: Spectrum) -> np.ndarray:
-    """Kernel columns of M - lambda*I, at most one per multiplicity, for
-    each cluster of ``spectrum`` (the spectrum of M) in order: the
-    ``eigenvectors`` of ``eigen_decompose(M)``."""
-    a = as_matrix(m)
-    d = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    cols = [
-        _kernel_columns(a - lam * np.eye(d), scale)[:, :mult]
-        for lam, mult in spectrum.distinct()
-    ]
-    return np.hstack(cols) if cols else np.zeros((d, 0), dtype=complex)
 
 
 def spectrum_congruence_free(values, tol: float) -> bool:

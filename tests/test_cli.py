@@ -46,11 +46,38 @@ class TestDefaultArguments:
         assert json.loads(out)["inputs"]["m"] == [1, 2, 3]
         _, out, _ = run(capsys, "families", "iii2ii")
         assert json.loads(out)["inputs"]["m"] == 1
+        # the forms with m3 = 0 fix tr F = n1 + n2 - m1 - m2 = 6
+        for form in ("a1", "a2"):
+            _, out, _ = run(capsys, "families", "iii2", "--form", form)
+            inputs = json.loads(out)["inputs"]
+            assert (inputs["m"], inputs["l1"]) == ([1, 2, 0], 6)
+        # an explicit flag still wins over the form's default
+        code, out, _ = run(capsys, "families", "iii2", "--form", "a1", "--l1", "3")
+        assert code == 2 and json.loads(out)["inputs"]["l1"] == 3
 
     def test_dim2case1_defaults_unchanged(self, capsys):
         code, out, _ = run(capsys, "families", "dim2case1")
         inputs = json.loads(out)["inputs"]
         assert code == 0 and (inputs["lam"], inputs["mu"]) == (1, 1)
+
+
+class TestGoldenClaims:
+    """Every builtin and every family reproduces its claim with default
+    arguments.  For symmetric-rank1, a1, a2 and iii2ii the claim includes
+    ``exp_sum_identity``: exp(2 i pi (F + G)) is a literal I, which only the
+    exact snap of a 3x3 matrix gives."""
+
+    @pytest.mark.parametrize("argv", [
+        *(("verify", "--builtin", name, "--swap", "--triangularizable")
+          for name in ("intro", "real2d", "theorem2", "dim2case1")),
+        *(("families", name) for name in ("intro", "real2d", "theorem2", "dim2case1", "iii2ii")),
+        *(("families", "iii2", "--form", form.value) for form in families.III2Form),
+    ], ids=" ".join)
+    def test_exit_zero_and_reproduced(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0, report["claim"]
+        assert report["claim"]["reproduced"] is True
 
 
 class TestSearchExitCodes:

@@ -10,19 +10,13 @@ from commexp.errors import (
     SnapUnavailableError,
 )
 from commexp.expmkit import (
-    COND_LIMIT,
-    SNAP_SHARPNESS,
     ExpMethod,
-    _CERTIFY_LIMIT,
-    _EPS,
     _SINHC_SERIES_BELOW,
-    _certified_condition,
-    _eigenbasis,
+    _exp_divided_differences,
     _expm_pade,
     _hermite,
     _pi_snap_projectors,
     _sinhc,
-    _snap_sharpness,
     expm,
     expm_affine,
     log_poly_recover,
@@ -78,14 +72,12 @@ class TestExpmBasics:
             expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
 
     def test_ill_conditioned_raises_then_auto_falls_back(self, monkeypatch):
-        lam = 8e-9  # eigenvalues +-8e-9: distinct clusters, eigenbasis cond ~1.2e8
-        m = np.array([[0, 1], [lam * lam, 0]], dtype=complex)
-        with pytest.raises(IllConditionedError):
-            expm(m, ExpMethod.SPECTRAL_HERMITE)
-        # the same block with a third eigenvalue 1: d = 3 AUTO goes to Pade
-        m3 = np.zeros((3, 3), dtype=complex)
-        m3[:2, :2] = m
-        m3[2, 2] = 1
+        # eigenvalues 1000i, 1000i + 1e-6, 1000i - 2e-6 lie within the
+        # clustering tolerance, so the computed spectrum is one triple node
+        # that leaves ||(A - zI)^3||_F ~ 1e-6: Hermite refuses, AUTO runs Pade
+        base = 1e3j
+        m3 = np.array([[base, 1, 0], [0, base + 1e-6, 1], [0, 0, base - 2e-6]])
+        assert eigen_decompose(m3, want_vectors=False).distinct_count == 1
         with pytest.raises(IllConditionedError):
             expm(m3, ExpMethod.SPECTRAL_HERMITE)
         pade_calls = []
@@ -95,12 +87,20 @@ class TestExpmBasics:
             return _expm_pade(a)
 
         monkeypatch.setattr(expmkit, "_expm_pade", spy)
-        auto3 = expm(m3)
+        assert np.array_equal(expm(m3), _expm_pade(m3))
         assert pade_calls == [(3, 3)]
-        assert np.allclose(auto3[:2, :2], np.eye(2) + m, rtol=0, atol=1e-12)
-        assert auto3[2, 2] == pytest.approx(math.e, rel=1e-14)
-        # d = 2 AUTO is the closed form, with no Pade
-        assert np.allclose(expm(m), np.eye(2) + m, rtol=0, atol=1e-12)
+        # eigenvalues +-8e-9 of a near-Jordan block (eigenbasis condition
+        # ~1.2e8) are accurate, so both engines accept them now
+        lam = 8e-9
+        m = np.array([[0, 1], [lam * lam, 0]], dtype=complex)
+        m3 = np.zeros((3, 3), dtype=complex)
+        m3[:2, :2] = m
+        m3[2, 2] = 1
+        for a in (m, m3):
+            assert rel_residual(expm(a, ExpMethod.SPECTRAL_HERMITE), expm(a)) <= 1e-15
+        auto3 = expm(m3)
+        assert np.allclose(auto3[:2, :2], np.eye(2) + m, rtol=0, atol=1e-15)
+        assert auto3[2, 2] == pytest.approx(math.e, rel=1e-15)
         assert pade_calls == [(3, 3)]
 
     def test_affine(self):
@@ -196,44 +196,17 @@ class TestLogPolyRecover:
         assert len(log_poly_recover(f).coefficients) <= 3
 
 
-def _svd_condition(spectrum):
-    vecs = spectrum.eigenvectors
-    if vecs.shape[1] != spectrum.dim:
-        return math.inf
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    return math.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
-
-
-def _svd_path(m, method):
-    """Each engine decided from the SVD condition of the eigenvectors that
-    ``eigen_decompose`` returns, with no certificate."""
-    a = as_matrix(m)
-    spec = eigen_decompose(a)
-    cond = _svd_condition(spec)
-    simple = spec.distinct_count == spec.dim
-    if method is ExpMethod.EXACT_PI_SNAP:
-        if spec.snap is None or not spec.diagonalizable or cond > COND_LIMIT:
-            raise SnapUnavailableError
-        return _pi_snap_projectors(a, spec)
-    if method is ExpMethod.SPECTRAL_HERMITE:
-        if simple and cond > COND_LIMIT:
-            raise IllConditionedError
-        return _hermite(a, spec)
-    if spec.snap is not None and _snap_sharpness(spec) <= SNAP_SHARPNESS and cond <= COND_LIMIT:
-        return _pi_snap_projectors(a, spec)
-    if simple and cond > COND_LIMIT:
-        return _expm_pade(a)
-    return _hermite(a, spec)
-
-
-def _outcome(engine, m, method):
+def _outcome(m, method):
     try:
-        return engine(m, method)
+        return expm(m, method)
     except (IllConditionedError, SnapUnavailableError) as exc:
         return type(exc)
 
 
-def _certificate_inputs(rng):
+def _fuzz_inputs(rng):
+    """Random matrices at d = 1..3, near-Jordan blocks at several shifts,
+    [[0,1],[lam^2,0]] sweeps and i*pi*k spectra behind eigenbases of
+    condition 1..1e9."""
     for _ in range(300):
         d = int(rng.integers(1, 4))
         yield random_matrix(rng, d, norm=float(10 ** rng.uniform(-2, 2.5)))
@@ -244,11 +217,9 @@ def _certificate_inputs(rng):
             yield np.array([[base, 1, 0], [0, base + gap, 1], [0, 0, base - gap]])
             q, _ = np.linalg.qr(random_matrix(rng, 3))
             yield q @ np.array([[base, 1, 2], [0, base + gap, 3], [0, 0, base + 1]]) @ q.conj().T
-    # the eigenbasis condition ~1/lam crosses the certificate margin and COND_LIMIT
     for lam in np.geomspace(1e-10, 1e-3, 57):
         yield np.array([[0, 1], [lam * lam, 0]])
         yield np.array([[1j * PI, 1], [lam * lam, 1j * PI]])
-    # snapped spectra i*pi*k behind eigenbases of condition 1..1e9
     for _ in range(200):
         d = int(rng.integers(2, 4))
         u, _, vh = np.linalg.svd(random_matrix(rng, d))
@@ -257,68 +228,169 @@ def _certificate_inputs(rng):
         yield s @ np.diag(1j * PI * ks) @ np.linalg.inv(s)
 
 
-class TestEigenbasisCertificate:
-    """A simple spectrum's eigenbasis is certified from its Frobenius
-    covariants; every engine must decide exactly as the SVD of the
-    eigenvectors decides."""
+def _near_defective_3x3(rng):
+    """[[b,1,0],[0,b+g,1],[0,0,b-2g]] and unitary conjugates for
+    g = 1e-3..1e-10, and [[i pi,1,0],[lam^2,i pi,0],[0,0,1]] for
+    lam = 1e-10..1e-3."""
+    for k in range(3, 11):
+        g = 10.0 ** -k
+        for b in (0.0, 2.5 - 1j, 30.0, 1j * PI, 7j * PI, 100j, 1e3j):
+            m = np.array([[b, 1, 0], [0, b + g, 1], [0, 0, b - 2 * g]])
+            yield m
+            q, _ = np.linalg.qr(random_matrix(rng, 3))
+            yield q @ m @ q.conj().T
+    for lam in np.geomspace(1e-10, 1e-3, 8):
+        yield np.array([[1j * PI, 1, 0], [lam * lam, 1j * PI, 0], [0, 0, 1]])
 
-    def test_certificate_bounds_svd_condition(self, rng):
-        certified = 0
-        for m in _certificate_inputs(rng):
-            spec = eigen_decompose(m)
-            if spec.distinct_count != spec.dim:
-                continue
-            bound = _certified_condition(as_matrix(m), spec.eigenvalues)
-            if bound < _CERTIFY_LIMIT:
-                certified += 1
-                assert spec.diagonalizable
-                assert _svd_condition(spec) <= bound
-        assert certified >= 400
 
-    # Pade overflows on the snapped inputs of condition ~1e9 (norms ~1e10),
-    # the same way on both paths.  AUTO at d = 2 is the closed form, which
-    # decides without eigenvectors (its accuracy is TestClosedForm2x2's);
-    # here it must only not raise.
+def _mpmath_expm(mpmath, a, dps=40):
+    d = a.shape[0]
+    with mpmath.workdps(dps):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(exact[i, j]) for j in range(d)] for i in range(d)])
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    original = getattr(expmkit, name)
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(expmkit, name, spy)
+    return calls
+
+
+class TestAnnihilationGate:
+    """Every path is decided by whether its nodes annihilate A."""
+
+    # Pade overflows on the snapped inputs of condition ~1e9 (norms ~1e10)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_engines_match_svd_path(self, rng):
-        outcomes = set()
-        for m in _certificate_inputs(rng):
-            for method in (ExpMethod.AUTO, ExpMethod.SPECTRAL_HERMITE, ExpMethod.EXACT_PI_SNAP):
-                got = _outcome(expm, m, method)
-                if method is ExpMethod.AUTO and m.shape[0] == 2:
-                    assert got.shape == (2, 2)
-                    continue
-                want = _outcome(_svd_path, m, method)
-                if isinstance(want, type):
-                    assert got is want, (m, method)
-                else:
-                    assert np.array_equal(got, want, equal_nan=True), (m, method)
-                outcomes.add((method, want if isinstance(want, type) else "ok"))
-        assert len(outcomes) == 5  # both error types and every engine's success
+    def test_auto_takes_first_engine_that_accepts(self, rng):
+        # at d = 1 and 3: the exact path, else Hermite, else Pade, bit for
+        # bit; AUTO at d = 2 is the closed form (TestClosedForm2x2)
+        taken = set()
+        for m in (*_fuzz_inputs(rng), *_near_defective_3x3(rng)):
+            exact = _outcome(m, ExpMethod.EXACT_PI_SNAP)
+            hermite = _outcome(m, ExpMethod.SPECTRAL_HERMITE)
+            taken.update(r for r in (exact, hermite) if isinstance(r, type))
+            if m.shape[0] == 2:
+                continue
+            if not isinstance(exact, type):
+                want, path = exact, "exact"
+            elif not isinstance(hermite, type):
+                want, path = hermite, "hermite"
+            else:
+                want, path = _expm_pade(m), "pade"
+            assert np.array_equal(expm(m), want, equal_nan=True), (m, path)
+            taken.add(path)
+        assert taken == {"exact", "hermite", "pade", SnapUnavailableError, IllConditionedError}
 
-    def test_sweep_crosses_margin_and_limit(self):
-        def bound(lam):
-            a = np.array([[0, 1], [lam * lam, 0]], dtype=complex)
-            return _certified_condition(a, eigen_decompose(a).eigenvalues)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_against_mpmath_3x3(self, rng, monkeypatch):
+        # off the snap path AUTO is within max(1e-12, Pade's error) of the
+        # exponential, on it within max(1e-12, 2 x Pade's).  Where Pade has
+        # no digits either (error above 1e-8: i*pi*k spectra behind
+        # eigenbases of condition >= 1e5 at norms >= 5e4), no engine can
+        # be judged; there AUTO must only not raise.
+        mpmath = pytest.importorskip("mpmath")
+        snapped = _spy(monkeypatch, "_pi_snap_projectors")
+        pade = _spy(monkeypatch, "_expm_pade")
+        checked = snaps = to_pade = ill_posed = 0
+        for m in (*_fuzz_inputs(rng), *_near_defective_3x3(rng)):
+            a = np.asarray(m, dtype=complex)
+            if a.shape[0] != 3:
+                continue
+            want = _mpmath_expm(mpmath, a, dps=30)
+            if not np.isfinite(want).all():
+                continue  # exp(A) overflows
+            snapped.clear()
+            pade.clear()
+            got = expm(a)
+            on_snap, to_pade = bool(snapped), to_pade + bool(pade)
+            scale = np.linalg.norm(want)
+            err = np.linalg.norm(got - want) / scale
+            pade_err = np.linalg.norm(_expm_pade(a) - want) / scale
+            if not pade_err <= 1e-8:
+                ill_posed += 1
+                continue
+            assert err <= max(1e-12, (2 if on_snap else 1) * pade_err), (a, err, pade_err)
+            checked += 1
+            snaps += on_snap
+        assert checked >= 300 and snaps >= 30 and ill_posed <= 60
+        assert 5 <= to_pade <= 20
 
-        assert bound(1e-3) == pytest.approx(1e3, rel=1e-3)
-        assert bound(1e-7) > _CERTIFY_LIMIT
-        # cond ~1e7: above the margin, so the SVD referees and accepts it
-        expm(np.array([[0, 1], [1e-14, 0]]), ExpMethod.SPECTRAL_HERMITE)
-
-    def test_error_messages_unchanged(self):
-        lam = 8e-9
-        with pytest.raises(IllConditionedError, match=r"condition 1\.2\de\+08 exceeds 1e\+08"):
-            expm(np.array([[0, 1], [lam * lam, 0]]), ExpMethod.SPECTRAL_HERMITE)
-        with pytest.raises(SnapUnavailableError, match="defective"):
+    def test_error_messages(self):
+        with pytest.raises(SnapUnavailableError, match="off the lattice, or it is defective"):
             expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
-        # eigenvalues 0 and i*pi with eigenvectors ~1e-8 apart
-        with pytest.raises(SnapUnavailableError, match="ill conditioned"):
-            expm(np.array([[0, 2e8], [0, 1j * PI]]), ExpMethod.EXACT_PI_SNAP)
+        base = 1e3j
+        m3 = np.array([[base, 1, 0], [0, base + 1e-6, 1], [0, 0, base - 2e-6]])
+        with pytest.raises(IllConditionedError,
+                           match=r"do not annihilate the matrix: residual \S+ exceeds \S+"):
+            expm(m3, ExpMethod.SPECTRAL_HERMITE)
+
+    def test_residual_bounds_the_error(self):
+        # exp(A) - p(A) = g(A) prod (A - z_i I): nodes moved off the
+        # spectrum by delta leave a residual and an error of order delta
+        a = np.array([[0.3, 1, 0], [0, -0.2, 1], [0, 0, 0.5j]])
+        exact = expm(a)
+        spectrum = eigen_decompose(a, want_vectors=False)
+        for delta in (1e-4, 1e-8, 1e-15):
+            moved = numkernel.Spectrum(
+                tuple(z + delta for z in spectrum.eigenvalues), 3, (1, 1, 1))
+            got, residual, bound = _hermite(a, moved)
+            err = np.linalg.norm(got - exact)
+            assert (residual <= bound) == (delta == 1e-15)
+            if delta > 1e-15:
+                assert 0.1 * residual <= err <= 10 * residual
+
+
+class TestDividedDifferences:
+    """[z0], [z0, z1], [z0, z1, z2] of e^x against 60-digit quotients."""
+
+    @staticmethod
+    def _exact(mpmath, nodes):
+        with mpmath.workdps(60):
+            z = [mpmath.mpc(x.real, x.imag) for x in nodes]
+            f = [mpmath.exp(x) for x in z]
+            first = [(f[i + 1] - f[i]) / (z[i + 1] - z[i]) for i in range(2)]
+            return [complex(f[0]), complex(first[0]),
+                    complex((first[1] - first[0]) / (z[2] - z[0]))]
+
+    def test_against_mpmath(self, rng):
+        # spreads on both sides of the series threshold; the relative error
+        # is at most a few eps times |center| (the rounding of e^center)
+        mpmath = pytest.importorskip("mpmath")
+        for center in (0, 2.5 - 1j, 30, 1e3j, -700, 300 + 100j):
+            for spread in (1e-12, 1e-6, 1e-3, 9.9e-3, 1.01e-2, 2e-2, 0.3, 5, 40):
+                for _ in range(5):
+                    off = rng.normal(size=3) + 1j * rng.normal(size=3)
+                    off *= spread / max(abs(off - np.roll(off, 1)))
+                    nodes = [complex(center + o) for o in off]
+                    got = _exp_divided_differences(nodes)
+                    want = self._exact(mpmath, nodes)
+                    for k in range(3):
+                        err = abs(got[k] - want[k]) / abs(want[k])
+                        assert err <= 1e-15 * max(100, abs(center)), (nodes, k, err)
+
+    def test_equal_nodes_are_derivatives(self):
+        for z in (0j, 2.5 - 1j, 1e3j):
+            e = np.exp(z)
+            got = _exp_divided_differences([z, z, z])
+            assert got == [e, e, e / 2]
+
+    def test_far_apart_real_parts(self):
+        # e^x under- and overflows at nodes where the differences do not
+        got = _exp_divided_differences([-1500 + 0j, -100 + 0j, 0j])
+        assert got[1] == pytest.approx(math.exp(-100) / 1400, rel=1e-14)
+        assert got[2] == pytest.approx((1 / 100 - math.exp(-100) / 1400) / 1500, rel=1e-14)
+        got = _exp_divided_differences([600 + 0j, -800 + 0j, -800 + 0j])
+        assert got[2] == pytest.approx(math.exp(600) / 1400 ** 2, rel=1e-13)
 
 
 class TestKernelSVDGuard:
-    """expm on simple spectra must not compute eigenvector kernels."""
+    """expm computes no eigenvector kernels, on any engine."""
 
     @staticmethod
     def _count_kernels(monkeypatch):
@@ -352,11 +424,18 @@ class TestKernelSVDGuard:
         # the snapped pair commutes, so both stars hold at every t
         assert all(v.holds for v in report.verdicts[3:])
 
-    def test_defective_snap_still_computes_kernels(self, monkeypatch):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_engine_computes_kernels(self, monkeypatch, rng):
+        defective = ([[0, 1], [0, 0]], [[1j * PI, 1, 0], [0, 1j * PI, 0], [0, 0, 0]],
+                     [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        inputs = [*defective, *_fuzz_inputs(rng), *_near_defective_3x3(rng)]
         calls = self._count_kernels(monkeypatch)
-        with pytest.raises(SnapUnavailableError):
-            expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
-        assert calls
+        for m in inputs:
+            for method in ExpMethod:
+                _outcome(m, method)
+        assert calls == []
+        for m in defective:
+            assert _outcome(m, ExpMethod.EXACT_PI_SNAP) is SnapUnavailableError
 
 
 def _closed_form_inputs(rng):
@@ -381,51 +460,35 @@ def _closed_form_inputs(rng):
         yield s @ np.diag(1j * PI * rng.integers(-6, 7, size=2)) @ np.linalg.inv(s)
 
 
-def _mpmath_expm(mpmath, a):
-    with mpmath.workdps(40):
-        exact = mpmath.expm(mpmath.matrix(a.tolist()))
-        return np.array([[complex(exact[i, j]) for j in range(2)] for i in range(2)])
-
-
-def _spy_snap(monkeypatch):
-    snapped = []
-
-    def spy(a, spectrum):
-        snapped.append(1)
-        return _pi_snap_projectors(a, spectrum)
-
-    monkeypatch.setattr(expmkit, "_pi_snap_projectors", spy)
-    return snapped
-
-
 class TestClosedForm2x2:
     """AUTO at d = 2: e^mu (cosh s I + sinh(s)/s B), or the exact snap."""
 
     def test_against_mpmath(self, rng, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
-        snapped = _spy_snap(monkeypatch)
+        snapped = _spy(monkeypatch, "_pi_snap_projectors")
         checked = snaps = 0
         for m in _closed_form_inputs(rng):
             a = np.asarray(m, dtype=complex)
             snapped.clear()
             got = expm(a)
-            if snapped:
-                assert np.array_equal(got, _pi_snap_projectors(a, eigen_decompose(a))), a
-                snaps += 1
-                continue
             want = _mpmath_expm(mpmath, a)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             pade_err = np.linalg.norm(_expm_pade(a) - want) / np.linalg.norm(want)
+            if snapped:
+                assert np.array_equal(got, _pi_snap_projectors(a, eigen_decompose(a))), a
+                assert err <= max(1e-12, 2 * pade_err), (a, err, pade_err)
+                snaps += 1
+                continue
             assert err <= max(1e-12, pade_err), (a, err, pade_err)
             checked += 1
-        assert checked >= 400 and snaps >= 20
+        assert checked >= 380 and snaps >= 60
 
     def test_intro_scan(self, monkeypatch):
-        # pi-scaled tA + B up to ||.||_F ~ 2.7e4: a sharp snap exactly where
+        # pi-scaled tA + B up to ||.||_F ~ 2.7e4: a snap exactly where
         # det(tA + B) / pi^2 is a square, otherwise the closed form, as
         # accurate as rounding the entries allows (eps * ||tA + B||_F)
         mpmath = pytest.importorskip("mpmath")
-        snapped = _spy_snap(monkeypatch)
+        snapped = _spy(monkeypatch, "_pi_snap_projectors")
         a, b = intro_pair()
         square = SquarePoly(*intro_square_polynomial())
         for t in range(101):
@@ -440,7 +503,7 @@ class TestClosedForm2x2:
                 continue
             want = _mpmath_expm(mpmath, m)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
-            assert err <= _EPS * np.linalg.norm(m), (t, err)
+            assert err <= np.finfo(float).eps * np.linalg.norm(m), (t, err)
 
     def test_sinhc_continuous_at_series_threshold(self):
         for phase in np.linspace(0, 2 * PI, 37):
@@ -451,22 +514,50 @@ class TestClosedForm2x2:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_does_not_raise(self):
-        # Re mu = 800 overflows e^mu; the last two overflow s itself (to inf
+        # Re mu = 800 overflows e^mu; the next two overflow s itself (to inf
         # and to nan; their characteristic polynomials made AUTO raise
-        # ValueError before)
+        # ValueError before).  At d = 3 the first gave NaN roots that made
+        # the snap raise ValueError, the next two made the cubic's ** raise
+        # OverflowError (a real and a complex cubic); Pade's 1-norm
+        # overflows on the last.
         for m in ([[800, 1], [0, 800]], [[801, 2], [0.5, 799]], [[800j + 800, 0], [0, 800]],
-                  [[1e300, 1e300], [1e300, -1e300]], [[1e300, 1e300], [-1e300, -1e300]]):
-            assert expm(m).shape == (2, 2)
+                  [[1e300, 1e300], [1e300, -1e300]], [[1e300, 1e300], [-1e300, -1e300]],
+                  [[1e300, 1e300, 0], [1e300, -1e300, 0], [0, 0, 1]],
+                  [[1e120, 1, 0], [0, 2e120, 0], [0, 0, 1]],
+                  [[1e60j, 0, 0], [0, 1e60, 0], [0, 0, 1]],
+                  [[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 1]]):
+            assert expm(m).shape == (len(m), len(m))
 
-    def test_snap_gate_follows_eigenbasis_condition(self, monkeypatch):
-        # eigenvalues exactly 0 and i*pi; eigenbasis condition ~ c / (pi/2)
-        snapped = _spy_snap(monkeypatch)
+    def test_snap_gate_follows_annihilation(self, monkeypatch):
+        # eigenvalues exactly 0 and i*pi behind an eigenbasis of condition
+        # ~ c / (pi/2): A (A - i pi I) = 0 exactly, so both snap (Pade errs
+        # by 3e-10 and 5e-9 there)
+        snapped = _spy(monkeypatch, "_pi_snap_projectors")
         for c in (2e7, 2e8):
-            a = np.array([[0, c], [0, 1j * PI]])
             snapped.clear()
-            expm(a)
-            _, cond = _eigenbasis(a, eigen_decompose(a, want_vectors=False))
-            assert bool(snapped) == (cond <= COND_LIMIT) == (c == 2e7)
+            got = expm(np.array([[0, c], [0, 1j * PI]]))
+            assert snapped
+            assert np.allclose(got, [[1, 2j * c / PI], [0, -1]], rtol=1e-15, atol=0)
+
+    def test_loose_double_snap_is_refused(self, monkeypatch):
+        # a double -4 i pi eigenvalue perturbed by ~3e-11 sits within
+        # KERNEL_FLOOR * ||A||_F of -4 i pi I, but its nodes leave a
+        # residual ~3e-11: AUTO must not return a literal I, here or
+        # embedded in a 3x3 next to 2 i pi (literal I erred by 3.2e-11 and
+        # 2.6e-11)
+        mpmath = pytest.importorskip("mpmath")
+        snapped = _spy(monkeypatch, "_pi_snap_projectors")
+        a2 = np.array([[-4j * PI + 2e-11, 3e-11], [-2.5e-11j, -4j * PI - 1e-11]])
+        a3 = np.diag([0, 0, 2j * PI])
+        a3[:2, :2] = a2
+        for a in (a2, a3):
+            got = expm(a)
+            assert not snapped
+            want = _mpmath_expm(mpmath, a)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            pade_err = np.linalg.norm(_expm_pade(a) - want) / np.linalg.norm(want)
+            assert err <= max(1e-12, pade_err), (a, err, pade_err)
+            assert err <= 1e-14
 
     def test_far_apart_real_parts(self):
         # e^mu underflows and cosh s overflows, but exp(A) is representable
