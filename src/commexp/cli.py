@@ -575,7 +575,7 @@ def cmd_search(ns, argv) -> int:
 
 
 def _spectrum_obj(m) -> dict:
-    spec = eigen_decompose(m, want_vectors=False)
+    spec = eigen_decompose(m)
     return {
         "eigenvalues": list(spec.eigenvalues),
         "distinct_count": spec.distinct_count,
@@ -584,7 +584,7 @@ def _spectrum_obj(m) -> dict:
 
 
 def _eig_matches(m, targets, tol=1e-8) -> bool:
-    spec = eigen_decompose(m, want_vectors=False)
+    spec = eigen_decompose(m)
     got = sorted(spec.eigenvalues, key=lambda z: (z.real, z.imag))
     want = sorted((complex(t) for t in targets), key=lambda z: (z.real, z.imag))
     scale = max(1.0, max(abs(z) for z in want))

@@ -10,7 +10,8 @@ class DimensionError(CommexpError, ValueError):
 
 
 class IllConditionedError(CommexpError):
-    """Spectral path rejected: eigenvector basis condition estimate too large."""
+    """Spectral path rejected: the computed eigenvalues do not annihilate the
+    matrix within the bound of ``expmkit.ANNIHILATION_TOL``."""
 
 
 class SnapUnavailableError(CommexpError):
@@ -23,8 +24,9 @@ class CongruenceViolationError(CommexpError):
 
 
 class DeflationError(CommexpError):
-    """Trace criterion says triangularizable but no common eigenvector was
-    found within tolerance; signals a tolerance inconsistency."""
+    """Trace criterion says triangularizable but the basis built from common
+    eigenvectors in the kernel of the commutator ideal fails the
+    upper-triangularity check; signals a tolerance inconsistency."""
 
 
 class ComplexRootsError(CommexpError, ValueError):

@@ -330,7 +330,7 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
         return _expm_pade(a)
     if method == ExpMethod.AUTO and a.shape[0] == 2:
         return _expm_2x2(a)
-    spectrum = eigen_decompose(a, want_vectors=False)
+    spectrum = eigen_decompose(a)
     if method != ExpMethod.SPECTRAL_HERMITE:
         if spectrum.snap is not None and _snap_annihilates(a, spectrum):
             return _pi_snap_projectors(a, spectrum)
@@ -403,7 +403,7 @@ def log_poly_recover(m) -> LogPoly:
     p(e^l) = l, p'(e^l) = e^-l (per extra multiplicity) well posed.
     """
     a = as_matrix(m)
-    spectrum = eigen_decompose(a, want_vectors=False)
+    spectrum = eigen_decompose(a)
     distinct_vals = [lam for lam, _ in spectrum.distinct()]
     if not spectrum_congruence_free(distinct_vals, CONGRUENCE_TOL):
         raise CongruenceViolationError(

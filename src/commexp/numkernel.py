@@ -2,20 +2,19 @@
 
 Everything here is closed form: characteristic polynomials from trace /
 principal minors / determinant, eigenvalues from the quadratic formula or
-Cardano's cubic (applied to M - (tr M / d) I), and, only when
-``eigen_decompose`` is asked for them, eigenvectors as kernels from an SVD.
+Cardano's cubic (applied to M - (tr M / d) I).  No eigenvector is computed
+from an eigenvalue here: a defective eigenvalue is only known to ~sqrt(eps),
+so ``simtrig`` finds common eigenvectors from the commutator instead.
 Matrices whose spectrum sits in i*pi*Z are recognized ("snapped") so that
-exponentials can later be taken exactly; ``expmkit`` reads eigenvalues and
-snaps only, never eigenvectors.  On overflowing input the eigenvalues
-come out NaN or infinite instead of raising (the eigenvectors' SVD does
-raise).
+exponentials can later be taken exactly.  On overflowing input the
+eigenvalues come out NaN or infinite instead of raising.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +24,6 @@ from .errors import DimensionError
 CLUSTER_TOL = 1e-8
 # An eigenvalue snaps to i*pi*k when |l - i*pi*k| <= SNAP_TOL * max(1, |l|).
 SNAP_TOL = 1e-8
-# Kernel of M - lambda*I: singular values <= max(KERNEL_TOL * sigma_max,
-# KERNEL_FLOOR * max(1, ||M||_F)).
-KERNEL_TOL = 1e-8
-KERNEL_FLOOR = 1e-10
 
 MAX_DIM = 3
 
@@ -215,17 +210,13 @@ class Spectrum:
     """Eigenvalues with multiplicity, plus clustering and snap metadata.
 
     ``eigenvalues`` lists each cluster representative repeated per algebraic
-    multiplicity.  ``eigenvectors`` holds one orthonormal kernel basis column
-    per geometric dimension found; fewer than ``dim`` columns means the
-    matrix is defective.  ``snap`` gives integers k with lambda_i ~ i*pi*k
-    (aligned with ``eigenvalues``) and is None when any eigenvalue fails to
-    snap.
+    multiplicity.  ``snap`` gives integers k with lambda_i ~ i*pi*k (aligned
+    with ``eigenvalues``) and is None when any eigenvalue fails to snap.
     """
 
     eigenvalues: tuple[complex, ...]
     distinct_count: int
     multiplicities: tuple[int, ...] = field(default=())
-    eigenvectors: np.ndarray | None = None
     snap: tuple[int, ...] | None = None
 
     @property
@@ -241,10 +232,6 @@ class Spectrum:
             i += m
         return out
 
-    @property
-    def diagonalizable(self) -> bool:
-        return self.eigenvectors is not None and self.eigenvectors.shape[1] == self.dim
-
 
 def null_space(m, tol: float) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel.
@@ -256,16 +243,6 @@ def null_space(m, tol: float) -> np.ndarray:
         raise DimensionError(f"null_space supports d <= {MAX_DIM}")
     _, sv, vh = np.linalg.svd(a)
     cutoff = tol * (sv[0] if sv.size else 0.0)
-    keep = sv <= cutoff
-    return vh[keep].conj().T
-
-
-def _kernel_columns(shifted: np.ndarray, scale: float) -> np.ndarray:
-    # kernel extraction with an absolute floor so that M - lambda*I ~ 0
-    # (multiple eigenvalue of a scalar-like matrix) yields the full space
-    _, sv, vh = np.linalg.svd(shifted)
-    floor = KERNEL_FLOOR * max(1.0, scale)
-    cutoff = max(KERNEL_TOL * (sv[0] if sv.size else 0.0), floor)
     keep = sv <= cutoff
     return vh[keep].conj().T
 
@@ -306,8 +283,8 @@ def _snap_ints(values, tol: float):
     return tuple(ks)
 
 
-def eigen_decompose(m, *, want_vectors: bool = True) -> Spectrum:
-    """Closed-form spectrum for d <= 3 with clustering, kernels and snap."""
+def eigen_decompose(m) -> Spectrum:
+    """Closed-form spectrum for d <= 3 with clustering and snap."""
     a = as_matrix(m)
     d = a.shape[0]
     if d > MAX_DIM:
@@ -328,20 +305,12 @@ def eigen_decompose(m, *, want_vectors: bool = True) -> Spectrum:
 
     scale = float(np.linalg.norm(a))
     reps, mults = _cluster(roots, CLUSTER_TOL * max(1.0, scale))
-    spectrum = Spectrum(
+    return Spectrum(
         eigenvalues=tuple(reps),
         distinct_count=len(mults),
         multiplicities=tuple(mults),
         snap=_snap_ints(reps, SNAP_TOL),
     )
-    if want_vectors:
-        # kernel columns of M - lambda*I, at most one per multiplicity
-        cols = [
-            _kernel_columns(a - lam * np.eye(d), scale)[:, :mult]
-            for lam, mult in spectrum.distinct()
-        ]
-        spectrum = replace(spectrum, eigenvectors=np.hstack(cols))
-    return spectrum
 
 
 def spectrum_congruence_free(values, tol: float) -> bool:

@@ -168,9 +168,9 @@ def relation_report(
         check_exp_swap(f, g, cfg.tol),
     ]
     verdicts.extend(scan_integer_t(f, g, cfg))
-    spec_f = eigen_decompose(f, want_vectors=False)
-    spec_g = eigen_decompose(g, want_vectors=False)
-    spec_fg = eigen_decompose(combine_affine(f, g, 1.0), want_vectors=False)
+    spec_f = eigen_decompose(f)
+    spec_g = eigen_decompose(g)
+    spec_fg = eigen_decompose(combine_affine(f, g, 1.0))
     flags = (
         congruence_free(spec_f, cfg.tol),
         congruence_free(spec_g, cfg.tol),

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from commexp import cli, families, intsearch
+from commexp.numkernel import CMat
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -201,6 +202,24 @@ class TestMatrixFiles:
         assert from_files["payload"]["verdicts"] == builtin["payload"]["verdicts"]
         assert [v["t"] for v in builtin["payload"]["verdicts"]
                 if v["relation"] == "sum-product"] == list(range(1, 7))
+
+    def test_defective_triangularizable_pair_from_files(self, capsys, tmp_path):
+        # F is c I plus a nilpotent of rank 2 behind the basis S, so its
+        # computed eigenvalues miss c by ~eps^(1/3)
+        import numpy as np
+
+        c = 1.5 + 0.5j
+        s = np.array([[2, 0.5, 0.25], [0.125, 2, 0.5], [0.5, 0.25, 2]])
+        sinv = np.linalg.inv(s)
+        f_upper = np.array([[c, 0.75, 0.5], [0, c, 0.25], [0, 0, c]])
+        g_upper = np.array([[1, 0.5, 0.25], [0, 2, 0.75], [0, 0, 3]])
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        cli.save_matrix_file(f, CMat(sinv @ f_upper @ s))
+        cli.save_matrix_file(g, CMat(sinv @ g_upper @ s))
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2",
+                             "--triangularizable")
+        assert code == 0, err
+        assert json.loads(out)["payload"]["sim_triangularizable"] is True
 
 
 class TestNegativeValues:

@@ -77,7 +77,7 @@ class TestExpmBasics:
         # that leaves ||(A - zI)^3||_F ~ 1e-6: Hermite refuses, AUTO runs Pade
         base = 1e3j
         m3 = np.array([[base, 1, 0], [0, base + 1e-6, 1], [0, 0, base - 2e-6]])
-        assert eigen_decompose(m3, want_vectors=False).distinct_count == 1
+        assert eigen_decompose(m3).distinct_count == 1
         with pytest.raises(IllConditionedError):
             expm(m3, ExpMethod.SPECTRAL_HERMITE)
         pade_calls = []
@@ -335,7 +335,7 @@ class TestAnnihilationGate:
         # spectrum by delta leave a residual and an error of order delta
         a = np.array([[0.3, 1, 0], [0, -0.2, 1], [0, 0, 0.5j]])
         exact = expm(a)
-        spectrum = eigen_decompose(a, want_vectors=False)
+        spectrum = eigen_decompose(a)
         for delta in (1e-4, 1e-8, 1e-15):
             moved = numkernel.Spectrum(
                 tuple(z + delta for z in spectrum.eigenvalues), 3, (1, 1, 1))
@@ -390,18 +390,18 @@ class TestDividedDifferences:
 
 
 class TestKernelSVDGuard:
-    """expm computes no eigenvector kernels, on any engine."""
+    """expm runs no SVD, so computes no eigenvector kernel, on any engine."""
 
     @staticmethod
-    def _count_kernels(monkeypatch):
+    def _count_svds(monkeypatch):
         calls = []
-        original = numkernel._kernel_columns
+        original = np.linalg.svd
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(numkernel, "_kernel_columns", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         return calls
 
     def test_simple_spectrum_3x3_pairs(self, monkeypatch, rng):
@@ -417,7 +417,7 @@ class TestKernelSVDGuard:
         for a, b in ((f, g), (snapped_f, snapped_g)):
             for t in (0, *cfg.t_values):
                 assert eigen_decompose(combine_affine(a, b, t)).distinct_count == 3
-            calls = self._count_kernels(monkeypatch)
+            calls = self._count_svds(monkeypatch)
             report = relation_report(a, b, cfg)
             assert calls == []
             assert len(report.verdicts) == 3 + 2 * len(cfg.t_values)
@@ -429,13 +429,16 @@ class TestKernelSVDGuard:
         defective = ([[0, 1], [0, 0]], [[1j * PI, 1, 0], [0, 1j * PI, 0], [0, 0, 0]],
                      [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         inputs = [*defective, *_fuzz_inputs(rng), *_near_defective_3x3(rng)]
-        calls = self._count_kernels(monkeypatch)
+        calls = self._count_svds(monkeypatch)
         for m in inputs:
             for method in ExpMethod:
                 _outcome(m, method)
         assert calls == []
         for m in defective:
             assert _outcome(m, ExpMethod.EXACT_PI_SNAP) is SnapUnavailableError
+        # the counter sees an SVD taken through the package
+        numkernel.null_space(np.eye(2), 1e-10)
+        assert calls == [1]
 
 
 def _closed_form_inputs(rng):

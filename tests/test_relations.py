@@ -146,7 +146,7 @@ class TestCongruenceFree:
     def test_intro_spectra_never_free(self):
         a, b = intro_pair()
         for m in (a, b):
-            assert not congruence_free(eigen_decompose(m, want_vectors=False))
+            assert not congruence_free(eigen_decompose(m))
 
     def test_paper_root_free(self):
         assert congruence_free([U1, 0])

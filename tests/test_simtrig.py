@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commexp.families import Theorem2Params, intro_pair, theorem2_family
 from commexp.numkernel import CMat
@@ -51,8 +53,8 @@ class TestSimTriangularizable:
 
     def test_shifted_conjugated_theorem2_pair(self):
         # F has a defective double eigenvalue known only to ~sqrt(eps) after
-        # a shift and a basis change; common_eigenvector meets its 1e-8
-        # tolerance here only because eigen_decompose shifts by tr / d
+        # a shift and a basis change; the common eigenvector is the kernel of
+        # the commutator ideal, which needs no eigenvalue
         u = solve_u(branch_seed(-3)).value
         basis = np.array([
             [1.1634003423762678 + 0.10429517955465285j, 0.31286264297488614 + 0.07426372228885426j],
@@ -81,6 +83,30 @@ class TestSimTriangularizable:
             m = random_matrix(rng, 3, norm=2.0)
             assert sim_triangularizable(m, m @ m - m).triangularizable
 
+    def test_commuting_3x3_with_derogatory_members(self, rng):
+        # the less scalar member has a double root of geometric multiplicity
+        # 2 (listed first, as its real part is the smaller) next to a simple
+        # one, or is c I + N with N of rank one, whose range is the common
+        # eigenvector; or one member is scalar
+        n = np.outer([0, 1, 1], [1, 0, 0])
+        pairs = [(2 * np.eye(3) + n, 3 * np.eye(3) - n)]
+        for _ in range(20):
+            s = random_matrix(rng, 3, norm=1.0) + 2 * np.eye(3)
+            sinv = np.linalg.inv(s)
+            block = 5 * np.eye(3, dtype=complex)
+            block[:2, :2] += 0.1 * random_matrix(rng, 2)
+            pairs += [
+                (np.diag([2j, 2j, 1]), block),
+                (sinv @ np.diag([2j, 2j, 1]) @ s, sinv @ block @ s),
+                (1.5j * np.eye(3), np.triu(random_matrix(rng, 3))),
+            ]
+        for f, g in pairs:
+            for pair in ((f, g), (g, f)):
+                t = sim_triangularizable(*pair).basis
+                for m in pair:
+                    lower = np.linalg.norm(np.tril(np.linalg.inv(t) @ m @ t, -1))
+                    assert lower <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
+
     def test_similarity_invariance(self, rng):
         a, b = intro_pair()
         f, g = theorem2_family(Theorem2Params(u=U1))
@@ -91,6 +117,55 @@ class TestSimTriangularizable:
                 sinv = np.linalg.inv(s)
                 got = sim_triangularizable(sinv @ fe @ s, sinv @ ge @ s)
                 assert got.triangularizable == expected
+
+
+TRIANGULAR_FAMILIES = ("generic", "single", "double", "nilpotent", "shift", "commuting")
+
+
+def triangular_family(rng, family, dim):
+    """S^-1 U1 S, S^-1 U2 S for upper triangular U1, U2 of the given family,
+    with S = 2I + R, ||R||_F = 1, so that cond(S) <= 3."""
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    u1, u2 = np.triu(cn(dim, dim)), np.triu(cn(dim, dim))
+    if family == "single":  # F has one eigenvalue
+        np.fill_diagonal(u1, cn())
+    elif family == "double":  # a double eigenvalue in both
+        for u in (u1, u2):
+            lam, other = cn(2)
+            np.fill_diagonal(u, [lam, lam, other] if dim == 3 else lam)
+    elif family == "nilpotent":
+        u1, u2 = np.triu(u1, 1), np.triu(u2, 1)
+    elif family == "shift":
+        u1 = u1 + 1e3j * np.eye(dim)
+    elif family == "commuting":  # cI + N against I + 2N
+        n = np.triu(cn(dim, dim), 1)
+        u1, u2 = cn() * np.eye(dim) + n, np.eye(dim) + 2 * n
+    r = cn(dim, dim)
+    s = 2 * np.eye(dim) + r / np.linalg.norm(r)
+    sinv = np.linalg.inv(s)
+    return sinv @ u1 @ s, sinv @ u2 @ s
+
+
+class TestConjugatedTriangularFamilies:
+    """Every conjugated triangular pair is accepted with a verified basis.
+    Defective and shared eigenvalues are known only to ~sqrt(eps) or
+    ~eps^(1/3), which no eigenvalue-pair guess at a fixed tolerance meets."""
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("family", TRIANGULAR_FAMILIES)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_with_verified_basis(self, family, dim, seed):
+        f, g = triangular_family(np.random.default_rng(seed), family, dim)
+        verdict = sim_triangularizable(f, g)
+        assert verdict.triangularizable
+        t = verdict.basis
+        tinv = np.linalg.inv(t)
+        for m in (f, g):
+            lower = np.linalg.norm(np.tril(tinv @ m @ t, -1))
+            assert lower <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
 
 
 class TestCommonEigenvector:
