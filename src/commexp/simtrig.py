@@ -2,9 +2,11 @@
 
 Predicate: F, G are simultaneously triangularizable iff tr([F,G] w) = 0 for
 every word w in the unital algebra generated by F and G (McCoy 1936: the
-ideal J that C = [F,G] generates is then nilpotent).  The algebra has
-dimension at most d^2, so closing the word set under multiplication with
-linear-independence filtering terminates quickly for d <= 3.
+ideal J that C = [F,G] generates is then nilpotent).  Paz (1984) bounds
+the length of the algebra that d x d matrices generate by
+ceil((d^2 + 2) / 3), which is 2d - 2 for d <= 3, so the words of length
+<= 2d - 2 span it.  Both halves run on F / ||F||, G / ||G||, which are
+triangularized by the same bases, so every tolerance is absolute.
 
 The constructive half guesses no eigenvalue.  x lies in ker J iff C w x = 0
 for every word w, so ker J is one SVD of the stacked C w.  It holds every
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import DeflationError, DimensionError
 from .numkernel import MAX_DIM, as_matrix, char_poly, eigen_decompose
 
-WORD_INDEPENDENCE_TOL = 1e-10
 BASIS_VERIFY_TOL = 1e-8
 
 
@@ -31,7 +32,9 @@ class TrigVerdict:
     """Outcome of the triangularizability test.
 
     Exactly one of ``basis`` (invertible T with T^-1 F T, T^-1 G T upper
-    triangular) and ``witness`` (word w with tr([F,G] w) != 0) is set.
+    triangular) and ``witness`` (word w with tr([F,G] w) != 0) is set.  The
+    witness is the first failing word, shortest first, and it and its trace
+    are in the caller's scale.
     """
 
     triangularizable: bool
@@ -41,59 +44,43 @@ class TrigVerdict:
     witness_trace: complex | None = None
 
 
-def _word_closure(f: np.ndarray, g: np.ndarray):
-    """Independent spanning words of the algebra generated by {I, F, G}, I first."""
-    d = f.shape[0]
-    words: list[tuple[np.ndarray, str]] = []
-    basis_rows: list[np.ndarray] = []
-
-    def try_add(mat, label):
-        vec = mat.reshape(-1).astype(complex)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            return False
-        resid = vec.copy()
-        for row in basis_rows:
-            resid = resid - (row.conj() @ resid) * row
-        if np.linalg.norm(resid) <= WORD_INDEPENDENCE_TOL * norm:
-            return False
-        basis_rows.append(resid / np.linalg.norm(resid))
-        words.append((mat, label))
-        return True
-
-    try_add(np.eye(d, dtype=complex), "1")
-    queue = [(mat, label) for mat, label in ((f, "F"), (g, "G")) if try_add(mat, label)]
-    # breadth-first closure; the algebra dimension caps at d^2
-    while queue and len(words) < d * d:
-        nxt = []
-        for mat, label in queue:
-            for gen, glabel in ((f, "F"), (g, "G")):
-                prod = mat @ gen
-                if try_add(prod, label + glabel):
-                    nxt.append((prod, label + glabel))
-        queue = nxt
-    return words
+def _unit(m: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(m))
+    return m / norm if norm > 0 else m
 
 
-def _ideal_kernel(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
+def _words(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Every word in F, G of length <= 2d - 2 as one (k, d, d) array, with its
+    labels: shortest first, I first, F before G.  They span the algebra."""
+    d = a.shape[0]
+    gens = np.stack([a, b])
+    level = np.eye(d, dtype=complex)[None]
+    levels, labels, tails = [level], ["1"], [""]
+    for _ in range(2 * d - 2):
+        level = (level[:, None] @ gens).reshape(-1, d, d)
+        tails = [w + x for w in tails for x in "FG"]
+        levels.append(level)
+        labels += tails
+    return np.concatenate(levels), labels
+
+
+def _ideal_kernel(a: np.ndarray, b: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning ker J, at least the least singular one.
 
-    The rows are C w / max(1, ||w||): dividing by a tiny ||w|| alone would
-    raise rounding noise to the scale of C.  Singular values up to
-    tol ||F|| ||G|| count as zero, so a commutator of noise reads as J = 0.
+    The rows are the C w of the unit pair or of its quotient block; singular
+    values up to tol count as zero, so a commutator of rounding noise reads
+    as J = 0.
     """
-    comm = a @ b - b @ a
-    stacked = np.vstack([comm @ w / max(1.0, float(np.linalg.norm(w))) for w in words])
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = tol * float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    k = max(1, int(np.count_nonzero(sv <= cutoff)))
+    d = a.shape[0]
+    _, sv, vh = np.linalg.svd(((a @ b - b @ a) @ words).reshape(-1, d), full_matrices=False)
+    k = max(1, int(np.count_nonzero(sv <= tol)))
     return vh[-k:].conj().T
 
 
 def _residual(m: np.ndarray, v: np.ndarray) -> float:
-    """||M v - (v* M v) v|| / max(1, ||M||) for a unit vector v."""
+    """||M v - (v* M v) v|| for a unit vector v; every M here has ||M|| <= 1."""
     mv = m @ v
-    return float(np.linalg.norm(mv - (v.conj() @ mv) * v)) / max(1.0, float(np.linalg.norm(m)))
+    return float(np.linalg.norm(mv - (v.conj() @ mv) * v))
 
 
 def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,7 +124,8 @@ def _common_eigenvector(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.n
 
 
 def common_eigenvector(f, g, tol: float = 1e-8) -> np.ndarray | None:
-    """Unit vector v with F v = lambda v and G v = mu v within tol, if any.
+    """Unit vector v with F v = lambda v and G v = mu v within tol ||F|| and
+    tol ||G||, if any.
 
     v is taken in ker J; which common eigenvector is returned is not
     specified.  None when the best candidate misses tol for F or for G.
@@ -147,7 +135,8 @@ def common_eigenvector(f, g, tol: float = 1e-8) -> np.ndarray | None:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
-    v = _common_eigenvector(a, b, [w for w, _ in _word_closure(a, b)], tol)
+    a, b = _unit(a), _unit(b)
+    v = _common_eigenvector(a, b, _words(a, b)[0], tol)
     if max(_residual(a, v), _residual(b, v)) > tol:
         return None
     return v
@@ -163,7 +152,7 @@ def _deflate(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
     if d > 2:
         qh = q.conj().T
         a2, b2 = (qh @ a @ q)[1:, 1:], (qh @ b @ q)[1:, 1:]
-        q[:, 1:] = q[:, 1:] @ _deflate(a2, b2, [np.eye(d - 1)], tol)
+        q[:, 1:] = q[:, 1:] @ _deflate(a2, b2, np.eye(d - 1)[None], tol)
     return q
 
 
@@ -174,20 +163,21 @@ def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"sim_triangularizable supports d <= {MAX_DIM}")
-    comm = a @ b - b @ a
-    comm_norm = float(np.linalg.norm(comm))
-    words = _word_closure(a, b)
-    for word, label in words:
-        trace = complex(np.trace(comm @ word))
-        scale = max(1.0, comm_norm * float(np.linalg.norm(word)))
-        if abs(trace) > tol * scale:
-            return TrigVerdict(
-                triangularizable=False,
-                witness=word,
-                witness_word=label,
-                witness_trace=trace,
-            )
-    basis = _deflate(a, b, [w for w, _ in words], max(tol, 1e-8))
+    fu, gu = _unit(a), _unit(b)
+    words, labels = _words(fu, gu)
+    traces = np.einsum("ij,kji->k", fu @ gu - gu @ fu, words)
+    failing = np.flatnonzero(np.abs(traces) > tol)
+    if failing.size:
+        k = int(failing[0])
+        norm_f, norm_g = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        scale = norm_f ** labels[k].count("F") * norm_g ** labels[k].count("G")
+        return TrigVerdict(
+            triangularizable=False,
+            witness=words[k] * scale,
+            witness_word=labels[k],
+            witness_trace=complex(traces[k]) * scale * norm_f * norm_g,
+        )
+    basis = _deflate(fu, gu, words, max(tol, 1e-8))
     for m in (a, b):
         lower = np.tril(basis.conj().T @ m @ basis, -1)
         if np.linalg.norm(lower) > BASIS_VERIFY_TOL * max(1.0, float(np.linalg.norm(m))):

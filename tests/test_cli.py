@@ -221,6 +221,17 @@ class TestMatrixFiles:
         assert code == 0, err
         assert json.loads(out)["payload"]["sim_triangularizable"] is True
 
+    def test_small_non_triangularizable_pair_from_files(self, capsys, tmp_path):
+        # the intro pair times 1e-5: its traces tr([F, G] w) are below 1e-9
+        # in absolute terms, but not relative to ||F|| ||G|| ||w||
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        for path, m in zip((f, g), families.intro_pair()):
+            cli.save_matrix_file(path, CMat(1e-5 * m.expanded()))
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2",
+                             "--triangularizable")
+        assert code == 0, err
+        assert json.loads(out)["payload"]["sim_triangularizable"] is False
+
 
 class TestNegativeValues:
     PRODUCTS = ("search", "iii2ii-discriminant", "--m", "2", "--products", "1", "1/2")

@@ -1,3 +1,7 @@
+import itertools
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from commexp.numkernel import CMat
 from commexp.simtrig import (
     BASIS_VERIFY_TOL,
     TrigVerdict,
+    _words,
     common_eigenvector,
     sim_triangularizable,
 )
@@ -16,6 +21,17 @@ from commexp.uset import branch_seed, solve_u
 from conftest import random_matrix
 
 U1 = 2.088843015613044 + 7.461489285654254j
+
+# pairs with no common eigenvector: the intro pair and a real 2x2 pair
+# with norms 0.674 and 1.736
+NO_COMMON_EIGENVECTOR = {
+    "intro": tuple(m.expanded() for m in intro_pair()),
+    "real2x2": tuple(np.random.default_rng(0).normal(size=(2, 2, 2))),
+}
+
+# tr([F, G] w) = 0 for every word w of length <= 3, and tr([F, G] FFGF) = 4
+PAZ_F = np.array([[0, 0, 0], [1, -2, 0], [0, 2, -2]])
+PAZ_G = np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 
 
 def conjugated_triangular_pair(rng, dim=3):
@@ -46,6 +62,13 @@ class TestSimTriangularizable:
         comm = a.expanded() @ b.expanded() - b.expanded() @ a.expanded()
         assert np.trace(comm @ v.witness) == pytest.approx(v.witness_trace)
         assert abs(v.witness_trace) > 1.0
+
+    @pytest.mark.parametrize("scale", (1e-8, 1e-5, 1e-3, 1.0, 1e3, 1e6))
+    @pytest.mark.parametrize("name", sorted(NO_COMMON_EIGENVECTOR))
+    def test_refused_at_every_scale(self, name, scale):
+        # triangularizability does not depend on the scale of F or of G
+        f, g = NO_COMMON_EIGENVECTOR[name]
+        assert sim_triangularizable(scale * f, scale * g).triangularizable is False
 
     def test_theorem2_pair_accepted(self):
         f, g = theorem2_family(Theorem2Params(u=U1))
@@ -155,17 +178,81 @@ class TestConjugatedTriangularFamilies:
 
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("family", TRIANGULAR_FAMILIES)
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from((1e-6, 1.0, 1e3, 1e6)))
     @settings(max_examples=60, deadline=None)
-    def test_accepted_with_verified_basis(self, family, dim, seed):
-        f, g = triangular_family(np.random.default_rng(seed), family, dim)
+    def test_accepted_with_verified_basis(self, family, dim, seed, scale):
+        f, g = (scale * m for m in triangular_family(np.random.default_rng(seed), family, dim))
         verdict = sim_triangularizable(f, g)
         assert verdict.triangularizable
         t = verdict.basis
         tinv = np.linalg.inv(t)
         for m in (f, g):
             lower = np.linalg.norm(np.tril(tinv @ m @ t, -1))
-            assert lower <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
+            assert lower <= BASIS_VERIFY_TOL * np.linalg.norm(m)
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of integer vectors, by elimination in exact integers."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = [int(x) for x in row]
+        for col, piv in pivots.items():
+            if row[col]:
+                row = [piv[col] * x - row[col] * y for x, y in zip(row, piv)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            gcd = math.gcd(*row)
+            pivots[lead] = [x // gcd for x in row]
+            if len(pivots) == len(row):
+                break
+    return len(pivots)
+
+
+def word(f, g, label):
+    return reduce(np.matmul, ({"F": f, "G": g}[x] for x in label), np.eye(len(f), dtype=int))
+
+
+class TestPazLength:
+    """The words of length <= 2d - 2 span the algebra F and G generate, and
+    a witness may need every one of those letters."""
+
+    def test_refused_with_a_length_four_witness(self):
+        comm = PAZ_F @ PAZ_G - PAZ_G @ PAZ_F
+        for n in range(4):
+            for label in itertools.product("FG", repeat=n):
+                assert np.trace(comm @ word(PAZ_F, PAZ_G, label)) == 0
+        assert np.trace(comm @ word(PAZ_F, PAZ_G, "FFGF")) == 4
+        rng = np.random.default_rng(3)
+        pairs = [(PAZ_F, PAZ_G)]
+        for _ in range(3):
+            r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            s = 2 * np.eye(3) + r / np.linalg.norm(r)
+            sinv = np.linalg.inv(s)
+            pairs.append((sinv @ PAZ_F @ s, sinv @ PAZ_G @ s))
+        for f, g in pairs:
+            verdict = sim_triangularizable(f, g)
+            assert not verdict.triangularizable
+            assert len(verdict.witness_word) == 4
+            assert np.allclose(verdict.witness, word(f, g, verdict.witness_word))
+
+    def test_words_span_the_algebra(self):
+        # 35 of these pairs need words of length 4
+        rng = np.random.default_rng(11)
+        need_four = 0
+        for f, g in rng.integers(-1, 2, size=(600, 2, 3, 3)):
+            words, labels = _words(f, g)
+            rows = np.rint(words.real).astype(np.int64).reshape(len(words), -1)
+            level, longer = rows[-16:].reshape(-1, 3, 3), []
+            for _ in range(2):
+                level = (level[:, None] @ np.stack([f, g])).reshape(-1, 3, 3)
+                longer += list(level.reshape(len(level), -1))
+            rank = rational_rank(rows)
+            assert rational_rank([*rows, *longer]) == rank
+            need_four += rational_rank(rows[[len(x) < 4 for x in labels]]) < rank
+        assert need_four > 0
+        assert labels == ["1"] + ["".join(x) for n in range(1, 5)
+                                  for x in itertools.product("FG", repeat=n)]
+        assert all(np.array_equal(w, word(f, g, x.strip("1"))) for w, x in zip(words, labels))
 
 
 class TestCommonEigenvector:
@@ -178,6 +265,11 @@ class TestCommonEigenvector:
     def test_intro_pair_has_none(self):
         a, b = intro_pair()
         assert common_eigenvector(a, b) is None
+
+    @pytest.mark.parametrize("name, scale", (("intro", 1e-12), ("real2x2", 1e-9)))
+    def test_small_pair_has_none(self, name, scale):
+        f, g = NO_COMMON_EIGENVECTOR[name]
+        assert common_eigenvector(scale * f, scale * g) is None
 
     def test_nilpotent_and_rank_one(self):
         f = np.array([[0, 1], [0, 0]], dtype=complex)
