@@ -18,12 +18,23 @@ prefixItems, minItems, maxItems, minimum and maximum, and ignores $schema,
 $id, title and description.  A schema with any other keyword is refused
 (SchemaError), so a schema edit cannot go unchecked.  A document that does
 not match raises SchemaError with its JSON path: exit code 1.
+
+Start-up cost: only ``verify`` and ``families`` load numpy and the numeric
+modules (numkernel, expmkit, relations, simtrig, families), inside those two
+commands.  ``solve-u`` and the three ``search`` cases run in pure Python
+(``search iii2ii-discriminant --alpha`` builds its products with
+``families`` and so loads numpy too), which saves the ~120 ms numpy import.
+The process entry (``entry``, for ``python -m commexp.cli`` and the
+``commexp`` script) calls ``gc.freeze()`` once ``main`` has returned, so
+that interpreter exit skips the full collection over every object the
+imports left behind; ``main`` itself does not, as tests call it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -32,22 +43,18 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import families, intsearch, uset
+from . import intsearch, uset
 from .errors import CommexpError, SchemaError
-from .expmkit import expm
-from .numkernel import CMat, as_matrix, combine_affine, eigen_decompose
-from .relations import (
-    RelationKind,
-    TScanConfig,
-    check_relation_star,
-    relation_report,
-)
-from .simtrig import sim_triangularizable
+
+if TYPE_CHECKING:
+    from .numkernel import CMat
 
 SCHEMA_VERSION = 1
+# the values of families.III2Form, spelled out so that building the parser
+# imports no numeric module
+III2_FORMS = ("symmetric-rank1", "a1", "a2", "a3", "a4")
 
 
 class UsageError(Exception):
@@ -184,12 +191,14 @@ def _jsonable(obj):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+    np = sys.modules.get("numpy")  # a numpy value can exist only once numpy is loaded
+    if np is not None:
+        if isinstance(obj, (np.floating, np.integer, np.bool_)):
+            return obj.item()
+        if isinstance(obj, np.complexfloating):
+            return [float(obj.real), float(obj.imag)]
+        if isinstance(obj, np.ndarray):
+            return _jsonable(obj.tolist())
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
         return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -205,6 +214,10 @@ def matrix_to_obj(m: CMat) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> CMat:
+    import numpy as np
+
+    from .numkernel import CMat
+
     validate(obj, _schema("matrix.schema.json"))
     rows = obj["entries"]
     if len(rows) != obj["dim"] or any(len(row) != obj["dim"] for row in rows):
@@ -304,6 +317,9 @@ def _star_expected_rotation_family(lam: int, mu: int, nu: int, t: int) -> bool:
 
 
 def _expected_for_builtin(name: str, params: dict, t_values) -> dict:
+    from . import families
+    from .relations import RelationKind
+
     expected = {}
     if name == "intro":
         lam, mu, nu = families.INTRO_ROTATION
@@ -380,6 +396,8 @@ def _apply_name_defaults(ns, *names: str):
 
 
 def _resolve_builtin(name: str, ns) -> tuple[CMat, CMat, dict]:
+    from . import families
+
     if name == "intro":
         f, g = families.intro_pair()
         return f, g, {}
@@ -413,6 +431,8 @@ def _verdict_obj(v) -> dict:
 
 
 def cmd_verify(ns, argv) -> int:
+    from .relations import RelationKind, TScanConfig, check_relation_star, relation_report
+
     started = time.monotonic()
     t_values = parse_int_range(ns.t)
     cfg = TScanConfig(tuple(t_values), ns.tol)
@@ -555,6 +575,8 @@ def cmd_search(ns, argv) -> int:
         if ns.products:
             products = tuple(parse_rational(p) for p in ns.products)
         elif len(ns.n_values) == 2 and ns.alpha is not None:
+            from . import families
+
             n1, n2 = ns.n_values
             params = families.III2iiParams.canonical(m_val, n1, n2, parse_rational(ns.alpha))
             products = params.required_products()
@@ -575,6 +597,8 @@ def cmd_search(ns, argv) -> int:
 
 
 def _spectrum_obj(m) -> dict:
+    from .numkernel import eigen_decompose
+
     spec = eigen_decompose(m)
     return {
         "eigenvalues": list(spec.eigenvalues),
@@ -584,6 +608,8 @@ def _spectrum_obj(m) -> dict:
 
 
 def _eig_matches(m, targets, tol=1e-8) -> bool:
+    from .numkernel import eigen_decompose
+
     spec = eigen_decompose(m)
     got = sorted(spec.eigenvalues, key=lambda z: (z.real, z.imag))
     want = sorted((complex(t) for t in targets), key=lambda z: (z.real, z.imag))
@@ -592,6 +618,14 @@ def _eig_matches(m, targets, tol=1e-8) -> bool:
 
 
 def cmd_families(ns, argv) -> int:
+    import numpy as np
+
+    from . import families
+    from .expmkit import expm
+    from .numkernel import as_matrix, combine_affine
+    from .relations import check_relation_star
+    from .simtrig import sim_triangularizable
+
     started = time.monotonic()
     name = ns.name
     _apply_name_defaults(ns, f"{name} --form {ns.form}", name)
@@ -747,8 +781,7 @@ def build_parser() -> _Parser:
                     help="default 1 2 3 (iii2), 1 2 0 (iii2 --form a1, a2) or 1 (iii2ii)")
     pf.add_argument("--n", dest="n_pair", nargs=2, type=int, default=[4, 5])
     pf.add_argument("--alpha", default="1")
-    pf.add_argument("--form", default="symmetric-rank1",
-                    choices=[f.value for f in families.III2Form])
+    pf.add_argument("--form", default="symmetric-rank1", choices=III2_FORMS)
     pf.add_argument("-o", "--out-files", nargs=2, help="write F and G matrix files")
     pf.add_argument("--out", help="write the report here instead of stdout")
     pf.set_defaults(func=cmd_families)
@@ -769,5 +802,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """Process entry of ``python -m commexp.cli`` and the ``commexp`` script:
+    ``main``, then a frozen collector, so that interpreter exit skips the
+    full collection over the objects the imports left behind."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -21,7 +21,8 @@ Dimension 3 (emitted as 1/(2*i*pi)-scaled representatives; use
 * ``case3_III2_matrix``: rank-one A against diagonal B, several forms.
 * ``case3_III2ii_matrix``: outer-product A against diag(m, 0, 0).
 * ``case3_III4_residuals``: the six-equation consistency system tying a
-  scaled copy of a type-III4 pair to its base parameters.
+  scaled copy of a type-III4 pair to its base parameters (exact integer
+  algebra, defined in ``intsearch`` and re-exported here).
 * ``char_poly_nAB``: exact integer characteristic polynomial of n*A + B for
   the rank-one family.  Note: the x-coefficient is (1-n)*e2(m) + n*n1*n2;
   the widely quoted form with an extra factor n disagrees with the matrix
@@ -40,6 +41,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import ComplexRootsError, ConstraintError, InvalidUError, RankError
+from .intsearch import III4Params, case3_III4_residuals, iii4_entries  # noqa: F401  (re-exported)
 from .numkernel import CMat, as_matrix
 
 U_RESIDUAL_TOL = 1e-10
@@ -325,84 +327,6 @@ def case3_III2ii_matrix(p: III2iiParams) -> tuple[CMat, CMat]:
     a = np.outer(np.array(p.a_vector, dtype=complex), np.array(p.b_vector, dtype=complex))
     b = CMat(np.diag([p.m, 0, 0]).astype(complex))
     return CMat(a), b
-
-
-@dataclass(frozen=True)
-class III4Params:
-    """Type-III4 data: A ~ diag(l1,l2,0), B = diag(m1,m2,m3), A+B ~ diag(n1,n2,0)."""
-
-    l1: int
-    l2: int
-    m1: int
-    m2: int
-    m3: int
-    n1: int
-    n2: int
-    rho: complex | Fraction = 0
-    sigma: complex | Fraction = 0
-
-    def __post_init__(self):
-        _require(self.l1 != 0 and self.l2 != 0 and self.l1 != self.l2,
-                 "l1, l2 must be distinct and nonzero")
-        _require(self.m1 != self.m2, "m1 must differ from m2")
-        _require(self.n1 != 0 and self.n2 != 0 and self.n1 != self.n2,
-                 "n1, n2 must be distinct and nonzero")
-
-
-def _div_exact(num, den):
-    if isinstance(num, int) and isinstance(den, int):
-        quotient, remainder = divmod(num, den)
-        return quotient if remainder == 0 else Fraction(num, den)
-    if isinstance(num, Rational) and isinstance(den, Rational):
-        return Fraction(num, den)
-    return num / den
-
-
-def iii4_entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
-    """The six pinned entries of A, in the order (a33, a12, a23, a31, a11, a22).
-
-    Works over exact rationals or complex floats depending on rho, sigma.
-    """
-    lprod = l1 * l2
-    cubic = m3 * (m3 - n1) * (m3 - n2)
-    e2 = m1 * m2 + m2 * m3 + m3 * m1
-    diff = m1 - m2
-    a33 = rho * (m1 - m2)
-    a12 = rho * (m1 * m1 - m2 * m2) + sigma * (m1 - m2)
-    a23 = rho * (m2 * m2 - m3 * m3) + sigma * (m2 - m3) - _div_exact(
-        (m2 - m3) * lprod + cubic, diff)
-    a31 = rho * (m3 * m3 - m1 * m1) + sigma * (m3 - m1) + _div_exact(
-        (m1 - m3) * lprod + cubic, diff)
-    a11 = rho * (m2 - m3) + _div_exact(
-        (l1 + l2) * (m1 + m3) + lprod + e2 - n1 * n2, diff)
-    a22 = rho * (m3 - m1) - _div_exact(
-        (l1 + l2) * (m2 + m3) + lprod + e2 - n1 * n2, diff)
-    return (a33, a12, a23, a31, a11, a22)
-
-
-def case3_III4_residuals(
-    p: III4Params,
-    lambda_shift: int,
-    n: int,
-    n_tilde: tuple[int, int],
-    rho_sigma_scaled: tuple,
-):
-    """Componentwise n * a_ij - a~_ij for the scaled parameterization.
-
-    The scaled system reuses the entry formulas with (n*l, m + lambda_shift,
-    n_tilde, rho~, sigma~); a consistent scaling has all six residuals zero.
-    """
-    nt1, nt2 = n_tilde
-    _require(nt1 != 0 and nt2 != 0 and nt1 != nt2,
-             "scaled n values must be distinct and nonzero")
-    base = iii4_entries(p.l1, p.l2, p.m1, p.m2, p.m3, p.n1, p.n2, p.rho, p.sigma)
-    rho_s, sigma_s = rho_sigma_scaled
-    scaled = iii4_entries(
-        n * p.l1, n * p.l2,
-        p.m1 + lambda_shift, p.m2 + lambda_shift, p.m3 + lambda_shift,
-        nt1, nt2, rho_s, sigma_s,
-    )
-    return tuple(n * b - s for b, s in zip(base, scaled))
 
 
 def char_poly_nAB(p: III2Params, n: int) -> tuple[int, int, int, int]:

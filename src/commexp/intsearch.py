@@ -15,9 +15,10 @@ smallest t at which squareness breaks when it does not hold.
 
 The type-III4 search (``grobner_replacement_search``) stands in for the
 paper's computer-algebra elimination and is decided from exact identities of
-the residuals r of ``families.case3_III4_residuals``, with no candidate
-scan.  For the scale n >= 2, r[2] + r[3] = -l1 l2 n (n - 1) != 0 rules out
-every tuple.  For the identity-scaling control n = 1, with both trace
+the residuals r of ``case3_III4_residuals``, with no candidate scan (that
+entry algebra lives here, and ``families`` re-exports it, so no search
+imports numpy).  For the scale n >= 2, r[2] + r[3] = -l1 l2 n (n - 1) != 0
+rules out every tuple.  For the identity-scaling control n = 1, with both trace
 identities imposed and P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
 (m1 - m2) r[4] = -(m1 - m2) r[5] = P and
 (m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
@@ -30,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import ConstraintError
 
@@ -247,6 +249,89 @@ def discriminant_scan_III2ii(products, m: int, n_max: int) -> SearchOutcome:
 
 
 # ---------------------------------------------------------------------------
+# type-III4 entry algebra, exact over integers and rationals
+
+
+@dataclass(frozen=True)
+class III4Params:
+    """Type-III4 data: A ~ diag(l1,l2,0), B = diag(m1,m2,m3), A+B ~ diag(n1,n2,0)."""
+
+    l1: int
+    l2: int
+    m1: int
+    m2: int
+    m3: int
+    n1: int
+    n2: int
+    rho: complex | Fraction = 0
+    sigma: complex | Fraction = 0
+
+    def __post_init__(self):
+        if not (self.l1 != 0 and self.l2 != 0 and self.l1 != self.l2):
+            raise ConstraintError("l1, l2 must be distinct and nonzero")
+        if self.m1 == self.m2:
+            raise ConstraintError("m1 must differ from m2")
+        if not (self.n1 != 0 and self.n2 != 0 and self.n1 != self.n2):
+            raise ConstraintError("n1, n2 must be distinct and nonzero")
+
+
+def _div_exact(num, den):
+    if isinstance(num, int) and isinstance(den, int):
+        quotient, remainder = divmod(num, den)
+        return quotient if remainder == 0 else Fraction(num, den)
+    if isinstance(num, Rational) and isinstance(den, Rational):
+        return Fraction(num, den)
+    return num / den
+
+
+def iii4_entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
+    """The six pinned entries of A, in the order (a33, a12, a23, a31, a11, a22).
+
+    Works over exact rationals or complex floats depending on rho, sigma.
+    """
+    lprod = l1 * l2
+    cubic = m3 * (m3 - n1) * (m3 - n2)
+    e2 = m1 * m2 + m2 * m3 + m3 * m1
+    diff = m1 - m2
+    a33 = rho * (m1 - m2)
+    a12 = rho * (m1 * m1 - m2 * m2) + sigma * (m1 - m2)
+    a23 = rho * (m2 * m2 - m3 * m3) + sigma * (m2 - m3) - _div_exact(
+        (m2 - m3) * lprod + cubic, diff)
+    a31 = rho * (m3 * m3 - m1 * m1) + sigma * (m3 - m1) + _div_exact(
+        (m1 - m3) * lprod + cubic, diff)
+    a11 = rho * (m2 - m3) + _div_exact(
+        (l1 + l2) * (m1 + m3) + lprod + e2 - n1 * n2, diff)
+    a22 = rho * (m3 - m1) - _div_exact(
+        (l1 + l2) * (m2 + m3) + lprod + e2 - n1 * n2, diff)
+    return (a33, a12, a23, a31, a11, a22)
+
+
+def case3_III4_residuals(
+    p: III4Params,
+    lambda_shift: int,
+    n: int,
+    n_tilde: tuple[int, int],
+    rho_sigma_scaled: tuple,
+):
+    """Componentwise n * a_ij - a~_ij for the scaled parameterization.
+
+    The scaled system reuses the entry formulas with (n*l, m + lambda_shift,
+    n_tilde, rho~, sigma~); a consistent scaling has all six residuals zero.
+    """
+    nt1, nt2 = n_tilde
+    if not (nt1 != 0 and nt2 != 0 and nt1 != nt2):
+        raise ConstraintError("scaled n values must be distinct and nonzero")
+    base = iii4_entries(p.l1, p.l2, p.m1, p.m2, p.m3, p.n1, p.n2, p.rho, p.sigma)
+    rho_s, sigma_s = rho_sigma_scaled
+    scaled = iii4_entries(
+        n * p.l1, n * p.l2,
+        p.m1 + lambda_shift, p.m2 + lambda_shift, p.m3 + lambda_shift,
+        nt1, nt2, rho_s, sigma_s,
+    )
+    return tuple(n * b - s for b, s in zip(base, scaled))
+
+
+# ---------------------------------------------------------------------------
 # bounded replacement for the computer-algebra elimination (type III4)
 
 
@@ -381,8 +466,6 @@ def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
         survivors = _identity_scaling_survivors(box)
         reasons = _identity_scaling_classes(box, by_sum)
         candidates = reasons.pop("candidate")
-    from .families import III4Params, case3_III4_residuals
-
     for s in survivors:  # re-verify against the public residual operation
         l1, l2, m1, m2, m3, n1, n2, lam, nt1, nt2 = s.params
         base = III4Params(l1, l2, m1, m2, m3, n1, n2, rho=0, sigma=0)

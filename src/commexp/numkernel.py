@@ -24,6 +24,12 @@ from .errors import DimensionError
 CLUSTER_TOL = 1e-8
 # An eigenvalue snaps to i*pi*k when |l - i*pi*k| <= SNAP_TOL * max(1, |l|).
 SNAP_TOL = 1e-8
+# Two roots of a cubic form a near-double pair, polished together, when their
+# gap is at most this times their distance to the third root.  Root-by-root
+# Newton moves such a pair's mean by ~eps / (gap * distance), which fails the
+# annihilation test from gaps of ~1e-5 at unit scale; well above the ratio
+# the two polishes agree to the accuracy of the roots.
+NEAR_DOUBLE_GAP = 1e-3
 
 MAX_DIM = 3
 
@@ -91,17 +97,6 @@ def combine_affine(f, g, t: complex):
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return CMat(t * a + b)
-
-
-def mat_equal_approx(m, n, tol: float) -> bool:
-    """Relative Frobenius comparison: ||M-N|| / max(1, ||M||, ||N||) <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a, b = as_matrix(m), as_matrix(n)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a - b)) <= tol * scale
 
 
 def commutator(m, n) -> np.ndarray:
@@ -202,6 +197,25 @@ def _polish_roots(coeffs, roots, scale):
         if abs(fp) > 1e-8 * max(1.0, scale) ** (deg - 1):
             r = r - _poly_eval(coeffs, r) / fp
         out.append(r)
+    if deg == 3:
+        # at the roots of a pair with gap g each Newton step errs by ~eps / g,
+        # and the two errors move the pair's mean, which the product of the
+        # node factors (expmkit's annihilation test) cannot absorb.  Where
+        # Newton moved a near-double pair, its mean -s/2 and half-difference
+        # sqrt(s^2/4 - q) come instead from p(x) / (x - z) = x^2 + s x + q,
+        # z the polished third root: both are well conditioned
+        gaps = [abs(roots[1] - roots[2]), abs(roots[2] - roots[0]), abs(roots[0] - roots[1])]
+        k = gaps.index(min(gaps))  # the root off the closest pair
+        i, j = (k + 1) % 3, (k + 2) % 3
+        near_double = gaps[k] <= NEAR_DOUBLE_GAP * min(gaps[i], gaps[j])
+        if near_double and (out[i], out[j]) != (roots[i], roots[j]):
+            half = (roots[i] - roots[j]) / 2
+            s = coeffs[1] + out[k]
+            mean = -s / 2
+            h = cmath.sqrt(mean * mean - coeffs[2] - out[k] * s)
+            if abs(h - half) > abs(h + half):  # each root stays on its side
+                h = -h
+            out[i], out[j] = mean + h, mean - h
     return out
 
 
@@ -231,20 +245,6 @@ class Spectrum:
             out.append((self.eigenvalues[i], m))
             i += m
         return out
-
-
-def null_space(m, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel.
-
-    Directions with singular value <= tol * sigma_max are kept.
-    """
-    a = as_matrix(m)
-    if a.shape[0] > MAX_DIM:
-        raise DimensionError(f"null_space supports d <= {MAX_DIM}")
-    _, sv, vh = np.linalg.svd(a)
-    cutoff = tol * (sv[0] if sv.size else 0.0)
-    keep = sv <= cutoff
-    return vh[keep].conj().T
 
 
 def _cluster(values: list[complex], tol_abs: float):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -316,3 +318,111 @@ class TestJsonable:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             cli._jsonable({"x": object()})
+
+
+def test_form_choices_match_the_family_enum():
+    assert cli.III2_FORMS == tuple(form.value for form in families.III2Form)
+
+
+def module_run(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "commexp.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestProcessExitCodes:
+    """The 0/1/2 contract through a real ``python -m commexp.cli`` process,
+    whose entry freezes the collector before the interpreter exits."""
+
+    def test_zero_for_a_reproduced_claim(self):
+        proc = module_run("solve-u", "--k", "-1..3")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["claim"]["reproduced"] is True
+
+    def test_one_for_a_usage_error(self):
+        proc = module_run("search", "iii4", "--n", "1", "2")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: iii4 takes a single --n (the scale integer)\n"
+
+    def test_two_for_a_failed_claim(self):
+        # a tolerance below the rounding of exp(tF + G) = exp(tF) exp(G)
+        # refuses the star identities that theorem 2 asserts
+        proc = module_run("verify", "--builtin", "theorem2", "--tol", "1e-300")
+        assert (proc.returncode, proc.stderr) == (2, "")
+        claim = json.loads(proc.stdout)["claim"]
+        assert claim["reproduced"] is False
+        assert claim["detail"].startswith("sum-product@t=1: expected holds=True, got False")
+
+    def test_report_file_is_complete(self, tmp_path):
+        path = tmp_path / "report.json"
+        proc = module_run("search", "iii4", "--box", "2", "--n", "1", "-o", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        text = path.read_text()
+        assert text.endswith("}\n")
+        report = json.loads(text)
+        cli.validate(report, cli._schema("report.schema.json"))
+        assert len(report["payload"]["survivors"]) == 6080
+
+    def test_piped_stdout_parses_as_json(self):
+        proc = module_run("search", "iii4", "--box", "2", "--n", "1")  # ~1.8 MB of JSON
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        cli.validate(report, cli._schema("report.schema.json"))
+        assert len(report["payload"]["survivors"]) == 6080
+
+
+def test_entry_runs_main_then_freezes_the_collector(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 2)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    assert cli.entry() == 2
+    assert events == ["main", "freeze"]
+
+
+def test_console_script_targets_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fp:
+        target = tomllib.load(fp)["project"]["scripts"]["commexp"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
+
+
+# runs one command in-process and reports whether numpy got loaded
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from commexp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+class TestNumpyLoadsOnlyWhereUsed:
+    """solve-u and the search cases are exact integer work: their processes
+    never import numpy.  verify and families, which compute with floats, do."""
+
+    @staticmethod
+    def probe(*argv):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv", [
+        ("solve-u", "--k", "-1..3"),
+        ("search", "a1-discriminant", "--m", "1", "2", "--n", "3", "4", "--nmax", "100"),
+        ("search", "iii2ii-discriminant", "--m", "2", "--products", "1", "1/2", "-1/2",
+         "--nmax", "100"),
+        ("search", "iii4", "--n", "2"),
+        ("search", "iii4", "--box", "2", "--n", "1"),
+    ], ids=" ".join)
+    def test_integer_commands_run_without_numpy(self, argv):
+        assert self.probe(*argv) == [0, False]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--builtin", "intro"),
+        ("families", "iii2"),
+        ("search", "iii2ii-discriminant", "--m", "1", "--n", "4", "5", "--alpha", "1"),
+    ], ids=" ".join)
+    def test_float_commands_load_numpy(self, argv):
+        assert self.probe(*argv) == [0, True]

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commexp import families
+from commexp import intsearch
 from commexp.errors import ConstraintError
-from commexp.families import III4Params, case3_III4_residuals
 from commexp.intsearch import (
+    III4Params,
+    case3_III4_residuals,
     _base_tuples_by_trace_sum,
     _iii4_base_tuples,
     SquarePoly,
@@ -195,13 +196,13 @@ class TestIII4Search:
     def test_broken_entry_formula_raises(self, monkeypatch, row):
         # adding m1 to one entry makes that row's n = 1 residual -lambda, which
         # the survivor re-check sees at the first survivor with lambda != 0
-        entries = families.iii4_entries
+        entries = intsearch.iii4_entries
 
         def broken(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
             e = entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma)
             return e[:row] + (e[row] + m1,) + e[row + 1:]
 
-        monkeypatch.setattr(families, "iii4_entries", broken)
+        monkeypatch.setattr(intsearch, "iii4_entries", broken)
         with pytest.raises(RuntimeError, match="nonzero residuals"):
             grobner_replacement_search(2, 1)
 

@@ -13,8 +13,6 @@ from commexp.numkernel import (
     combine_affine,
     commutator,
     eigen_decompose,
-    mat_equal_approx,
-    null_space,
 )
 
 from conftest import random_matrix
@@ -46,30 +44,14 @@ class TestCMat:
 
     def test_pi_scaling_expands_with_float_pi(self):
         scaled = CMat.from_rows([[60j, 0], [0, -60j]], pi_scaled=True)
-        plain = CMat(np.array([[60j * PI, 0], [0, -60j * PI]]))
-        assert mat_equal_approx(scaled, plain, 1e-12)
+        plain = np.array([[60j * PI, 0], [0, -60j * PI]])
+        assert np.array_equal(scaled.expanded(), plain)
 
     def test_combine_affine_keeps_pi_flag(self):
         a, b = intro_pair()
         s = combine_affine(a, b, 3)
         assert s.pi_scaled
         assert np.array_equal(s.entries, 3 * a.entries + b.entries)
-
-
-class TestMatEqualApprox:
-    def test_identity(self):
-        assert mat_equal_approx(np.eye(2), np.eye(2), 1e-9)
-
-    def test_sign_flip(self):
-        assert not mat_equal_approx(np.eye(2), -np.eye(2), 1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            mat_equal_approx(np.eye(2), np.eye(3), 1e-9)
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            mat_equal_approx(np.eye(2), np.eye(2), 0.0)
 
 
 class TestCommutator:
@@ -203,22 +185,14 @@ class TestEigenDecompose:
                     assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * abs(shift)
 
 
-class TestNullSpace:
-    def test_zero_matrix(self):
-        assert null_space(np.zeros((2, 2)), 1e-10).shape == (2, 2)
+    def test_near_double_pair_keeps_its_mean(self):
+        # [[s,1,0],[lam^2,s,0],[0,0,1]] has the pair s +- lam and the root 1.
+        # The pair's mean is as well conditioned as the root 1; polished root
+        # by root, a gap of 2e-8..1e-3 moved it by up to 2.6e-9
+        for lam in np.geomspace(1e-8, 1e-3, 11):
+            for shift in (0.0, 1j * PI):
+                m = np.array([[shift, 1, 0], [lam * lam, shift, 0], [0, 0, 1]])
+                third, *pair = sorted(eigen_decompose(m).eigenvalues, key=lambda z: abs(z - 1))
+                assert abs(third - 1) <= 1e-14
+                assert abs((pair[0] + pair[1]) / 2 - shift) <= 1e-14 * max(1, abs(shift))
 
-    def test_identity(self):
-        assert null_space(np.eye(2), 1e-10).shape == (2, 0)
-
-    def test_nilpotent(self):
-        ns = null_space(np.array([[0, 1], [0, 0]]), 1e-10)
-        assert ns.shape == (2, 1)
-        assert abs(abs(ns[0, 0]) - 1) < 1e-12
-
-    def test_orthonormal(self, rng):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        m = np.outer(v, v.conj())  # rank 1
-        ns = null_space(m, 1e-10)
-        assert ns.shape == (3, 2)
-        assert np.allclose(ns.conj().T @ ns, np.eye(2), atol=1e-12)
-        assert np.linalg.norm(m @ ns) < 1e-9 * np.linalg.norm(m)
