@@ -21,9 +21,8 @@ not match raises SchemaError with its JSON path: exit code 1.
 
 Start-up cost: only ``verify`` and ``families`` load numpy and the numeric
 modules (numkernel, expmkit, relations, simtrig, families), inside those two
-commands.  ``solve-u`` and the three ``search`` cases run in pure Python
-(``search iii2ii-discriminant --alpha`` builds its products with
-``families`` and so loads numpy too), which saves the ~120 ms numpy import.
+commands.  ``solve-u`` and the three ``search`` cases run in pure Python,
+``--alpha`` included, which saves the ~120 ms numpy import.
 The process entry (``entry``, for ``python -m commexp.cli`` and the
 ``commexp`` script) calls ``gc.freeze()`` once ``main`` has returned, so
 that interpreter exit skips the full collection over every object the
@@ -575,11 +574,8 @@ def cmd_search(ns, argv) -> int:
         if ns.products:
             products = tuple(parse_rational(p) for p in ns.products)
         elif len(ns.n_values) == 2 and ns.alpha is not None:
-            from . import families
-
             n1, n2 = ns.n_values
-            params = families.III2iiParams.canonical(m_val, n1, n2, parse_rational(ns.alpha))
-            products = params.required_products()
+            products = intsearch.iii2ii_products(m_val, n1, n2, parse_rational(ns.alpha))
         else:
             raise UsageError("need --products P1 P2 P3 or --n N1 N2 with --alpha")
         outcome = intsearch.discriminant_scan_III2ii(products, m_val, ns.nmax)

@@ -36,12 +36,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from .errors import ComplexRootsError, ConstraintError, InvalidUError, RankError
 from .intsearch import III4Params, case3_III4_residuals, iii4_entries  # noqa: F401  (re-exported)
+from .intsearch import iii2ii_products
 from .numkernel import CMat, as_matrix
 
 U_RESIDUAL_TOL = 1e-10
@@ -291,31 +291,22 @@ class III2iiParams:
     b_vector: tuple[complex, complex, complex]
 
     def __post_init__(self):
-        for name in ("l1", "m", "n1", "n2"):
-            _require(getattr(self, name) != 0, f"{name} must be nonzero")
-        _require(self.n1 != self.n2, "n1 must differ from n2")
-        _require(self.m != self.n1 + self.n2, "m must differ from n1 + n2")
+        _require(self.l1 != 0, "l1 must be nonzero")
         _require(self.l1 == self.n1 + self.n2 - self.m,
                  f"trace l1 must equal n1 + n2 - m = {self.n1 + self.n2 - self.m}")
-        want = self.required_products()
+        want = self.required_products()  # checks m, n1 and n2
         got = [av * bv for av, bv in zip(self.a_vector, self.b_vector)]
         for i, (w, g) in enumerate(zip(want, got), start=1):
             _require(abs(complex(g) - complex(w)) <= 1e-12 * max(1.0, abs(complex(w))),
                      f"a{i}*b{i} must equal {w}, got {g}")
 
     def required_products(self):
-        alpha = self.alpha if isinstance(self.alpha, Rational) else complex(self.alpha)
-        p1 = _frac(-(self.m - self.n1) * (self.m - self.n2), self.m)
-        p2 = -alpha + _frac(self.n1 * self.n2, self.m)
-        p3 = alpha
-        return p1, p2, p3
+        return iii2ii_products(self.m, self.n1, self.n2, self.alpha)
 
     @classmethod
     def canonical(cls, m: int, n1: int, n2: int, alpha) -> "III2iiParams":
         """b = (1,1,1) and a holding the required products."""
-        alpha = alpha if isinstance(alpha, Rational) else complex(alpha)
-        p1 = _frac(-(m - n1) * (m - n2), m)
-        p2 = -alpha + _frac(n1 * n2, m)
+        p1, p2, alpha = iii2ii_products(m, n1, n2, alpha)
         return cls(
             l1=n1 + n2 - m, m=m, n1=n1, n2=n2, alpha=alpha,
             a_vector=(complex(p1), complex(p2), complex(alpha)),

@@ -22,7 +22,12 @@ rules out every tuple.  For the identity-scaling control n = 1, with both trace
 identities imposed and P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
 (m1 - m2) r[4] = -(m1 - m2) r[5] = P and
 (m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
-so a scaling survives iff P = 0 and lambda is 0, -n1 or -n2.
+so a scaling survives iff P = 0 and lambda is 0, -n1 or -n2.  Each survivor
+is re-checked on cleared numerators, in plain integers: the shift by lambda
+keeps the common denominator m1 - m2 of the entries, so at rho = sigma = 0
+the residuals are r[0] = r[1] = 0 and (m1 - m2) r[2..5] = n N_base - N_scaled,
+with N the numerators of ``_iii4_numerators``, and a survivor needs
+n N_base == N_scaled.
 """
 
 from __future__ import annotations
@@ -200,6 +205,22 @@ def discriminant_scan_A1(m1: int, m2: int, n1: int, n2: int, n_max: int) -> Sear
     )
 
 
+def iii2ii_products(m: int, n1: int, n2: int, alpha):
+    """The pinned products (a1 b1, a2 b2, a3 b3) of the outer-product family
+    A = a b^T against B = diag(m, 0, 0) with A + B ~ diag(n1, n2, 0):
+    -(m - n1)(m - n2) / m, n1 n2 / m - alpha and alpha, exact when alpha is
+    rational (a complex alpha makes the last two complex).  The family's
+    side conditions are checked first: the trace l1 = n1 + n2 - m, m, n1 and
+    n2 nonzero, and n1 != n2."""
+    for name, value in (("l1", n1 + n2 - m), ("m", m), ("n1", n1), ("n2", n2)):
+        if value == 0:
+            raise ConstraintError(f"{name} must be nonzero")
+    if n1 == n2:
+        raise ConstraintError("n1 must differ from n2")
+    alpha = alpha if isinstance(alpha, Rational) else complex(alpha)
+    return Fraction(-(m - n1) * (m - n2), m), -alpha + Fraction(n1 * n2, m), alpha
+
+
 def iii2ii_discriminant_poly(products, m: int) -> tuple[SquarePoly, int]:
     """Cleared-denominator squareness polynomial for the outer-product family.
 
@@ -284,25 +305,33 @@ def _div_exact(num, den):
     return num / den
 
 
+def _iii4_numerators(l1, l2, m1, m2, m3, n1, n2):
+    """Numerators of the (rho, sigma)-free parts of a23, a31, a11 and a22
+    (``iii4_entries``), over their common denominator m1 - m2."""
+    lprod = l1 * l2
+    cubic = m3 * (m3 - n1) * (m3 - n2)
+    e2 = m1 * m2 + m2 * m3 + m3 * m1
+    return (
+        -((m2 - m3) * lprod + cubic),
+        (m1 - m3) * lprod + cubic,
+        (l1 + l2) * (m1 + m3) + lprod + e2 - n1 * n2,
+        -((l1 + l2) * (m2 + m3) + lprod + e2 - n1 * n2),
+    )
+
+
 def iii4_entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
     """The six pinned entries of A, in the order (a33, a12, a23, a31, a11, a22).
 
     Works over exact rationals or complex floats depending on rho, sigma.
     """
-    lprod = l1 * l2
-    cubic = m3 * (m3 - n1) * (m3 - n2)
-    e2 = m1 * m2 + m2 * m3 + m3 * m1
+    n23, n31, n11, n22 = _iii4_numerators(l1, l2, m1, m2, m3, n1, n2)
     diff = m1 - m2
-    a33 = rho * (m1 - m2)
-    a12 = rho * (m1 * m1 - m2 * m2) + sigma * (m1 - m2)
-    a23 = rho * (m2 * m2 - m3 * m3) + sigma * (m2 - m3) - _div_exact(
-        (m2 - m3) * lprod + cubic, diff)
-    a31 = rho * (m3 * m3 - m1 * m1) + sigma * (m3 - m1) + _div_exact(
-        (m1 - m3) * lprod + cubic, diff)
-    a11 = rho * (m2 - m3) + _div_exact(
-        (l1 + l2) * (m1 + m3) + lprod + e2 - n1 * n2, diff)
-    a22 = rho * (m3 - m1) - _div_exact(
-        (l1 + l2) * (m2 + m3) + lprod + e2 - n1 * n2, diff)
+    a33 = rho * diff
+    a12 = rho * (m1 * m1 - m2 * m2) + sigma * diff
+    a23 = rho * (m2 * m2 - m3 * m3) + sigma * (m2 - m3) + _div_exact(n23, diff)
+    a31 = rho * (m3 * m3 - m1 * m1) + sigma * (m3 - m1) + _div_exact(n31, diff)
+    a11 = rho * (m2 - m3) + _div_exact(n11, diff)
+    a22 = rho * (m3 - m1) + _div_exact(n22, diff)
     return (a33, a12, a23, a31, a11, a22)
 
 
@@ -410,18 +439,26 @@ def _identity_scaling_classes(box: int, by_sum: Counter) -> Counter:
 
 
 def _identity_scaling_survivors(box: int) -> list[Survivor]:
-    """The n = 1 survivors, sorted by params: for each base tuple, lambda = 0
-    with {n~1, n~2} = {n1, n2}, lambda = -n1 with {-n1, n2 - n1} and
-    lambda = -n2 with {-n2, n1 - n2}, both orders, inside the box."""
+    """The n = 1 survivors, sorted by params, each re-checked as it is found.
+
+    For each base tuple, lambda = 0 with {n~1, n~2} = {n1, n2}, lambda = -n1
+    with {-n1, n2 - n1} and lambda = -n2 with {-n2, n1 - n2}, both orders,
+    inside the box.  The re-check compares cleared numerators, N_base with
+    N_scaled at n = 1 (see ``grobner_replacement_search``), and raises
+    RuntimeError when they differ."""
     zeros = (Fraction(0),) * 6
     survivors = []
     for base in _iii4_base_tuples(box):
-        n1, n2 = base[5:]
+        l1, l2, m1, m2, m3, n1, n2 = base
+        cleared = _iii4_numerators(*base)
         for lam, nt1, nt2 in sorted([(0, n1, n2), (0, n2, n1),
                                      (-n1, -n1, n2 - n1), (-n1, n2 - n1, -n1),
                                      (-n2, -n2, n1 - n2), (-n2, n1 - n2, -n2)]):
             if abs(nt1) <= box and abs(nt2) <= box:
-                survivors.append(Survivor(base + (lam, nt1, nt2), zeros))
+                params = base + (lam, nt1, nt2)
+                if _iii4_numerators(l1, l2, m1 + lam, m2 + lam, m3 + lam, nt1, nt2) != cleared:
+                    raise RuntimeError(f"survivor {params} has nonzero residuals; formula bug")
+                survivors.append(Survivor(params, zeros))
     return survivors
 
 
@@ -449,9 +486,15 @@ def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
     |n~| <= box.  The prune and candidate counts follow from the trace-sum
     histogram (``_identity_scaling_classes``).
 
-    Every survivor re-verifies against the public residual operation before
-    being reported (RuntimeError otherwise).  The claim is scoped to the
-    scanned box and says so in the metadata.
+    Every survivor is re-checked before being reported (RuntimeError
+    otherwise), on cleared integer numerators.  With N_base the
+    ``_iii4_numerators`` of (l1, l2, m1, m2, m3, n1, n2) and N_scaled those of
+    (n l1, n l2, m1 + lambda, m2 + lambda, m3 + lambda, n~1, n~2), which share
+    the denominator m1 - m2, the residuals at rho = sigma = 0 are
+    r[0] = r[1] = 0 and (m1 - m2) r[2..5] = n N_base - N_scaled, so a
+    survivor has zero residuals iff n N_base == N_scaled (tested against
+    ``case3_III4_residuals``).  The claim is scoped to the scanned box and
+    says so in the metadata.
     """
     if box < 2:
         raise ConstraintError("box must be at least 2")
@@ -466,11 +509,6 @@ def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
         survivors = _identity_scaling_survivors(box)
         reasons = _identity_scaling_classes(box, by_sum)
         candidates = reasons.pop("candidate")
-    for s in survivors:  # re-verify against the public residual operation
-        l1, l2, m1, m2, m3, n1, n2, lam, nt1, nt2 = s.params
-        base = III4Params(l1, l2, m1, m2, m3, n1, n2, rho=0, sigma=0)
-        if any(case3_III4_residuals(base, lam, n, (nt1, nt2), (0, 0))):
-            raise RuntimeError(f"survivor {s.params} has nonzero residuals; formula bug")
     return SearchOutcome(
         survivors=tuple(survivors),
         tuples_scanned=scanned,

@@ -10,13 +10,10 @@ argument-principle contour count (see the test suite).
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 
 from .errors import NoConvergenceError, ZeroRootError
-
-logger = logging.getLogger(__name__)
 
 RESIDUAL_TARGET = 1e-12
 MAX_ITERATIONS = 100
@@ -80,7 +77,9 @@ def enumerate_u(k_min: int, k_max: int) -> list[URoot]:
         try:
             root = solve_u(branch_seed(k))
         except (NoConvergenceError, ZeroRootError) as exc:
-            logger.warning("branch k=%d failed: %s", k, exc)
+            import logging  # here, not at the top: ~5 ms of every CLI start-up
+
+            logging.getLogger(__name__).warning("branch k=%d failed: %s", k, exc)
             continue
         if all(abs(root.value - r.value) > DEDUP_TOL for r in roots):
             roots.append(root)

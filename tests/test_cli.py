@@ -280,6 +280,33 @@ class TestNegativeValues:
         assert verdict["t"] == [-0.5, 0.25] and verdict["holds"] is True
 
 
+class TestIII2iiAlpha:
+    ALPHA = ("search", "iii2ii-discriminant", "--m", "1", "--n", "4", "5", "--alpha", "1")
+
+    def test_alpha_scans_the_family_products(self, capsys):
+        # m = 1, n = (4, 5), alpha = 1: -(1 - 4)(1 - 5), 4 * 5 - 1 and 1
+        code, out, err = run(capsys, *self.ALPHA)
+        assert code == 0, err
+        code, given, err = run(capsys, "search", "iii2ii-discriminant", "--m", "1",
+                               "--products", "-12", "19", "1")
+        assert code == 0, err
+        report, given = json.loads(out), json.loads(given)
+        assert report["inputs"]["products"] == ["-12", "19", "1"]
+        assert report["payload"] == given["payload"]
+        assert report["claim"] == given["claim"]
+
+    @pytest.mark.parametrize("m, n, message", [
+        ("0", ("1", "2"), "m must be nonzero"),
+        ("3", ("1", "2"), "l1 must be nonzero"),
+        ("2", ("2", "2"), "n1 must differ from n2"),
+    ])
+    def test_alpha_side_conditions(self, capsys, m, n, message):
+        code, _, err = run(capsys, "search", "iii2ii-discriminant", "--m", m, "--n", *n,
+                           "--alpha", "1")
+        assert code == 1
+        assert message in err
+
+
 def test_importing_the_cli_leaves_jsonschema_unloaded():
     env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, "-c",
@@ -419,10 +446,13 @@ class TestNumpyLoadsOnlyWhereUsed:
     def test_integer_commands_run_without_numpy(self, argv):
         assert self.probe(*argv) == [0, False]
 
+    def test_alpha_search_runs_without_numpy(self):
+        # --alpha builds the products from m, n and alpha in exact arithmetic
+        assert self.probe(*TestIII2iiAlpha.ALPHA) == [0, False]
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--builtin", "intro"),
         ("families", "iii2"),
-        ("search", "iii2ii-discriminant", "--m", "1", "--n", "4", "5", "--alpha", "1"),
     ], ids=" ".join)
     def test_float_commands_load_numpy(self, argv):
         assert self.probe(*argv) == [0, True]

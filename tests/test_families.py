@@ -25,6 +25,7 @@ from commexp.families import (
     rescale_2ipi,
     theorem2_family,
 )
+from commexp.intsearch import iii2ii_products
 from commexp.numkernel import char_poly, combine_affine, commutator, eigen_decompose
 from commexp.relations import (
     RelationKind,
@@ -272,6 +273,23 @@ class TestIII2ii:
         p = III2iiParams.canonical(4, 1, 2, Fraction(1))
         assert p.required_products() == (Fraction(-3, 2), Fraction(-1, 2), Fraction(1))
         assert sum(p.required_products()) == p.l1 == -1
+
+    def test_products_have_one_implementation(self):
+        for m, n1, n2, alpha in [(4, 1, 2, Fraction(1)), (-3, 2, 5, Fraction(7, 3)),
+                                 (1, 4, 5, 0.5 + 2j)]:
+            p = III2iiParams.canonical(m, n1, n2, alpha)
+            assert p.required_products() == iii2ii_products(m, n1, n2, alpha)
+
+    @pytest.mark.parametrize("m, n1, n2, message", [
+        (3, 1, 2, "l1 must be nonzero"),
+        (0, 1, 2, "m must be nonzero"),
+        (1, 0, 2, "n1 must be nonzero"),
+        (1, 2, 0, "n2 must be nonzero"),
+        (1, 2, 2, "n1 must differ from n2"),
+    ])
+    def test_canonical_side_conditions(self, m, n1, n2, message):
+        with pytest.raises(ConstraintError, match=message):
+            III2iiParams.canonical(m, n1, n2, Fraction(1))
 
     def test_product_constraints_enforced(self):
         with pytest.raises(ConstraintError):

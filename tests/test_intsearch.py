@@ -60,6 +60,17 @@ class _Point:
         scaled = (self.n * rho, self.n * (sigma - 2 * self.lam * rho))
         return case3_III4_residuals(base, self.lam, self.n, self.nt, scaled)
 
+    def cleared(self):
+        """n N_base - N_scaled, the numerators of ``_iii4_numerators`` that the
+        n = 1 search compares."""
+        lam = self.lam
+        base = intsearch._iii4_numerators(
+            self.l1, self.l2, self.m1, self.m2, self.m3, self.n1, self.n2)
+        scaled = intsearch._iii4_numerators(
+            self.n * self.l1, self.n * self.l2,
+            self.m1 + lam, self.m2 + lam, self.m3 + lam, *self.nt)
+        return tuple(self.n * b - s for b, s in zip(base, scaled))
+
 
 class TestIII4ClearedIdentities:
     """Polynomial identities of the public III4 residuals (the n = 1 ones
@@ -100,6 +111,29 @@ class TestIII4ClearedIdentities:
         assert r[4] == -r[5] == big_p
         assert r[2] == -r[3] == lam * (lam + p.n1) * (lam + p.n2) + (p.m3 + lam) * big_p
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_cleared_numerators(self, seed):
+        p = _Point(seed)
+        r = p.residuals()
+        assert tuple((p.m1 - p.m2) * x for x in r[2:]) == p.cleared()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_cleared_recheck_agrees_with_residuals(self, seed, move, which):
+        # the n = 1 search re-checks survivors by n N_base == N_scaled; with
+        # ``move`` the point becomes one of its base tuple's six survivors
+        p = _Point(seed, identity_scaling=True)
+        if move:
+            n1, n2 = p.n1, p.n2
+            p.lam, *nt = [(0, n1, n2), (0, n2, n1),
+                          (-n1, -n1, n2 - n1), (-n1, n2 - n1, -n1),
+                          (-n2, -n2, n1 - n2), (-n2, n1 - n2, -n2)][which]
+            p.nt = tuple(nt)
+        nonzero = any(p.residuals())
+        assert nonzero == any(p.cleared())
+        assert nonzero != move
+
 
 def _scan_every_candidate(box, n):
     """Brute-force reference for ``grobner_replacement_search``: every scaling
@@ -136,11 +170,18 @@ def _scan_every_candidate(box, n):
     return survivors, scanned, dict(reasons), candidates, obstructed
 
 
-class TestIII4Search:
-    @pytest.fixture(scope="class")
-    def control(self):
-        return grobner_replacement_search(2, 1)
+# the n = 1 control per box: survivor count, sha256 of repr(sorted(params)),
+# candidates tested and prune counts, as the search reported them when its
+# survivors were re-checked through ``case3_III4_residuals``
+IDENTITY_SCALING = {
+    2: (6080, "9dc22bd9db1a4273731f78d7b65ad2fdf1b99a1112931e2f7293f0da874a35da", 9408,
+        {"ntilde2_outside_box": 20800, "ntilde2_zero": 1216, "ntilde_equal": 1216}),
+    3: (85296, "76ed2114897b62ff10b5be92e3ab8dbfd9cdc1a896a569bb67e16e16a815eab4", 203600,
+        {"ntilde2_outside_box": 570080, "ntilde2_zero": 40720, "ntilde_equal": 40720}),
+}
 
+
+class TestIII4Search:
     @pytest.mark.parametrize("box", sorted(BASE_TUPLES))
     def test_count_matches_enumeration(self, box):
         assert sum(_base_tuples_by_trace_sum(box).values()) == BASE_TUPLES[box]
@@ -176,33 +217,39 @@ class TestIII4Search:
             assert out.prune_reasons == {"eq23_eq31_sum_obstruction": obstructed}
             assert obstructed == scanned
 
-    def test_identity_scaling_control(self, control):
-        params = sorted(s.params for s in control.survivors)
-        assert [s.params for s in control.survivors] == params
-        assert len(params) == 6080
-        assert hashlib.sha256(repr(params).encode()).hexdigest() == (
-            "9dc22bd9db1a4273731f78d7b65ad2fdf1b99a1112931e2f7293f0da874a35da")
-        assert {p[:7] for p in params} == set(_iii4_base_tuples(2))
-        assert control.tuples_scanned == 1632
-        assert control.metadata["scaling_candidates_tested"] == 9408
-        assert control.prune_reasons == {
-            "ntilde2_outside_box": 20800, "ntilde2_zero": 1216, "ntilde_equal": 1216}
-        assert control.pruned == 23232
-        for s in control.survivors:
-            assert len(s.residuals) == 6
-            assert all(type(r) is Fraction and r == 0 for r in s.residuals)
+    def test_identity_scaling_control(self):
+        for box, (count, digest, candidates, reasons) in IDENTITY_SCALING.items():
+            control = grobner_replacement_search(box, 1)
+            params = sorted(s.params for s in control.survivors)
+            assert [s.params for s in control.survivors] == params
+            assert len(params) == count
+            assert hashlib.sha256(repr(params).encode()).hexdigest() == digest
+            assert {p[:7] for p in params} == set(_iii4_base_tuples(box))
+            assert control.tuples_scanned == BASE_TUPLES[box]
+            assert control.metadata["scaling_candidates_tested"] == candidates
+            assert control.prune_reasons == reasons
+            assert control.pruned == sum(reasons.values())
+            for s in control.survivors:
+                assert len(s.residuals) == 6
+                assert all(type(r) is Fraction and r == 0 for r in s.residuals)
 
-    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("row", [2, 3, 4, 5])
     def test_broken_entry_formula_raises(self, monkeypatch, row):
-        # adding m1 to one entry makes that row's n = 1 residual -lambda, which
-        # the survivor re-check sees at the first survivor with lambda != 0
-        entries = intsearch.iii4_entries
+        # adding m1 (m1 - m2) to the numerator of entry ``row`` adds m1 to that
+        # entry, which makes its n = 1 residual -lambda; the survivor re-check
+        # sees it at the first survivor with lambda != 0
+        numerators = intsearch._iii4_numerators
+        i = row - 2  # entries 2..5 are the ones with a (rho, sigma)-free numerator
 
-        def broken(l1, l2, m1, m2, m3, n1, n2, rho, sigma):
-            e = entries(l1, l2, m1, m2, m3, n1, n2, rho, sigma)
-            return e[:row] + (e[row] + m1,) + e[row + 1:]
+        def broken(l1, l2, m1, m2, m3, n1, n2):
+            num = numerators(l1, l2, m1, m2, m3, n1, n2)
+            return num[:i] + (num[i] + m1 * (m1 - m2),) + num[i + 1:]
 
-        monkeypatch.setattr(intsearch, "iii4_entries", broken)
+        point = (1, 2, 3, 1, 0, 4, 2, 0, 0)  # m1 = 3
+        before = intsearch.iii4_entries(*point)
+        monkeypatch.setattr(intsearch, "_iii4_numerators", broken)
+        after = intsearch.iii4_entries(*point)
+        assert [a - b for a, b in zip(after, before)] == [3 * (k == row) for k in range(6)]
         with pytest.raises(RuntimeError, match="nonzero residuals"):
             grobner_replacement_search(2, 1)
 

@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from commexp.errors import NoConvergenceError, ZeroRootError
 from commexp.families import Theorem2Params, theorem2_family
 from commexp.relations import TScanConfig, RelationKind, scan_integer_t
+from commexp import uset
 from commexp.uset import branch_seed, enumerate_u, solve_u
 
 PAPER_ROOT = 2.0888 + 7.4615j
@@ -116,6 +118,31 @@ class TestEnumerateU:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             enumerate_u(3, -3)
+
+    def test_failed_branch_is_logged_and_skipped(self, monkeypatch, caplog):
+        solve = uset.solve_u
+
+        def stalls_on_branch_2(seed):
+            if seed == branch_seed(2):
+                raise NoConvergenceError("stalled")
+            return solve(seed)
+
+        monkeypatch.setattr(uset, "solve_u", stalls_on_branch_2)
+        with caplog.at_level(logging.WARNING, logger="commexp.uset"):
+            roots = enumerate_u(1, 3)
+        assert [r.branch_hint for r in roots] == [1, 3]
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("commexp.uset", logging.WARNING, "branch k=2 failed: stalled")]
+
+    def test_unconverged_branches_are_logged(self, monkeypatch, caplog):
+        # one Newton step leaves every branch seed above the residual target
+        monkeypatch.setattr(uset, "MAX_ITERATIONS", 1)
+        with caplog.at_level(logging.WARNING, logger="commexp.uset"):
+            assert enumerate_u(-1, 1) == []
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "branch k=-1 failed", "branch k=1 failed"]
+        assert all(r.name == "commexp.uset" and "no residual" in r.getMessage()
+                   for r in caplog.records)
 
 
 class TestRootsFeedTheFullIdentityFamily:
