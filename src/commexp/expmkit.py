@@ -65,6 +65,7 @@ from .numkernel import (
     as_matrix,
     combine_affine,
     eigen_decompose,
+    frobenius,
     spectrum_congruence_free,
 )
 
@@ -222,7 +223,7 @@ def _node_factors(a: np.ndarray, nodes) -> tuple[list[np.ndarray], float]:
     ident = np.eye(a.shape[0], dtype=complex)
     mu = complex(a.trace()) / a.shape[0]
     shifted = a - mu * ident
-    bound = _annihilation_bound(np.linalg.norm(shifted), len(nodes))
+    bound = _annihilation_bound(frobenius(shifted), len(nodes))
     return [shifted - (z - mu) * ident for z in nodes], bound
 
 
@@ -238,7 +239,7 @@ def _hermite(a: np.ndarray, spectrum: Spectrum) -> tuple[np.ndarray, float, floa
     for coeff, factor in zip(coeffs[1:], factors[1:]):
         result = result + coeff * basis
         basis = basis @ factor
-    return result, float(np.linalg.norm(basis)), bound
+    return result, frobenius(basis), bound
 
 
 def _cluster_snaps(spectrum: Spectrum) -> list[int]:
@@ -253,7 +254,7 @@ def _cluster_snaps(spectrum: Spectrum) -> list[int]:
 def _snap_annihilates(a: np.ndarray, spectrum: Spectrum) -> bool:
     """Whether i*pi*k, one per distinct snapped cluster, annihilate ``a``."""
     factors, bound = _node_factors(a, [1j * math.pi * k for k in _cluster_snaps(spectrum)])
-    return bool(np.linalg.norm(functools.reduce(np.matmul, factors)) <= bound)
+    return bool(frobenius(functools.reduce(np.matmul, factors)) <= bound)
 
 
 def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ComplexRootsError, ConstraintError, InvalidUError, RankError
 from .intsearch import III4Params, case3_III4_residuals, iii4_entries  # noqa: F401  (re-exported)
 from .intsearch import iii2ii_products
-from .numkernel import CMat, as_matrix
+from .numkernel import CMat, as_matrix, frobenius
 
 U_RESIDUAL_TOL = 1e-10
 
@@ -250,7 +250,7 @@ def case3_III2_matrix(p: III2Params, form: III2Form) -> tuple[CMat, CMat]:
         # principal square roots; A = v v^T is rank 1 for any consistent signs
         v = np.array([cmath.sqrt(complex(x)) for x in (a11, a22, a33)])
         a = np.outer(v, v)
-        if _rank1_max_minor(a) > 1e-10 * max(1.0, float(np.linalg.norm(a)) ** 2):
+        if _rank1_max_minor(a) > 1e-10 * max(1.0, frobenius(a) ** 2):
             raise RankError("no square-root sign assignment achieved rank 1")
         return CMat(a), b
     if form in (III2Form.A1, III2Form.A2):

@@ -153,6 +153,8 @@ def a1_discriminant_poly(m1: int, m2: int, n1: int, n2: int) -> SquarePoly:
 
 
 def _scan_squareness(poly: SquarePoly, n_max: int, bounds: dict, metadata: dict) -> SearchOutcome:
+    if n_max < 1:
+        raise ConstraintError("n_max must be a positive integer")
     _check_budget(poly(n_max))
     survivors = []
     first_failure = None

@@ -27,10 +27,12 @@ import numpy as np
 from .errors import DimensionError
 from .expmkit import expm, expm_affine
 from .numkernel import (
+    CMat,
     Spectrum,
     as_matrix,
     combine_affine,
     eigen_decompose,
+    frobenius,
     spectrum_congruence_free,
 )
 from .simtrig import sim_triangularizable
@@ -86,8 +88,8 @@ class RelationReport:
 
 
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    return float(np.linalg.norm(lhs - rhs)) / scale
+    scale = max(1.0, frobenius(lhs), frobenius(rhs))
+    return frobenius(lhs - rhs) / scale
 
 
 def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
@@ -99,14 +101,12 @@ def check_commute(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
     a, b = as_matrix(f), as_matrix(g)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    num = float(np.linalg.norm(a @ b - b @ a))
-    residual = num / max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+    num = frobenius(a @ b - b @ a)
+    residual = num / max(1.0, frobenius(a) * frobenius(b))
     return RelationVerdict(RelationKind.COMMUTE, residual <= tol, residual, tol)
 
 
 def _scaled(f, t):
-    from .numkernel import CMat
-
     if isinstance(f, CMat):
         return CMat(t * f.entries, f.pi_scaled)
     return t * as_matrix(f)

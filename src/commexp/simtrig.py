@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeflationError, DimensionError
-from .numkernel import MAX_DIM, as_matrix, char_poly, eigen_decompose
+from .numkernel import MAX_DIM, as_matrix, char_poly, eigen_decompose, frobenius
 
 BASIS_VERIFY_TOL = 1e-8
 
@@ -45,7 +45,7 @@ class TrigVerdict:
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(m))
+    norm = frobenius(m)
     return m / norm if norm > 0 else m
 
 
@@ -80,7 +80,7 @@ def _ideal_kernel(a: np.ndarray, b: np.ndarray, words: np.ndarray, tol: float) -
 def _residual(m: np.ndarray, v: np.ndarray) -> float:
     """||M v - (v* M v) v|| for a unit vector v; every M here has ||M|| <= 1."""
     mv = m @ v
-    return float(np.linalg.norm(mv - (v.conj() @ mv) * v))
+    return frobenius(mv - (v.conj() @ mv) * v)
 
 
 def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,8 +98,8 @@ def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     k = a.shape[0]
     ident = np.eye(k, dtype=complex)
-    m = max((a, b), key=lambda x: np.linalg.norm(x - np.trace(x) / k * ident)
-            / max(float(np.linalg.norm(x)), np.finfo(float).tiny))
+    m = max((a, b), key=lambda x: frobenius(x - np.trace(x) / k * ident)
+            / max(frobenius(x), np.finfo(float).tiny))
     dev = m - np.trace(m) / k * ident
     coeffs = char_poly(dev)
     cands = [ident, dev]
@@ -111,7 +111,7 @@ def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             adj = adj @ dev + q * ident
         cands.append(adj)
     cols = [c[:, int(np.argmax(np.linalg.norm(c, axis=0)))] for c in cands]
-    return min((v / np.linalg.norm(v) for v in cols if np.linalg.norm(v) > 0),
+    return min((v / frobenius(v) for v in cols if frobenius(v) > 0),
                key=lambda v: _residual(a, v) + _residual(b, v))
 
 
@@ -169,7 +169,7 @@ def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
     failing = np.flatnonzero(np.abs(traces) > tol)
     if failing.size:
         k = int(failing[0])
-        norm_f, norm_g = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        norm_f, norm_g = frobenius(a), frobenius(b)
         scale = norm_f ** labels[k].count("F") * norm_g ** labels[k].count("G")
         return TrigVerdict(
             triangularizable=False,
@@ -180,6 +180,6 @@ def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
     basis = _deflate(fu, gu, words, max(tol, 1e-8))
     for m in (a, b):
         lower = np.tril(basis.conj().T @ m @ basis, -1)
-        if np.linalg.norm(lower) > BASIS_VERIFY_TOL * max(1.0, float(np.linalg.norm(m))):
+        if frobenius(lower) > BASIS_VERIFY_TOL * max(1.0, frobenius(m)):
             raise DeflationError("constructed basis fails the upper-triangularity check")
     return TrigVerdict(triangularizable=True, basis=basis)

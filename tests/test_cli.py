@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -125,6 +126,41 @@ class TestSearchExitCodes:
         assert ok.returncode == 0
         assert json.loads(ok.stdout)["payload"]["prune_reasons"] == {
             "eq23_eq31_sum_obstruction": 20360}
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "a1-discriminant", "--m", "1", "8", "--n", "5", "9"),
+        ("search", "iii2ii-discriminant", "--m", "2", "--products", "1", "1/2", "3"),
+    ], ids=["a1", "iii2ii"])
+    @pytest.mark.parametrize("nmax", ["0", "-4"])
+    def test_scan_needs_a_positive_nmax(self, capsys, argv, nmax):
+        code, out, err = run(capsys, *argv, "--nmax", nmax)
+        assert (code, out) == (1, "")
+        assert err == "error: ConstraintError: n_max must be a positive integer\n"
+
+
+class TestPinnedSearchReports:
+    """sha256 of each search report minus its wall_clock_seconds line.  The
+    payloads hold only integers and exact rationals, so the digests do not
+    depend on the machine; they pin the report bytes, survivor order and
+    indentation included."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("search", "iii4", "--box", "2", "--n", "1"),
+         "7ae21edc308e80ba7c045404e22966909acec2f9fa989c6947e2b896736ad580"),
+        (("search", "iii4", "--box", "2", "--n", "2"),
+         "cdb9e68dc9bcc502f1770113d4c27bca2985196f46fff5efc09b2e754b6f1ab7"),
+        (("search", "a1-discriminant", "--m", "1", "8", "--n", "1", "9", "--nmax", "200"),
+         "e1b2380a2be182c35d5dd28b6af39976ee9efd23dcb1033a8ae945fbc47aea5f"),
+        (("search", "a1-discriminant", "--m", "1", "8", "--n", "5", "9", "--nmax", "200"),
+         "6c58568ed18b047b110b43ed7205ff09cf774f50ba6cbcf35a8572a7b8aff2d6"),
+        (("search", "iii2ii-discriminant", "--m", "2", "--products", "0", "3/2", "5",
+          "--nmax", "200"),
+         "ddcdca1ed9e4d0535f2927671865b241e265ab51aac58be7f7ddaa32ec639dfc"),
+    ], ids=["iii4-n1", "iii4-n2", "a1-degenerate", "a1-nondegenerate", "iii2ii-degenerate"])
+    def test_report_digest(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(payload_without_clock(out).encode()).hexdigest() == digest
 
 
 class TestClaimFailedExitsTwo:

@@ -304,3 +304,77 @@ class TestLemma1WitnessBound:
     def test_square_polynomial_has_no_bound(self):
         with pytest.raises(ConstraintError):
             lemma1_witness_bound(SquarePoly(3, 12, 4))
+
+
+_small = st.integers(-30, 30)
+
+
+@st.composite
+def _a1_params(draw):
+    """(m1, m2, n1, n2) with m1 + m2 != n1 + n2; half of them degenerate,
+    with some m_i equal to some n_j."""
+    m1, m2, n1, n2 = (draw(_small) for _ in range(4))
+    if draw(st.booleans()):
+        m, n = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+        ms, ns = [m1, m2], [n1, n2]
+        ns[n] = ms[m]
+        m1, m2, n1, n2 = *ms, *ns
+    assume(m1 + m2 != n1 + n2)
+    return m1, m2, n1, n2
+
+
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def _iii2ii_products(draw):
+    """(p1, p2, p3) with a nonzero sum; a third of them have p1 = 0 and a
+    third p2 + p3 = 0, the degenerate cases."""
+    p1, p2, p3 = (draw(_rationals) for _ in range(3))
+    kind = draw(st.integers(0, 2))
+    if kind == 1:
+        p1 = Fraction(0)
+    elif kind == 2:
+        p3 = -p2
+    assume(p1 + p2 + p3 != 0)
+    return p1, p2, p3
+
+
+class TestNullDiscriminants:
+    """The null-discriminant identities behind both scans, and the
+    square-polynomial lemma on their polynomials."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_a1_params())
+    def test_a1_identity(self, params):
+        m1, m2, n1, n2 = params
+        poly = intsearch.a1_discriminant_poly(*params)
+        product = (m1 - n1) * (m1 - n2) * (m2 - n1) * (m2 - n2)
+        assert poly.beta**2 - 4 * poly.alpha**2 * poly.gamma == 16 * product
+        assert lemma1_decide(poly) == (product == 0)
+        self._check_squareness(poly)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_iii2ii_products(), st.integers(-9, 9).filter(bool))
+    def test_iii2ii_identity(self, products, m):
+        p1, p2, p3 = products
+        poly, _ = intsearch.iii2ii_discriminant_poly(products, m)
+        assert lemma1_decide(poly) == (p1 * (p2 + p3) == 0)
+        self._check_squareness(poly)
+
+    @staticmethod
+    def _check_squareness(poly):
+        if lemma1_decide(poly):
+            assert all(is_perfect_square(poly(n)) for n in range(1, 51))
+        else:
+            assert not is_perfect_square(poly(lemma1_witness_bound(poly)))
+
+    @pytest.mark.parametrize("scan", [
+        lambda n_max: intsearch.discriminant_scan_A1(1, 8, 5, 9, n_max),
+        lambda n_max: intsearch.discriminant_scan_III2ii((1, Fraction(1, 2), 3), 2, n_max),
+    ], ids=["a1", "iii2ii"])
+    @pytest.mark.parametrize("n_max", [0, -1, -50])
+    def test_scan_needs_a_positive_n_max(self, scan, n_max):
+        with pytest.raises(ConstraintError, match="n_max must be a positive integer"):
+            scan(n_max)
+        assert scan(1).tuples_scanned == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from commexp.errors import DimensionError
 from commexp.families import intro_pair
@@ -13,6 +14,7 @@ from commexp.numkernel import (
     combine_affine,
     commutator,
     eigen_decompose,
+    frobenius,
 )
 
 from conftest import random_matrix
@@ -37,6 +39,18 @@ class TestCMat:
         with pytest.raises(DimensionError):
             CMat(np.array([[np.nan, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("bad", [complex(0, math.inf), complex(0, -math.inf),
+                                     complex(0, math.nan), complex(1, math.nan)])
+    def test_rejects_non_finite_imaginary_part(self, bad):
+        with pytest.raises(DimensionError, match="finite"):
+            CMat(np.array([[1, 0], [bad, 2j]]))
+
+    def test_expanded_shares_entries_without_pi_factor(self):
+        m = CMat.from_rows([[1, 2j], [3, 4]])
+        assert m.expanded() is m.entries and not m.expanded().flags.writeable
+        scaled = CMat(m.entries, pi_scaled=True)
+        assert scaled.expanded() is not scaled.entries and scaled.expanded().flags.writeable
+
     def test_entries_read_only(self):
         m = CMat.identity(2)
         with pytest.raises(ValueError):
@@ -52,6 +66,40 @@ class TestCMat:
         s = combine_affine(a, b, 3)
         assert s.pi_scaled
         assert np.array_equal(s.entries, 3 * a.entries + b.entries)
+
+
+_NORM_ELEMENTS = {
+    np.float64: st.floats(allow_nan=True, allow_infinity=True),
+    np.complex128: st.complex_numbers(allow_nan=True, allow_infinity=True),
+}
+
+
+@st.composite
+def _norm_inputs(draw):
+    """Real and complex 2x2 and 3x3 matrices and vectors, any float entries
+    (inf, NaN, subnormals and huge values included), sometimes a transposed
+    or strided view."""
+    dtype = draw(st.sampled_from(list(_NORM_ELEMENTS)))
+    shape = draw(st.sampled_from([(2, 2), (3, 3), (2,), (3,), (9,)]))
+    x = draw(arrays(dtype, shape, elements=_NORM_ELEMENTS[dtype]))
+    view = draw(st.sampled_from(["as-is", "transposed", "strided"]))
+    if view == "transposed":
+        x = x.T
+    elif view == "strided":
+        x = x[::2]
+    return x
+
+
+class TestFrobenius:
+    @settings(max_examples=500, deadline=None)
+    @given(_norm_inputs())
+    def test_bit_identical_to_numpy(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow to inf
+            assert frobenius(x).hex() == float(np.linalg.norm(x)).hex()
+
+    def test_nan_and_inf(self):
+        assert math.isnan(frobenius(np.array([[math.nan, 0], [0, 1]])))
+        assert frobenius(np.array([[complex(0, math.inf), 0], [0, 1]])) == math.inf
 
 
 class TestCommutator:
