@@ -52,9 +52,15 @@ if TYPE_CHECKING:
     from .numkernel import CMat
 
 SCHEMA_VERSION = 1
-# the values of families.III2Form, spelled out so that building the parser
-# imports no numeric module
+# the values of families.III2Form, the keys of families.FAMILIES and those of
+# its records that predict verdicts, spelled out (as are the family defaults
+# in the help texts) so that building the parser imports no numeric module
 III2_FORMS = ("symmetric-rank1", "a1", "a2", "a3", "a4")
+FAMILY_NAMES = ("intro", "real2d", "theorem2", "dim2case1", "iii2", "iii2ii")
+BUILTINS = FAMILY_NAMES[:4]
+# the t values at which ``families`` judges a record's star verdicts: through
+# t = 6, where the intro pair's identity first fails
+FAMILY_T = tuple(range(1, 7))
 
 
 class UsageError(Exception):
@@ -300,120 +306,16 @@ def parse_complex(spec: str) -> complex:
     return complex(float(spec), 0.0)
 
 
-def parse_rational(spec: str) -> Fraction:
-    return Fraction(spec)
-
-
-# ---------------------------------------------------------------------------
-# expected verdict patterns for the builtin pairs
-
-
-def _star_expected_rotation_family(lam: int, mu: int, nu: int, t: int) -> bool:
-    # exp(tA+B) = (-1)^r I exactly when Q(t) = r^2; the right-hand side is
-    # (-1)^(t*lam + mu) I, so the identity needs a square with matching parity
-    q = intsearch.SquarePoly(lam, nu * nu - lam * lam - mu * mu, mu * mu)
-    root = intsearch.square_root_exact(q(t))
-    return root is not None and (root - (lam * t + mu)) % 2 == 0
-
-
-def _expected_for_builtin(name: str, params: dict, t_values) -> dict:
-    from . import families
-    from .relations import RelationKind
-
-    expected = {}
-    if name == "intro":
-        lam, mu, nu = families.INTRO_ROTATION
-        for t in t_values:
-            holds = _star_expected_rotation_family(lam, mu, nu, t)
-            expected[(RelationKind.SUM_PRODUCT.value, t)] = holds
-            expected[(RelationKind.SUM_PRODUCT_SWAPPED.value, t)] = holds
-        expected[(RelationKind.COMMUTE.value, None)] = False
-        expected[(RelationKind.EXP_EQUAL.value, None)] = False
-        expected[(RelationKind.EXP_SWAP.value, None)] = True
-    elif name == "real2d":
-        lam, mu, nu = params["lam"], params["mu"], params["nu"]
-        for t in t_values:
-            holds = _star_expected_rotation_family(lam, mu, nu, t)
-            expected[(RelationKind.SUM_PRODUCT.value, t)] = holds
-            expected[(RelationKind.SUM_PRODUCT_SWAPPED.value, t)] = holds
-        expected[(RelationKind.COMMUTE.value, None)] = False
-        expected[(RelationKind.EXP_SWAP.value, None)] = True
-    elif name == "theorem2":
-        for t in t_values:
-            expected[(RelationKind.SUM_PRODUCT.value, t)] = True
-            expected[(RelationKind.SUM_PRODUCT_SWAPPED.value, t)] = False
-        expected[(RelationKind.COMMUTE.value, None)] = False
-        expected[(RelationKind.EXP_SWAP.value, None)] = False
-    elif name == "dim2case1":
-        lam, mu = params["lam"], params["mu"]
-        for t in t_values:
-            holds = lam * t + mu != 0
-            expected[(RelationKind.SUM_PRODUCT.value, t)] = holds
-            expected[(RelationKind.SUM_PRODUCT_SWAPPED.value, t)] = holds
-        expected[(RelationKind.COMMUTE.value, None)] = False
-    return expected
-
-
-def _evaluate_claim(name: str, expected: dict, verdicts) -> dict:
-    mismatches = []
-    actual = {(v.relation.value, v.t if v.t is None else int(v.t.real) if isinstance(v.t, complex) else int(v.t)): v.holds
-              for v in verdicts}
-    for key, want in expected.items():
-        got = actual.get(key)
-        if got is None or got != want:
-            mismatches.append(f"{key[0]}@t={key[1]}: expected holds={want}, got {got}")
-    return {
-        "name": name,
-        "reproduced": not mismatches,
-        "detail": "; ".join(mismatches) if mismatches else "all expected verdicts reproduced",
-    }
-
-
 # ---------------------------------------------------------------------------
 # builtin pair construction
 
 
-# defaults of flags that several pairs share: real2d needs
-# nu^2 != (lambda +- mu)^2, and families real2d checks the star identity at
-# t = 1, which needs nu = lambda + mu (mod 2); the iii2 forms a1 and a2 take
-# m3 = 0 and fix tr F = n1 + n2 - m1 - m2, which is 6 at the default --n
-_NAME_DEFAULTS = {
-    "real2d": {"lam": 1, "mu": 2, "nu": 5},
-    "dim2case1": {"lam": 1, "mu": 1},
-    "iii2 --form a1": {"m": [1, 2, 0], "l1": 6},
-    "iii2 --form a2": {"m": [1, 2, 0], "l1": 6},
-    "iii2": {"m": [1, 2, 3], "l1": 3},
-    "iii2ii": {"m": [1]},
-}
-
-
-def _apply_name_defaults(ns, *names: str):
-    # the first name that sets a flag wins
-    for name in names:
-        for key, value in _NAME_DEFAULTS.get(name, {}).items():
-            if getattr(ns, key) is None:
-                setattr(ns, key, value)
-
-
-def _resolve_builtin(name: str, ns) -> tuple[CMat, CMat, dict]:
+def _build_family(name: str, ns):
+    """(record, F, G, report inputs) of family ``name``, built from the flags in ``ns``."""
     from . import families
 
-    if name == "intro":
-        f, g = families.intro_pair()
-        return f, g, {}
-    if name == "real2d":
-        params = families.Real2DParams(lam=ns.lam, mu=ns.mu, nu=ns.nu, a=ns.a)
-        f, g = families.real2d_family(params)
-        return f, g, {"lam": ns.lam, "mu": ns.mu, "nu": ns.nu, "a": ns.a}
-    if name == "theorem2":
-        root = uset.solve_u(uset.branch_seed(ns.u_branch))
-        params = families.Theorem2Params(u=root.value)
-        f, g = families.theorem2_family(params)
-        return f, g, {"u_branch": ns.u_branch, "u": root.value}
-    if name == "dim2case1":
-        f, g = families.dim2_case1_pair(ns.lam, ns.mu)
-        return f, g, {"lam": ns.lam, "mu": ns.mu}
-    raise UsageError(f"unknown builtin pair {name!r}")
+    record = families.FAMILIES[name]
+    return (record, *record.build(record.resolve(vars(ns))))
 
 
 def _verdict_obj(v) -> dict:
@@ -434,23 +336,17 @@ def cmd_verify(ns, argv) -> int:
     from .relations import RelationKind, TScanConfig, check_relation_star, relation_report
 
     started = time.monotonic()
-    t_values = parse_int_range(ns.t)
-    cfg = TScanConfig(tuple(t_values), ns.tol)
-    inputs = {}
-    claim = None
+    cfg = TScanConfig(tuple(parse_int_range(ns.t)), ns.tol)
     if ns.builtin:
-        _apply_name_defaults(ns, ns.builtin)
-        f, g, params = _resolve_builtin(ns.builtin, ns)
-        inputs["builtin"] = ns.builtin
-        inputs["digest"] = _digest_params(ns.builtin, params)
-        inputs.update(params)
+        record, f, g, params = _build_family(ns.builtin, ns)
+        inputs = {"builtin": ns.builtin, "digest": _digest_params(ns.builtin, params), **params}
     else:
         if not (ns.f and ns.g):
             raise UsageError("need either --builtin NAME or both -f and -g matrix files")
         f = load_matrix_file(ns.f)
         g = load_matrix_file(ns.g)
-        inputs["f"] = {"path": ns.f, "sha256": _digest_file(ns.f)}
-        inputs["g"] = {"path": ns.g, "sha256": _digest_file(ns.g)}
+        inputs = {"f": {"path": ns.f, "sha256": _digest_file(ns.f)},
+                  "g": {"path": ns.g, "sha256": _digest_file(ns.g)}}
     report = relation_report(
         f, g, cfg, pair=ns.builtin or "files",
         include_triangularizable=ns.triangularizable,
@@ -459,10 +355,7 @@ def cmd_verify(ns, argv) -> int:
         v for v in report.verdicts
         if ns.swap or v.relation is not RelationKind.SUM_PRODUCT_SWAPPED
     ]
-    extra = []
-    for spec in ns.t_complex or []:
-        t = parse_complex(spec)
-        extra.append(check_relation_star(f, g, t, ns.tol))
+    extra = [check_relation_star(f, g, parse_complex(spec), ns.tol) for spec in ns.t_complex or []]
     payload = {
         "pair": report.pair,
         "verdicts": [_verdict_obj(v) for v in verdicts],
@@ -474,16 +367,16 @@ def cmd_verify(ns, argv) -> int:
         },
         "sim_triangularizable": report.sim_triangularizable,
     }
+    claim = None
     if ns.builtin:
-        expected = _expected_for_builtin(ns.builtin, inputs, t_values)
-        if not ns.swap:
-            expected = {k: v for k, v in expected.items()
-                        if k[0] != RelationKind.SUM_PRODUCT_SWAPPED.value}
-        claim = _evaluate_claim(ns.builtin, expected, verdicts)
-        for v in extra:  # complex t: the full-identity family must hold off the integers
-            if ns.builtin == "theorem2" and not v.holds:
-                claim["reproduced"] = False
-                claim["detail"] += f"; star failed at complex t={v.t}"
+        mismatches = [f"{key}: expected holds={want}, got {got}"
+                      for key, (want, got) in record.judge(params, verdicts + extra).items()
+                      if want != got]
+        claim = {
+            "name": ns.builtin,
+            "reproduced": not mismatches,
+            "detail": "; ".join(mismatches) or "all expected verdicts reproduced",
+        }
     return emit_report(argv, inputs, {"tol": ns.tol}, payload, claim, started, ns.out)
 
 
@@ -572,10 +465,10 @@ def cmd_search(ns, argv) -> int:
             raise UsageError("iii2ii-discriminant takes a single --m")
         m_val = ns.m[0]
         if ns.products:
-            products = tuple(parse_rational(p) for p in ns.products)
+            products = tuple(Fraction(p) for p in ns.products)
         elif len(ns.n_values) == 2 and ns.alpha is not None:
             n1, n2 = ns.n_values
-            products = intsearch.iii2ii_products(m_val, n1, n2, parse_rational(ns.alpha))
+            products = intsearch.iii2ii_products(m_val, n1, n2, Fraction(ns.alpha))
         else:
             raise UsageError("need --products P1 P2 P3 or --n N1 N2 with --alpha")
         outcome = intsearch.discriminant_scan_III2ii(products, m_val, ns.nmax)
@@ -603,100 +496,21 @@ def _spectrum_obj(m) -> dict:
     }
 
 
-def _eig_matches(m, targets, tol=1e-8) -> bool:
-    from .numkernel import eigen_decompose
-
-    spec = eigen_decompose(m)
-    got = sorted(spec.eigenvalues, key=lambda z: (z.real, z.imag))
-    want = sorted((complex(t) for t in targets), key=lambda z: (z.real, z.imag))
-    scale = max(1.0, max(abs(z) for z in want))
-    return all(abs(a - b) <= tol * scale for a, b in zip(got, want))
-
-
 def cmd_families(ns, argv) -> int:
-    import numpy as np
-
-    from . import families
-    from .expmkit import expm
-    from .numkernel import as_matrix, combine_affine
-    from .relations import check_relation_star
-    from .simtrig import sim_triangularizable
+    from .numkernel import combine_affine
+    from .relations import DEFAULT_TOL, TScanConfig, relation_report
 
     started = time.monotonic()
-    name = ns.name
-    _apply_name_defaults(ns, f"{name} --form {ns.form}", name)
-    checks: dict[str, bool] = {}
-    inputs: dict = {"family": name}
-    if name == "intro":
-        f, g = families.intro_pair()
-        for t in range(1, 7):
-            v = check_relation_star(f, g, t, 1e-6)
-            checks[f"star_t{t}"] = v.holds == _star_expected_rotation_family(
-                *families.INTRO_ROTATION, t)
-    elif name == "real2d":
-        params = families.Real2DParams(lam=ns.lam, mu=ns.mu, nu=ns.nu, a=ns.a)
-        f, g = families.real2d_family(params)
-        inputs.update({"lam": ns.lam, "mu": ns.mu, "nu": ns.nu, "a": ns.a})
-        checks["relation_1"] = check_relation_star(f, g, 1, 1e-8).holds
-        fe, ge = expm(f), expm(g)
-        checks["relation_3"] = bool(np.allclose(fe @ ge, ge @ fe, atol=1e-8))
-        checks["spectrum_g"] = _eig_matches(g, [1j * math.pi * ns.mu, -1j * math.pi * ns.mu])
-        checks["spectrum_sum"] = _eig_matches(
-            combine_affine(f, g, 1.0), [1j * math.pi * ns.nu, -1j * math.pi * ns.nu]
-        )
-    elif name == "theorem2":
-        root = uset.solve_u(uset.branch_seed(ns.u_branch))
-        f, g = families.theorem2_family(families.Theorem2Params(u=root.value))
-        inputs.update({"u_branch": ns.u_branch, "u": root.value})
-        for t in (1, 2, 3):
-            checks[f"star_t{t}"] = check_relation_star(f, g, t, 1e-9).holds
-            checks[f"swapped_fails_t{t}"] = not check_relation_star(
-                f, g, t, 1e-9, swapped=True
-            ).holds
-        checks["fg_is_zero"] = bool(
-            np.allclose(as_matrix(f) @ as_matrix(g), 0, atol=1e-12)
-        )
-    elif name == "dim2case1":
-        f, g = families.dim2_case1_pair(ns.lam, ns.mu)
-        inputs.update({"lam": ns.lam, "mu": ns.mu})
-        for t in range(1, 6):
-            checks[f"star_t{t}"] = (
-                check_relation_star(f, g, t, 1e-9).holds == (ns.lam * t + ns.mu != 0)
-            )
-    elif name == "iii2":
-        n1, n2 = ns.n_pair
-        if len(ns.m) != 3:
-            raise UsageError("iii2 needs --m M1 M2 M3")
-        m1, m2, m3 = ns.m
-        params = families.III2Params(l1=ns.l1, m1=m1, m2=m2, m3=m3, n1=n1, n2=n2)
-        form = families.III2Form(ns.form)
-        f, g = families.case3_III2_matrix(params, form)
-        inputs.update({"l1": ns.l1, "m": ns.m, "n": ns.n_pair, "form": ns.form})
-        checks["trace_is_l1"] = abs(as_matrix(f).trace() - ns.l1) <= 1e-9 * max(1, abs(ns.l1))
-        if form in (families.III2Form.SYMMETRIC_RANK1, families.III2Form.A1, families.III2Form.A2):
-            checks["sum_spectrum"] = _eig_matches(combine_affine(f, g, 1.0), [n1, n2, 0])
-            exp_sum = expm(families.rescale_2ipi(combine_affine(f, g, 1.0)))
-            checks["exp_sum_identity"] = bool(np.array_equal(exp_sum, np.eye(3)))
-        else:
-            checks["sim_triangularizable"] = sim_triangularizable(f, g).triangularizable
-    elif name == "iii2ii":
-        n1, n2 = ns.n_pair
-        if len(ns.m) != 1:
-            raise UsageError("iii2ii takes a single --m")
-        m_val = ns.m[0]
-        params = families.III2iiParams.canonical(m_val, n1, n2, parse_rational(ns.alpha))
-        f, g = families.case3_III2ii_matrix(params)
-        inputs.update({"m": m_val, "n": ns.n_pair, "alpha": ns.alpha})
-        checks["sum_spectrum"] = _eig_matches(combine_affine(f, g, 1.0), [n1, n2, 0])
-        checks["trace_is_l1"] = abs(as_matrix(f).trace() - params.l1) <= 1e-9
-        exp_sum = expm(families.rescale_2ipi(combine_affine(f, g, 1.0)))
-        checks["exp_sum_identity"] = bool(np.array_equal(exp_sum, np.eye(3)))
-    else:
-        raise UsageError(f"unknown family {name!r}")
-    inputs["digest"] = _digest_params(name, inputs)
+    record, f, g, params = _build_family(ns.name, ns)
+    inputs = {"family": ns.name, **params}
+    inputs["digest"] = _digest_params(ns.name, inputs)
+    checks = {}
+    if record.expected:
+        report = relation_report(f, g, TScanConfig(FAMILY_T, DEFAULT_TOL))
+        judged = record.judge(params, report.verdicts)
+        checks = {key: want == got for key, (want, got) in judged.items()}
+    checks.update(record.checks(f, g, params))
     if ns.out_files:
-        if len(ns.out_files) != 2:
-            raise UsageError("-o takes exactly two output paths (for F and G)")
         save_matrix_file(ns.out_files[0], f)
         save_matrix_file(ns.out_files[1], g)
     payload = {
@@ -710,7 +524,7 @@ def cmd_families(ns, argv) -> int:
         "checks": checks,
     }
     claim = {
-        "name": f"families-{name}",
+        "name": f"families-{ns.name}",
         "reproduced": all(checks.values()),
         "detail": "; ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()),
     }
@@ -721,13 +535,22 @@ def cmd_families(ns, argv) -> int:
 # parser
 
 
+def _add_family_flags(p):
+    # the flags of the d = 2 families, shared by verify --builtin and families
+    p.add_argument("--lambda", dest="lam", type=int, help="default 1 (real2d, dim2case1)")
+    p.add_argument("--mu", type=int, help="default 2 (real2d) or 1 (dim2case1)")
+    p.add_argument("--nu", type=int, help="default 5 (real2d)")
+    p.add_argument("--a", type=float, help="default 0.0 (real2d)")
+    p.add_argument("--u-branch", dest="u_branch", type=int, help="default 1 (theorem2)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="commexp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="relation report for a matrix pair")
-    pv.add_argument("--builtin", choices=["intro", "real2d", "theorem2", "dim2case1"])
+    pv.add_argument("--builtin", choices=BUILTINS)
     pv.add_argument("-f", help="JSON matrix file for F")
     pv.add_argument("-g", help="JSON matrix file for G")
     pv.add_argument("--t", default="1..5", help="integer t values, e.g. 1..6 or 1,2,5")
@@ -737,12 +560,7 @@ def build_parser() -> _Parser:
                     help="include the swapped product exp(G)exp(tF) verdicts")
     pv.add_argument("--triangularizable", action="store_true",
                     help="include the simultaneous-triangularizability verdict")
-    pv.add_argument("--lambda", dest="lam", type=int,
-                    help="default 1 (real2d, dim2case1)")
-    pv.add_argument("--mu", type=int, help="default 2 (real2d) or 1 (dim2case1)")
-    pv.add_argument("--nu", type=int, help="default 5 (real2d)")
-    pv.add_argument("--a", type=float, default=0.0)
-    pv.add_argument("--u-branch", dest="u_branch", type=int, default=1)
+    _add_family_flags(pv)
     pv.add_argument("-o", "--out", help="write the report here instead of stdout")
     pv.set_defaults(func=cmd_verify)
 
@@ -765,16 +583,13 @@ def build_parser() -> _Parser:
     ps.set_defaults(func=cmd_search)
 
     pf = sub.add_parser("families", help="construct an exhibited pair, emit matrices")
-    pf.add_argument("name", choices=["intro", "real2d", "theorem2", "dim2case1", "iii2", "iii2ii"])
-    pf.add_argument("--lambda", dest="lam", type=int,
-                    help="default 1 (real2d, dim2case1)")
-    pf.add_argument("--mu", type=int, help="default 2 (real2d) or 1 (dim2case1)")
-    pf.add_argument("--nu", type=int, help="default 5 (real2d)")
-    pf.add_argument("--a", type=float, default=0.0)
-    pf.add_argument("--u-branch", dest="u_branch", type=int, default=1)
-    pf.add_argument("--l1", type=int, help="default 3 (iii2) or 6 (iii2 --form a1, a2)")
+    pf.add_argument("name", choices=FAMILY_NAMES)
+    _add_family_flags(pf)
+    pf.add_argument("--l1", type=int,
+                    help="default 3 (iii2) or 6 (iii2 --form a1, iii2 --form a2)")
     pf.add_argument("--m", nargs="+", type=int,
-                    help="default 1 2 3 (iii2), 1 2 0 (iii2 --form a1, a2) or 1 (iii2ii)")
+                    help="default 1 2 3 (iii2), 1 2 0 (iii2 --form a1, iii2 --form a2) "
+                         "or 1 (iii2ii)")
     pf.add_argument("--n", dest="n_pair", nargs=2, type=int, default=[4, 5])
     pf.add_argument("--alpha", default="1")
     pf.add_argument("--form", default="symmetric-rank1", choices=III2_FORMS)

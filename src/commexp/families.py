@@ -27,24 +27,45 @@ Dimension 3 (emitted as 1/(2*i*pi)-scaled representatives; use
   the rank-one family.  Note: the x-coefficient is (1-n)*e2(m) + n*n1*n2;
   the widely quoted form with an extra factor n disagrees with the matrix
   for every n >= 2 (see tests, which pin this against the numeric oracle).
+
+``FAMILIES`` declares each family the CLI exhibits once, as a ``Family``
+record that ``verify --builtin`` and ``families`` both read: ``build`` (flag
+values to F, G and report inputs), the flag ``defaults`` (and those one
+``--form`` changes), ``expected`` (per relation, the exact ``holds`` of a
+verdict at t, or None where nothing is predicted: square-with-parity of
+``rotation_square_polynomial`` for intro and real2d, star always and swapped
+star only at t = 0 for theorem2, lambda*t + mu != 0 at integer t for
+dim2case1), and structural ``checks`` of the pair, each at a named tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
+from . import uset
 from .errors import ComplexRootsError, ConstraintError, InvalidUError, RankError
+from .expmkit import expm
 from .intsearch import III4Params, case3_III4_residuals, iii4_entries  # noqa: F401  (re-exported)
-from .intsearch import iii2ii_products
-from .numkernel import CMat, as_matrix, frobenius
+from .intsearch import SquarePoly, iii2ii_products, square_root_exact
+from .numkernel import CMat, as_matrix, combine_affine, eigen_decompose, frobenius
+from .relations import RelationKind
+from .simtrig import sim_triangularizable
 
 U_RESIDUAL_TOL = 1e-10
+# structural checks of a record: an eigenvalue matches its target within
+# SPECTRUM_TOL * max(1, max |target|), tr F matches l1 within
+# TRACE_TOL * max(1, |l1|), and FG = 0 entrywise within FG_ZERO_ATOL
+SPECTRUM_TOL = 1e-8
+TRACE_TOL = 1e-9
+FG_ZERO_ATOL = 1e-12
 
 
 def _require(cond: bool, message: str):
@@ -68,14 +89,35 @@ def intro_pair() -> tuple[CMat, CMat]:
     return a, b
 
 
+def rotation_square_polynomial(lam: int, mu: int, nu: int) -> SquarePoly:
+    """Q(t) = det(tA+B)/pi^2 = lambda^2 t^2 + (nu^2 - lambda^2 - mu^2) t + mu^2
+    of the rotation family with spectra +-i*pi*lambda, +-i*pi*mu, +-i*pi*nu."""
+    return SquarePoly(lam, nu * nu - lam * lam - mu * mu, mu * mu)
+
+
+def rotation_star(lam: int, mu: int, nu: int, t) -> bool | None:
+    """Exact star (and swapped star) verdict of a rotation family at integer t.
+
+    exp(tA+B) = (-1)^r I exactly when Q(t) = r^2 > 0; the right-hand side
+    is (-1)^(t*lambda + mu) I, so the identity needs a positive square with
+    matching parity.  At Q(t) = 0, tA+B is nilpotent and, since
+    nu^2 != (lambda - mu)^2 rules out B = -tA, not zero: exp(tA+B) is not
+    +-I.  None (not predicted) off the integers.
+    """
+    if not isinstance(t, int):
+        return None
+    root = square_root_exact(rotation_square_polynomial(lam, mu, nu)(t))
+    return bool(root) and (root - (lam * t + mu)) % 2 == 0
+
+
 def intro_square_polynomial() -> tuple[int, int, int]:
     """(alpha, beta, gamma) with det(tA+B)/pi^2 = alpha^2 t^2 + beta t + gamma.
 
     The sum/product identity at integer t holds exactly when this quadratic
     is a perfect square (the square root is automatically odd).
     """
-    lam, mu, nu = INTRO_ROTATION
-    return lam, nu * nu - lam * lam - mu * mu, mu * mu
+    q = rotation_square_polynomial(*INTRO_ROTATION)
+    return q.alpha, q.beta, q.gamma
 
 
 @dataclass(frozen=True)
@@ -185,10 +227,6 @@ def rescale_2ipi(m) -> CMat:
                 pi_scaled=True)
 
 
-def _frac(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class III2Params:
     """Diagonal B = diag(m1,m2,m3) data with A + B similar to diag(n1,n2,0)."""
@@ -213,9 +251,9 @@ class III2Params:
 
     def diagonal_values(self) -> tuple[Fraction, Fraction, Fraction]:
         m1, m2, m3, n1, n2 = self.m1, self.m2, self.m3, self.n1, self.n2
-        a11 = _frac(m1 * (m1 - n1) * (m1 - n2), (m1 - m2) * (m3 - m1))
-        a22 = _frac(m2 * (m2 - n1) * (m2 - n2), (m2 - m3) * (m1 - m2))
-        a33 = _frac(m3 * (m3 - n1) * (m3 - n2), (m3 - m1) * (m2 - m3))
+        a11 = Fraction(m1 * (m1 - n1) * (m1 - n2), (m1 - m2) * (m3 - m1))
+        a22 = Fraction(m2 * (m2 - n1) * (m2 - n2), (m2 - m3) * (m1 - m2))
+        a33 = Fraction(m3 * (m3 - n1) * (m3 - n2), (m3 - m1) * (m2 - m3))
         return a11, a22, a33
 
 
@@ -228,14 +266,8 @@ class III2Form(Enum):
 
 
 def _rank1_max_minor(a: np.ndarray) -> float:
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    if i < k and j < l:
-                        worst = max(worst, abs(a[i, j] * a[k, l] - a[i, l] * a[k, j]))
-    return worst
+    pairs = list(itertools.combinations(range(3), 2))
+    return max(abs(a[i, j] * a[k, l] - a[i, l] * a[k, j]) for i, k in pairs for j, l in pairs)
 
 
 def case3_III2_matrix(p: III2Params, form: III2Form) -> tuple[CMat, CMat]:
@@ -256,8 +288,8 @@ def case3_III2_matrix(p: III2Params, form: III2Form) -> tuple[CMat, CMat]:
     if form in (III2Form.A1, III2Form.A2):
         _require(p.m3 == 0, "forms A1/A2 use the m3 = 0 convention")
         _require(p.m1 + p.m2 != p.n1 + p.n2, "need m1 + m2 != n1 + n2")
-        a11 = _frac((p.m1 - p.n1) * (p.m1 - p.n2), p.m2 - p.m1)
-        a22 = _frac((p.m2 - p.n1) * (p.m2 - p.n2), p.m1 - p.m2)
+        a11 = Fraction((p.m1 - p.n1) * (p.m1 - p.n2), p.m2 - p.m1)
+        a22 = Fraction((p.m2 - p.n1) * (p.m2 - p.n2), p.m1 - p.m2)
         _require(a11 != 0 and a22 != 0,
                  "A1 needs (m_i - n_j) != 0 for i in {1,2}")
         s = cmath.sqrt(complex(a11 * a22))
@@ -336,3 +368,152 @@ def char_poly_nAB(p: III2Params, n: int) -> tuple[int, int, int, int]:
         (1 - n) * e2 + n * p.n1 * p.n2,
         (n - 1) * e3,
     )
+
+
+# ---------------------------------------------------------------------------
+# records: one per family the CLI exhibits
+
+Rule = Callable[[dict, "int | complex | None"], "bool | None"]
+
+
+@dataclass(frozen=True)
+class Family:
+    """How to build one exhibited pair, its flag defaults, and what it predicts."""
+
+    build: Callable[[dict], tuple[CMat, CMat, dict]]
+    defaults: dict
+    expected: dict[RelationKind, Rule] = field(default_factory=dict)
+    checks: Callable[[CMat, CMat, dict], dict[str, bool]] = lambda f, g, inputs: {}
+    form_defaults: dict[str, dict] = field(default_factory=dict)
+
+    def resolve(self, flags: dict) -> dict:
+        """The flag values, with this family's default for each flag not given."""
+        given = {key: value for key, value in flags.items() if value is not None}
+        return {**self.defaults, **self.form_defaults.get(flags.get("form"), {}), **given}
+
+    def judge(self, inputs: dict, verdicts) -> dict[str, tuple[bool, bool]]:
+        """{"relation@t=t": (expected holds, holds)} for each predicted verdict."""
+        judged = {}
+        for v in verdicts:
+            rule = self.expected.get(v.relation)
+            want = None if rule is None else rule(inputs, v.t)
+            if want is not None:
+                judged[f"{v.relation.value}@t={v.t}"] = (want, v.holds)
+        return judged
+
+
+def _eig_matches(m, targets) -> bool:
+    got = sorted(eigen_decompose(m).eigenvalues, key=lambda z: (z.real, z.imag))
+    want = sorted((complex(t) for t in targets), key=lambda z: (z.real, z.imag))
+    scale = max(1.0, max(abs(z) for z in want))
+    return all(abs(a - b) <= SPECTRUM_TOL * scale for a, b in zip(got, want))
+
+
+def _trace_is(f, l1) -> bool:
+    return abs(as_matrix(f).trace() - l1) <= TRACE_TOL * max(1, abs(l1))
+
+
+def _sum_checks(f, g, n) -> tuple[bool, bool]:
+    # F + G similar to diag(n1, n2, 0), and so exp(2 i pi (F + G)) = I
+    s = combine_affine(f, g, 1.0)
+    return (_eig_matches(s, [*n, 0]),
+            bool(np.array_equal(expm(rescale_2ipi(s)), np.eye(3))))
+
+
+def _const(value: bool) -> Rule:
+    return lambda inputs, t: value
+
+
+def _star_rules(others: dict, star: Rule) -> dict[RelationKind, Rule]:
+    # one rule for star and swapped star: exp(G) is +-I in these families
+    return {**others, RelationKind.SUM_PRODUCT: star,
+            RelationKind.SUM_PRODUCT_SWAPPED: star}
+
+
+def _taking(keys, make):
+    # a builder that passes the flags ``keys`` to ``make`` and reports them
+    def build(p):
+        inputs = {key: p[key] for key in keys}
+        return (*make(**inputs), inputs)
+    return build
+
+
+def _real2d_checks(f, g, p):
+    return {
+        "spectrum_g": _eig_matches(g, [1j * math.pi * p["mu"], -1j * math.pi * p["mu"]]),
+        "spectrum_sum": _eig_matches(combine_affine(f, g, 1.0),
+                                     [1j * math.pi * p["nu"], -1j * math.pi * p["nu"]]),
+    }
+
+
+def _build_theorem2(p):
+    root = uset.solve_u(uset.branch_seed(p["u_branch"]))
+    f, g = theorem2_family(Theorem2Params(u=root.value))
+    return f, g, {"u_branch": p["u_branch"], "u": root.value}
+
+
+def _theorem2_checks(f, g, p):
+    return {"fg_is_zero": bool(np.allclose(as_matrix(f) @ as_matrix(g), 0, atol=FG_ZERO_ATOL))}
+
+
+def _dim2case1_star(p, t):
+    return p["lam"] * t + p["mu"] != 0 if isinstance(t, int) else None
+
+
+def _build_iii2(p):
+    _require(len(p["m"]) == 3, "iii2 needs three m values")
+    (m1, m2, m3), (n1, n2) = p["m"], p["n_pair"]
+    params = III2Params(l1=p["l1"], m1=m1, m2=m2, m3=m3, n1=n1, n2=n2)
+    f, g = case3_III2_matrix(params, III2Form(p["form"]))
+    return f, g, {"l1": p["l1"], "m": p["m"], "n": p["n_pair"], "form": p["form"]}
+
+
+def _iii2_checks(f, g, p):
+    checks = {"trace_is_l1": _trace_is(f, p["l1"])}
+    if p["form"] in ("symmetric-rank1", "a1", "a2"):
+        checks["sum_spectrum"], checks["exp_sum_identity"] = _sum_checks(f, g, p["n"])
+    else:
+        checks["sim_triangularizable"] = sim_triangularizable(f, g).triangularizable
+    return checks
+
+
+def _build_iii2ii(p):
+    _require(len(p["m"]) == 1, "iii2ii takes a single m value")
+    (m,), (n1, n2) = p["m"], p["n_pair"]
+    f, g = case3_III2ii_matrix(III2iiParams.canonical(m, n1, n2, Fraction(p["alpha"])))
+    return f, g, {"m": m, "n": p["n_pair"], "alpha": p["alpha"]}
+
+
+def _iii2ii_checks(f, g, p):
+    spectrum, identity = _sum_checks(f, g, p["n"])
+    return {"sum_spectrum": spectrum, "trace_is_l1": _trace_is(f, sum(p["n"]) - p["m"]),
+            "exp_sum_identity": identity}
+
+
+_COMMUTE_NEVER = {RelationKind.COMMUTE: _const(False)}
+
+# real2d needs nu^2 != (lambda +- mu)^2; the iii2 forms a1 and a2 take m3 = 0
+# and fix tr F = n1 + n2 - m1 - m2, which is 6 at the default --n
+FAMILIES: dict[str, Family] = {
+    "intro": Family(_taking((), intro_pair), {}, _star_rules(
+        {**_COMMUTE_NEVER, RelationKind.EXP_EQUAL: _const(False),
+         RelationKind.EXP_SWAP: _const(True)},
+        lambda p, t: rotation_star(*INTRO_ROTATION, t))),
+    "real2d": Family(
+        _taking(("lam", "mu", "nu", "a"), lambda **p: real2d_family(Real2DParams(**p))),
+        {"lam": 1, "mu": 2, "nu": 5, "a": 0.0},
+        _star_rules({**_COMMUTE_NEVER, RelationKind.EXP_SWAP: _const(True)},
+                    lambda p, t: rotation_star(p["lam"], p["mu"], p["nu"], t)),
+        _real2d_checks),
+    "theorem2": Family(
+        _build_theorem2, {"u_branch": 1},
+        {**_COMMUTE_NEVER, RelationKind.EXP_SWAP: _const(False),
+         RelationKind.SUM_PRODUCT: _const(True),
+         RelationKind.SUM_PRODUCT_SWAPPED: lambda p, t: t == 0},
+        _theorem2_checks),
+    "dim2case1": Family(_taking(("lam", "mu"), dim2_case1_pair), {"lam": 1, "mu": 1},
+                        _star_rules(_COMMUTE_NEVER, _dim2case1_star)),
+    "iii2": Family(_build_iii2, {"m": (1, 2, 3), "l1": 3}, checks=_iii2_checks,
+                   form_defaults={form: {"m": (1, 2, 0), "l1": 6} for form in ("a1", "a2")}),
+    "iii2ii": Family(_build_iii2ii, {"m": (1,)}, checks=_iii2ii_checks),
+}

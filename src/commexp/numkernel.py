@@ -52,6 +52,8 @@ class CMat:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.entries, dtype=complex)
+        if arr is self.entries:  # the caller's own array: freeze a copy, not it
+            arr = arr.copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         # a complex entry is finite exactly when both of its parts are

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from commexp import cli, families, intsearch
+from commexp.errors import ComplexRootsError, ConstraintError
 from commexp.numkernel import CMat
+from commexp.relations import RelationKind
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -63,6 +65,46 @@ class TestDefaultArguments:
         code, out, _ = run(capsys, "families", "dim2case1")
         inputs = json.loads(out)["inputs"]
         assert code == 0 and (inputs["lam"], inputs["mu"]) == (1, 1)
+
+
+def _admissible_real_triples():
+    triples = []
+    for lam in range(1, 5):
+        for mu in range(1, 5):
+            for nu in range(1, 9):
+                try:
+                    families.real2d_family(families.Real2DParams(lam=lam, mu=mu, nu=nu))
+                except (ConstraintError, ComplexRootsError):
+                    continue
+                triples.append((lam, mu, nu))
+    return triples
+
+
+class TestReal2DCommandsAgree:
+    """verify --builtin real2d and families real2d read one record, so they
+    reproduce their claims on the same triples: all admissible ones here,
+    including the 34 whose nu lacks the parity of lambda + mu, where star
+    fails at t = 1 and the square-with-parity rule predicts it."""
+
+    TRIPLES = _admissible_real_triples()
+
+    def test_56_admissible_triples(self):
+        assert len(self.TRIPLES) == 56
+
+    @pytest.mark.parametrize("lam, mu, nu", TRIPLES)
+    def test_both_commands_reproduce(self, capsys, lam, mu, nu):
+        flags = ("--lambda", str(lam), "--mu", str(mu), "--nu", str(nu))
+        for argv in (("verify", "--builtin", "real2d", "--t", "1..5", "--swap", *flags),
+                     ("families", "real2d", *flags)):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, json.loads(out)["claim"]["detail"]
+
+    @pytest.mark.parametrize("lam, mu, nu, t", [
+        (1, 10, 7, 2), (2, 5, 2, 5), (4, 10, 4, 5), (5, 9, 2, 3), (7, 10, 1, 2)])
+    def test_star_fails_where_the_square_polynomial_vanishes(self, capsys, lam, mu, nu, t):
+        # Q(t) = 0 is a square, but tA + B is then nilpotent and non-zero
+        assert families.rotation_square_polynomial(lam, mu, nu)(t) == 0
+        self.test_both_commands_reproduce(capsys, lam, mu, nu)
 
 
 class TestGoldenClaims:
@@ -176,20 +218,28 @@ class TestClaimFailedExitsTwo:
         assert report["claim"]["reproduced"] is False
         return report
 
+    @staticmethod
+    def flip(monkeypatch, name, relation):
+        # the family's record with the expectation for one relation negated
+        record = families.FAMILIES[name]
+        rule = record.expected[relation]
+        expected = {**record.expected, relation: lambda inputs, t: not rule(inputs, t)}
+        monkeypatch.setitem(families.FAMILIES, name, dataclasses.replace(record, expected=expected))
+
     def test_verify_with_a_wrong_expectation(self, capsys, monkeypatch):
-        expected_for = cli._expected_for_builtin
-
-        def wrong(name, params, t_values):
-            expected = expected_for(name, params, t_values)
-            expected[("exp-swap", None)] = not expected[("exp-swap", None)]
-            return expected
-
-        monkeypatch.setattr(cli, "_expected_for_builtin", wrong)
+        self.flip(monkeypatch, "intro", RelationKind.EXP_SWAP)
         report = self.assert_claim_failed(capsys, "verify", "--builtin", "intro")
         assert report["claim"]["detail"] == "exp-swap@t=None: expected holds=False, got True"
 
+    @pytest.mark.parametrize("command", [("verify", "--builtin"), ("families",)], ids=" ".join)
+    @pytest.mark.parametrize("name", cli.BUILTINS)
+    def test_each_record_with_a_wrong_expectation(self, capsys, monkeypatch, command, name):
+        self.flip(monkeypatch, name, RelationKind.COMMUTE)
+        report = self.assert_claim_failed(capsys, *command, name)
+        assert "commute@t=None" in report["claim"]["detail"]
+
     def test_families_with_a_failed_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_eig_matches", lambda m, targets, tol=1e-8: False)
+        monkeypatch.setattr(families, "_eig_matches", lambda m, targets: False)
         report = self.assert_claim_failed(capsys, "families", "real2d")
         assert report["payload"]["checks"]["spectrum_g"] is False
         assert "spectrum_g=FAIL" in report["claim"]["detail"]
@@ -385,6 +435,35 @@ class TestJsonable:
 
 def test_form_choices_match_the_family_enum():
     assert cli.III2_FORMS == tuple(form.value for form in families.III2Form)
+
+
+def _default_help(dest: str) -> str:
+    # "default V (NAME, ...) or V (NAME)", values grouped in record order
+    groups: dict[str, list[str]] = {}
+    for name, record in families.FAMILIES.items():
+        labelled = [(name, record.defaults)]
+        labelled += [(f"{name} --form {form}", d) for form, d in record.form_defaults.items()]
+        for label, defaults in labelled:
+            if dest in defaults:
+                value = defaults[dest]
+                text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                groups.setdefault(text, []).append(label)
+    parts = [f"{text} ({', '.join(labels)})" for text, labels in groups.items()]
+    return "default " + (", ".join(parts[:-1]) + " or " if parts[1:] else "") + parts[-1]
+
+
+def test_family_choices_and_defaults_match_the_records():
+    assert cli.FAMILY_NAMES == tuple(families.FAMILIES)
+    assert cli.BUILTINS == tuple(name for name, r in families.FAMILIES.items() if r.expected)
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    dests = {dest for r in families.FAMILIES.values()
+             for d in (r.defaults, *r.form_defaults.values()) for dest in d}
+    for command, want in (("verify", dests - {"l1", "m"}), ("families", dests)):
+        actions = {a.dest: a for a in subparsers[command]._actions if a.dest in dests}
+        assert actions.keys() == want
+        for dest, action in actions.items():
+            assert action.default is None, (command, dest)
+            assert action.help == _default_help(dest), (command, dest)
 
 
 def module_run(*argv):

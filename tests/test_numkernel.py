@@ -51,6 +51,13 @@ class TestCMat:
         scaled = CMat(m.entries, pi_scaled=True)
         assert scaled.expanded() is not scaled.entries and scaled.expanded().flags.writeable
 
+    def test_leaves_the_callers_array_writeable_and_unshared(self):
+        x = np.eye(2, dtype=complex)
+        m = CMat(x)
+        assert x.flags.writeable and not np.shares_memory(m.entries, x)
+        x[0, 0] = 5
+        assert m.entries[0, 0] == 1
+
     def test_entries_read_only(self):
         m = CMat.identity(2)
         with pytest.raises(ValueError):
