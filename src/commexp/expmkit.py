@@ -42,6 +42,19 @@ with mu = tr A / 2, B = A - mu I and s^2 = -det B,
 exp(A) = e^mu (cosh s I + sinh(s)/s B) (Higham 2008, ch. 10), or the exact
 path when mu +/- s snap and pass the same test in scalars; it never runs
 Pade.
+
+The d = 2 form is elementwise arithmetic in the entries, so
+``expm_2x2_stack`` evaluates it over an (n, 2, 2) stack in one pass: the
+branches of cosh s and sinh(s)/s, the snap and its annihilation test are
+chosen row by row through masks.  ``expm`` at d = 2 is that function on a
+stack of one, so the formula has one implementation and a row of any stack
+equals ``expm`` of that row bit for bit.  A stack of one pays numpy's fixed
+cost per call (tens of microseconds against a few for scalar arithmetic),
+so batch callers such as ``relations.relation_report`` pass whole stacks.
+The scalar ``_cosh_sinhc`` stays as it is: the d = 3 divided differences
+call it up to three times per exponential, where a stack of one would cost
+more than the whole scalar evaluation; ``_cosh_sinhc_stack`` is its array
+twin, entry by entry.
 """
 
 from __future__ import annotations
@@ -61,7 +74,6 @@ from .errors import (
 from .numkernel import (
     SNAP_TOL,
     Spectrum,
-    _snap_ints,
     as_matrix,
     combine_affine,
     eigen_decompose,
@@ -277,40 +289,102 @@ def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return result
 
 
-def _expm_2x2(a: np.ndarray) -> np.ndarray:
-    """AUTO's exponential of a 2x2 matrix, with no eigen-decomposition.
+def _sinhc_stack(s: np.ndarray) -> np.ndarray:
+    """Array twin of ``_sinhc``, entry by entry (its quotient is 0/0 at
+    s = 0, where the series replaces it)."""
+    out = np.sinh(s) / s
+    series = np.abs(s) < _SINHC_SERIES_BELOW
+    if series.any():
+        z = s * s
+        out = np.where(series, 1 + z / 6 * (1 + z / 20 * (1 + z / 42)), out)
+    return out
+
+
+def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of ``_cosh_sinhc``, entry by entry.  Where some entries
+    take the e^(mu+s) form, both forms run on every entry, so the unused one
+    may overflow."""
+    s = np.where(s.real < 0, -s, s)
+    e = np.exp(mu)
+    c, q = e * np.cosh(s), e * _sinhc_stack(s)
+    far = s.real > 1
+    if far.any():
+        w = np.exp(-2 * s)
+        e = np.exp(mu + s) / 2
+        c = np.where(far, e * (1 + w), c)
+        q = np.where(far, e * (1 - w) / s, q)
+    return c, q
+
+
+def _pi_snap_rows(a: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """exp of each row of an (n, 2, 2) stack whose eigenvalues are i*pi*k1 and
+    i*pi*k2 and whose nodes annihilate it: (-1)^k1 I, exact, when the
+    parities agree, else the spectral projectors of ``_pi_snap_projectors``."""
+    odd1, odd2 = k1 % 2, k2 % 2
+    out = (1 - 2 * odd1)[:, None, None] * np.eye(2, dtype=complex)
+    for i in np.flatnonzero(odd1 != odd2):
+        ks = (int(k1[i]), int(k2[i]))
+        spectrum = Spectrum(tuple(1j * math.pi * k for k in ks), 2, (1, 1), snap=ks)
+        out[i] = _pi_snap_projectors(a[i], spectrum)
+    return out
+
+
+@np.errstate(all="ignore")
+def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
+    """AUTO's exponential of each matrix of an (n, 2, 2) complex stack, with
+    no eigen-decomposition.  Row i is ``expm(a[i])`` bit for bit: AUTO at
+    d = 2 is this function on a stack of one.
 
     With mu = tr A / 2, B = A - mu I and s = sqrt(-det B), B^2 = s^2 I, so
     the eigenvalues are mu +/- s and exp(A) = e^mu (cosh s I + sinh(s)/s B);
     for a nilpotent B that is e^mu (I + B).
 
-    When both eigenvalues snap to i*pi*Z the exact path runs instead, if
-    its nodes annihilate A.  Their product is omega = alpha I + beta B and,
-    as tr B = 0, ||omega||_F^2 = 2 |alpha|^2 + |beta|^2 ||B||_F^2: one node
-    z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1; two give
-    alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
+    Rows whose eigenvalues both snap to i*pi*Z take the exact path instead,
+    if its nodes annihilate the row.  Their product is omega = alpha I +
+    beta B and, as tr B = 0, ||omega||_F^2 = 2 |alpha|^2 + |beta|^2 ||B||_F^2:
+    one node z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1;
+    two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
+
+    Every branch runs on every row and each row keeps the one it needs, so
+    floating-point warnings are off: a row that overflows comes out inf or
+    NaN and leaves the others alone.
     """
-    (a00, a01), (a10, a11) = a.tolist()
+    a = np.asarray(a, dtype=complex)
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
     mu = (a00 + a11) / 2
     b00 = (a00 - a11) / 2
     s2 = b00 * b00 + a01 * a10
-    s = complex(np.sqrt(s2))
-    lams = (mu + s, mu - s)
-    ks = _snap_ints(lams, SNAP_TOL)
-    if ks is not None:
-        z1, z2 = (1j * math.pi * k for k in ks)
-        if ks[0] == ks[1]:
-            alpha, beta = mu - z1, 1.0
-            spectrum = Spectrum((mu, mu), 1, (2,), snap=ks)
-        else:
-            alpha, beta = s2 + (mu - z1) * (mu - z2), 2 * mu - z1 - z2
-            spectrum = Spectrum(lams, 2, (1, 1), snap=ks)
-        b_norm = math.hypot(abs(b00), abs(b00), abs(a01), abs(a10))
-        omega_norm = math.hypot(abs(alpha), abs(alpha), abs(beta) * b_norm)
-        if omega_norm <= _annihilation_bound(b_norm, spectrum.distinct_count):
-            return _pi_snap_projectors(a, spectrum)
-    c, q = _cosh_sinhc(mu, s)
-    return np.array([[c + q * b00, q * a01], [q * a10, c - q * b00]])
+    s = np.sqrt(s2)
+    c, q = _cosh_sinhc_stack(mu, s)
+    qb = q * b00
+    out = np.empty_like(a)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c + qb, q * a01, q * a10, c - qb
+
+    # numkernel's snap of both eigenvalues: l ~ i*pi*k within
+    # SNAP_TOL * max(1, |l|), l finite
+    lams = np.empty((2, len(a)), dtype=complex)
+    np.add(mu, s, out=lams[0])
+    np.subtract(mu, s, out=lams[1])
+    k = np.round(lams.imag / math.pi)
+    on_lattice = (np.hypot(lams.real, lams.imag - math.pi * k)
+                  <= SNAP_TOL * np.maximum(1.0, np.abs(lams)))
+    snapped = (on_lattice & np.isfinite(lams)).all(axis=0)
+    if not snapped.any():
+        return out
+    rows = snapped.nonzero()[0]
+    (k1, k2), mu, b00 = k[:, rows], mu[rows], b00[rows]
+    z1, z2 = 1j * math.pi * k1, 1j * math.pi * k2
+    double = k1 == k2
+    alpha = np.where(double, mu - z1, s2[rows] + (mu - z1) * (mu - z2))
+    beta = np.where(double, 1.0, 2 * mu - z1 - z2)
+    b_norm = np.hypot(np.hypot(np.abs(b00), np.abs(b00)),
+                      np.hypot(np.abs(a01[rows]), np.abs(a10[rows])))
+    omega_norm = np.hypot(np.hypot(np.abs(alpha), np.abs(alpha)), np.abs(beta) * b_norm)
+    exact = omega_norm <= ANNIHILATION_TOL * np.maximum(1.0, b_norm) ** np.where(double, 1, 2)
+    if exact.any():
+        rows = rows[exact]
+        out[rows] = _pi_snap_rows(a[rows], k1[exact], k2[exact])
+    return out
 
 
 def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
@@ -322,15 +396,16 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
     test (a defective matrix, or eigenvalues off the lattice);
     ``SPECTRAL_HERMITE`` raises IllConditionedError when the computed
     eigenvalues fail it (close eigenvalues of a near-defective matrix,
-    clustered together or computed too inaccurately).  AUTO never raises: at d = 2 it is the closed
-    form of ``_expm_2x2`` (or its exact snap) and never runs Pade; at d = 1
-    and 3 it tries the exact path, then Hermite, then Pade.
+    clustered together or computed too inaccurately).  AUTO never raises:
+    at d = 2 it is ``expm_2x2_stack`` on a stack of one (the closed form or
+    its exact snap) and never runs Pade; at d = 1 and 3 it tries the exact
+    path, then Hermite, then Pade.
     """
     a = as_matrix(m)
     if method == ExpMethod.PADE_SQUARING:
         return _expm_pade(a)
     if method == ExpMethod.AUTO and a.shape[0] == 2:
-        return _expm_2x2(a)
+        return expm_2x2_stack(a[None])[0]
     spectrum = eigen_decompose(a)
     if method != ExpMethod.SPECTRAL_HERMITE:
         if spectrum.snap is not None and _snap_annihilates(a, spectrum):

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from commexp import cli, families, intsearch
-from commexp.errors import ComplexRootsError, ConstraintError
+from commexp import cli, families, intsearch, uset
+from commexp.errors import ConstraintError
 from commexp.numkernel import CMat
 from commexp.relations import RelationKind
+
+from conftest import admissible_real_triples
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -67,26 +69,13 @@ class TestDefaultArguments:
         assert code == 0 and (inputs["lam"], inputs["mu"]) == (1, 1)
 
 
-def _admissible_real_triples():
-    triples = []
-    for lam in range(1, 5):
-        for mu in range(1, 5):
-            for nu in range(1, 9):
-                try:
-                    families.real2d_family(families.Real2DParams(lam=lam, mu=mu, nu=nu))
-                except (ConstraintError, ComplexRootsError):
-                    continue
-                triples.append((lam, mu, nu))
-    return triples
-
-
 class TestReal2DCommandsAgree:
     """verify --builtin real2d and families real2d read one record, so they
     reproduce their claims on the same triples: all admissible ones here,
     including the 34 whose nu lacks the parity of lambda + mu, where star
     fails at t = 1 and the square-with-parity rule predicts it."""
 
-    TRIPLES = _admissible_real_triples()
+    TRIPLES = admissible_real_triples()
 
     def test_56_admissible_triples(self):
         assert len(self.TRIPLES) == 56
@@ -237,6 +226,36 @@ class TestClaimFailedExitsTwo:
         self.flip(monkeypatch, name, RelationKind.COMMUTE)
         report = self.assert_claim_failed(capsys, *command, name)
         assert "commute@t=None" in report["claim"]["detail"]
+
+    @pytest.mark.parametrize("argv", [*(("iii2", "--form", form) for form in cli.III2_FORMS),
+                                      ("iii2ii",)], ids=" ".join)
+    def test_each_structural_record_with_a_failed_check(self, capsys, monkeypatch, argv):
+        # the records without expected verdicts, each with its first check negated
+        name = argv[0]
+        record = families.FAMILIES[name]
+
+        def negated(f, g, inputs):
+            checks = record.checks(f, g, inputs)
+            first = next(iter(checks))
+            return {**checks, first: not checks[first]}
+
+        monkeypatch.setitem(families.FAMILIES, name, dataclasses.replace(record, checks=negated))
+        report = self.assert_claim_failed(capsys, "families", *argv)
+        first = next(iter(report["payload"]["checks"]))
+        assert report["payload"]["checks"][first] is False
+        assert f"{first}=FAIL" in report["claim"]["detail"]
+
+    def test_solve_u_with_a_missed_reference_root(self, capsys, monkeypatch):
+        enumerate_u = uset.enumerate_u
+
+        def moved(k_min, k_max):
+            return [dataclasses.replace(r, value=r.value + 1) if r.branch_hint == 1 else r
+                    for r in enumerate_u(k_min, k_max)]
+
+        monkeypatch.setattr(uset, "enumerate_u", moved)
+        report = self.assert_claim_failed(capsys, "solve-u", "--k", "1..2")
+        assert report["claim"]["detail"] == (
+            "2 roots for 2 requested branches; branch 1 missed the reference root")
 
     def test_families_with_a_failed_check(self, capsys, monkeypatch):
         monkeypatch.setattr(families, "_eig_matches", lambda m, targets: False)

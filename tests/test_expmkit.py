@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commexp import expmkit, numkernel
 from commexp.errors import (
@@ -12,12 +15,16 @@ from commexp.errors import (
 from commexp.expmkit import (
     ExpMethod,
     _SINHC_SERIES_BELOW,
+    _cosh_sinhc,
+    _cosh_sinhc_stack,
     _exp_divided_differences,
     _expm_pade,
     _hermite,
     _pi_snap_projectors,
     _sinhc,
+    _sinhc_stack,
     expm,
+    expm_2x2_stack,
     expm_affine,
     log_poly_recover,
 )
@@ -496,7 +503,7 @@ class TestClosedForm2x2:
 
     def test_against_mpmath(self, rng, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
-        snapped = _spy(monkeypatch, "_pi_snap_projectors")
+        snapped = _spy(monkeypatch, "_pi_snap_rows")
         checked = snaps = 0
         for m in _closed_form_inputs(rng):
             a = np.asarray(m, dtype=complex)
@@ -519,7 +526,7 @@ class TestClosedForm2x2:
         # det(tA + B) / pi^2 is a square, otherwise the closed form, as
         # accurate as rounding the entries allows (eps * ||tA + B||_F)
         mpmath = pytest.importorskip("mpmath")
-        snapped = _spy(monkeypatch, "_pi_snap_projectors")
+        snapped = _spy(monkeypatch, "_pi_snap_rows")
         a, b = intro_pair()
         square = SquarePoly(*intro_square_polynomial())
         for t in range(101):
@@ -563,7 +570,7 @@ class TestClosedForm2x2:
         # eigenvalues exactly 0 and i*pi behind an eigenbasis of condition
         # ~ c / (pi/2): A (A - i pi I) = 0 exactly, so both snap (Pade errs
         # by 3e-10 and 5e-9 there)
-        snapped = _spy(monkeypatch, "_pi_snap_projectors")
+        snapped = _spy(monkeypatch, "_pi_snap_rows")
         for c in (2e7, 2e8):
             snapped.clear()
             got = expm(np.array([[0, c], [0, 1j * PI]]))
@@ -578,12 +585,13 @@ class TestClosedForm2x2:
         # 2.6e-11)
         mpmath = pytest.importorskip("mpmath")
         snapped = _spy(monkeypatch, "_pi_snap_projectors")
+        snapped_rows = _spy(monkeypatch, "_pi_snap_rows")
         a2 = np.array([[-4j * PI + 2e-11, 3e-11], [-2.5e-11j, -4j * PI - 1e-11]])
         a3 = np.diag([0, 0, 2j * PI])
         a3[:2, :2] = a2
         for a in (a2, a3):
             got = expm(a)
-            assert not snapped
+            assert not snapped and not snapped_rows
             want = _mpmath_expm(mpmath, a)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             pade_err = np.linalg.norm(_expm_pade(a) - want) / np.linalg.norm(want)
@@ -612,3 +620,160 @@ class TestClosedForm2x2:
             expm(combine_affine(a, b, t))
         expm(random_matrix(np.random.default_rng(1), 2))
         assert calls == []
+
+
+EPS = np.finfo(float).eps
+
+
+def _conjugated(rng, m):
+    s = random_matrix(rng, 2) + 2 * np.eye(2)
+    return s @ m @ np.linalg.inv(s)
+
+
+def _stack_row(kind: str, seed: int) -> np.ndarray:
+    """One 2x2 input per branch of the stacked closed form and its snap."""
+    rng = np.random.default_rng(seed)
+    mu = complex(*rng.uniform(-3, 3, 2))
+    if kind == "random":
+        return random_matrix(rng, 2) * 10 ** rng.uniform(-1, 2)
+    if kind == "series":  # |s| < 1e-2: sinh(s)/s from its Taylor series
+        return mu * np.eye(2) + _conjugated(rng, np.diag([1, -1])) * 10 ** rng.uniform(-8, -2.5)
+    if kind == "far":  # Re s > 1: the e^(mu + s) form
+        s = complex(rng.uniform(1.5, 30), rng.uniform(-5, 5))
+        return mu * np.eye(2) + _conjugated(rng, np.diag([s, -s]))
+    if kind == "nilpotent":  # s = 0
+        return mu * np.eye(2) + _conjugated(rng, np.array([[0, 1], [0, 0]]))
+    if kind in ("snap-same-parity", "snap-mixed-parity"):
+        k1 = int(rng.integers(-8, 9))
+        k2 = k1 + 2 * int(rng.integers(-3, 4)) + (kind == "snap-mixed-parity")
+        return 1j * PI * _conjugated(rng, np.diag([k1, k2]))
+    if kind == "defective-snap":  # snaps, but its nodes do not annihilate it
+        return 1j * PI * int(rng.integers(-8, 9)) * np.eye(2) + [[0, rng.uniform(0.1, 2)], [0, 0]]
+    if kind == "huge-mu":
+        return 700 * np.sign(mu.real) * np.eye(2) + random_matrix(rng, 2)
+    m = random_matrix(rng, 2)  # non-finite
+    m[divmod(int(rng.integers(4)), 2)] = rng.choice([math.inf, -math.inf, math.nan])
+    return m
+
+
+_ROW_KINDS = ("random", "series", "far", "nilpotent", "snap-same-parity", "snap-mixed-parity",
+              "defective-snap", "huge-mu", "non-finite")
+
+
+def _bits(m: np.ndarray) -> bytes:
+    # the bytes of each real and imaginary part, one NaN for every NaN (the
+    # sign and payload of a NaN carry nothing)
+    parts = np.ascontiguousarray(m).view(np.float64).copy()
+    parts[np.isnan(parts)] = math.nan
+    return parts.tobytes()
+
+
+def _mpmath_rel_err(mpmath, a, got) -> float:
+    # relative Frobenius error against a 50-digit exponential, in mpmath
+    # throughout: exp(A) may sit below the double range (e^-700 squared)
+    with mpmath.workdps(50):
+        want = mpmath.expm(mpmath.matrix(a.tolist()))
+        diff = want - mpmath.matrix(got.tolist())
+        return float(mpmath.mnorm(diff, "f") / mpmath.mnorm(want, "f"))
+
+
+class TestStackedClosedForm:
+    """``expm_2x2_stack``: AUTO at d = 2 over an (n, 2, 2) stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_ROW_KINDS), st.integers(0, 2 ** 32 - 1)),
+                    min_size=1, max_size=12))
+    def test_each_row_is_its_stack_of_one(self, drawn):
+        rows = np.array([_stack_row(kind, seed) for kind, seed in drawn], dtype=complex)
+        got = expm_2x2_stack(rows)
+        for row, out in zip(rows, got):
+            assert _bits(out) == _bits(expm_2x2_stack(row[None])[0])
+            assert _bits(out) == _bits(expm(row))
+
+    @pytest.mark.parametrize("kind", ["series", "far", "nilpotent", "huge-mu"])
+    def test_against_mpmath(self, kind):
+        # relative Frobenius error at most 8 eps max(1, ||A||_F): what
+        # rounding mu, B and s from the entries of A allows (e^mu alone
+        # moves by eps |mu| relative)
+        mpmath = pytest.importorskip("mpmath")
+        rows = np.array([_stack_row(kind, seed) for seed in range(40)], dtype=complex)
+        if kind == "huge-mu":
+            # e^mu cosh s overflows, e^(mu + s) does not: exp(A) ~ e^7
+            rows[:20] = [[[-705, 2], [0, -705]]] + 712 * np.diag([1, -1])
+            rows[:20, 0, 1] *= np.arange(1, 21)
+        if kind == "nilpotent":  # B^2 = 0 exactly, so s = 0
+            rows[:4] = [[[1, 1], [0, 1]], [[2 + 1j, 3], [0, 2 + 1j]],
+                        [[2, 4], [-1, -2]], [[-1 + 5j, -2j], [0.5j, -1 + 5j]]]
+        for a, got in zip(rows, expm_2x2_stack(rows)):
+            assert np.isfinite(got).all(), a
+            assert _mpmath_rel_err(mpmath, a, got) <= 8 * EPS * max(1.0, np.linalg.norm(a)), a
+
+    def test_pi_scaled_integer_rows_are_exact(self):
+        # i pi S diag(k1, k2) S^-1 with S a unit shear: (-1)^k1 I when the
+        # parities agree, else the projectors, every entry exact
+        rows, want = [], []
+        for k1 in range(-4, 5):
+            for k2 in range(-4, 5):
+                for shear in ((0, 0), (1, 0), (0, -1)):
+                    m = np.diag([k1, k2]).astype(complex)
+                    m[0, 1], m[1, 0] = shear[0] * (k2 - k1), shear[1] * (k2 - k1)
+                    if shear[1]:
+                        m[0, 0], m[1, 1] = k2, k1
+                    rows.append(1j * PI * m)
+                    s1, s2 = (-1) ** (k1 % 2), (-1) ** (k2 % 2)
+                    e = np.diag([s1, s2]).astype(complex)
+                    e[0, 1], e[1, 0] = shear[0] * (s2 - s1), shear[1] * (s2 - s1)
+                    if shear[1]:
+                        e[0, 0], e[1, 1] = s2, s1
+                    want.append(e)
+        got = expm_2x2_stack(np.array(rows))
+        for a, g, w in zip(rows, got, want):
+            assert np.array_equal(g, w), (a / (1j * PI), g)
+
+    def test_defective_snapped_row_takes_the_closed_form(self, monkeypatch):
+        taken = []
+        original = expmkit._pi_snap_rows
+
+        def spy(a, k1, k2):
+            taken.append(len(a))
+            return original(a, k1, k2)
+
+        monkeypatch.setattr(expmkit, "_pi_snap_rows", spy)
+        rows = np.array([1j * PI * np.eye(2), [[1j * PI, 1], [0, 1j * PI]], 2j * PI * np.eye(2)])
+        got = expm_2x2_stack(rows)
+        assert taken == [2]
+        assert np.array_equal(got[0], -np.eye(2)) and np.array_equal(got[2], np.eye(2))
+        assert rel_residual(got[1], -np.array([[1, 1], [0, 1]])) <= 1e-15
+
+    def test_non_finite_rows_leave_the_others_alone(self):
+        finite = np.array([_stack_row(kind, seed) for seed in range(5)
+                           for kind in _ROW_KINDS if kind != "non-finite"])
+        bad = np.array([_stack_row("non-finite", seed) for seed in range(6)]
+                       + [np.full((2, 2), math.inf), np.full((2, 2), math.nan)])
+        mixed = np.concatenate([finite, bad])[np.random.default_rng(7).permutation(len(finite) + len(bad))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expm_2x2_stack(mixed)
+        is_finite = np.isfinite(mixed).all(axis=(1, 2))
+        assert _bits(got[is_finite]) == _bits(expm_2x2_stack(mixed[is_finite]))
+        assert not np.isfinite(got[~is_finite]).all(axis=(1, 2)).any()
+
+    def test_array_twin_of_cosh_sinhc(self):
+        # one branch per entry, as the scalar form takes it: Re s < 0, Re s
+        # > 1, |s| below and above the series threshold, s = 0; numpy's
+        # array arithmetic may fuse multiply-adds, so agreement is to 4 eps
+        rng = np.random.default_rng(11)
+        n = 3000
+        mu = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 3
+        s = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10 ** rng.uniform(-6, 1.5, n)
+        s[:3] = 0
+        s[3:6] = _SINHC_SERIES_BELOW * np.array([1 - 1e-12, 1, 1 + 1e-12])
+        with np.errstate(all="ignore"):
+            c, q = _cosh_sinhc_stack(mu, s)
+            sinhc = _sinhc_stack(s)
+        for i in range(n):
+            want_c, want_q = _cosh_sinhc(complex(mu[i]), complex(s[i]))
+            assert abs(c[i] - want_c) <= 4 * EPS * abs(want_c), (mu[i], s[i])
+            assert abs(q[i] - want_q) <= 4 * EPS * abs(want_q), (mu[i], s[i])
+            want = _sinhc(complex(s[i]))
+            assert abs(sinhc[i] - want) <= 4 * EPS * abs(want), s[i]

@@ -104,6 +104,19 @@ class TestFrobenius:
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow to inf
             assert frobenius(x).hex() == float(np.linalg.norm(x)).hex()
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 2, 2), (7, 2, 2), (5, 3, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_stack_gives_each_norm(self, rng, shape, dtype):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, (shape[0], 1, 1))
+        if dtype is np.complex128:
+            x = x + 1j * rng.standard_normal(shape)
+        got = frobenius(x)
+        assert got.shape == (shape[0],)
+        # the summation order is numpy's, so agreement is to rounding
+        for stack in (x, x[:, ::-1].transpose(0, 2, 1)):  # the second one is copied
+            want = np.array([frobenius(m) for m in stack])
+            assert np.all(np.abs(frobenius(stack) - want) <= 2 * np.finfo(float).eps * want)
+
     def test_nan_and_inf(self):
         assert math.isnan(frobenius(np.array([[math.nan, 0], [0, 1]])))
         assert frobenius(np.array([[complex(0, math.inf), 0], [0, 1]])) == math.inf

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commexp import uset
 from commexp.errors import DimensionError
-from commexp.families import intro_pair, theorem2_family, Theorem2Params
+from commexp.families import (
+    Real2DParams,
+    Theorem2Params,
+    dim2_case1_pair,
+    intro_pair,
+    real2d_family,
+    theorem2_family,
+)
 from commexp.numkernel import CMat, eigen_decompose
 from commexp.relations import (
     RelationKind,
@@ -20,7 +28,7 @@ from commexp.relations import (
     scan_integer_t,
 )
 
-from conftest import random_matrix
+from conftest import admissible_real_triples, random_matrix
 
 PI = math.pi
 U1 = 2.088843015613044 + 7.461489285654254j
@@ -105,6 +113,16 @@ class TestScan:
             TScanConfig((1, 1, 2))
         with pytest.raises(ValueError):
             TScanConfig((1, 2), tol=0)
+
+    @pytest.mark.parametrize("t_values", [(1, 2.5, 3.9), (1.5, 2), (1, 2, 3.000001)])
+    def test_non_integral_t_is_refused(self, t_values):
+        # truncating would label the verdicts of int(t) as those of t
+        with pytest.raises(ValueError, match="t values must be integers"):
+            TScanConfig(t_values)
+
+    def test_integral_floats_become_ints(self):
+        cfg = TScanConfig((1.0, np.float64(2), 3))
+        assert cfg.t_values == (1, 2, 3) and all(type(t) is int for t in cfg.t_values)
 
     def test_commuting_pair_all_hold(self, rng):
         m = random_matrix(rng, 2, norm=1.0)
@@ -218,3 +236,47 @@ class TestRelationReport:
         swapped = [v for v in rep.verdicts if v.relation is RelationKind.SUM_PRODUCT_SWAPPED]
         assert all(v.holds for v in stars)
         assert not any(v.holds for v in swapped)
+
+
+def _d2_pairs():
+    yield "intro", intro_pair()
+    for lam, mu, nu in admissible_real_triples():
+        yield f"real2d{lam, mu, nu}", real2d_family(Real2DParams(lam=lam, mu=mu, nu=nu))
+    for branch in (-3, -2, -1, 1, 2, 3):
+        root = uset.solve_u(uset.branch_seed(branch))
+        yield f"theorem2({branch})", theorem2_family(Theorem2Params(u=root.value))
+    for lam in range(-5, 6):
+        for mu in range(-5, 6):
+            if lam and mu and lam + mu:
+                yield f"dim2case1{lam, mu}", dim2_case1_pair(lam, mu)
+    rng = np.random.default_rng(20261019)
+    for i in range(20):
+        yield f"random#{i}", (random_matrix(rng, 2), random_matrix(rng, 2))
+
+
+class TestStackedReportAgreesWithScalarChecks:
+    """At d = 2 relation_report takes every exponential from one stacked
+    call; each verdict must be the one the scalar checks give."""
+
+    @pytest.mark.parametrize("name, pair", list(_d2_pairs()), ids=lambda x: x if isinstance(x, str) else "")
+    def test_t_1_to_20(self, name, pair):
+        f, g = pair
+        cfg = TScanConfig.through(20)
+        want = [check_commute(f, g, cfg.tol), check_exp_equal(f, g, cfg.tol),
+                check_exp_swap(f, g, cfg.tol)]
+        for t in cfg.t_values:
+            want += [check_relation_star(f, g, t, cfg.tol),
+                     check_relation_star(f, g, t, cfg.tol, swapped=True)]
+        got = relation_report(f, g, cfg).verdicts
+        assert len(got) == len(want) == 43
+        for v, w in zip(got, want):
+            assert (v.relation, v.t, v.tol, v.holds) == (w.relation, w.t, w.tol, w.holds)
+            assert type(v.residual) is float
+            assert abs(v.residual - w.residual) <= 1e-15, (v, w)
+
+    def test_each_input_form_rounds_as_the_scalar_checks(self):
+        # pi-scaled CMats combine their integer parts before the factor of
+        # pi; arrays, and a pair mixing the two forms, combine expanded entries
+        f, g = intro_pair()
+        for pair in ((f, g), (f.expanded(), g.expanded()), (f, g.expanded()), (f.expanded(), g)):
+            self.test_t_1_to_20("intro", pair)
