@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from commexp.expmkit import expm, expm_2x2_stack
-from commexp.families import intro_pair
-from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius
+from commexp.families import dim2_case1_pair, intro_pair
+from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius, spectrum_congruence_free
 from commexp.relations import TScanConfig, check_relation_star, relation_report
 
 _rng = np.random.default_rng(20261018)
@@ -57,6 +57,20 @@ def test_check_relation_star(benchmark, f, g):
 
 def test_relation_report_intro_t20(benchmark):
     benchmark(relation_report, INTRO_F, INTRO_G, TScanConfig.through(20, 1e-6))
+
+
+def test_relation_report_intro_t100(benchmark):
+    benchmark(relation_report, INTRO_F, INTRO_G, TScanConfig.through(100))
+
+
+def test_relation_report_dim2case1_t3_triangularizable(benchmark):
+    f, g = dim2_case1_pair(2, 3)
+    benchmark(relation_report, f, g, TScanConfig.through(3), include_triangularizable=True)
+
+
+def test_spectrum_congruence_free_far(benchmark):
+    # the intro G's spectrum +/-241 i pi: delta = 2 pi 241 i, a congruent pair
+    benchmark(spectrum_congruence_free, [241j * np.pi, -241j * np.pi], 1e-9)
 
 
 def test_relation_report_intro_t1000(benchmark):

@@ -425,6 +425,21 @@ def _outcome_payload(outcome: intsearch.SearchOutcome) -> dict:
     }
 
 
+def _discriminant_claim(name: str, outcome: intsearch.SearchOutcome, nmax: int) -> dict:
+    """Reproduced when the scan finds every n square exactly when the
+    degeneracy test (``lemma1_decide``) says the discriminant is a square."""
+    decide = outcome.metadata["lemma1_decide"]
+    failure = outcome.first_failure
+    if decide == (failure is None):
+        detail = (f"degenerate discriminant, square for all n <= {nmax}" if decide
+                  else f"squareness first fails at n = {failure}")
+        return {"name": name, "reproduced": True, "detail": detail}
+    detail = (f"degenerate discriminant, yet squareness first fails at n = {failure}" if decide
+              else f"non-degenerate discriminant, yet square for all n <= {nmax}")
+    return {"name": name, "reproduced": False,
+            "detail": "squareness pattern contradicts the degeneracy test: " + detail}
+
+
 def cmd_search(ns, argv) -> int:
     started = time.monotonic()
     if ns.case == "iii4":
@@ -450,15 +465,7 @@ def cmd_search(ns, argv) -> int:
         m1, m2 = ns.m
         n1, n2 = ns.n_values
         outcome = intsearch.discriminant_scan_A1(m1, m2, n1, n2, ns.nmax)
-        decide = outcome.metadata["lemma1_decide"]
-        reproduced = (outcome.first_failure is None) == decide
-        detail = (
-            f"degenerate discriminant, square for all n <= {ns.nmax}" if decide
-            else f"squareness first fails at n = {outcome.first_failure}"
-        )
-        if not reproduced:
-            detail = "squareness pattern contradicts the degeneracy test: " + detail
-        claim = {"name": "a1-discriminant", "reproduced": reproduced, "detail": detail}
+        claim = _discriminant_claim("a1-discriminant", outcome, ns.nmax)
         inputs = {"m": ns.m, "n": ns.n_values, "nmax": ns.nmax}
     else:
         if len(ns.m) != 1:
@@ -472,13 +479,7 @@ def cmd_search(ns, argv) -> int:
         else:
             raise UsageError("need --products P1 P2 P3 or --n N1 N2 with --alpha")
         outcome = intsearch.discriminant_scan_III2ii(products, m_val, ns.nmax)
-        decide = outcome.metadata["lemma1_decide"]
-        reproduced = (outcome.first_failure is None) == decide
-        detail = (
-            f"degenerate discriminant, square for all n <= {ns.nmax}" if decide
-            else f"squareness first fails at n = {outcome.first_failure}"
-        )
-        claim = {"name": "iii2ii-discriminant", "reproduced": reproduced, "detail": detail}
+        claim = _discriminant_claim("iii2ii-discriminant", outcome, ns.nmax)
         inputs = {"m": m_val, "products": [str(p) for p in products], "nmax": ns.nmax}
     return emit_report(
         argv, inputs, {}, _outcome_payload(outcome), claim, started, ns.out
@@ -608,7 +609,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CommexpError, OSError, ValueError) as exc:
+    except (CommexpError, OSError, ValueError, OverflowError) as exc:
+        # OverflowError: finite input whose spectrum overflows to inf
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

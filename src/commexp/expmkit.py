@@ -13,9 +13,14 @@ Two independent floating engines act as each other's oracle:
   power-of-two scaling so the scaled 1-norm stays below ``PADE_THETA``.
 
 ``EXACT_PI_SNAP`` covers diagonalizable matrices whose spectrum snaps to
-i*pi*Z: there e^(i*pi*k) = (-1)^k exactly, so spectral projectors (or, when
-every parity agrees, a bare +/-I) give exponentials with no floating error
-in the entries.
+i*pi*Z: there e^(i*pi*k) = (-1)^k exactly, and the exponential is
+sum_i (-1)^k_i P_i over the spectral projectors P_i.  When every parity
+agrees that sum is a bare +/-I, exact in every entry.  When parities mix,
+the Lagrange projectors are computed in floating point (pi-scaled entries
+over pi-scaled node differences), so an entry that should be an integer can
+round off it: ``expm(1j*pi*[[-4, -15], [0, 1]], EXACT_PI_SNAP)`` gives
+5.999999999999999 for the exact 6.  ROADMAP item 4 plans rational
+projectors for pi-scaled input with integral entries.
 
 One test decides every path, and no engine reads an eigenvector: a path's
 nodes z_i must annihilate A,
@@ -50,7 +55,9 @@ chosen row by row through masks.  ``expm`` at d = 2 is that function on a
 stack of one, so the formula has one implementation and a row of any stack
 equals ``expm`` of that row bit for bit.  A stack of one pays numpy's fixed
 cost per call (tens of microseconds against a few for scalar arithmetic),
-so batch callers such as ``relations.relation_report`` pass whole stacks.
+so batch callers such as ``relations.relation_report`` pass whole stacks;
+``_expm_2x2_with_eigenvalues`` also hands them the eigenvalues mu +/- s
+that the snap test computes, so they need no eigen-decomposition either.
 The scalar ``_cosh_sinhc`` stays as it is: the d = 3 divided differences
 call it up to three times per exponential, where a stack of one would cost
 more than the whole scalar evaluation; ``_cosh_sinhc_stack`` is its array
@@ -329,11 +336,18 @@ def _pi_snap_rows(a: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return out
 
 
-@np.errstate(all="ignore")
 def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
     """AUTO's exponential of each matrix of an (n, 2, 2) complex stack, with
     no eigen-decomposition.  Row i is ``expm(a[i])`` bit for bit: AUTO at
-    d = 2 is this function on a stack of one.
+    d = 2 is this function on a stack of one.  The formula is in
+    ``_expm_2x2_with_eigenvalues``."""
+    return _expm_2x2_with_eigenvalues(a)[0]
+
+
+@np.errstate(all="ignore")
+def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``expm_2x2_stack(a)`` and the eigenvalues it computes on the way: a
+    (2, n) array holding mu + s and mu - s of each row.
 
     With mu = tr A / 2, B = A - mu I and s = sqrt(-det B), B^2 = s^2 I, so
     the eigenvalues are mu +/- s and exp(A) = e^mu (cosh s I + sinh(s)/s B);
@@ -370,7 +384,7 @@ def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
                   <= SNAP_TOL * np.maximum(1.0, np.abs(lams)))
     snapped = (on_lattice & np.isfinite(lams)).all(axis=0)
     if not snapped.any():
-        return out
+        return out, lams
     rows = snapped.nonzero()[0]
     (k1, k2), mu, b00 = k[:, rows], mu[rows], b00[rows]
     z1, z2 = 1j * math.pi * k1, 1j * math.pi * k2
@@ -384,7 +398,7 @@ def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
     if exact.any():
         rows = rows[exact]
         out[rows] = _pi_snap_rows(a[rows], k1[exact], k2[exact])
-    return out
+    return out, lams
 
 
 def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:

@@ -17,24 +17,29 @@ for pi-scaled inputs with t up to ~5; relax to 1e-6 when scanning t up to
 20 (exponential conditioning grows with t * ||F||).
 
 ``relation_report`` chooses its path by the pair's dimension.  At d = 2 it
-takes every exponential once, in one ``expm_2x2_stack`` call over
+takes every exponential once, in one stacked closed-form call over
 [F, G, t F + G for each t, t F for each t], and every residual from batched
 products and one stacked Frobenius norm; each verdict is what the scalar
-``check_*`` functions give (residuals to rounding).  At d = 3 it runs the
-scalar checks per t, six exponentials per t: star and swapped star each
-take exp(t F + G), exp(t F) and exp(G).
+``check_*`` functions give (residuals to rounding).  The congruence flags of
+F, G and F + G read the eigenvalues mu +/- s that the same call computes for
+rows 0, 1 and 2 (row 2 is t = 1), so the d = 2 path makes no
+``eigen_decompose`` call.  At d = 3 it runs the scalar checks per t, six
+exponentials per t: star and swapped star each take exp(t F + G), exp(t F)
+and exp(G); the flags come from ``eigen_decompose`` of F, G and F + G.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError
-from .expmkit import expm, expm_2x2_stack, expm_affine
+from .expmkit import _expm_2x2_with_eigenvalues, expm, expm_affine
 from .numkernel import (
     CMat,
     Spectrum,
@@ -57,8 +62,10 @@ class RelationKind(enum.Enum):
     EXP_SWAP = "exp-swap"
 
 
-@dataclass(frozen=True)
-class RelationVerdict:
+class RelationVerdict(NamedTuple):
+    """One judged relation; immutable.  A NamedTuple, not a frozen
+    dataclass, because a d = 2 report builds 2T + 3 of them."""
+
     relation: RelationKind
     holds: bool
     residual: float
@@ -104,12 +111,9 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return frobenius(lhs - rhs) / scale
 
 
-def _judged(kind, residual: float, tol: float, t=None) -> RelationVerdict:
-    return RelationVerdict(kind, residual <= tol, residual, tol, t)
-
-
 def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
-    return _judged(kind, _relative_residual(lhs, rhs), tol, t)
+    residual = _relative_residual(lhs, rhs)
+    return RelationVerdict(kind, residual <= tol, residual, tol, t)
 
 
 def _scan_stack(f, g, t_values) -> np.ndarray:
@@ -129,26 +133,31 @@ def _scan_stack(f, g, t_values) -> np.ndarray:
     return np.concatenate([a[None], b[None], t * a + b, tf])
 
 
-def _scan_2x2(f, g, cfg: TScanConfig) -> list[RelationVerdict]:
+def _scan_2x2(f, g, cfg: TScanConfig) -> tuple[list[RelationVerdict], tuple[bool, bool, bool]]:
     """exp-equal, exp-swap, then star and swapped star per t of a 2x2 pair,
-    from one stacked exponential: each of exp(F), exp(G), exp(t F + G) and
-    exp(t F) is taken once, and every residual is ``_relative_residual``
-    over the stack."""
+    and the congruence flags of F, G and F + G, from one stacked
+    exponential: each of exp(F), exp(G), exp(t F + G) and exp(t F) is taken
+    once, every residual is ``_relative_residual`` over the stack, and the
+    flags read the eigenvalues of rows 0, 1 and 2 (t = 1, rounded as
+    ``combine_affine(f, g, 1.0)``)."""
     n = len(cfg.t_values)
-    e = expm_2x2_stack(_scan_stack(f, g, cfg.t_values))
+    e, lams = _expm_2x2_with_eigenvalues(_scan_stack(f, g, cfg.t_values))
     ef, eg, sums, scaled = e[0], e[1], e[2:2 + n], e[2 + n:]
     lhs = np.concatenate([ef[None], (ef @ eg)[None], sums, sums])
     rhs = np.concatenate([eg[None], (eg @ ef)[None], scaled @ eg, eg @ scaled])
     lhs_norm, rhs_norm, diff_norm = frobenius(np.concatenate([lhs, rhs, lhs - rhs])).reshape(3, -1)
     # fmax, as Python's max, passes over a NaN norm
-    residuals = (diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)).tolist()
+    residuals = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
+    # verdict order: exp-equal, exp-swap, then (star, swapped star) per t
+    residuals = np.concatenate([residuals[:2], residuals[2:].reshape(2, n).T.ravel()])
     tol = cfg.tol
-    verdicts = [_judged(RelationKind.EXP_EQUAL, residuals[0], tol),
-                _judged(RelationKind.EXP_SWAP, residuals[1], tol)]
-    for t, star, swapped in zip(cfg.t_values, residuals[2:2 + n], residuals[2 + n:]):
-        verdicts.append(_judged(RelationKind.SUM_PRODUCT, star, tol, t))
-        verdicts.append(_judged(RelationKind.SUM_PRODUCT_SWAPPED, swapped, tol, t))
-    return verdicts
+    kinds = [RelationKind.EXP_EQUAL, RelationKind.EXP_SWAP]
+    kinds += [RelationKind.SUM_PRODUCT, RelationKind.SUM_PRODUCT_SWAPPED] * n
+    ts = [None, None] + [t for t in cfg.t_values for _ in range(2)]
+    verdicts = list(map(RelationVerdict, kinds, (residuals <= tol).tolist(),
+                        residuals.tolist(), itertools.repeat(tol), ts))
+    flags = tuple(congruence_free(pair, tol) for pair in lams[:, :3].T.tolist())
+    return verdicts, flags
 
 
 def check_commute(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
@@ -218,19 +227,14 @@ def relation_report(
     """Aggregate every check for one pair."""
     verdicts = [check_commute(f, g, cfg.tol)]
     if as_matrix(f).shape[0] == 2:
-        verdicts.extend(_scan_2x2(f, g, cfg))
+        scanned, flags = _scan_2x2(f, g, cfg)
+        verdicts.extend(scanned)
     else:
         verdicts.append(check_exp_equal(f, g, cfg.tol))
         verdicts.append(check_exp_swap(f, g, cfg.tol))
         verdicts.extend(scan_integer_t(f, g, cfg))
-    spec_f = eigen_decompose(f)
-    spec_g = eigen_decompose(g)
-    spec_fg = eigen_decompose(combine_affine(f, g, 1.0))
-    flags = (
-        congruence_free(spec_f, cfg.tol),
-        congruence_free(spec_g, cfg.tol),
-        congruence_free(spec_fg, cfg.tol),
-    )
+        flags = tuple(congruence_free(eigen_decompose(m), cfg.tol)
+                      for m in (f, g, combine_affine(f, g, 1.0)))
     trig = None
     if include_triangularizable:
         trig = sim_triangularizable(f, g).triangularizable

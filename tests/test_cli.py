@@ -274,6 +274,42 @@ class TestClaimFailedExitsTwo:
         report = self.assert_claim_failed(capsys, "search", "iii4", "--box", "2", "--n", "2")
         assert report["claim"]["detail"] == "1 unexpected survivors"
 
+    def test_identity_control_with_a_lost_base_tuple(self, capsys, monkeypatch):
+        search = intsearch.grobner_replacement_search
+
+        def without_first_base(box, n):
+            outcome = search(box, n)
+            lost = outcome.survivors[0].params[:7]
+            kept = tuple(s for s in outcome.survivors if s.params[:7] != lost)
+            return dataclasses.replace(outcome, survivors=kept)
+
+        monkeypatch.setattr(intsearch, "grobner_replacement_search", without_first_base)
+        report = self.assert_claim_failed(capsys, "search", "iii4", "--box", "2", "--n", "1")
+        assert report["claim"]["detail"] == "1631 of 1632 base tuples survive identity scaling"
+
+    @pytest.mark.parametrize("scan, argv, first_failure, detail", [
+        # non-degenerate, so squareness fails somewhere: claim that it never does
+        ("discriminant_scan_A1", ("a1-discriminant", "--m", "1", "8", "--n", "5", "9"), None,
+         "non-degenerate discriminant, yet square for all n <= 100"),
+        # degenerate, so every n is square: claim that n = 1 is not
+        ("discriminant_scan_III2ii",
+         ("iii2ii-discriminant", "--m", "2", "--products", "0", "3/2", "5"), 1,
+         "degenerate discriminant, yet squareness first fails at n = 1"),
+    ], ids=["a1", "iii2ii"])
+    def test_scan_contradicting_the_degeneracy_test(self, capsys, monkeypatch, scan, argv,
+                                                    first_failure, detail):
+        real = getattr(intsearch, scan)
+
+        def contradicted(*args):
+            outcome = real(*args)
+            assert outcome.first_failure != first_failure
+            return dataclasses.replace(outcome, first_failure=first_failure)
+
+        monkeypatch.setattr(intsearch, scan, contradicted)
+        report = self.assert_claim_failed(capsys, "search", *argv, "--nmax", "100")
+        assert report["claim"]["detail"] == (
+            "squareness pattern contradicts the degeneracy test: " + detail)
+
 
 def write_matrix(path, **changes):
     obj = cli.matrix_to_obj(families.intro_pair()[0])
@@ -327,6 +363,19 @@ class TestMatrixFiles:
                              "--triangularizable")
         assert code == 0, err
         assert json.loads(out)["payload"]["sim_triangularizable"] is True
+
+    @pytest.mark.parametrize("rows", [
+        [[1e200, 1e200], [1e200, -1e200]],  # the spectrum overflows to inf
+        [[1e160, 1e160], [0, 0]],  # finite eigenvalues, but s^2 overflows
+    ], ids=["inf", "square-overflows"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_spectrum_exits_one_with_one_line(self, capsys, tmp_path, rows):
+        f = tmp_path / "F.json"
+        f.write_text(json.dumps(cli.matrix_to_obj(CMat.from_rows(rows))))
+        g = write_matrix(tmp_path / "G.json")
+        code, out, err = run(capsys, "verify", "-f", str(f), "-g", g, "--t", "1..2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_small_non_triangularizable_pair_from_files(self, capsys, tmp_path):
         # the intro pair times 1e-5: its traces tr([F, G] w) are below 1e-9

@@ -15,6 +15,7 @@ from commexp.numkernel import (
     commutator,
     eigen_decompose,
     frobenius,
+    spectrum_congruence_free,
 )
 
 from conftest import random_matrix
@@ -120,6 +121,86 @@ class TestFrobenius:
     def test_nan_and_inf(self):
         assert math.isnan(frobenius(np.array([[math.nan, 0], [0, 1]])))
         assert frobenius(np.array([[complex(0, math.inf), 0], [0, 1]])) == math.inf
+
+
+def congruence_free_by_loop(values, tol):
+    """Reference for ``spectrum_congruence_free``: every nonzero k with
+    |k| <= |delta| / 2 pi + 1 tested in turn."""
+    vals = list(values)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            delta = vals[i] - vals[j]
+            kmax = math.ceil(abs(delta) / (2 * PI)) + 1
+            for k in range(-kmax, kmax + 1):
+                if k and abs(delta - 2j * math.pi * k) <= tol * max(1.0, abs(delta)):
+                    return False
+    return True
+
+
+_TOLS = st.sampled_from([1e-9, 1e-8, 1e-6])
+_BASES = st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near_lattice_pairs(draw):
+    """(values, tol) with values [z + delta, z], delta = x + 2 i pi (k + eps)
+    and both x and 2 pi eps within a few acceptance bounds of zero."""
+    tol = draw(_TOLS)
+    k = draw(st.integers(-10**4, 10**4))
+    edge = tol * max(1.0, 2 * PI * abs(k))
+    x = draw(st.floats(-3, 3)) * edge
+    eps = draw(st.floats(-3, 3)) * edge / (2 * PI)
+    z = draw(_BASES)
+    return [z + complex(x, 2 * PI * (k + eps)), z], tol
+
+
+@st.composite
+def _far_real_pairs(draw):
+    """k = 0 or small, real part of delta up to ~6e4: no k is close."""
+    tol = draw(_TOLS)
+    k = draw(st.integers(-2, 2))
+    x = draw(st.floats(-6e4, 6e4))
+    eps = draw(st.floats(-0.6, 0.6))
+    z = draw(_BASES)
+    return [z + complex(x, 2 * PI * (k + eps)), z], tol
+
+
+class TestSpectrumCongruenceFree:
+    @settings(max_examples=300, deadline=None)
+    @given(_near_lattice_pairs())
+    def test_near_lattice_agrees_with_the_loop(self, case):
+        values, tol = case
+        assert spectrum_congruence_free(values, tol) == congruence_free_by_loop(values, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_far_real_pairs())
+    def test_large_real_part_agrees_with_the_loop(self, case):
+        values, tol = case
+        assert spectrum_congruence_free(values, tol) == congruence_free_by_loop(values, tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_near_lattice_pairs(), min_size=2, max_size=2))
+    def test_three_values_agree_with_the_loop(self, cases):
+        (values, tol), (more, _) = cases
+        three = [values[0], values[1], more[0] - more[1] + values[1]]
+        assert spectrum_congruence_free(three, tol) == congruence_free_by_loop(three, tol)
+
+    def test_both_signs_flagged_at_the_lattice(self):
+        for k in (1, -1, 241, -241, 10**4, -10**4):
+            assert not spectrum_congruence_free([2j * PI * k, 0], 1e-9)
+            assert not spectrum_congruence_free([0, 2j * PI * k], 1e-9)
+        assert spectrum_congruence_free([0, 0, 0.5j * PI], 1e-9)
+
+    @pytest.mark.parametrize("value", [
+        complex(math.nan, 0), complex(0, math.nan), complex(1, math.nan), complex(math.nan, 1),
+        complex(math.inf, 0), complex(0, math.inf), complex(-math.inf, 1),
+        complex(math.inf, math.nan), complex(math.nan, math.inf),
+    ], ids=repr)
+    def test_non_finite_raises_as_the_loop(self, value):
+        with pytest.raises((ValueError, OverflowError)) as want:
+            congruence_free_by_loop([value, 0], 1e-9)
+        with pytest.raises(want.type):
+            spectrum_congruence_free([value, 0], 1e-9)
 
 
 class TestCommutator:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commexp import uset
+from commexp import expmkit, relations, uset
 from commexp.errors import DimensionError
 from commexp.families import (
     Real2DParams,
@@ -15,9 +15,10 @@ from commexp.families import (
     real2d_family,
     theorem2_family,
 )
-from commexp.numkernel import CMat, eigen_decompose
+from commexp.numkernel import CMat, combine_affine, eigen_decompose
 from commexp.relations import (
     RelationKind,
+    RelationVerdict,
     TScanConfig,
     check_commute,
     check_exp_equal,
@@ -255,8 +256,9 @@ def _d2_pairs():
 
 
 class TestStackedReportAgreesWithScalarChecks:
-    """At d = 2 relation_report takes every exponential from one stacked
-    call; each verdict must be the one the scalar checks give."""
+    """At d = 2 relation_report takes every exponential and every spectrum
+    from one stacked call; each verdict must be the one the scalar checks
+    give, and each congruence flag the one eigen_decompose gives."""
 
     @pytest.mark.parametrize("name, pair", list(_d2_pairs()), ids=lambda x: x if isinstance(x, str) else "")
     def test_t_1_to_20(self, name, pair):
@@ -267,12 +269,15 @@ class TestStackedReportAgreesWithScalarChecks:
         for t in cfg.t_values:
             want += [check_relation_star(f, g, t, cfg.tol),
                      check_relation_star(f, g, t, cfg.tol, swapped=True)]
-        got = relation_report(f, g, cfg).verdicts
+        report = relation_report(f, g, cfg)
+        got = report.verdicts
         assert len(got) == len(want) == 43
         for v, w in zip(got, want):
             assert (v.relation, v.t, v.tol, v.holds) == (w.relation, w.t, w.tol, w.holds)
             assert type(v.residual) is float
             assert abs(v.residual - w.residual) <= 1e-15, (v, w)
+        assert report.congruence_free == tuple(
+            congruence_free(eigen_decompose(m), cfg.tol) for m in (f, g, combine_affine(f, g, 1.0)))
 
     def test_each_input_form_rounds_as_the_scalar_checks(self):
         # pi-scaled CMats combine their integer parts before the factor of
@@ -280,3 +285,26 @@ class TestStackedReportAgreesWithScalarChecks:
         f, g = intro_pair()
         for pair in ((f, g), (f.expanded(), g.expanded()), (f, g.expanded()), (f.expanded(), g)):
             self.test_t_1_to_20("intro", pair)
+
+    def test_no_eigen_decompose_at_d2(self, monkeypatch, rng):
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return eigen_decompose(m)
+
+        for module in (relations, expmkit):
+            monkeypatch.setattr(module, "eigen_decompose", counted)
+        for _, (f, g) in _d2_pairs():
+            relation_report(f, g, TScanConfig.through(3))
+        assert calls == []
+        # the counter does see the d = 3 path
+        relation_report(random_matrix(rng, 3), random_matrix(rng, 3), TScanConfig.through(1))
+        assert calls
+
+    def test_verdicts_are_immutable(self):
+        v = relation_report(*intro_pair(), TScanConfig.through(2)).verdicts[-1]
+        with pytest.raises(AttributeError):
+            v.holds = not v.holds
+        assert v == RelationVerdict(v.relation, v.holds, v.residual, v.tol, v.t)
+        assert RelationVerdict(relation=v.relation, holds=True, residual=0.0, tol=1.0).t is None
