@@ -16,6 +16,7 @@ from commexp.expmkit import expm, expm_2x2_stack
 from commexp.families import dim2_case1_pair, intro_pair
 from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius, spectrum_congruence_free
 from commexp.relations import TScanConfig, check_relation_star, relation_report
+from commexp.simtrig import sim_triangularizable
 
 _rng = np.random.default_rng(20261018)
 
@@ -29,6 +30,11 @@ INTRO_F, INTRO_G = intro_pair()  # pi-scaled 2x2; F = diag(60, -60) i pi snaps
 # 100 random rows and the intro scan's t A + B for t = 1..100 (a few snap)
 STACK2 = np.array([_random(2) for _ in range(100)]
                   + [as_matrix(combine_affine(INTRO_F, INTRO_G, t)) for t in range(1, 101)])
+# a triangularizable 3x3 pair: S^-1 U1 S, S^-1 U2 S for upper triangular U1,
+# U2 and S = 2I + R, ||R|| = 1
+_R = _random(3)
+_S = 2 * np.eye(3) + _R / frobenius(_R)
+TRIANGULAR3 = tuple(np.linalg.solve(_S, np.triu(_random(3)) @ _S) for _ in range(2))
 
 
 @pytest.mark.parametrize("entries", [M2, M3], ids=["2x2", "3x3"])
@@ -66,6 +72,12 @@ def test_relation_report_intro_t100(benchmark):
 def test_relation_report_dim2case1_t3_triangularizable(benchmark):
     f, g = dim2_case1_pair(2, 3)
     benchmark(relation_report, f, g, TScanConfig.through(3), include_triangularizable=True)
+
+
+@pytest.mark.parametrize("f, g", [dim2_case1_pair(2, 3), (INTRO_F, INTRO_G), TRIANGULAR3],
+                         ids=["2x2-accepted", "2x2-refused-intro", "3x3-accepted"])
+def test_sim_triangularizable(benchmark, f, g):
+    benchmark(sim_triangularizable, f, g)
 
 
 def test_spectrum_congruence_free_far(benchmark):

@@ -18,7 +18,7 @@ _EXPORTS = {
         "CommexpError", "ComplexRootsError", "CongruenceViolationError", "ConstraintError",
         "DeflationError", "DimensionError", "IllConditionedError", "InvalidUError",
         "NoConvergenceError", "RankError", "SchemaError", "SnapUnavailableError",
-        "ZeroRootError",
+        "SpectrumOverflowError", "ZeroRootError",
     ),
     "expmkit": ("ExpMethod", "LogPoly", "expm", "expm_affine", "log_poly_recover"),
     "families": (

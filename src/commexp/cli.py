@@ -610,7 +610,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CommexpError, OSError, ValueError, OverflowError) as exc:
-        # OverflowError: finite input whose spectrum overflows to inf
+        # OverflowError: an exact search past intsearch's integer budget
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,11 @@ class CongruenceViolationError(CommexpError):
     """Two eigenvalues differ by a nonzero integer multiple of 2*i*pi."""
 
 
+class SpectrumOverflowError(CommexpError, OverflowError):
+    """Finite input whose eigenvalues, or their differences, overflow to inf;
+    the message names the matrix (F, G or F + G)."""
+
+
 class DeflationError(CommexpError):
     """Trace criterion says triangularizable but the basis built from common
     eigenvectors in the kernel of the commutator ideal fails the

@@ -319,12 +319,10 @@ def _snap_ints(values, tol: float):
     return tuple(ks)
 
 
-def eigen_decompose(m) -> Spectrum:
-    """Closed-form spectrum for d <= 3 with clustering and snap."""
-    a = as_matrix(m)
+def _polished_roots(a: np.ndarray) -> list[complex]:
+    """The d <= 3 eigenvalues of A, each root of the characteristic polynomial
+    polished and none clustered.  A is a validated complex ndarray."""
     d = a.shape[0]
-    if d > MAX_DIM:
-        raise DimensionError(f"eigen_decompose supports d <= {MAX_DIM}, got {d}")
     # roots of A - mu I, mu = tr A / d, then shifted back: a large common
     # shift would otherwise swamp the characteristic polynomial's coefficients
     mu = complex(a.trace()) / d
@@ -337,10 +335,17 @@ def eigen_decompose(m) -> Spectrum:
         roots = _poly_roots_quadratic(coeffs[1], coeffs[2])
     else:
         roots = _poly_roots_cubic(coeffs[1], coeffs[2], coeffs[3])
-    roots = [r + mu for r in _polish_roots(coeffs, roots, frobenius(shifted))]
+    return [r + mu for r in _polish_roots(coeffs, roots, frobenius(shifted))]
 
+
+def eigen_decompose(m) -> Spectrum:
+    """Closed-form spectrum for d <= 3 with clustering and snap."""
+    a = as_matrix(m)
+    d = a.shape[0]
+    if d > MAX_DIM:
+        raise DimensionError(f"eigen_decompose supports d <= {MAX_DIM}, got {d}")
     scale = frobenius(a)
-    reps, mults = _cluster(roots, CLUSTER_TOL * max(1.0, scale))
+    reps, mults = _cluster(_polished_roots(a), CLUSTER_TOL * max(1.0, scale))
     return Spectrum(
         eigenvalues=tuple(reps),
         distinct_count=len(mults),

@@ -25,7 +25,12 @@ F, G and F + G read the eigenvalues mu +/- s that the same call computes for
 rows 0, 1 and 2 (row 2 is t = 1), so the d = 2 path makes no
 ``eigen_decompose`` call.  At d = 3 it runs the scalar checks per t, six
 exponentials per t: star and swapped star each take exp(t F + G), exp(t F)
-and exp(G); the flags come from ``eigen_decompose`` of F, G and F + G.
+and exp(G); the flags read the polished roots of F, G and F + G, which
+``eigen_decompose`` would cluster: a cluster's mean can hide two roots that
+differ by 2 i pi once ||M|| is ~1e8 or more.  At either dimension an
+infinite eigenvalue difference raises ``SpectrumOverflowError`` naming the
+matrix.  With ``include_triangularizable`` the report adds the verdict of
+``simtrig.sim_triangularizable``, which at d = 2 is one test, det [F, G] = 0.
 """
 
 from __future__ import annotations
@@ -38,14 +43,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, SpectrumOverflowError
 from .expmkit import _expm_2x2_with_eigenvalues, expm, expm_affine
 from .numkernel import (
     CMat,
     Spectrum,
+    _polished_roots,
     as_matrix,
     combine_affine,
-    eigen_decompose,
     frobenius,
     spectrum_congruence_free,
 )
@@ -156,8 +161,7 @@ def _scan_2x2(f, g, cfg: TScanConfig) -> tuple[list[RelationVerdict], tuple[bool
     ts = [None, None] + [t for t in cfg.t_values for _ in range(2)]
     verdicts = list(map(RelationVerdict, kinds, (residuals <= tol).tolist(),
                         residuals.tolist(), itertools.repeat(tol), ts))
-    flags = tuple(congruence_free(pair, tol) for pair in lams[:, :3].T.tolist())
-    return verdicts, flags
+    return verdicts, _congruence_flags(lams[:, :3].T.tolist(), tol)
 
 
 def check_commute(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
@@ -219,6 +223,17 @@ def congruence_free(spectrum: Spectrum | list | tuple, tol: float = DEFAULT_TOL)
     return spectrum_congruence_free(values, tol)
 
 
+def _congruence_flags(spectra, tol: float) -> tuple[bool, bool, bool]:
+    """``congruence_free`` of the eigenvalues of F, G and F + G, in order."""
+    flags = []
+    for name, values in zip(("F", "G", "F + G"), spectra):
+        try:
+            flags.append(congruence_free(values, tol))
+        except OverflowError as exc:
+            raise SpectrumOverflowError(f"the spectrum of {name} overflows: {exc}") from exc
+    return tuple(flags)
+
+
 def relation_report(
     f, g, cfg: TScanConfig, *,
     pair: str = "",
@@ -233,8 +248,8 @@ def relation_report(
         verdicts.append(check_exp_equal(f, g, cfg.tol))
         verdicts.append(check_exp_swap(f, g, cfg.tol))
         verdicts.extend(scan_integer_t(f, g, cfg))
-        flags = tuple(congruence_free(eigen_decompose(m), cfg.tol)
-                      for m in (f, g, combine_affine(f, g, 1.0)))
+        flags = _congruence_flags([_polished_roots(as_matrix(m))
+                                   for m in (f, g, combine_affine(f, g, 1.0))], cfg.tol)
     trig = None
     if include_triangularizable:
         trig = sim_triangularizable(f, g).triangularizable

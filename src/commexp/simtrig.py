@@ -8,15 +8,26 @@ ceil((d^2 + 2) / 3), which is 2d - 2 for d <= 3, so the words of length
 <= 2d - 2 span it.  Both halves run on F / ||F||, G / ||G||, which are
 triangularized by the same bases, so every tolerance is absolute.
 
+At d = 2 the test is one number.  C is traceless, so C^2 = -det(C) I, and
+of the words of length <= 2 the traces of C, C F, C G, C F^2 and C G^2
+vanish identically, while tr(C F G) = -det C = -tr(C G F).  So the pair is
+triangularizable iff C is nilpotent, iff det [F, G] = 0: at d = 2 that is
+Shemesh's (1984) criterion for a common eigenvector, ker [F, G] != 0.
+
 The constructive half guesses no eigenvalue.  x lies in ker J iff C w x = 0
 for every word w, so ker J is one SVD of the stacked C w.  It holds every
 common eigenvector, is nonzero when J is nilpotent, and F and G leave it
 invariant and commute on it.  Split off a common eigenvector of that
-restriction with a unitary and recurse on the quotient block.
+restriction with a unitary and recurse on the quotient block.  Every 2 x 2
+problem, the d = 2 pair and the quotient block at d = 3 alike, takes one
+closed-form step in Python complex arithmetic instead: a nonzero nilpotent
+2 x 2 C has rank one, and its kernel, read off C's larger row, is the common
+eigenvector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +45,7 @@ class TrigVerdict:
     Exactly one of ``basis`` (invertible T with T^-1 F T, T^-1 G T upper
     triangular) and ``witness`` (word w with tr([F,G] w) != 0) is set.  The
     witness is the first failing word, shortest first, and it and its trace
-    are in the caller's scale.
+    are in the caller's scale.  At d = 2 the witness word is always "FG".
     """
 
     triangularizable: bool
@@ -67,9 +78,8 @@ def _words(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[str]]:
 def _ideal_kernel(a: np.ndarray, b: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning ker J, at least the least singular one.
 
-    The rows are the C w of the unit pair or of its quotient block; singular
-    values up to tol count as zero, so a commutator of rounding noise reads
-    as J = 0.
+    The rows are the C w of the unit pair; singular values up to tol count
+    as zero, so a commutator of rounding noise reads as J = 0.
     """
     d = a.shape[0]
     _, sv, vh = np.linalg.svd(((a @ b - b @ a) @ words).reshape(-1, d), full_matrices=False)
@@ -115,6 +125,34 @@ def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                key=lambda v: _residual(a, v) + _residual(b, v))
 
 
+def _commutator_2x2(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex, complex]:
+    """c00, c01, c10 of C = [A, B] = [[c00, c01], [c10, -c00]] for 2x2 A, B, in
+    Python complex arithmetic: numpy scalars cost several times more."""
+    a00, a01, a10, a11 = a.ravel().tolist()
+    b00, b01, b10, b11 = b.ravel().tolist()
+    da, db = a00 - a11, b00 - b11
+    return a01 * b10 - b01 * a10, da * b01 - db * a01, db * a10 - da * b10
+
+
+def _basis_2x2(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Unitary [[v0, -conj v1], [v1, conj v0]] whose first column v is a common
+    eigenvector of a triangularizable 2x2 pair with ||A||, ||B|| <= 1.
+
+    When ||C|| > tol, C = [A, B] is nilpotent and nonzero, so of rank one, and
+    v spans ker C: (c01, -c00) annihilates row 0 and (c00, c10) row 1, and
+    the larger row is the better conditioned.  Otherwise the pair commutes
+    within tol and ``_eigenline`` finds v.
+    """
+    c00, c01, c10 = _commutator_2x2(a, b)
+    if math.hypot(abs(c00), abs(c00), abs(c01), abs(c10)) > tol:
+        v0, v1 = (c01, -c00) if abs(c01) >= abs(c10) else (c00, c10)
+        norm = math.hypot(abs(v0), abs(v1))
+        v0, v1 = v0 / norm, v1 / norm
+    else:
+        v0, v1 = _eigenline(a, b).tolist()
+    return np.array([[v0, -v1.conjugate()], [v1, v0.conjugate()]])
+
+
 def _common_eigenvector(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
     kernel = _ideal_kernel(a, b, words, tol)
     if kernel.shape[1] == 1:
@@ -136,7 +174,10 @@ def common_eigenvector(f, g, tol: float = 1e-8) -> np.ndarray | None:
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
     a, b = _unit(a), _unit(b)
-    v = _common_eigenvector(a, b, _words(a, b)[0], tol)
+    if a.shape[0] == 2:
+        v = _basis_2x2(a, b, tol)[:, 0]
+    else:
+        v = _common_eigenvector(a, b, _words(a, b)[0], tol)
     if max(_residual(a, v), _residual(b, v)) > tol:
         return None
     return v
@@ -144,16 +185,29 @@ def common_eigenvector(f, g, tol: float = 1e-8) -> np.ndarray | None:
 
 def _deflate(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
     """Unitary T with T* F T, T* G T upper triangular, for a triangularizable
-    pair and words spanning its algebra.  The 2x2 quotient needs no words
-    but I: a nonzero nilpotent 2x2 commutator has rank one, so ker J = ker C."""
+    pair of dimension 1 or 3 and words spanning its algebra.  The 2x2
+    quotient block needs no words: a nonzero nilpotent 2x2 commutator has
+    rank one, so ker J = ker C, and ``_basis_2x2`` deflates it."""
     d = a.shape[0]
     # a unitary whose first column is the common eigenvector, up to a phase
     q = np.linalg.qr(np.column_stack([_common_eigenvector(a, b, words, tol), np.eye(d)]))[0]
     if d > 2:
         qh = q.conj().T
         a2, b2 = (qh @ a @ q)[1:, 1:], (qh @ b @ q)[1:, 1:]
-        q[:, 1:] = q[:, 1:] @ _deflate(a2, b2, np.eye(d - 1)[None], tol)
+        q[:, 1:] = q[:, 1:] @ _basis_2x2(a2, b2, tol)
     return q
+
+
+def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
+    """Frobenius norm of the strictly lower part of T* M T; at d = 2 the
+    modulus of its (1, 0) entry, in Python complex arithmetic."""
+    if m.shape[0] == 2:
+        (q00, q01), (q10, q11) = basis.tolist()
+        m00, m01, m10, m11 = m.ravel().tolist()
+        # conj(column 1 of T) . (M times column 0 of T)
+        return abs(q01.conjugate() * (m00 * q00 + m01 * q10)
+                   + q11.conjugate() * (m10 * q00 + m11 * q10))
+    return frobenius(np.tril(basis.conj().T @ m @ basis, -1))
 
 
 def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
@@ -164,22 +218,30 @@ def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"sim_triangularizable supports d <= {MAX_DIM}")
     fu, gu = _unit(a), _unit(b)
-    words, labels = _words(fu, gu)
-    traces = np.einsum("ij,kji->k", fu @ gu - gu @ fu, words)
-    failing = np.flatnonzero(np.abs(traces) > tol)
-    if failing.size:
-        k = int(failing[0])
-        norm_f, norm_g = frobenius(a), frobenius(b)
-        scale = norm_f ** labels[k].count("F") * norm_g ** labels[k].count("G")
-        return TrigVerdict(
-            triangularizable=False,
-            witness=words[k] * scale,
-            witness_word=labels[k],
-            witness_trace=complex(traces[k]) * scale * norm_f * norm_g,
-        )
-    basis = _deflate(fu, gu, words, max(tol, 1e-8))
+    if a.shape[0] == 2:
+        c00, c01, c10 = _commutator_2x2(fu, gu)
+        trace = c00 * c00 + c01 * c10  # tr(C Fu Gu) = -det C
+        if abs(trace) > tol:
+            scale = frobenius(a) * frobenius(b)
+            return TrigVerdict(triangularizable=False, witness=a @ b, witness_word="FG",
+                               witness_trace=trace * scale * scale)
+        basis = _basis_2x2(fu, gu, max(tol, 1e-8))
+    else:
+        words, labels = _words(fu, gu)
+        traces = np.einsum("ij,kji->k", fu @ gu - gu @ fu, words)
+        failing = np.flatnonzero(np.abs(traces) > tol)
+        if failing.size:
+            k = int(failing[0])
+            norm_f, norm_g = frobenius(a), frobenius(b)
+            scale = norm_f ** labels[k].count("F") * norm_g ** labels[k].count("G")
+            return TrigVerdict(
+                triangularizable=False,
+                witness=words[k] * scale,
+                witness_word=labels[k],
+                witness_trace=complex(traces[k]) * scale * norm_f * norm_g,
+            )
+        basis = _deflate(fu, gu, words, max(tol, 1e-8))
     for m in (a, b):
-        lower = np.tril(basis.conj().T @ m @ basis, -1)
-        if frobenius(lower) > BASIS_VERIFY_TOL * max(1.0, frobenius(m)):
+        if _lower_norm(basis, m) > BASIS_VERIFY_TOL * max(1.0, frobenius(m)):
             raise DeflationError("constructed basis fails the upper-triangularity check")
     return TrigVerdict(triangularizable=True, basis=basis)

@@ -470,9 +470,10 @@ class TestKernelSVDGuard:
         for m in defective:
             assert _outcome(m, ExpMethod.EXACT_PI_SNAP) is SnapUnavailableError
         # the counter sees an SVD taken through the package: a non-commuting
-        # triangular pair's common eigenvector comes from one SVD of the
-        # commutator ideal
-        assert sim_triangularizable([[1, 1], [0, 2]], [[0, 1], [0, 3]]).triangularizable
+        # triangular 3x3 pair's common eigenvector comes from one SVD of the
+        # commutator ideal (a 2x2 pair, or quotient block, takes none)
+        assert sim_triangularizable([[1, 1, 0], [0, 2, 0], [0, 0, 3]],
+                                    [[0, 1, 0], [0, 3, 1], [0, 0, 0]]).triangularizable
         assert calls == [1]
 
 

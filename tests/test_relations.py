@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp import expmkit, relations, uset
-from commexp.errors import DimensionError
+from commexp.errors import CommexpError, DimensionError, SpectrumOverflowError
 from commexp.families import (
     Real2DParams,
     Theorem2Params,
@@ -287,14 +288,17 @@ class TestStackedReportAgreesWithScalarChecks:
             self.test_t_1_to_20("intro", pair)
 
     def test_no_eigen_decompose_at_d2(self, monkeypatch, rng):
+        # nor the polished roots that the d = 3 flags read
         calls = []
 
-        def counted(m):
-            calls.append(1)
-            return eigen_decompose(m)
+        def counted(spectrum):
+            def wrapper(m):
+                calls.append(1)
+                return spectrum(m)
+            return wrapper
 
-        for module in (relations, expmkit):
-            monkeypatch.setattr(module, "eigen_decompose", counted)
+        monkeypatch.setattr(expmkit, "eigen_decompose", counted(eigen_decompose))
+        monkeypatch.setattr(relations, "_polished_roots", counted(relations._polished_roots))
         for _, (f, g) in _d2_pairs():
             relation_report(f, g, TScanConfig.through(3))
         assert calls == []
@@ -308,3 +312,28 @@ class TestStackedReportAgreesWithScalarChecks:
             v.holds = not v.holds
         assert v == RelationVerdict(v.relation, v.holds, v.residual, v.tol, v.t)
         assert RelationVerdict(relation=v.relation, holds=True, residual=0.0, tol=1.0).t is None
+
+
+class TestSpectrumEdges:
+    def test_d3_flags_read_unclustered_roots(self):
+        # 0, 2 i pi and 0.5 lie within 1e-8 ||F|| = 10 of each other, so
+        # eigen_decompose merges them into one cluster, whose mean is no
+        # congruence; F's roots 0 and 2 i pi are one
+        f = np.array([[0, 1e9, 0], [0, 2j * PI, 0], [0, 0, 0.5]])
+        assert eigen_decompose(f).distinct_count == 1
+        report = relation_report(f, np.zeros((3, 3)), TScanConfig.through(3))
+        assert report.congruence_free == (False, True, False)
+
+    @pytest.mark.parametrize("f, g, name", [
+        ([[1e160, 1e160], [0, 0]], np.eye(2), "F"),
+        (np.eye(2), [[1e160, 1e160], [0, 0]], "G"),
+        ([[0, 1e160], [0, 0]], [[0, 0], [1e160, 0]], "F + G"),  # F and G nilpotent
+    ], ids=["F", "G", "F+G"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_spectrum_names_its_matrix(self, f, g, name):
+        f, g = np.array(f, dtype=complex), np.array(g, dtype=complex)
+        with pytest.raises(SpectrumOverflowError, match=f"spectrum of {re.escape(name)} overflows"
+                           ) as raised:
+            relation_report(f, g, TScanConfig.through(2))
+        assert isinstance(raised.value, CommexpError) and isinstance(raised.value, OverflowError)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commexp.families import Theorem2Params, intro_pair, theorem2_family
+from commexp.families import Theorem2Params, dim2_case1_pair, intro_pair, theorem2_family
 from commexp.numkernel import CMat
 from commexp.simtrig import (
     BASIS_VERIFY_TOL,
     TrigVerdict,
+    _commutator_2x2,
     _words,
     common_eigenvector,
     sim_triangularizable,
@@ -282,3 +283,101 @@ class TestCommonEigenvector:
 
     def test_zero_pair(self):
         assert common_eigenvector(np.zeros((2, 2)), np.zeros((2, 2))) is not None
+
+
+def triangularizable_by_words(f, g, tol=1e-9):
+    """Referee for the closed-form 2x2 test: McCoy's word test as the general
+    path runs it, tr([F, G] w) <= tol for every word w of length <= 2 in the
+    unit pair F / ||F||, G / ||G||."""
+    fu, gu = (m / np.linalg.norm(m) if np.linalg.norm(m) > 0 else m for m in (f, g))
+    comm = fu @ gu - gu @ fu
+    labels = ["".join(x) for n in range(3) for x in itertools.product("FG", repeat=n)]
+    return all(abs(np.trace(comm @ word(fu, gu, x))) <= tol for x in labels)
+
+
+PAIR_KINDS_2X2 = (*TRIANGULAR_FAMILIES, "rank-one", "random", "planted")
+
+
+def pair_2x2(rng, kind):
+    """A 2x2 pair of the given kind: a conjugated triangular family, rank-one
+    members (sharing an eigenvector half the time), a random pair, or a pair
+    whose unit commutator has det C planted at 0.5 or 2 times 1e-9."""
+    if kind in TRIANGULAR_FAMILIES:
+        return triangular_family(rng, kind, 2)
+
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "rank-one":
+        x = cn(2)
+        g = np.outer(x, cn(2)) + cn() * np.eye(2) if rng.random() < 0.5 else np.outer(cn(2), cn(2))
+        return np.outer(x, cn(2)), g
+    if kind == "random":
+        return cn(2, 2), cn(2, 2)
+    # F = diag(1, -1), G = [[p, 1], [r, s]]: [F, G] = [[0, 2], [-2r, 0]], so on
+    # the unit pair c00^2 + c01 c10 = -4r / (||F||^2 ||G||^2) = -2r / ||G||^2;
+    # a unitary conjugation keeps every norm and so the planted value
+    planted = rng.choice([0.5, 2.0]) * 1e-9 * np.exp(2j * np.pi * rng.random())
+    p, s = cn(2)
+    r = -planted * (abs(p) ** 2 + 1 + abs(s) ** 2) / 2
+    u = np.linalg.qr(cn(2, 2))[0]
+    return u.conj().T @ np.diag([1, -1]) @ u, u.conj().T @ np.array([[p, 1], [r, s]]) @ u
+
+
+class TestClosedForm2x2:
+    """At d = 2 the word test is one number, c00^2 + c01 c10 = tr(C F G) on
+    the unit pair, and the basis is read off ker C."""
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS_2X2)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale_f=st.sampled_from((1e-3, 1.0, 1e3, 1e6)),
+           scale_g=st.sampled_from((1e-3, 1.0, 1e3, 1e6)))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_word_test(self, kind, seed, scale_f, scale_g):
+        f, g = pair_2x2(np.random.default_rng(seed), kind)
+        f, g = scale_f * f, scale_g * g
+        verdict = sim_triangularizable(f, g)
+        assert verdict.triangularizable == triangularizable_by_words(f, g)
+        if verdict.triangularizable:
+            t = verdict.basis
+            assert np.allclose(t.conj().T @ t, np.eye(2), rtol=0, atol=1e-12)
+            for m in (f, g):
+                lower = abs((t.conj().T @ m @ t)[1, 0])
+                assert lower <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
+        else:
+            assert verdict.witness_word == "FG"
+            assert np.allclose(verdict.witness, f @ g, rtol=1e-12, atol=0)
+            comm = f @ g - g @ f
+            assert np.trace(comm @ verdict.witness) == pytest.approx(verdict.witness_trace, rel=1e-6)
+
+    def test_fg_trace_is_minus_det_commutator(self):
+        # exact in integers: C = [F, G] is traceless, so tr(C F G) = -det C =
+        # -tr(C G F), and the other words of length <= 2 give 0
+        for f, g in np.random.default_rng(7).integers(-9, 10, size=(200, 2, 2, 2)):
+            c = f @ g - g @ f
+            det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+            assert np.trace(c @ f @ g) == -det == -np.trace(c @ g @ f)
+            for label in ("", "F", "G", "FF", "GG"):
+                assert np.trace(c @ word(f, g, label)) == 0
+            c00, c01, c10 = _commutator_2x2(f.astype(complex), g.astype(complex))
+            assert (c00, c01, c10, -c00) == tuple(c.ravel())
+            assert c00 * c00 + c01 * c10 == -det
+
+    def test_no_svd_or_qr_at_d2(self, monkeypatch, rng):
+        pairs = [intro_pair(), theorem2_family(Theorem2Params(u=U1)), dim2_case1_pair(2, 3),
+                 *NO_COMMON_EIGENVECTOR.values(), (np.zeros((2, 2)), np.zeros((2, 2)))]
+        pairs += [pair_2x2(rng, kind) for kind in PAIR_KINDS_2X2 for _ in range(5)]
+        control = conjugated_triangular_pair(rng)
+        calls = []
+        for name in ("svd", "qr"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for f, g in pairs:
+            sim_triangularizable(f, g)
+            common_eigenvector(f, g)
+        assert calls == []
+        # the counters do see the d = 3 path
+        assert sim_triangularizable(*control).triangularizable
+        assert calls
