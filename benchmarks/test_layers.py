@@ -1,4 +1,5 @@
-"""Per-layer timings of the numeric kernel, one benchmark per layer.
+"""Per-layer timings of the numeric kernel and the exact searches, one
+benchmark per layer.
 
 Run with
 
@@ -14,6 +15,7 @@ import pytest
 
 from commexp.expmkit import expm, expm_2x2_stack
 from commexp.families import dim2_case1_pair, intro_pair
+from commexp.intsearch import discriminant_scan_A1, grobner_replacement_search
 from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius, spectrum_congruence_free
 from commexp.relations import TScanConfig, check_relation_star, relation_report
 from commexp.simtrig import sim_triangularizable
@@ -87,3 +89,15 @@ def test_spectrum_congruence_free_far(benchmark):
 
 def test_relation_report_intro_t1000(benchmark):
     benchmark(relation_report, INTRO_F, INTRO_G, TScanConfig.through(1000, 1e-6))
+
+
+@pytest.mark.parametrize("box, n", [(5, 2), (2, 1)], ids=["box5-n2", "box2-n1-control"])
+def test_grobner_replacement_search(benchmark, box, n):
+    benchmark(grobner_replacement_search, box, n)
+
+
+@pytest.mark.parametrize("params", [(1, 2, 1, 4), (1, 2, 3, 4)],
+                         ids=["degenerate", "non-degenerate"])
+def test_discriminant_scan_a1_30000(benchmark, params):
+    # degenerate: m1 = n1 makes the discriminant a square, and all 30 000 n survive
+    benchmark(discriminant_scan_A1, *params, 30000)

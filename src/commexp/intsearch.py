@@ -28,6 +28,10 @@ keeps the common denominator m1 - m2 of the entries, so at rho = sigma = 0
 the residuals are r[0] = r[1] = 0 and (m1 - m2) r[2..5] = n N_base - N_scaled,
 with N the numerators of ``_iii4_numerators``, and a survivor needs
 n N_base == N_scaled.
+
+Every count the search reports is closed form: the base tuples per trace sum
+and the n = 1 prune classes are sums of ``_distinct_pairs`` counts, O(box^2)
+in all.  Only the n = 1 survivor list is enumerated (``_iii4_base_tuples``).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from operator import mul
 
 from .errors import ConstraintError
 
@@ -395,23 +400,51 @@ def _iii4_base_tuples(box: int):
                             yield (l1, l2, m1, m2, m3, n1, n2)
 
 
+def _distinct_pairs(total: int, box: int, nonzero: bool) -> int:
+    """Ordered pairs x != y inside the box with x + y = total, both nonzero when
+    ``nonzero``: (l1, l2) and (n1, n2) with it (``len(_trace_pairs(total,
+    box))``), (m1, m2) without.
+
+    x runs over 2 box + 1 - |total| values; x = y = total / 2 drops one when
+    total is even, and x = 0 or y = 0 two more when 0 < |total| <= box (at
+    total = 0 the zero pair is x = y)."""
+    count = 2 * box + 1 - abs(total)
+    if count <= 0:
+        return 0
+    count -= total % 2 == 0
+    if nonzero and 0 < abs(total) <= box:
+        count -= 2
+    return count
+
+
 def _base_tuples_by_trace_sum(box: int) -> Counter:
     """Number of tuples ``_iii4_base_tuples(box)`` yields per trace sum
     T = l1 + l2 + m1 + m2 + m3, without enumerating them.
 
     The admissible (n1, n2) depend on the rest of a tuple only through T, so a
     histogram of T over the side conditions, weighted by the (n1, n2) count per
-    sum, counts them all."""
-    rng = range(-box, box + 1)
-    nonzero = [x for x in rng if x != 0]
-    l_sums = Counter(l1 + l2 for l1 in nonzero for l2 in nonzero if l1 != l2)
-    m_sums = Counter(m1 + m2 + m3 for m1 in rng for m2 in rng if m1 != m2 for m3 in rng)
+    sum, counts them all.  The (m1, m2) counts per sum are convolved with the
+    box for m3, and each T is one dot product of the (l1, l2) counts with
+    those: O(box^2) in all, the products summed by ``sum(map(mul, ...))``
+    rather than by Python loops over Counters."""
+    # the sums T with an (n1, n2) pair; l_pairs[i] and m_pairs[i] count sum i - 2 box
+    pair_sums = range(-2 * box, 2 * box + 1)
+    l_pairs = [_distinct_pairs(s, box, True) for s in pair_sums]
+    m_pairs = [_distinct_pairs(s, box, False) for s in pair_sums]
+    # m_triples[j] counts m1 + m2 + m3 = j - 4 box: the m_pairs of the sums
+    # j - 4 box - m3, a window of the zero-padded list
+    pad = [0] * (3 * box)
+    padded = pad + m_pairs + pad
+    m_triples = [sum(padded[j:j + 2 * box + 1]) for j in range(8 * box + 1)]
     by_sum: Counter = Counter()
-    for ls, lc in l_sums.items():
-        for ms, mc in m_sums.items():
-            by_sum[ls + ms] += lc * mc
-    return Counter({total: count * len(_trace_pairs(total, box))
-                    for total, count in by_sum.items()})
+    for total in pair_sums:
+        # l1 + l2 = s pairs with m1 + m2 + m3 = T - s; l_pairs is even in s,
+        # so its sum s lines up with the m_triples entry of T + s instead
+        lm = sum(map(mul, l_pairs, m_triples[total + 2 * box:total + 6 * box + 1]))
+        count = lm * _distinct_pairs(total, box, True)
+        if count:
+            by_sum[total] = count
+    return by_sum
 
 
 def _identity_scaling_classes(box: int, by_sum: Counter) -> Counter:
@@ -419,24 +452,22 @@ def _identity_scaling_classes(box: int, by_sum: Counter) -> Counter:
     from their counts per trace sum (``_base_tuples_by_trace_sum``).
 
     lambda and n~1 != 0 range over the box and the trace identity fixes
-    n~2 = T + 3 lambda - n~1, so the split depends on a base tuple only
-    through its trace sum T.  "candidate" counts the admissible triples; the
-    other keys count the ones each side condition excludes."""
-    rng = range(-box, box + 1)
-    nonzero = [x for x in rng if x != 0]
+    n~2 = S - n~1 with S = T + 3 lambda, so the split depends on a base tuple
+    only through its trace sum T, and per (T, lambda) each class is a count:
+    "candidate" the admissible (n~1, n~2) (``_distinct_pairs(S, box, True)``),
+    "ntilde2_zero" n~1 = S, "ntilde_equal" n~1 = S / 2, and
+    "ntilde2_outside_box" the rest of the 2 box values of n~1."""
     classes: Counter = Counter()
     for total, tuples in by_sum.items():
-        for lam in rng:
-            for nt1 in nonzero:
-                nt2 = total + 3 * lam - nt1
-                if abs(nt2) > box:
-                    classes["ntilde2_outside_box"] += tuples
-                elif nt2 == 0:
-                    classes["ntilde2_zero"] += tuples
-                elif nt2 == nt1:
-                    classes["ntilde_equal"] += tuples
-                else:
-                    classes["candidate"] += tuples
+        for lam in range(-box, box + 1):
+            s = total + 3 * lam
+            candidate = _distinct_pairs(s, box, True)
+            zero = 0 < abs(s) <= box
+            equal = s != 0 and s % 2 == 0 and abs(s) <= 2 * box
+            classes["candidate"] += tuples * candidate
+            classes["ntilde2_zero"] += tuples * zero
+            classes["ntilde_equal"] += tuples * equal
+            classes["ntilde2_outside_box"] += tuples * (2 * box - candidate - zero - equal)
     return +classes  # unary + drops the classes that no base tuple reaches
 
 
@@ -477,7 +508,8 @@ def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
     n >= 2 is the real search, whose empty survivor set is the desk-scale
     replacement for the cited computer-algebra elimination: l1 l2 != 0, so
     the sum identity rules out every base tuple at once, and the base tuples
-    are counted from a histogram of their trace sums, not enumerated.
+    are counted in closed form from a histogram of their trace sums
+    (``_base_tuples_by_trace_sum``), none enumerated.
 
     n = 1 is the identity-scaling control (every admissible tuple must
     survive).  With P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
@@ -485,8 +517,9 @@ def grobner_replacement_search(box: int, n: int) -> SearchOutcome:
     (m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
     so a triple survives iff P = 0 and lambda is 0, -n1 or -n2, which fixes
     {n~1, n~2} (see ``_identity_scaling_survivors``); the only filter left is
-    |n~| <= box.  The prune and candidate counts follow from the trace-sum
-    histogram (``_identity_scaling_classes``).
+    |n~| <= box.  The prune and candidate counts follow in closed form from
+    the trace-sum histogram (``_identity_scaling_classes``); the survivor list
+    is the one thing enumerated.
 
     Every survivor is re-checked before being reported (RuntimeError
     otherwise), on cleared integer numerators.  With N_base the

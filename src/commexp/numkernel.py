@@ -319,6 +319,26 @@ def _snap_ints(values, tol: float):
     return tuple(ks)
 
 
+# past these ||A - mu I||_F the characteristic polynomial's coefficients may
+# overflow before its roots do (the quadratic's determinant near 1e154, the
+# cubic's p^3 and q^2 near 1e51)
+SCALED_SOLVE_NORM = {1: math.inf, 2: 1e150, 3: 1e50}
+
+
+def _shifted_roots(shifted: np.ndarray, scale: float) -> list[complex]:
+    """The polished roots of the characteristic polynomial of a d <= 3 matrix
+    of Frobenius norm ``scale``."""
+    coeffs = char_poly(shifted)
+    d = len(coeffs) - 1
+    if d == 1:
+        roots = [-coeffs[1]]
+    elif d == 2:
+        roots = _poly_roots_quadratic(coeffs[1], coeffs[2])
+    else:
+        roots = _poly_roots_cubic(coeffs[1], coeffs[2], coeffs[3])
+    return _polish_roots(coeffs, roots, scale)
+
+
 def _polished_roots(a: np.ndarray) -> list[complex]:
     """The d <= 3 eigenvalues of A, each root of the characteristic polynomial
     polished and none clustered.  A is a validated complex ndarray."""
@@ -328,14 +348,20 @@ def _polished_roots(a: np.ndarray) -> list[complex]:
     mu = complex(a.trace()) / d
     shifted = a.copy()
     shifted.flat[:: d + 1] -= mu
-    coeffs = char_poly(shifted)
-    if d == 1:
-        roots = [-coeffs[1]]
-    elif d == 2:
-        roots = _poly_roots_quadratic(coeffs[1], coeffs[2])
-    else:
-        roots = _poly_roots_cubic(coeffs[1], coeffs[2], coeffs[3])
-    return [r + mu for r in _polish_roots(coeffs, roots, frobenius(shifted))]
+    scale = frobenius(shifted)
+    if scale > SCALED_SOLVE_NORM[d] and np.isfinite(shifted).all():
+        # solve for shifted / s, s = ||shifted||_F, and scale the roots back
+        s = _norm_past_overflow(shifted)
+        unit = shifted / s
+        return [r * s + mu for r in _shifted_roots(unit, frobenius(unit))]
+    return [r + mu for r in _shifted_roots(shifted, scale)]
+
+
+def _norm_past_overflow(x: np.ndarray) -> float:
+    """||x||_F of a nonzero x as peak * ||x / peak||_F, finite where the
+    squares of x's entries overflow."""
+    peak = float(np.abs(x).max())
+    return peak * frobenius(x / peak)
 
 
 def eigen_decompose(m) -> Spectrum:
@@ -345,6 +371,8 @@ def eigen_decompose(m) -> Spectrum:
     if d > MAX_DIM:
         raise DimensionError(f"eigen_decompose supports d <= {MAX_DIM}, got {d}")
     scale = frobenius(a)
+    if scale == math.inf and np.isfinite(a).all():
+        scale = _norm_past_overflow(a)
     reps, mults = _cluster(_polished_roots(a), CLUSTER_TOL * max(1.0, scale))
     return Spectrum(
         eigenvalues=tuple(reps),

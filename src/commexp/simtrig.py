@@ -199,15 +199,17 @@ def _deflate(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
 
 
 def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
-    """Frobenius norm of the strictly lower part of T* M T; at d = 2 the
-    modulus of its (1, 0) entry, in Python complex arithmetic."""
+    """Frobenius norm of the strictly lower part of T* M T, read from its
+    entries: at d = 2 the modulus of its (1, 0) entry, in Python complex
+    arithmetic; 0 at d = 1."""
     if m.shape[0] == 2:
         (q00, q01), (q10, q11) = basis.tolist()
         m00, m01, m10, m11 = m.ravel().tolist()
         # conj(column 1 of T) . (M times column 0 of T)
         return abs(q01.conjugate() * (m00 * q00 + m01 * q10)
                    + q11.conjugate() * (m10 * q00 + m11 * q10))
-    return frobenius(np.tril(basis.conj().T @ m @ basis, -1))
+    t = (basis.conj().T @ m @ basis).tolist()
+    return math.hypot(*(abs(row[j]) for i, row in enumerate(t) for j in range(i)))
 
 
 def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:

@@ -4,6 +4,8 @@ import pytest
 from commexp import families
 from commexp.errors import ComplexRootsError, ConstraintError
 
+# entries past ~1e154 overflow the squares summed in a Frobenius norm
+SQUARES_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 
 @pytest.fixture
 def rng():

@@ -377,6 +377,15 @@ class TestMatrixFiles:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_one_by_one_pair_from_files(self, capsys, tmp_path):
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        cli.save_matrix_file(f, CMat.from_rows([[1]]))
+        cli.save_matrix_file(g, CMat.from_rows([[2j]]))
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2",
+                             "--triangularizable")
+        assert code == 0, err
+        assert json.loads(out)["payload"]["sim_triangularizable"] is True
+
     def test_small_non_triangularizable_pair_from_files(self, capsys, tmp_path):
         # the intro pair times 1e-5: its traces tr([F, G] w) are below 1e-9
         # in absolute terms, but not relative to ||F|| ||G|| ||w||
@@ -597,13 +606,14 @@ def test_console_script_targets_the_module_entry():
     assert getattr(importlib.import_module(module), name) is cli.entry
 
 
-# runs one command in-process and reports whether numpy got loaded
+# runs one command in-process and reports its exit code, whether numpy got
+# loaded and what it printed
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from commexp import cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
 """
 
 
@@ -612,11 +622,15 @@ class TestNumpyLoadsOnlyWhereUsed:
     never import numpy.  verify and families, which compute with floats, do."""
 
     @staticmethod
-    def probe(*argv):
+    def probe(*argv, report=False):
+        """[exit code, numpy loaded], and the parsed report with ``report``."""
         env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
                               capture_output=True, text=True, env=env, check=True)
-        return json.loads(proc.stdout)
+        code, numpy_loaded, out = json.loads(proc.stdout)
+        if report:
+            return [code, numpy_loaded], json.loads(out)
+        return [code, numpy_loaded]
 
     @pytest.mark.parametrize("argv", [
         ("solve-u", "--k", "-1..3"),
@@ -628,6 +642,14 @@ class TestNumpyLoadsOnlyWhereUsed:
     ], ids=" ".join)
     def test_integer_commands_run_without_numpy(self, argv):
         assert self.probe(*argv) == [0, False]
+
+    def test_iii4_search_at_box_25(self):
+        # 7.8e9 base tuples: counted in closed form, never enumerated
+        status, report = self.probe("search", "iii4", "--box", "25", "--n", "2", report=True)
+        assert status == [0, False]
+        assert report["claim"]["reproduced"] is True
+        assert report["payload"]["tuples_scanned"] == report["payload"]["pruned"] == 7844674936
+        assert report["payload"]["survivors"] == []
 
     def test_alpha_search_runs_without_numpy(self):
         # --alpha builds the products from m, n and alpha in exact arithmetic

@@ -13,7 +13,10 @@ from commexp.intsearch import (
     III4Params,
     case3_III4_residuals,
     _base_tuples_by_trace_sum,
+    _distinct_pairs,
+    _identity_scaling_classes,
     _iii4_base_tuples,
+    _trace_pairs,
     SquarePoly,
     grobner_replacement_search,
     is_perfect_square,
@@ -168,6 +171,76 @@ def _scan_every_candidate(box, n):
                         survivors.append(base + (lam, nt1, nt2))
         obstructed += all_obstructed
     return survivors, scanned, dict(reasons), candidates, obstructed
+
+
+def _trace_sums_by_cube(box):
+    """Reference for ``_base_tuples_by_trace_sum``: the (l1, l2) and
+    (m1, m2, m3) sums counted by walking all of them, O(box^3), convolved, and
+    weighted by the (n1, n2) pairs of each trace sum."""
+    rng = range(-box, box + 1)
+    nonzero = [x for x in rng if x != 0]
+    l_sums = Counter(l1 + l2 for l1 in nonzero for l2 in nonzero if l1 != l2)
+    m_sums = Counter(m1 + m2 + m3 for m1 in rng for m2 in rng if m1 != m2 for m3 in rng)
+    by_sum = Counter()
+    for ls, lc in l_sums.items():
+        for ms, mc in m_sums.items():
+            by_sum[ls + ms] += lc * mc
+    return +Counter({total: count * len(_trace_pairs(total, box))
+                     for total, count in by_sum.items()})
+
+
+def _classes_by_ntilde1(box, by_sum):
+    """Reference for ``_identity_scaling_classes``: every (lambda, n~1) of each
+    trace sum classified one at a time."""
+    rng = range(-box, box + 1)
+    classes = Counter()
+    for total, tuples in by_sum.items():
+        for lam in rng:
+            for nt1 in (x for x in rng if x):
+                nt2 = total + 3 * lam - nt1
+                if abs(nt2) > box:
+                    classes["ntilde2_outside_box"] += tuples
+                elif nt2 == 0:
+                    classes["ntilde2_zero"] += tuples
+                elif nt2 == nt1:
+                    classes["ntilde_equal"] += tuples
+                else:
+                    classes["candidate"] += tuples
+    return +classes
+
+
+class TestClosedFormCounts:
+    @pytest.mark.parametrize("box", range(2, 11))
+    def test_distinct_pairs(self, box):
+        rng = range(-box, box + 1)
+        for total in range(-5 * box, 5 * box + 1):
+            assert _distinct_pairs(total, box, True) == len(_trace_pairs(total, box))
+            assert _distinct_pairs(total, box, False) == sum(
+                1 for x in rng for y in rng if x != y and x + y == total)
+
+    @pytest.mark.parametrize("box", [2, 3, 4])
+    def test_histogram_matches_enumeration(self, box):
+        by_sum = _base_tuples_by_trace_sum(box)
+        assert by_sum == Counter(sum(t[:5]) for t in _iii4_base_tuples(box))
+        assert all(by_sum.values())
+
+    @pytest.mark.parametrize("box", range(2, 16))
+    def test_histogram_matches_cubic_walk(self, box):
+        assert dict(_base_tuples_by_trace_sum(box)) == dict(_trace_sums_by_cube(box))
+
+    @pytest.mark.parametrize("box", range(2, 9))
+    def test_classes_match_ntilde1_loop(self, box):
+        by_sum = _base_tuples_by_trace_sum(box)
+        assert dict(_identity_scaling_classes(box, by_sum)) == dict(_classes_by_ntilde1(box, by_sum))
+
+    def test_search_at_n_two_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(intsearch, "_iii4_base_tuples", refuse)
+        monkeypatch.setattr(intsearch, "_trace_pairs", refuse)
+        out = grobner_replacement_search(5, 2)
+        assert out.tuples_scanned == out.pruned == BASE_TUPLES[5] == 466136
 
 
 # the n = 1 control per box: survivor count, sha256 of repr(sorted(params)),

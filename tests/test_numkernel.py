@@ -18,7 +18,7 @@ from commexp.numkernel import (
     spectrum_congruence_free,
 )
 
-from conftest import random_matrix
+from conftest import SQUARES_OVERFLOW, random_matrix
 
 PI = math.pi
 
@@ -333,6 +333,24 @@ class TestEigenDecompose:
                 for want in (shift, shift + gap, shift - 2 * gap):
                     assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * abs(shift)
 
+
+    @pytest.mark.parametrize("x", [1e52, 1e100, pytest.param(1e200, marks=SQUARES_OVERFLOW)])
+    def test_finite_spectrum_past_cubic_overflow(self, x):
+        # eigenvalues x, 0 and 1: the cubic's p^3 overflows past ||M|| ~ 1e51,
+        # and the roots of M / ||M||_F, scaled back, stay finite
+        spec = eigen_decompose(np.array([[x, x, 0], [0, 0, 0], [0, 0, 1]]))
+        assert all(map(np.isfinite, spec.eigenvalues))
+        top = max(spec.eigenvalues, key=abs)
+        assert abs(top - x) <= 1e-12 * x
+        assert abs(sum(spec.eigenvalues) - (x + 1)) <= 1e-12 * x
+
+    @SQUARES_OVERFLOW
+    def test_finite_2x2_spectrum_past_determinant_overflow(self):
+        # eigenvalues +-sqrt(2) 1e200; the determinant -2e400 overflows
+        spec = eigen_decompose(np.array([[1e200, 1e200], [1e200, -1e200]]))
+        assert sorted(z.real for z in spec.eigenvalues) == pytest.approx(
+            [-math.sqrt(2) * 1e200, math.sqrt(2) * 1e200], rel=1e-15)
+        assert all(z.imag == 0 for z in spec.eigenvalues)
 
     def test_near_double_pair_keeps_its_mean(self):
         # [[s,1,0],[lam^2,s,0],[0,0,1]] has the pair s +- lam and the root 1.

@@ -324,6 +324,17 @@ class TestSpectrumEdges:
         report = relation_report(f, np.zeros((3, 3)), TScanConfig.through(3))
         assert report.congruence_free == (False, True, False)
 
+    @pytest.mark.parametrize("x", [1e52, 1e100, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_d3_report_past_cubic_overflow(self, x):
+        # F's spectrum {x, 0, 1} is finite, though the cubic's p^3 is not
+        # (eigen_decompose warns of no overflow below ~1e154, see
+        # test_numkernel); the warnings are exp(F)'s, whose e^x is inf
+        f = np.array([[x, x, 0], [0, 0, 0], [0, 0, 1]])
+        report = relation_report(f, np.eye(3), TScanConfig.through(3))
+        assert report.congruence_free == (True, True, True)
+
     @pytest.mark.parametrize("f, g, name", [
         ([[1e160, 1e160], [0, 0]], np.eye(2), "F"),
         (np.eye(2), [[1e160, 1e160], [0, 0]], "G"),

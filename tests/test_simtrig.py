@@ -13,6 +13,7 @@ from commexp.simtrig import (
     BASIS_VERIFY_TOL,
     TrigVerdict,
     _commutator_2x2,
+    _lower_norm,
     _words,
     common_eigenvector,
     sim_triangularizable,
@@ -362,6 +363,29 @@ class TestClosedForm2x2:
             c00, c01, c10 = _commutator_2x2(f.astype(complex), g.astype(complex))
             assert (c00, c01, c10, -c00) == tuple(c.ravel())
             assert c00 * c00 + c01 * c10 == -det
+
+    def test_lower_norm_at_d3(self, rng):
+        for _ in range(200):
+            basis, m = random_matrix(rng, 3), random_matrix(rng, 3, norm=10.0)
+            want = np.linalg.norm(np.tril(basis.conj().T @ m @ basis, -1))
+            assert _lower_norm(basis, m) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_one_by_one_pair_accepted(self):
+        v = sim_triangularizable([[1]], [[2j]])
+        assert v.triangularizable and v.basis.shape == (1, 1)
+        assert _lower_norm(v.basis, np.array([[3.0 + 0j]])) == 0.0
+
+    def test_no_tril_at_d3(self, monkeypatch, rng):
+        calls = []
+
+        def counted(*args, _original=np.tril, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tril", counted)
+        for _ in range(5):
+            assert sim_triangularizable(*conjugated_triangular_pair(rng)).triangularizable
+        assert calls == []
 
     def test_no_svd_or_qr_at_d2(self, monkeypatch, rng):
         pairs = [intro_pair(), theorem2_family(Theorem2Params(u=U1)), dim2_case1_pair(2, 3),
