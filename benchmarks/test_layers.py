@@ -37,6 +37,8 @@ STACK2 = np.array([_random(2) for _ in range(100)]
 _R = _random(3)
 _S = 2 * np.eye(3) + _R / frobenius(_R)
 TRIANGULAR3 = tuple(np.linalg.solve(_S, np.triu(_random(3)) @ _S) for _ in range(2))
+# a skew-Hermitian 3x3 pair, ||F|| = ||G|| = 1, as in the benchmark's t-scans
+SKEW3 = tuple(m / frobenius(m) for m in (k - k.conj().T for k in (_random(3), _random(3))))
 
 
 @pytest.mark.parametrize("entries", [M2, M3], ids=["2x2", "3x3"])
@@ -85,6 +87,14 @@ def test_sim_triangularizable(benchmark, f, g):
 def test_spectrum_congruence_free_far(benchmark):
     # the intro G's spectrum +/-241 i pi: delta = 2 pi 241 i, a congruent pair
     benchmark(spectrum_congruence_free, [241j * np.pi, -241j * np.pi], 1e-9)
+
+
+@pytest.mark.parametrize("t_max, triangularizable", [(3, True), (100, False)],
+                         ids=["t3-triangularizable", "t100"])
+def test_relation_report_3x3_skew(benchmark, t_max, triangularizable):
+    # the scalar checks per t: the costliest ops of the benchmark's sweep and t-scan
+    benchmark(relation_report, *SKEW3, TScanConfig.through(t_max),
+              include_triangularizable=triangularizable)
 
 
 def test_relation_report_intro_t1000(benchmark):

@@ -15,17 +15,16 @@ __version__ = "0.1.0"
 # home module -> the public names it lends the package
 _EXPORTS = {
     "errors": (
-        "CommexpError", "ComplexRootsError", "CongruenceViolationError", "ConstraintError",
-        "DeflationError", "DimensionError", "IllConditionedError", "InvalidUError",
-        "NoConvergenceError", "RankError", "SchemaError", "SnapUnavailableError",
+        "CommexpError", "ComplexRootsError", "ConstraintError", "DeflationError",
+        "DimensionError", "IllConditionedError", "InvalidUError", "NoConvergenceError",
+        "RankError", "ResidualOverflowError", "SchemaError", "SnapUnavailableError",
         "SpectrumOverflowError", "ZeroRootError",
     ),
-    "expmkit": ("ExpMethod", "LogPoly", "expm", "expm_affine", "log_poly_recover"),
+    "expmkit": ("ExpMethod", "expm", "expm_affine"),
     "families": (
         "III2Form", "III2Params", "III2iiParams", "Real2DParams", "Theorem2Params",
         "case3_III2_matrix", "case3_III2ii_matrix", "char_poly_nAB", "dim2_case1_pair",
-        "intro_pair", "intro_square_polynomial", "real2d_family", "rescale_2ipi",
-        "theorem2_family",
+        "intro_pair", "real2d_family", "rescale_2ipi", "theorem2_family",
     ),
     "intsearch": (
         "III4Params", "SearchOutcome", "SquarePoly", "Survivor", "case3_III4_residuals",
@@ -39,7 +38,7 @@ _EXPORTS = {
     "relations": (
         "RelationKind", "RelationReport", "RelationVerdict", "TScanConfig", "check_commute",
         "check_exp_equal", "check_exp_swap", "check_relation_star", "congruence_free",
-        "relation_report", "scan_integer_t",
+        "relation_report",
     ),
     "simtrig": ("TrigVerdict", "common_eigenvector", "sim_triangularizable"),
     "uset": ("URoot", "enumerate_u", "solve_u"),

@@ -19,13 +19,15 @@ class SnapUnavailableError(CommexpError):
     multiple of i*pi, or the matrix is defective."""
 
 
-class CongruenceViolationError(CommexpError):
-    """Two eigenvalues differ by a nonzero integer multiple of 2*i*pi."""
-
-
 class SpectrumOverflowError(CommexpError, OverflowError):
     """Finite input whose eigenvalues, or their differences, overflow to inf;
     the message names the matrix (F, G or F + G)."""
+
+
+class ResidualOverflowError(CommexpError, OverflowError):
+    """A verdict's residual is not finite: an exponential of the pair, or
+    its norm, overflows although the spectra do not; the message names the
+    first such relation and its t."""
 
 
 class DeflationError(CommexpError):

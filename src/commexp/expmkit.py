@@ -69,15 +69,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CongruenceViolationError,
-    IllConditionedError,
-    SnapUnavailableError,
-)
+from .errors import IllConditionedError, SnapUnavailableError
 from .numkernel import (
     SNAP_TOL,
     Spectrum,
@@ -85,11 +80,9 @@ from .numkernel import (
     combine_affine,
     eigen_decompose,
     frobenius,
-    spectrum_congruence_free,
 )
 
 PADE_THETA = 5.4
-CONGRUENCE_TOL = 1e-8
 # A path's nodes z_i are accepted when ||prod (A - z_i I)||_F is at most
 # this times max(1, ||A - (tr A / d) I||_F)^(number of factors).
 ANNIHILATION_TOL = 1e-13
@@ -134,26 +127,6 @@ def _expm_pade(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         r = r @ r
     return r
-
-
-def _confluent_divided_differences(nodes, cluster_ids, derivs):
-    """Newton coefficients for Hermite interpolation data.
-
-    ``derivs[c][r]`` must hold f^(r)(x_c) / r! for cluster c.  Equal nodes
-    are adjacent in ``nodes``.
-    """
-    n = len(nodes)
-    table = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = derivs[cluster_ids[i]][0]
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            if cluster_ids[i] == cluster_ids[j]:
-                table[i][j] = derivs[cluster_ids[i]][span]
-            else:
-                table[i][j] = (table[i + 1][j] - table[i][j - 1]) / (nodes[j] - nodes[i])
-    return [table[0][k] for k in range(n)]
 
 
 def _sinhc(s: complex) -> complex:
@@ -443,69 +416,3 @@ def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
 def expm_affine(f, g, t: complex, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
     """exp(t*F + G)."""
     return expm(combine_affine(f, g, t), method)
-
-
-@dataclass(frozen=True)
-class LogPoly:
-    """Polynomial p of degree < d with p(exp(M)) = M; ascending coefficients."""
-
-    coefficients: tuple[complex, ...]
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def apply(self, m) -> np.ndarray:
-        a = as_matrix(m)
-        d = a.shape[0]
-        ident = np.eye(d, dtype=complex)
-        acc = np.zeros((d, d), dtype=complex)
-        for c in reversed(self.coefficients):
-            acc = acc @ a + c * ident
-        return acc
-
-
-def _poly_mul_linear(p, z):
-    # ascending-coefficient p(x) * (x - z)
-    out = [0j] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] += c
-        out[i] -= z * c
-    return out
-
-
-def _newton_to_power(coeffs, nodes):
-    # Horner over the Newton basis: sum_k c_k prod_{i<k} (x - z_i)
-    power = [coeffs[-1]]
-    for k in range(len(coeffs) - 2, -1, -1):
-        power = _poly_mul_linear(power, nodes[k])
-        power[0] += coeffs[k]
-    return tuple(power)
-
-
-def log_poly_recover(m) -> LogPoly:
-    """Recover M as a polynomial in exp(M).
-
-    Requires a 2*i*pi-congruence-free spectrum, which makes the exponentials
-    of distinct eigenvalues distinct and the Hermite interpolation problem
-    p(e^l) = l, p'(e^l) = e^-l (per extra multiplicity) well posed.
-    """
-    a = as_matrix(m)
-    spectrum = eigen_decompose(a)
-    distinct_vals = [lam for lam, _ in spectrum.distinct()]
-    if not spectrum_congruence_free(distinct_vals, CONGRUENCE_TOL):
-        raise CongruenceViolationError(
-            "two eigenvalues differ by a nonzero multiple of 2*i*pi"
-        )
-    nodes, cluster_ids, derivs = [], [], []
-    for cid, (lam, mult) in enumerate(spectrum.distinct()):
-        x = np.exp(lam)
-        # p(x)=lam, p'(x)=1/x, p''(x)=-1/x^2; entries are f^(r)/r!
-        dk = [lam, 1.0 / x, -1.0 / (2 * x * x)][:mult]
-        derivs.append(dk)
-        nodes.extend([x] * mult)
-        cluster_ids.extend([cid] * mult)
-    coeffs = _confluent_divided_differences(nodes, cluster_ids, derivs)
-    return LogPoly(_newton_to_power(coeffs, nodes))

@@ -110,16 +110,6 @@ def rotation_star(lam: int, mu: int, nu: int, t) -> bool | None:
     return bool(root) and (root - (lam * t + mu)) % 2 == 0
 
 
-def intro_square_polynomial() -> tuple[int, int, int]:
-    """(alpha, beta, gamma) with det(tA+B)/pi^2 = alpha^2 t^2 + beta t + gamma.
-
-    The sum/product identity at integer t holds exactly when this quadratic
-    is a perfect square (the square root is automatically odd).
-    """
-    q = rotation_square_polynomial(*INTRO_ROTATION)
-    return q.alpha, q.beta, q.gamma
-
-
 @dataclass(frozen=True)
 class Real2DParams:
     """lambda, mu, nu positive integers with nu^2 != (lambda +- mu)^2."""

@@ -23,14 +23,19 @@ products and one stacked Frobenius norm; each verdict is what the scalar
 ``check_*`` functions give (residuals to rounding).  The congruence flags of
 F, G and F + G read the eigenvalues mu +/- s that the same call computes for
 rows 0, 1 and 2 (row 2 is t = 1), so the d = 2 path makes no
-``eigen_decompose`` call.  At d = 3 it runs the scalar checks per t, six
-exponentials per t: star and swapped star each take exp(t F + G), exp(t F)
-and exp(G); the flags read the polished roots of F, G and F + G, which
-``eigen_decompose`` would cluster: a cluster's mean can hide two roots that
-differ by 2 i pi once ||M|| is ~1e8 or more.  At either dimension an
-infinite eigenvalue difference raises ``SpectrumOverflowError`` naming the
-matrix.  With ``include_triangularizable`` the report adds the verdict of
-``simtrig.sim_triangularizable``, which at d = 2 is one test, det [F, G] = 0.
+``eigen_decompose`` call.  At d = 3 it runs the scalar checks itself:
+``check_exp_equal``, ``check_exp_swap``, then ``check_relation_star`` and
+its swapped form per t, six exponentials per t (star and swapped star each
+take exp(t F + G), exp(t F) and exp(G)); the flags read the polished roots
+of F, G and F + G, which ``eigen_decompose`` would cluster: a cluster's mean
+can hide two roots that differ by 2 i pi once ||M|| is ~1e8 or more.  At
+either dimension an infinite eigenvalue difference raises
+``SpectrumOverflowError`` naming the matrix; past the flags, a residual that
+is not finite (an exponential, or its norm, overflowed on a finite
+spectrum) raises ``ResidualOverflowError`` naming the relation and its t,
+instead of reading as a failed verdict.  With ``include_triangularizable``
+the report adds the verdict of ``simtrig.sim_triangularizable``, which at
+d = 2 is one test, det [F, G] = 0.
 """
 
 from __future__ import annotations
@@ -38,12 +43,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, SpectrumOverflowError
+from .errors import DimensionError, ResidualOverflowError, SpectrumOverflowError
 from .expmkit import _expm_2x2_with_eigenvalues, expm, expm_affine
 from .numkernel import (
     CMat,
@@ -57,6 +63,7 @@ from .numkernel import (
 from .simtrig import sim_triangularizable
 
 DEFAULT_TOL = 1e-9
+_RESIDUAL = operator.attrgetter("residual")
 
 
 class RelationKind(enum.Enum):
@@ -200,18 +207,6 @@ def check_exp_swap(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
     return _verdict(RelationKind.EXP_SWAP, ef @ eg, eg @ ef, tol)
 
 
-def scan_integer_t(f, g, cfg: TScanConfig) -> list[RelationVerdict]:
-    """Star and swapped-star verdicts at each configured integer t.
-
-    Output order is deterministic: (star, swapped-star) per t, ascending t.
-    """
-    out = []
-    for t in cfg.t_values:
-        out.append(check_relation_star(f, g, t, cfg.tol, swapped=False))
-        out.append(check_relation_star(f, g, t, cfg.tol, swapped=True))
-    return out
-
-
 def congruence_free(spectrum: Spectrum | list | tuple, tol: float = DEFAULT_TOL) -> bool:
     """No two eigenvalues differ by 2*i*pi*k, k a nonzero integer."""
     if isinstance(spectrum, Spectrum):
@@ -247,9 +242,18 @@ def relation_report(
     else:
         verdicts.append(check_exp_equal(f, g, cfg.tol))
         verdicts.append(check_exp_swap(f, g, cfg.tol))
-        verdicts.extend(scan_integer_t(f, g, cfg))
+        for t in cfg.t_values:
+            verdicts.append(check_relation_star(f, g, t, cfg.tol))
+            verdicts.append(check_relation_star(f, g, t, cfg.tol, swapped=True))
         flags = _congruence_flags([_polished_roots(as_matrix(m))
                                    for m in (f, g, combine_affine(f, g, 1.0))], cfg.tol)
+    # every finite residual is at most 2, so the sum is finite iff all are
+    if not math.isfinite(sum(map(_RESIDUAL, verdicts))):
+        bad = next(v for v in verdicts if not math.isfinite(v.residual))
+        at = "" if bad.t is None else f" at t = {bad.t}"
+        raise ResidualOverflowError(
+            f"the {bad.relation.value} residual{at} is not finite: "
+            "an exponential or its norm overflows")
     trig = None
     if include_triangularizable:
         trig = sim_triangularizable(f, g).triangularizable

@@ -377,6 +377,18 @@ class TestMatrixFiles:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_exponential_exits_one_with_one_line(self, capsys, tmp_path):
+        # F and G commute and their spectra are finite, but e^1000 is not
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        cli.save_matrix_file(f, CMat.from_rows([[1e3, 0], [0, 0]]))
+        cli.save_matrix_file(g, CMat.from_rows([[1, 0], [0, 1]]))
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ResidualOverflowError: the exp-equal residual is not finite")
+        assert err.count("\n") == 1
+
     def test_one_by_one_pair_from_files(self, capsys, tmp_path):
         f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
         cli.save_matrix_file(f, CMat.from_rows([[1]]))

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp import expmkit, numkernel
-from commexp.errors import (
-    CongruenceViolationError,
-    IllConditionedError,
-    SnapUnavailableError,
-)
+from commexp.errors import IllConditionedError, SnapUnavailableError
 from commexp.expmkit import (
     ExpMethod,
     _SINHC_SERIES_BELOW,
@@ -26,10 +22,9 @@ from commexp.expmkit import (
     expm,
     expm_2x2_stack,
     expm_affine,
-    log_poly_recover,
 )
-from commexp.families import intro_pair, intro_square_polynomial
-from commexp.intsearch import SquarePoly, square_root_exact
+from commexp.families import INTRO_ROTATION, intro_pair, rotation_square_polynomial
+from commexp.intsearch import square_root_exact
 from commexp.numkernel import CMat, as_matrix, combine_affine, eigen_decompose
 from commexp.relations import TScanConfig, relation_report
 from commexp.simtrig import sim_triangularizable
@@ -169,39 +164,6 @@ class TestEngineCrossChecks:
             spectral = expm(m, ExpMethod.SPECTRAL_HERMITE)
             assert np.array_equal(exact, (-1) ** n * np.eye(2))
             assert rel_residual(spectral, exact) <= 1e-9
-
-
-class TestLogPolyRecover:
-    def test_nilpotent(self):
-        n = np.array([[0, 1], [0, 0]], dtype=complex)
-        p = log_poly_recover(n)
-        assert np.allclose(p.coefficients, [-1, 1])
-        assert np.allclose(p.apply(np.eye(2) + n), n, atol=1e-14)
-
-    def test_distinct_real_diagonal(self):
-        p = log_poly_recover(np.diag([1.0, 2.0]))
-        e1, e2 = math.e, math.e**2
-        # line through (e, 1) and (e^2, 2)
-        slope = 1 / (e2 - e1)
-        assert p(e1) == pytest.approx(1, abs=1e-12)
-        assert p(e2) == pytest.approx(2, abs=1e-12)
-        assert p.coefficients[1] == pytest.approx(slope, abs=1e-12)
-
-    def test_congruence_violation(self):
-        with pytest.raises(CongruenceViolationError):
-            log_poly_recover(np.diag([1j * PI, -1j * PI]))
-
-    def test_round_trip_random(self, rng):
-        # ||F|| <= 2 keeps every spectrum 2*i*pi-congruence free
-        for _ in range(200):
-            d = int(rng.integers(2, 4))
-            f = random_matrix(rng, d, norm=2.0)
-            p = log_poly_recover(f)
-            assert rel_residual(p.apply(expm(f)), f) <= 1e-8
-
-    def test_degree_below_dim(self, rng):
-        f = random_matrix(rng, 3, norm=2.0)
-        assert len(log_poly_recover(f).coefficients) <= 3
 
 
 def _outcome(m, method):
@@ -529,7 +491,7 @@ class TestClosedForm2x2:
         mpmath = pytest.importorskip("mpmath")
         snapped = _spy(monkeypatch, "_pi_snap_rows")
         a, b = intro_pair()
-        square = SquarePoly(*intro_square_polynomial())
+        square = rotation_square_polynomial(*INTRO_ROTATION)
         for t in range(101):
             m = as_matrix(combine_affine(a, b, t))
             snapped.clear()

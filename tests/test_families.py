@@ -19,10 +19,11 @@ from commexp.families import (
     char_poly_nAB,
     dim2_case1_pair,
     iii4_entries,
+    INTRO_ROTATION,
     intro_pair,
-    intro_square_polynomial,
     real2d_family,
     rescale_2ipi,
+    rotation_square_polynomial,
     theorem2_family,
 )
 from commexp.intsearch import iii2ii_products
@@ -32,7 +33,7 @@ from commexp.relations import (
     TScanConfig,
     check_exp_swap,
     check_relation_star,
-    scan_integer_t,
+    relation_report,
 )
 from commexp.simtrig import sim_triangularizable
 
@@ -64,11 +65,11 @@ class TestIntroPair:
 
     def test_square_polynomial_matches_determinant(self):
         a, b = intro_pair()
-        alpha, beta, gamma = intro_square_polynomial()
+        square = rotation_square_polynomial(*INTRO_ROTATION)
         for t in range(1, 8):
             m = combine_affine(a, b, t)
             det = np.linalg.det(m.expanded())
-            assert det / PI**2 == pytest.approx(alpha**2 * t * t + beta * t + gamma, rel=1e-12)
+            assert det / PI**2 == pytest.approx(square(t), rel=1e-12)
 
 
 class TestReal2D:
@@ -120,7 +121,7 @@ class TestReal2D:
 
     def test_scan_finds_failing_t(self):
         f, g = real2d_family(Real2DParams(lam=1, mu=4, nu=7, a=0.0))
-        verdicts = scan_integer_t(f, g, TScanConfig.through(50, 1e-6))
+        verdicts = relation_report(f, g, TScanConfig.through(50, 1e-6)).verdicts
         stars = [v for v in verdicts if v.relation is RelationKind.SUM_PRODUCT]
         assert any(not v.holds for v in stars)
         assert stars[0].holds  # t = 1 by construction

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp import expmkit, relations, uset
-from commexp.errors import CommexpError, DimensionError, SpectrumOverflowError
+from commexp.errors import (
+    CommexpError,
+    DimensionError,
+    ResidualOverflowError,
+    SpectrumOverflowError,
+)
 from commexp.families import (
     Real2DParams,
     Theorem2Params,
@@ -16,7 +21,7 @@ from commexp.families import (
     real2d_family,
     theorem2_family,
 )
-from commexp.numkernel import CMat, combine_affine, eigen_decompose
+from commexp.numkernel import CMat, as_matrix, combine_affine, eigen_decompose
 from commexp.relations import (
     RelationKind,
     RelationVerdict,
@@ -27,7 +32,6 @@ from commexp.relations import (
     check_relation_star,
     congruence_free,
     relation_report,
-    scan_integer_t,
 )
 
 from conftest import admissible_real_triples, random_matrix
@@ -107,6 +111,11 @@ class TestExpSwap:
         assert not check_exp_swap(*theorem2_pair).holds
 
 
+def _stars(f, g, cfg):
+    """The report's star and swapped-star verdicts, (star, swapped) per t."""
+    return [v for v in relation_report(f, g, cfg).verdicts if v.t is not None]
+
+
 class TestScan:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -128,18 +137,18 @@ class TestScan:
 
     def test_commuting_pair_all_hold(self, rng):
         m = random_matrix(rng, 2, norm=1.0)
-        verdicts = scan_integer_t(m, m @ m, TScanConfig.through(10, 1e-8))
+        verdicts = _stars(m, m @ m, TScanConfig.through(10, 1e-8))
         assert all(v.holds for v in verdicts)
 
     def test_intro_pattern(self):
         a, b = intro_pair()
-        verdicts = scan_integer_t(a, b, TScanConfig.through(6, 1e-6))
+        verdicts = _stars(a, b, TScanConfig.through(6, 1e-6))
         stars = [v for v in verdicts if v.relation is RelationKind.SUM_PRODUCT]
         assert [v.holds for v in stars] == [True] * 5 + [False]
 
     def test_theorem2_star_holds_swapped_fails(self, theorem2_pair):
         f, g = theorem2_pair
-        verdicts = scan_integer_t(f, g, TScanConfig.through(10))
+        verdicts = _stars(f, g, TScanConfig.through(10))
         for v in verdicts:
             if v.relation is RelationKind.SUM_PRODUCT:
                 assert v.holds
@@ -149,8 +158,8 @@ class TestScan:
     def test_deterministic_order(self, theorem2_pair):
         f, g = theorem2_pair
         cfg = TScanConfig.through(3)
-        a = scan_integer_t(f, g, cfg)
-        b = scan_integer_t(f, g, cfg)
+        a = _stars(f, g, cfg)
+        b = _stars(f, g, cfg)
         assert a == b
         assert [(v.relation, v.t) for v in a] == [
             (RelationKind.SUM_PRODUCT, 1), (RelationKind.SUM_PRODUCT_SWAPPED, 1),
@@ -201,7 +210,7 @@ class TestVerdictProperties:
 
     def test_holds_iff_residual_below_tol(self, theorem2_pair):
         f, g = theorem2_pair
-        for v in scan_integer_t(f, g, TScanConfig.through(4, 1e-9)):
+        for v in relation_report(f, g, TScanConfig.through(4, 1e-9)).verdicts:
             assert v.holds == (v.residual <= v.tol)
 
 
@@ -256,6 +265,16 @@ def _d2_pairs():
         yield f"random#{i}", (random_matrix(rng, 2), random_matrix(rng, 2))
 
 
+def _scalar_verdicts(f, g, cfg):
+    """The report's verdicts, in its order, from the scalar checks."""
+    want = [check_commute(f, g, cfg.tol), check_exp_equal(f, g, cfg.tol),
+            check_exp_swap(f, g, cfg.tol)]
+    for t in cfg.t_values:
+        want += [check_relation_star(f, g, t, cfg.tol),
+                 check_relation_star(f, g, t, cfg.tol, swapped=True)]
+    return want
+
+
 class TestStackedReportAgreesWithScalarChecks:
     """At d = 2 relation_report takes every exponential and every spectrum
     from one stacked call; each verdict must be the one the scalar checks
@@ -265,11 +284,7 @@ class TestStackedReportAgreesWithScalarChecks:
     def test_t_1_to_20(self, name, pair):
         f, g = pair
         cfg = TScanConfig.through(20)
-        want = [check_commute(f, g, cfg.tol), check_exp_equal(f, g, cfg.tol),
-                check_exp_swap(f, g, cfg.tol)]
-        for t in cfg.t_values:
-            want += [check_relation_star(f, g, t, cfg.tol),
-                     check_relation_star(f, g, t, cfg.tol, swapped=True)]
+        want = _scalar_verdicts(f, g, cfg)
         report = relation_report(f, g, cfg)
         got = report.verdicts
         assert len(got) == len(want) == 43
@@ -314,6 +329,33 @@ class TestStackedReportAgreesWithScalarChecks:
         assert RelationVerdict(relation=v.relation, holds=True, residual=0.0, tol=1.0).t is None
 
 
+def _d3_pairs():
+    rng = np.random.default_rng(20261019)
+    yield "random", (random_matrix(rng, 3), random_matrix(rng, 3))
+    f, g = random_matrix(rng, 3), random_matrix(rng, 3)
+    yield "skew-hermitian", ((f - f.conj().T) / 2, (g - g.conj().T) / 2)
+    m = random_matrix(rng, 3, norm=1.0)
+    yield "commuting", (m, m @ m + 2 * m)
+
+
+class TestD3ReportAgreesWithScalarChecks:
+    """At d = 3 relation_report runs the scalar checks itself, in the order
+    commute, exp-equal, exp-swap, then star and swapped star per t."""
+
+    @pytest.mark.parametrize("name, pair", list(_d3_pairs()), ids=lambda x: x if isinstance(x, str) else "")
+    def test_t_1_to_5(self, name, pair):
+        f, g = pair
+        cfg = TScanConfig.through(5)
+        want = _scalar_verdicts(f, g, cfg)
+        got = relation_report(f, g, cfg).verdicts
+        assert len(got) == len(want) == 13
+        for v, w in zip(got, want):
+            assert (v.relation, v.t, v.tol, v.holds) == (w.relation, w.t, w.tol, w.holds)
+            assert abs(v.residual - w.residual) <= 1e-15, (v, w)
+        if name == "commuting":
+            assert all(v.holds for v in got if v.relation is not RelationKind.EXP_EQUAL)
+
+
 class TestSpectrumEdges:
     def test_d3_flags_read_unclustered_roots(self):
         # 0, 2 i pi and 0.5 lie within 1e-8 ||F|| = 10 of each other, so
@@ -330,10 +372,34 @@ class TestSpectrumEdges:
     def test_d3_report_past_cubic_overflow(self, x):
         # F's spectrum {x, 0, 1} is finite, though the cubic's p^3 is not
         # (eigen_decompose warns of no overflow below ~1e154, see
-        # test_numkernel); the warnings are exp(F)'s, whose e^x is inf
-        f = np.array([[x, x, 0], [0, 0, 0], [0, 0, 1]])
-        report = relation_report(f, np.eye(3), TScanConfig.through(3))
-        assert report.congruence_free == (True, True, True)
+        # test_numkernel); the warnings are exp(F)'s, whose e^x is inf.  The
+        # flags are the report's, from the polished roots of F, G and F + G;
+        # the report itself then refuses the non-finite residuals
+        f, g = np.array([[x, x, 0], [0, 0, 0], [0, 0, 1]]), np.eye(3)
+        cfg = TScanConfig.through(3)
+        roots = [relations._polished_roots(as_matrix(m)) for m in (f, g, combine_affine(f, g, 1.0))]
+        assert relations._congruence_flags(roots, cfg.tol) == (True, True, True)
+        with pytest.raises(ResidualOverflowError):
+            relation_report(f, g, cfg)
+
+    @pytest.mark.parametrize("f, g, first", [
+        ([[1e3, 1e3, 0], [0, 0, 0], [0, 0, 1]], np.eye(3), "exp-equal residual is"),
+        ([[1e52, 1e52, 0], [0, 0, 0], [0, 0, 1]], np.eye(3), "exp-equal residual is"),
+        (np.diag([1e3, 0]), np.eye(2), "exp-equal residual is"),
+        # e^600 is finite (its norm is not, but star holds exactly there)
+        # and e^900 is not
+        (np.diag([300, 0, 0]), np.zeros((3, 3)), "sum-product residual at t = 3 is"),
+        (np.diag([300, 0]), np.zeros((2, 2)), "sum-product residual at t = 3 is"),
+    ], ids=["d3-1e3", "d3-1e52", "d2-1e3", "d3-t3", "d2-t3"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_residual_names_its_relation(self, f, g, first):
+        # F and G commute, so a NaN residual must not read as a failed verdict
+        f, g = np.array(f, dtype=complex), np.array(g, dtype=complex)
+        assert check_commute(f, g).holds
+        with pytest.raises(ResidualOverflowError, match=f"the {first} not finite") as raised:
+            relation_report(f, g, TScanConfig.through(3))
+        assert isinstance(raised.value, CommexpError) and isinstance(raised.value, OverflowError)
 
     @pytest.mark.parametrize("f, g, name", [
         ([[1e160, 1e160], [0, 0]], np.eye(2), "F"),

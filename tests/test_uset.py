@@ -7,7 +7,7 @@ import pytest
 
 from commexp.errors import NoConvergenceError, ZeroRootError
 from commexp.families import Theorem2Params, theorem2_family
-from commexp.relations import TScanConfig, RelationKind, scan_integer_t
+from commexp.relations import TScanConfig, RelationKind, relation_report
 from commexp import uset
 from commexp.uset import branch_seed, enumerate_u, solve_u
 
@@ -149,7 +149,8 @@ class TestRootsFeedTheFullIdentityFamily:
     def test_every_enumerated_root_passes_the_t_suite(self):
         for root in enumerate_u(-2, 2):
             f, g = theorem2_family(Theorem2Params(u=root.value))
-            verdicts = scan_integer_t(f, g, TScanConfig.through(6, 1e-8))
+            report = relation_report(f, g, TScanConfig.through(6, 1e-8))
+            verdicts = [v for v in report.verdicts if v.t is not None]  # star, swapped star
             for v in verdicts:
                 want = v.relation is RelationKind.SUM_PRODUCT
                 assert v.holds == want, (root, v)
