@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from commexp.expmkit import expm, expm_2x2_stack
-from commexp.families import dim2_case1_pair, intro_pair
+from commexp.families import Theorem2Params, dim2_case1_pair, intro_pair, theorem2_family
 from commexp.intsearch import discriminant_scan_A1, grobner_replacement_search
-from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius, spectrum_congruence_free
-from commexp.relations import TScanConfig, check_relation_star, relation_report
+from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius
+from commexp.relations import TScanConfig, check_relation_star, congruence_free, relation_report
 from commexp.simtrig import sim_triangularizable
 
 _rng = np.random.default_rng(20261018)
@@ -73,6 +73,12 @@ def test_relation_report_intro_t100(benchmark):
     benchmark(relation_report, INTRO_F, INTRO_G, TScanConfig.through(100))
 
 
+def test_relation_report_theorem2_mixed_t(benchmark):
+    # what verify --t-complex scans: integer and complex t in one stacked call
+    f, g = theorem2_family(Theorem2Params(u=2.088843015613044 + 7.461489285654254j))
+    benchmark(relation_report, f, g, TScanConfig((*range(1, 6), 0.5 + 0.25j)))
+
+
 def test_relation_report_dim2case1_t3_triangularizable(benchmark):
     f, g = dim2_case1_pair(2, 3)
     benchmark(relation_report, f, g, TScanConfig.through(3), include_triangularizable=True)
@@ -86,7 +92,7 @@ def test_sim_triangularizable(benchmark, f, g):
 
 def test_spectrum_congruence_free_far(benchmark):
     # the intro G's spectrum +/-241 i pi: delta = 2 pi 241 i, a congruent pair
-    benchmark(spectrum_congruence_free, [241j * np.pi, -241j * np.pi], 1e-9)
+    benchmark(congruence_free, [241j * np.pi, -241j * np.pi], 1e-9)
 
 
 @pytest.mark.parametrize("t_max, triangularizable", [(3, True), (100, False)],

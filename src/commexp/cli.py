@@ -59,7 +59,8 @@ III2_FORMS = ("symmetric-rank1", "a1", "a2", "a3", "a4")
 FAMILY_NAMES = ("intro", "real2d", "theorem2", "dim2case1", "iii2", "iii2ii")
 BUILTINS = FAMILY_NAMES[:4]
 # the t values at which ``families`` judges a record's star verdicts: through
-# t = 6, where the intro pair's identity first fails
+# t = 6, where the intro pair's identity first fails (over all integers it
+# holds exactly at t = -294, 0, 1..5 and 299)
 FAMILY_T = tuple(range(1, 7))
 
 
@@ -333,10 +334,11 @@ def _verdict_obj(v) -> dict:
 
 
 def cmd_verify(ns, argv) -> int:
-    from .relations import RelationKind, TScanConfig, check_relation_star, relation_report
+    from .relations import RelationKind, TScanConfig, relation_report
 
     started = time.monotonic()
-    cfg = TScanConfig(tuple(parse_int_range(ns.t)), ns.tol)
+    t_complex = [parse_complex(spec) for spec in ns.t_complex or []]
+    cfg = TScanConfig((*parse_int_range(ns.t), *t_complex), ns.tol)
     if ns.builtin:
         record, f, g, params = _build_family(ns.builtin, ns)
         inputs = {"builtin": ns.builtin, "digest": _digest_params(ns.builtin, params), **params}
@@ -351,11 +353,14 @@ def cmd_verify(ns, argv) -> int:
         f, g, cfg, pair=ns.builtin or "files",
         include_triangularizable=ns.triangularizable,
     )
-    verdicts = [
-        v for v in report.verdicts
-        if ns.swap or v.relation is not RelationKind.SUM_PRODUCT_SWAPPED
-    ]
-    extra = [check_relation_star(f, g, parse_complex(spec), ns.tol) for spec in ns.t_complex or []]
+    # integer t: every verdict, swapped star only with --swap; complex t: star only
+    verdicts, extra = [], []
+    for v in report.verdicts:
+        if isinstance(v.t, complex):
+            if v.relation is RelationKind.SUM_PRODUCT:
+                extra.append(v)
+        elif ns.swap or v.relation is not RelationKind.SUM_PRODUCT_SWAPPED:
+            verdicts.append(v)
     payload = {
         "pair": report.pair,
         "verdicts": [_verdict_obj(v) for v in verdicts],

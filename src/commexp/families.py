@@ -2,9 +2,10 @@
 
 Dimension 2:
 
-* ``intro_pair``: the non-triangularizable pair whose sum/product identity
-  holds at every integer multiple but whose one-parameter version breaks at
-  t = 6.
+* ``intro_pair``: the non-triangularizable pair whose one-parameter
+  identity holds at integer t exactly for t = -294, 0, 1..5 and 299 (the
+  rotation family (60, 241, 209), see ``rotation_star``), so it first
+  fails at t = 6.
 * ``real2d_family``: real pairs A = pi*[[0,-l],[l,0]], B = pi*[[a,b],[c,-a]]
   with spectra {+-i*pi*mu} and {+-i*pi*nu}; the caller picks (lambda, mu,
   nu, a) and b, c are derived, so every constraint the spectra impose is

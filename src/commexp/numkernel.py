@@ -381,27 +381,3 @@ def eigen_decompose(m) -> Spectrum:
         snap=_snap_ints(reps, SNAP_TOL),
     )
 
-
-def spectrum_congruence_free(values, tol: float) -> bool:
-    """True when no pair of values differs by 2*i*pi*k with integer k != 0,
-    within tol * max(1, |delta|) for the difference delta.
-
-    Per pair only one k is tested: the nonzero integer nearest
-    delta.imag / 2 pi, which minimises |delta - 2*i*pi*k| over k != 0 (the
-    bound does not depend on k).  A non-finite difference raises
-    ValueError when its modulus is NaN and OverflowError when it is infinite.
-    """
-    two_pi = 2 * math.pi
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            delta = vals[i] - vals[j]
-            size = abs(delta)
-            if math.isnan(size):
-                raise ValueError(f"eigenvalue difference {delta} is NaN")
-            if math.isinf(size):
-                raise OverflowError(f"eigenvalue difference {delta} is infinite")
-            k = round(delta.imag / two_pi) or (1 if delta.imag >= 0 else -1)
-            if abs(delta - 2j * math.pi * k) <= tol * max(1.0, size):
-                return False
-    return True

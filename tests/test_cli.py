@@ -107,12 +107,27 @@ class TestGoldenClaims:
           for name in ("intro", "real2d", "theorem2", "dim2case1")),
         *(("families", name) for name in ("intro", "real2d", "theorem2", "dim2case1", "iii2ii")),
         *(("families", "iii2", "--form", form.value) for form in families.III2Form),
+        # t = 0 and negative t: intro's whole star set, which ends at 299
+        ("verify", "--builtin", "intro", "--t", "-294,0,1,2,3,4,5,6,299"),
     ], ids=" ".join)
     def test_exit_zero_and_reproduced(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         report = json.loads(out)
         assert code == 0, report["claim"]
         assert report["claim"]["reproduced"] is True
+
+    def test_theorem2_swapped_star_holds_only_at_zero(self, capsys):
+        # t = 0 is the one t where the record's swapped-star rule predicts True
+        code, out, err = run(capsys, "verify", "--builtin", "theorem2", "--swap", "--t", "0..3",
+                             "--t-complex", "0.5,0.25")
+        assert code == 0, err
+        payload = json.loads(out)["payload"]
+        holds = {(v["relation"], v["t"]): v["holds"] for v in payload["verdicts"]}
+        assert [t for t in range(4) if holds["sum-product-swapped", t]] == [0]
+        assert all(holds["sum-product", t] for t in range(4))
+        # complex t reports star alone, with or without --swap
+        assert [(v["relation"], v["t"], v["holds"]) for v in payload["complex_t_verdicts"]] == [
+            ("sum-product", [0.5, 0.25], True)]
 
 
 class TestSearchExitCodes:
@@ -387,6 +402,21 @@ class TestMatrixFiles:
         code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2")
         assert code == 1 and out == ""
         assert err.startswith("error: ResidualOverflowError: the exp-equal residual is not finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_complex_t_exits_one_with_one_line(self, capsys, tmp_path):
+        # e^801 is not finite: a complex t is judged in the report's own
+        # scan, so its non-finite residual is refused as an integer t's is
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        cli.save_matrix_file(f, CMat.from_rows([[2, 0], [0, 0]]))
+        cli.save_matrix_file(g, CMat.from_rows([[1, 0], [0, 1]]))
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2",
+                             "--t-complex", "400")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ResidualOverflowError: the sum-product residual at "
+                              "t = (400+0j) is not finite")
         assert err.count("\n") == 1
 
     def test_one_by_one_pair_from_files(self, capsys, tmp_path):

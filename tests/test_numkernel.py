@@ -15,8 +15,8 @@ from commexp.numkernel import (
     commutator,
     eigen_decompose,
     frobenius,
-    spectrum_congruence_free,
 )
+from commexp.relations import congruence_free
 
 from conftest import SQUARES_OVERFLOW, random_matrix
 
@@ -124,7 +124,7 @@ class TestFrobenius:
 
 
 def congruence_free_by_loop(values, tol):
-    """Reference for ``spectrum_congruence_free``: every nonzero k with
+    """Reference for ``relations.congruence_free``: every nonzero k with
     |k| <= |delta| / 2 pi + 1 tested in turn."""
     vals = list(values)
     for i in range(len(vals)):
@@ -170,26 +170,26 @@ class TestSpectrumCongruenceFree:
     @given(_near_lattice_pairs())
     def test_near_lattice_agrees_with_the_loop(self, case):
         values, tol = case
-        assert spectrum_congruence_free(values, tol) == congruence_free_by_loop(values, tol)
+        assert congruence_free(values, tol) == congruence_free_by_loop(values, tol)
 
     @settings(max_examples=60, deadline=None)
     @given(_far_real_pairs())
     def test_large_real_part_agrees_with_the_loop(self, case):
         values, tol = case
-        assert spectrum_congruence_free(values, tol) == congruence_free_by_loop(values, tol)
+        assert congruence_free(values, tol) == congruence_free_by_loop(values, tol)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_near_lattice_pairs(), min_size=2, max_size=2))
     def test_three_values_agree_with_the_loop(self, cases):
         (values, tol), (more, _) = cases
         three = [values[0], values[1], more[0] - more[1] + values[1]]
-        assert spectrum_congruence_free(three, tol) == congruence_free_by_loop(three, tol)
+        assert congruence_free(three, tol) == congruence_free_by_loop(three, tol)
 
     def test_both_signs_flagged_at_the_lattice(self):
         for k in (1, -1, 241, -241, 10**4, -10**4):
-            assert not spectrum_congruence_free([2j * PI * k, 0], 1e-9)
-            assert not spectrum_congruence_free([0, 2j * PI * k], 1e-9)
-        assert spectrum_congruence_free([0, 0, 0.5j * PI], 1e-9)
+            assert not congruence_free([2j * PI * k, 0], 1e-9)
+            assert not congruence_free([0, 2j * PI * k], 1e-9)
+        assert congruence_free([0, 0, 0.5j * PI], 1e-9)
 
     @pytest.mark.parametrize("value", [
         complex(math.nan, 0), complex(0, math.nan), complex(1, math.nan), complex(math.nan, 1),
@@ -200,7 +200,7 @@ class TestSpectrumCongruenceFree:
         with pytest.raises((ValueError, OverflowError)) as want:
             congruence_free_by_loop([value, 0], 1e-9)
         with pytest.raises(want.type):
-            spectrum_congruence_free([value, 0], 1e-9)
+            congruence_free([value, 0], 1e-9)
 
 
 class TestCommutator:

@@ -14,11 +14,13 @@ from commexp.errors import (
     SpectrumOverflowError,
 )
 from commexp.families import (
+    INTRO_ROTATION,
     Real2DParams,
     Theorem2Params,
     dim2_case1_pair,
     intro_pair,
     real2d_family,
+    rotation_star,
     theorem2_family,
 )
 from commexp.numkernel import CMat, as_matrix, combine_affine, eigen_decompose
@@ -118,22 +120,12 @@ def _stars(f, g, cfg):
 
 class TestScan:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TScanConfig((2, 3))
-        with pytest.raises(ValueError):
-            TScanConfig((1, 1, 2))
+        with pytest.raises(ValueError, match="at least one t"):
+            TScanConfig(())
         with pytest.raises(ValueError):
             TScanConfig((1, 2), tol=0)
-
-    @pytest.mark.parametrize("t_values", [(1, 2.5, 3.9), (1.5, 2), (1, 2, 3.000001)])
-    def test_non_integral_t_is_refused(self, t_values):
-        # truncating would label the verdicts of int(t) as those of t
-        with pytest.raises(ValueError, match="t values must be integers"):
-            TScanConfig(t_values)
-
-    def test_integral_floats_become_ints(self):
-        cfg = TScanConfig((1.0, np.float64(2), 3))
-        assert cfg.t_values == (1, 2, 3) and all(type(t) is int for t in cfg.t_values)
+        # any order, any sign, repeats and complex t are a scan's own business
+        assert TScanConfig([3, -1, 0, 0.5j, 3]).t_values == (3, -1, 0, 0.5j, 3)
 
     def test_commuting_pair_all_hold(self, rng):
         m = random_matrix(rng, 2, norm=1.0)
@@ -141,10 +133,15 @@ class TestScan:
         assert all(v.holds for v in verdicts)
 
     def test_intro_pattern(self):
+        # over the integers star holds exactly at -294, 0, 1..5 and 299
         a, b = intro_pair()
-        verdicts = _stars(a, b, TScanConfig.through(6, 1e-6))
+        ts = (-295, -294, -293, 0, *range(1, 7), 298, 299, 300)
+        verdicts = _stars(a, b, TScanConfig(ts))
         stars = [v for v in verdicts if v.relation is RelationKind.SUM_PRODUCT]
-        assert [v.holds for v in stars] == [True] * 5 + [False]
+        assert [v.t for v in stars] == list(ts)
+        assert [v.holds for v in stars] == [rotation_star(*INTRO_ROTATION, t) for t in ts]
+        assert [v.t for v in stars if v.holds] == [-294, 0, 1, 2, 3, 4, 5, 299]
+        assert all(v.residual == 0.0 for v in stars if v.holds)
 
     def test_theorem2_star_holds_swapped_fails(self, theorem2_pair):
         f, g = theorem2_pair
@@ -248,6 +245,16 @@ class TestRelationReport:
         assert all(v.holds for v in stars)
         assert not any(v.holds for v in swapped)
 
+    def test_default_tol_margins(self, theorem2_pair):
+        # DEFAULT_TOL = 1e-9 sits decades from both sides over t = 1..1000:
+        # theorem2's star holds to rounding, the intro pair's fails by far
+        cfg = TScanConfig.through(1000)
+        stars = [v for v in _stars(*theorem2_pair, cfg) if v.relation is RelationKind.SUM_PRODUCT]
+        assert len(stars) == 1000 and max(v.residual for v in stars) <= 1e-14
+        failing = [v for v in _stars(*intro_pair(), cfg)
+                   if v.relation is RelationKind.SUM_PRODUCT and not v.holds]
+        assert len(failing) == 994 and min(v.residual for v in failing) >= 1e-2
+
 
 def _d2_pairs():
     yield "intro", intro_pair()
@@ -282,12 +289,13 @@ class TestStackedReportAgreesWithScalarChecks:
 
     @pytest.mark.parametrize("name, pair", list(_d2_pairs()), ids=lambda x: x if isinstance(x, str) else "")
     def test_t_1_to_20(self, name, pair):
+        # and t = 0, then a complex t, at the end of the scan
         f, g = pair
-        cfg = TScanConfig.through(20)
+        cfg = TScanConfig((*range(1, 21), 0, 0.5 + 0.25j))
         want = _scalar_verdicts(f, g, cfg)
         report = relation_report(f, g, cfg)
         got = report.verdicts
-        assert len(got) == len(want) == 43
+        assert len(got) == len(want) == 47
         for v, w in zip(got, want):
             assert (v.relation, v.t, v.tol, v.holds) == (w.relation, w.t, w.tol, w.holds)
             assert type(v.residual) is float
@@ -344,11 +352,12 @@ class TestD3ReportAgreesWithScalarChecks:
 
     @pytest.mark.parametrize("name, pair", list(_d3_pairs()), ids=lambda x: x if isinstance(x, str) else "")
     def test_t_1_to_5(self, name, pair):
+        # and t = 0, then a complex t, at the end of the scan
         f, g = pair
-        cfg = TScanConfig.through(5)
+        cfg = TScanConfig((*range(1, 6), 0, 0.5 + 0.25j))
         want = _scalar_verdicts(f, g, cfg)
         got = relation_report(f, g, cfg).verdicts
-        assert len(got) == len(want) == 13
+        assert len(got) == len(want) == 17
         for v, w in zip(got, want):
             assert (v.relation, v.t, v.tol, v.holds) == (w.relation, w.t, w.tol, w.holds)
             assert abs(v.residual - w.residual) <= 1e-15, (v, w)
