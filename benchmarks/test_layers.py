@@ -73,10 +73,18 @@ def test_relation_report_intro_t100(benchmark):
     benchmark(relation_report, INTRO_F, INTRO_G, TScanConfig.through(100))
 
 
+# theorem2 branch 1: half the rows of its t = 1..100 stack take the far
+# (Re s > 1) form of cosh s and sinh(s)/s
+THEOREM2_F, THEOREM2_G = theorem2_family(Theorem2Params(u=2.088843015613044 + 7.461489285654254j))
+
+
+def test_relation_report_theorem2_t100(benchmark):
+    benchmark(relation_report, THEOREM2_F, THEOREM2_G, TScanConfig.through(100))
+
+
 def test_relation_report_theorem2_mixed_t(benchmark):
     # what verify --t-complex scans: integer and complex t in one stacked call
-    f, g = theorem2_family(Theorem2Params(u=2.088843015613044 + 7.461489285654254j))
-    benchmark(relation_report, f, g, TScanConfig((*range(1, 6), 0.5 + 0.25j)))
+    benchmark(relation_report, THEOREM2_F, THEOREM2_G, TScanConfig((*range(1, 6), 0.5 + 0.25j)))
 
 
 def test_relation_report_dim2case1_t3_triangularizable(benchmark):

@@ -281,18 +281,19 @@ def _sinhc_stack(s: np.ndarray) -> np.ndarray:
 
 
 def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``_cosh_sinhc``, entry by entry.  Where some entries
-    take the e^(mu+s) form, both forms run on every entry, so the unused one
-    may overflow."""
+    """Array twin of ``_cosh_sinhc``, entry by entry.  The e^mu form runs
+    on every entry, so on an entry that takes the e^(mu+s) form it may
+    overflow; that form runs only on the entries with Re s > 1."""
     s = np.where(s.real < 0, -s, s)
     e = np.exp(mu)
     c, q = e * np.cosh(s), e * _sinhc_stack(s)
     far = s.real > 1
     if far.any():
+        s, mu = s[far], mu[far]
         w = np.exp(-2 * s)
         e = np.exp(mu + s) / 2
-        c = np.where(far, e * (1 + w), c)
-        q = np.where(far, e * (1 - w) / s, q)
+        c[far] = e * (1 + w)
+        q[far] = e * (1 - w) / s
     return c, q
 
 
@@ -332,9 +333,10 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one node z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1;
     two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
 
-    Every branch runs on every row and each row keeps the one it needs, so
-    floating-point warnings are off: a row that overflows comes out inf or
-    NaN and leaves the others alone.
+    The e^mu form of cosh s and sinh(s)/s runs on every row, the e^(mu+s)
+    form and the exact path only on the rows that take them, so a row can
+    overflow in a form it does not keep; floating-point warnings are off: a
+    row that overflows comes out inf or NaN and leaves the others alone.
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]

@@ -256,6 +256,18 @@ class III2Form(Enum):
     A4 = "a4"
 
 
+def _root_product(x: Fraction, y: Fraction) -> complex | None:
+    """sqrt(x) sqrt(y) of the principal roots, rounded once, when |x y| is a
+    rational square; else None.  The principal root of a negative number is
+    i times that of its modulus, so sqrt(-6) sqrt(-3) = -sqrt(18)."""
+    xy = abs(x * y)
+    num, den = math.isqrt(xy.numerator), math.isqrt(xy.denominator)
+    if num * num != xy.numerator or den * den != xy.denominator:
+        return None
+    root = num / den
+    return (complex(root), complex(0.0, root), complex(-root))[(x < 0) + (y < 0)]
+
+
 def _rank1_max_minor(a: np.ndarray) -> float:
     pairs = list(itertools.combinations(range(3), 2))
     return max(abs(a[i, j] * a[k, l] - a[i, l] * a[k, j]) for i, k in pairs for j, l in pairs)
@@ -273,6 +285,13 @@ def case3_III2_matrix(p: III2Params, form: III2Form) -> tuple[CMat, CMat]:
         # principal square roots; A = v v^T is rank 1 for any consistent signs
         v = np.array([cmath.sqrt(complex(x)) for x in (a11, a22, a33)])
         a = np.outer(v, v)
+        # exact where the float product rounds: a_ii itself on the diagonal,
+        # and v_i v_j wherever |a_ii a_jj| is a rational square
+        values = (a11, a22, a33)
+        for i, j in itertools.product(range(3), repeat=2):
+            exact = _root_product(values[i], values[j])
+            if exact is not None:
+                a[i, j] = exact
         if _rank1_max_minor(a) > 1e-10 * max(1.0, frobenius(a) ** 2):
             raise RankError("no square-root sign assignment achieved rank 1")
         return CMat(a), b

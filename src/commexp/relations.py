@@ -23,24 +23,29 @@ A ``TScanConfig`` is one tuple of t values, each an int of either sign (0
 included) or a complex number, in any order; ``relation_report`` gives
 exp-equal and exp-swap, then star and swapped star per t in that order.  It
 chooses its path by the pair's dimension.  At d = 2 it takes every
-exponential once, in one stacked closed-form call over [F, G, t F + G for
-each t, t F for each t, F + G], and every residual from batched products and
-one stacked Frobenius norm; each verdict is what the scalar ``check_*``
-functions give (residuals to rounding).  The congruence flags of F, G and
-F + G read the eigenvalues mu +/- s that the same call computes for the
-first two rows and the last, so the d = 2 path makes no ``eigen_decompose``
-call.  At d = 3 it runs the scalar checks itself: ``check_exp_equal``,
-``check_exp_swap``, then ``check_relation_star`` and its swapped form per t,
-six exponentials per t (star and swapped star each take exp(t F + G),
-exp(t F) and exp(G)); the flags read the polished roots of F, G and F + G,
-which ``eigen_decompose`` would cluster: a cluster's mean can hide two roots
-that differ by 2 i pi once ||M|| is ~1e8 or more.  At either dimension an
-infinite eigenvalue difference raises ``SpectrumOverflowError`` naming the
-matrix; past the flags, a residual that is not finite (an exponential, or
-its norm, overflowed on a finite spectrum) raises ``ResidualOverflowError``
-naming the relation and its t, instead of reading as a failed verdict.  With
-``include_triangularizable`` the report adds the verdict of
-``simtrig.sim_triangularizable``, which at d = 2 is one test, det [F, G] = 0.
+exponential once, in one stacked closed-form call over [G, F, t F for each t,
+t F + G for each t, F + G].  The products with exp(G), on the right and on
+the left, are one matrix product (GEMM) each over the rows [exp(F), exp(t F)
+for each t]; every residual comes from one stacked Frobenius norm, and the
+verdicts are built in bulk from the residual array.  Each verdict is what
+the scalar ``check_*`` functions give (residuals to rounding).  The
+congruence flags of F, G and F + G read the eigenvalues mu +/- s that the
+same call computes for the first two rows and the last, so the d = 2 path
+makes no ``eigen_decompose`` call.  At d = 3 it runs the scalar checks
+itself: ``check_exp_equal``, ``check_exp_swap``, then
+``check_relation_star`` and its swapped form per t, six exponentials per t
+(star and swapped star each take exp(t F + G), exp(t F) and exp(G)); the
+flags read the polished roots of F, G and F + G, which ``eigen_decompose``
+would cluster: a cluster's mean can hide two roots that differ by 2 i pi
+once ||M|| is ~1e8 or more.  At either dimension an infinite eigenvalue
+difference raises ``SpectrumOverflowError`` naming the matrix; past the
+flags, a residual that is not finite (an exponential, or its norm,
+overflowed on a finite spectrum) raises ``ResidualOverflowError`` naming
+the relation and its t, instead of reading as a failed verdict.  So the
+report runs with floating-point warnings off: an overflow reaches the caller
+as that one typed error.  With ``include_triangularizable`` the report adds
+the verdict of ``simtrig.sim_triangularizable``, which at d = 2 is one
+test, det [F, G] = 0.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +71,6 @@ from .numkernel import (
 from .simtrig import sim_triangularizable
 
 DEFAULT_TOL = 1e-9
-_RESIDUAL = operator.attrgetter("residual")
 
 
 class RelationKind(enum.Enum):
@@ -127,7 +130,7 @@ def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
 
 
 def _scan_stack(f, g, t_values) -> np.ndarray:
-    """[F, G, t F + G for each t, t F for each t, F + G] as one (3 + 2T, d, d)
+    """[G, F, t F for each t, t F + G for each t, F + G] as one (3 + 2T, d, d)
     array.
 
     Each row is rounded as the scalar checks round it: t F + G as
@@ -138,38 +141,52 @@ def _scan_stack(f, g, t_values) -> np.ndarray:
     t = np.array((*t_values, 1), dtype=complex)[:, None, None]
     if isinstance(f, CMat) and isinstance(g, CMat) and f.pi_scaled == g.pi_scaled:
         tf = t * f.entries
-        sums = tf + g.entries
-        stack = np.concatenate([f.entries[None], g.entries[None], sums[:-1], tf[:-1], sums[-1:]])
+        stack = np.concatenate([g.entries[None], f.entries[None], tf[:-1], tf + g.entries])
         return stack * math.pi if f.pi_scaled else stack
     a, b = as_matrix(f), as_matrix(g)
     tf = t[:-1] * f.entries * math.pi if isinstance(f, CMat) and f.pi_scaled else t[:-1] * a
-    sums = t * a + b
-    return np.concatenate([a[None], b[None], sums[:-1], tf, sums[-1:]])
+    return np.concatenate([b[None], a[None], tf, t * a + b])
 
 
-def _scan_2x2(f, g, cfg: TScanConfig) -> tuple[list[RelationVerdict], tuple[bool, bool, bool]]:
+def _scan_2x2(
+    f, g, cfg: TScanConfig,
+) -> tuple[list[RelationVerdict], np.ndarray, tuple[bool, bool, bool]]:
     """exp-equal, exp-swap, then star and swapped star per t of a 2x2 pair,
-    and the congruence flags of F, G and F + G, from one stacked
-    exponential: each of exp(F), exp(G), exp(t F + G) and exp(t F) is taken
-    once, every residual is ``_relative_residual`` over the stack, and the
-    flags read the eigenvalues of F, G and F + G: rows 0, 1 and -1."""
+    their residuals as an array in that order, and the congruence flags of
+    F, G and F + G, from one stacked exponential.
+
+    Each of exp(F), exp(G), exp(t F + G) and exp(t F) is taken once.  The
+    products with exp(G) on either side are one matrix product each over
+    the rows [exp(F), exp(t F) for each t]: the (n, 2, 2) stack read as
+    (2n, 2) rows times exp(G), and exp(G) times the stack laid out as
+    (2, 2n) columns.  Every residual is ``_relative_residual`` over the
+    stack, and the flags read the eigenvalues of F, G and F + G: rows 1, 0
+    and -1.
+    """
     n = len(cfg.t_values)
     e, lams = _expm_2x2_with_eigenvalues(_scan_stack(f, g, cfg.t_values))
-    ef, eg, sums, scaled = e[0], e[1], e[2:2 + n], e[2 + n:-1]
-    lhs = np.concatenate([ef[None], (ef @ eg)[None], sums, sums])
-    rhs = np.concatenate([eg[None], (eg @ ef)[None], scaled @ eg, eg @ scaled])
-    lhs_norm, rhs_norm, diff_norm = frobenius(np.concatenate([lhs, rhs, lhs - rhs])).reshape(3, -1)
+    eg, sums = e[0], e[2 + n:-1]
+    rows = e[1:2 + n]  # exp(F), then exp(t F) for each t
+    right = (rows.reshape(-1, 2) @ eg).reshape(-1, 2, 2)
+    left = (eg @ rows.transpose(1, 0, 2).reshape(2, -1)).reshape(2, -1, 2).transpose(1, 0, 2)
+    # sides[0] and sides[1] are the two sides of each verdict's equation, in
+    # verdict order: exp-equal, exp-swap, then (star, swapped star) per t
+    sides = np.empty((3, n + 1, 2, 2, 2), dtype=complex)
+    sides[0, 0, 0], sides[0, 0, 1], sides[0, 1:] = e[1], right[0], sums[:, None]
+    sides[1, :, 0], sides[1, :, 1], sides[1, 0, 0] = right, left, eg
+    np.subtract(sides[0], sides[1], out=sides[2])
+    lhs_norm, rhs_norm, diff_norm = frobenius(sides.reshape(-1, 2, 2)).reshape(3, -1)
     # fmax, as Python's max, passes over a NaN norm
     residuals = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
-    # verdict order: exp-equal, exp-swap, then (star, swapped star) per t
-    residuals = np.concatenate([residuals[:2], residuals[2:].reshape(2, n).T.ravel()])
     tol = cfg.tol
     kinds = [RelationKind.EXP_EQUAL, RelationKind.EXP_SWAP]
     kinds += [RelationKind.SUM_PRODUCT, RelationKind.SUM_PRODUCT_SWAPPED] * n
-    ts = [None, None] + [t for t in cfg.t_values for _ in range(2)]
-    verdicts = list(map(RelationVerdict, kinds, (residuals <= tol).tolist(),
-                        residuals.tolist(), itertools.repeat(tol), ts))
-    return verdicts, _congruence_flags(lams[:, [0, 1, -1]].T.tolist(), tol)
+    ts = [None, None, *itertools.chain.from_iterable(zip(cfg.t_values, cfg.t_values))]
+    # tuple.__new__ builds each verdict from its fields at C level, skipping
+    # the NamedTuple's Python-level __new__
+    fields = zip(kinds, (residuals <= tol).tolist(), residuals.tolist(), itertools.repeat(tol), ts)
+    verdicts = list(map(tuple.__new__, itertools.repeat(RelationVerdict), fields))
+    return verdicts, residuals, _congruence_flags(lams[:, [1, 0, -1]].T.tolist(), tol)
 
 
 def check_commute(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
@@ -245,15 +262,20 @@ def _congruence_flags(spectra, tol: float) -> tuple[bool, bool, bool]:
     return tuple(flags)
 
 
+@np.errstate(all="ignore")
 def relation_report(
     f, g, cfg: TScanConfig, *,
     pair: str = "",
     include_triangularizable: bool = False,
 ) -> RelationReport:
-    """Aggregate every check for one pair."""
+    """Aggregate every check for one pair.
+
+    Floating-point warnings are off: every non-finite spectrum or residual
+    raises a typed error instead.
+    """
     verdicts = [check_commute(f, g, cfg.tol)]
     if as_matrix(f).shape[0] == 2:
-        scanned, flags = _scan_2x2(f, g, cfg)
+        scanned, residuals, flags = _scan_2x2(f, g, cfg)
         verdicts.extend(scanned)
     else:
         verdicts.append(check_exp_equal(f, g, cfg.tol))
@@ -263,8 +285,8 @@ def relation_report(
             verdicts.append(check_relation_star(f, g, t, cfg.tol, swapped=True))
         flags = _congruence_flags([_polished_roots(as_matrix(m))
                                    for m in (f, g, combine_affine(f, g, 1.0))], cfg.tol)
-    # every finite residual is at most 2, so the sum is finite iff all are
-    if not math.isfinite(sum(map(_RESIDUAL, verdicts))):
+        residuals = [v.residual for v in verdicts[1:]]
+    if not (math.isfinite(verdicts[0].residual) and np.isfinite(residuals).all()):
         bad = next(v for v in verdicts if not math.isfinite(v.residual))
         at = "" if bad.t is None else f" at t = {bad.t}"
         raise ResidualOverflowError(

@@ -361,6 +361,22 @@ class TestMatrixFiles:
         assert [v["t"] for v in builtin["payload"]["verdicts"]
                 if v["relation"] == "sum-product"] == list(range(1, 7))
 
+    def test_iii2_default_writes_exact_entries(self, capsys, tmp_path):
+        # a_ii = -6, 12, -3 on the diagonal; sqrt(12) sqrt(-3) = 6i, exact as
+        # |a_22 a_33| = 36 is a square; sqrt(-6) sqrt(-3) = -sqrt(18) and
+        # sqrt(-6) sqrt(12) = i sqrt(72) are not
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        code, out, _ = run(capsys, "families", "iii2", "-o", f, g)
+        assert code == 0
+        report = json.loads(out)
+        entries = report["payload"]["f"]["entries"]
+        assert [entries[i][i] for i in range(3)] == [[-6.0, 0.0], [12.0, 0.0], [-3.0, 0.0]]
+        assert entries[1][2] == entries[2][1] == [0.0, 6.0]
+        assert entries[0][2] == entries[2][0] == [pytest.approx(-(18 ** 0.5)), 0.0]
+        assert entries[0][1] == entries[1][0] == [0.0, pytest.approx(72 ** 0.5)]
+        assert json.loads(Path(f).read_text())["entries"] == entries
+        assert all(report["payload"]["checks"].values()) and report["claim"]["reproduced"]
+
     def test_defective_triangularizable_pair_from_files(self, capsys, tmp_path):
         # F is c I plus a nilpotent of rank 2 behind the basis S, so its
         # computed eigenvalues miss c by ~eps^(1/3)
@@ -383,7 +399,6 @@ class TestMatrixFiles:
         [[1e200, 1e200], [1e200, -1e200]],  # the spectrum overflows to inf
         [[1e160, 1e160], [0, 0]],  # finite eigenvalues, but s^2 overflows
     ], ids=["inf", "square-overflows"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_spectrum_exits_one_with_one_line(self, capsys, tmp_path, rows):
         f = tmp_path / "F.json"
         f.write_text(json.dumps(cli.matrix_to_obj(CMat.from_rows(rows))))
@@ -392,8 +407,6 @@ class TestMatrixFiles:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_exponential_exits_one_with_one_line(self, capsys, tmp_path):
         # F and G commute and their spectra are finite, but e^1000 is not
         f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
@@ -404,8 +417,6 @@ class TestMatrixFiles:
         assert err.startswith("error: ResidualOverflowError: the exp-equal residual is not finite")
         assert err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_complex_t_exits_one_with_one_line(self, capsys, tmp_path):
         # e^801 is not finite: a complex t is judged in the report's own
         # scan, so its non-finite residual is refused as an integer t's is
@@ -623,6 +634,21 @@ class TestProcessExitCodes:
         report = json.loads(text)
         cli.validate(report, cli._schema("report.schema.json"))
         assert len(report["payload"]["survivors"]) == 6080
+
+    @pytest.mark.parametrize("rows, message", [
+        # finite eigenvalues, but s^2 and the Frobenius norm overflow
+        ([[1e160, 1e160], [0, 0]], "SpectrumOverflowError: the spectrum of F overflows"),
+        # F and G commute; e^1000 is not finite
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1e3]], "ResidualOverflowError: the exp-equal residual"),
+    ], ids=["d2-spectrum", "d3-exponential"])
+    def test_overflow_prints_one_error_line_and_no_warning(self, tmp_path, rows, message):
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        cli.save_matrix_file(f, CMat.from_rows(rows))
+        cli.save_matrix_file(g, CMat.from_rows([[float(i == j) for j in range(len(rows))]
+                                                for i in range(len(rows))]))
+        proc = module_run("verify", "-f", f, "-g", g, "--t", "1..2")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
 
     def test_piped_stdout_parses_as_json(self):
         proc = module_run("search", "iii4", "--box", "2", "--n", "1")  # ~1.8 MB of JSON

@@ -13,6 +13,7 @@ from commexp.families import (
     III4Params,
     Real2DParams,
     Theorem2Params,
+    _root_product,
     case3_III2_matrix,
     case3_III2ii_matrix,
     case3_III4_residuals,
@@ -228,6 +229,15 @@ class TestIII2:
         ]
         assert max(abs(m) for m in minors) <= 1e-10
         assert ae.trace() == pytest.approx(3)
+        # exact where it can be: a_ii on the diagonal, and sqrt(a_ii) sqrt(a_jj)
+        # of the principal roots where |a_ii a_jj| is a rational square
+        assert ae.diagonal().tolist() == [-6, 12, -3]
+        assert ae[1, 2] == ae[2, 1] == 6j
+        assert ae[0, 2] == pytest.approx(-math.sqrt(18))  # sqrt(-6) sqrt(-3)
+        assert ae[0, 1] == pytest.approx(1j * math.sqrt(72))
+        assert _root_product(Fraction(-6), Fraction(-3)) is None
+        assert _root_product(Fraction(9, 2), Fraction(1, 8)) == 0.75
+        assert _root_product(Fraction(-1, 4), Fraction(1)) == 0.5j
         spec = eigen_decompose(combine_affine(a, b, 1))
         got = sorted(spec.eigenvalues, key=lambda z: z.real)
         assert np.allclose(got, [0, 4, 5], atol=1e-8)
