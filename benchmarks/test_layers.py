@@ -8,7 +8,15 @@ Run with
 This directory is outside ``testpaths``, so the test suite does not collect
 it.  Inputs are fixed (seeded), so two trees can be compared table to table
 on the same machine; the end-to-end figures come from ``perfbench/run.py``.
+The ``test_process_start`` rows time whole ``python -m commexp.cli``
+processes against the floor of a process that imports numpy and exits.
 """
+
+import compileall
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,3 +133,25 @@ def test_grobner_replacement_search(benchmark, box, n):
 def test_discriminant_scan_a1_30000(benchmark, params):
     # degenerate: m1 = n1 makes the discriminant a square, and all 30 000 n survive
     benchmark(discriminant_scan_A1, *params, 30000)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def process_env():
+    # bytecode as an installed package has it: without it every process
+    # would compile the sources first
+    compileall.compile_dir(SRC, quiet=1)
+    return dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-c", "import numpy, os; os._exit(0)"),
+    ("-m", "commexp.cli", "solve-u", "--k", "1"),
+    ("-m", "commexp.cli", "verify", "--builtin", "intro", "--t", "1..6"),
+], ids=["numpy-floor", "solve-u", "verify-intro"])
+def test_process_start(benchmark, process_env, argv):
+    benchmark.pedantic(subprocess.run, args=([sys.executable, *argv],),
+                       kwargs={"env": process_env, "check": True, "capture_output": True},
+                       rounds=15, warmup_rounds=1)

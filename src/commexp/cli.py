@@ -22,12 +22,22 @@ not match raises SchemaError with its JSON path: exit code 1.
 Start-up cost: only ``verify`` and ``families`` load numpy and the numeric
 modules (numkernel, expmkit, relations, simtrig, families), inside those two
 commands.  ``solve-u`` and the three ``search`` cases run in pure Python,
-``--alpha`` included, which saves the numpy import (~80 ms cumulative in
-``python -X importtime -c "import numpy"`` on a 2-vCPU VM).
+``--alpha`` included, which saves the numpy import: ~37 ms of the ~75 ms
+that a ``verify --builtin intro`` process takes on a 2-vCPU VM.
 The process entry (``entry``, for ``python -m commexp.cli`` and the
-``commexp`` script) calls ``gc.freeze()`` once ``main`` has returned, so
-that interpreter exit skips the full collection over every object the
-imports left behind; ``main`` itself does not, as tests call it in-process.
+``commexp`` script) makes a process pay only for its command.  It runs
+``main`` with the cyclic collector off, which skips the ~30 collections
+that the numpy and numeric-module imports would trigger (~2.5 ms of a
+numeric command); the process ends before uncollected cycles matter.  It
+then flushes stdout and stderr itself, so that a stdout closed by its
+reader is reported as an I/O error, and leaves through ``os._exit``, which
+skips interpreter teardown: module cleanup and the final collection
+(~1.5-2 ms).  ``main`` itself does none of this, as tests call it
+in-process.  The result records that validate nothing (``Spectrum``,
+``RelationReport``, ``TrigVerdict``, ``SearchOutcome``, ``URoot``,
+``Family``) are NamedTuples: a class costs ~0.14 ms to build at import as
+a NamedTuple and ~0.46 ms as a frozen dataclass, ~2.5 ms per numeric
+command for the six.
 """
 
 from __future__ import annotations
@@ -38,12 +48,13 @@ import gc
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import intsearch, uset
 from .errors import CommexpError, SchemaError
@@ -620,14 +631,22 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """Process entry of ``python -m commexp.cli`` and the ``commexp`` script:
-    ``main``, then a frozen collector, so that interpreter exit skips the
-    full collection over the objects the imports left behind."""
+    ``main`` with the cyclic collector off, an explicit flush of both
+    streams, then ``os._exit`` with ``main``'s code, skipping interpreter
+    teardown.  A stdout closed by its reader fails that flush, which is
+    reported as any other I/O error: one ``error:`` line and code 1."""
+    gc.disable()
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

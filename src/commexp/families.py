@@ -44,10 +44,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -386,15 +386,16 @@ def char_poly_nAB(p: III2Params, n: int) -> tuple[int, int, int, int]:
 Rule = Callable[[dict, "int | complex | None"], "bool | None"]
 
 
-@dataclass(frozen=True)
-class Family:
-    """How to build one exhibited pair, its flag defaults, and what it predicts."""
+class Family(NamedTuple):
+    """How to build one exhibited pair, its flag defaults, and what it
+    predicts.  The ``{}`` defaults are one object shared by every record
+    built without them, so no record's dict is ever mutated."""
 
     build: Callable[[dict], tuple[CMat, CMat, dict]]
     defaults: dict
-    expected: dict[RelationKind, Rule] = field(default_factory=dict)
+    expected: dict[RelationKind, Rule] = {}
     checks: Callable[[CMat, CMat, dict], dict[str, bool]] = lambda f, g, inputs: {}
-    form_defaults: dict[str, dict] = field(default_factory=dict)
+    form_defaults: dict[str, dict] = {}
 
     def resolve(self, flags: dict) -> dict:
         """The flag values, with this family's default for each flag not given."""

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConstraintError
 
@@ -130,8 +131,7 @@ class Survivor:
     residuals: tuple
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Deterministic record of an exhaustive scan."""
 
     survivors: tuple[Survivor, ...]
@@ -140,7 +140,7 @@ class SearchOutcome:
     pruned: int
     prune_reasons: dict
     first_failure: int | None = None
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}  # shared by every outcome built without one: never mutated
 
 
 # ---------------------------------------------------------------------------

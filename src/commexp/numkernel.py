@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,8 +256,7 @@ def _polish_roots(coeffs, roots, scale):
     return out
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues with multiplicity, plus clustering and snap metadata.
 
     ``eigenvalues`` lists each cluster representative repeated per algebraic
@@ -266,7 +266,7 @@ class Spectrum:
 
     eigenvalues: tuple[complex, ...]
     distinct_count: int
-    multiplicities: tuple[int, ...] = field(default=())
+    multiplicities: tuple[int, ...] = ()
     snap: tuple[int, ...] | None = None
 
     @property

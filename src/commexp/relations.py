@@ -83,7 +83,9 @@ class RelationKind(enum.Enum):
 
 class RelationVerdict(NamedTuple):
     """One judged relation; immutable.  A NamedTuple, not a frozen
-    dataclass, because a d = 2 report builds 2T + 3 of them."""
+    dataclass, because a d = 2 report builds 2T + 3 of them, and because
+    every CLI process that loads this module builds the class itself: ~0.14
+    ms as a NamedTuple, ~0.46 ms as a frozen dataclass."""
 
     relation: RelationKind
     holds: bool
@@ -111,8 +113,7 @@ class TScanConfig:
         return cls(tuple(range(1, t_max + 1)), tol)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     pair: str
     verdicts: tuple[RelationVerdict, ...]
     congruence_free: tuple[bool, bool, bool]

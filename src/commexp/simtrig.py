@@ -28,7 +28,7 @@ eigenvector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .numkernel import MAX_DIM, as_matrix, char_poly, eigen_decompose, frobenius
 BASIS_VERIFY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TrigVerdict:
+class TrigVerdict(NamedTuple):
     """Outcome of the triangularizability test.
 
     Exactly one of ``basis`` (invertible T with T^-1 F T, T^-1 G T upper

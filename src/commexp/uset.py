@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoConvergenceError, ZeroRootError
 
@@ -23,8 +23,7 @@ DEDUP_TOL = 1e-6
 ZERO_BALL = 1e-3
 
 
-@dataclass(frozen=True)
-class URoot:
+class URoot(NamedTuple):
     value: complex
     residual: float
     branch_hint: int

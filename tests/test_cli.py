@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -228,7 +227,7 @@ class TestClaimFailedExitsTwo:
         record = families.FAMILIES[name]
         rule = record.expected[relation]
         expected = {**record.expected, relation: lambda inputs, t: not rule(inputs, t)}
-        monkeypatch.setitem(families.FAMILIES, name, dataclasses.replace(record, expected=expected))
+        monkeypatch.setitem(families.FAMILIES, name, record._replace(expected=expected))
 
     def test_verify_with_a_wrong_expectation(self, capsys, monkeypatch):
         self.flip(monkeypatch, "intro", RelationKind.EXP_SWAP)
@@ -254,7 +253,7 @@ class TestClaimFailedExitsTwo:
             first = next(iter(checks))
             return {**checks, first: not checks[first]}
 
-        monkeypatch.setitem(families.FAMILIES, name, dataclasses.replace(record, checks=negated))
+        monkeypatch.setitem(families.FAMILIES, name, record._replace(checks=negated))
         report = self.assert_claim_failed(capsys, "families", *argv)
         first = next(iter(report["payload"]["checks"]))
         assert report["payload"]["checks"][first] is False
@@ -264,7 +263,7 @@ class TestClaimFailedExitsTwo:
         enumerate_u = uset.enumerate_u
 
         def moved(k_min, k_max):
-            return [dataclasses.replace(r, value=r.value + 1) if r.branch_hint == 1 else r
+            return [r._replace(value=r.value + 1) if r.branch_hint == 1 else r
                     for r in enumerate_u(k_min, k_max)]
 
         monkeypatch.setattr(uset, "enumerate_u", moved)
@@ -283,7 +282,7 @@ class TestClaimFailedExitsTwo:
 
         def with_survivor(box, n):
             survivor = intsearch.Survivor((1, 2, 0, 1, 0, 1, 3, 0, 1, 3), (0,) * 6)
-            return dataclasses.replace(search(box, n), survivors=(survivor,))
+            return search(box, n)._replace(survivors=(survivor,))
 
         monkeypatch.setattr(intsearch, "grobner_replacement_search", with_survivor)
         report = self.assert_claim_failed(capsys, "search", "iii4", "--box", "2", "--n", "2")
@@ -296,7 +295,7 @@ class TestClaimFailedExitsTwo:
             outcome = search(box, n)
             lost = outcome.survivors[0].params[:7]
             kept = tuple(s for s in outcome.survivors if s.params[:7] != lost)
-            return dataclasses.replace(outcome, survivors=kept)
+            return outcome._replace(survivors=kept)
 
         monkeypatch.setattr(intsearch, "grobner_replacement_search", without_first_base)
         report = self.assert_claim_failed(capsys, "search", "iii4", "--box", "2", "--n", "1")
@@ -318,7 +317,7 @@ class TestClaimFailedExitsTwo:
         def contradicted(*args):
             outcome = real(*args)
             assert outcome.first_failure != first_failure
-            return dataclasses.replace(outcome, first_failure=first_failure)
+            return outcome._replace(first_failure=first_failure)
 
         monkeypatch.setattr(intsearch, scan, contradicted)
         report = self.assert_claim_failed(capsys, "search", *argv, "--nmax", "100")
@@ -604,7 +603,8 @@ def module_run(*argv):
 
 class TestProcessExitCodes:
     """The 0/1/2 contract through a real ``python -m commexp.cli`` process,
-    whose entry freezes the collector before the interpreter exits."""
+    whose entry runs ``main`` with the collector off, flushes both streams
+    and leaves through ``os._exit``."""
 
     def test_zero_for_a_reproduced_claim(self):
         proc = module_run("solve-u", "--k", "-1..3")
@@ -650,6 +650,37 @@ class TestProcessExitCodes:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
 
+    def test_families_files_are_complete(self, tmp_path):
+        f, g, out = (str(tmp_path / name) for name in ("F.json", "G.json", "R.json"))
+        proc = module_run("families", "intro", "--out-files", f, g, "--out", out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        want = families.intro_pair()
+        for path, m in zip((f, g), want):
+            loaded = cli.load_matrix_file(path)
+            assert loaded.pi_scaled == m.pi_scaled
+            assert (loaded.entries == m.entries).all()
+        report = json.loads(Path(out).read_text())
+        cli.validate(report, cli._schema("report.schema.json"))
+        assert report["payload"]["f"] == cli.matrix_to_obj(want[0])
+        assert report["payload"]["g"] == cli.matrix_to_obj(want[1])
+
+    @pytest.mark.parametrize("argv", [
+        ("solve-u", "--k", "1"),  # the report waits in the buffer for the exit flush
+        ("search", "iii4", "--box", "2", "--n", "1"),  # ~1.8 MB: print itself fails
+    ], ids=["flush", "print"])
+    def test_closed_stdout_exits_one_with_one_line(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)  # with it set, every print fails inside main
+        try:
+            proc = subprocess.run([sys.executable, "-m", "commexp.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
     def test_piped_stdout_parses_as_json(self):
         proc = module_run("search", "iii4", "--box", "2", "--n", "1")  # ~1.8 MB of JSON
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -658,12 +689,48 @@ class TestProcessExitCodes:
         assert len(report["payload"]["survivors"]) == 6080
 
 
-def test_entry_runs_main_then_freezes_the_collector(monkeypatch):
-    events = []
-    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 2)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    assert cli.entry() == 2
-    assert events == ["main", "freeze"]
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that records its calls."""
+
+    def __init__(self, name, events, error=None):
+        self.name, self.events, self.error = name, events, error
+
+    def write(self, text):
+        self.events.append(f"{self.name} <- {text!r}")
+        return len(text)
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.error is not None:
+            raise self.error
+
+
+class TestEntry:
+    """``entry`` as a process runs it, with gc.disable, main, both streams and
+    os._exit replaced by recorders, so that pytest's collector stays on and
+    its process survives."""
+
+    @staticmethod
+    def run_entry(monkeypatch, code, stdout_error=None):
+        events = []
+        monkeypatch.setattr(gc, "disable", lambda: events.append("gc.disable"))
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or code)
+        monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, stdout_error))
+        monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+        monkeypatch.setattr(os, "_exit", lambda status: events.append(f"os._exit({status})"))
+        cli.entry()
+        return events
+
+    def test_main_runs_with_the_collector_off_then_flushes_and_exits(self, monkeypatch):
+        assert self.run_entry(monkeypatch, 2) == [
+            "gc.disable", "main", "flush stdout", "flush stderr", "os._exit(2)"]
+
+    def test_a_closed_stdout_is_an_io_error(self, monkeypatch):
+        events = self.run_entry(monkeypatch, 0, BrokenPipeError(32, "Broken pipe"))
+        assert events == [
+            "gc.disable", "main", "flush stdout",
+            "stderr <- 'error: BrokenPipeError: [Errno 32] Broken pipe'", "stderr <- '\\n'",
+            "flush stderr", "os._exit(1)"]
 
 
 def test_console_script_targets_the_module_entry():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -88,3 +89,51 @@ def test_importing_the_package_loads_no_submodule():
              "loaded = sorted(m for m in sys.modules if m.startswith(('commexp.', 'numpy'))); "
              "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+
+NO_CHECKS = object()  # the default of Family.checks: a callable that checks nothing
+
+# the result records, each with its fields in order and the defaults of the
+# trailing ones; they are NamedTuples now, frozen dataclasses before
+RECORDS = {
+    ("numkernel", "Spectrum"): (
+        ("eigenvalues", "distinct_count", "multiplicities", "snap"),
+        {"multiplicities": (), "snap": None},
+    ),
+    ("relations", "RelationReport"): (
+        ("pair", "verdicts", "congruence_free", "sim_triangularizable"),
+        {"sim_triangularizable": None},
+    ),
+    ("simtrig", "TrigVerdict"): (
+        ("triangularizable", "basis", "witness", "witness_word", "witness_trace"),
+        {"basis": None, "witness": None, "witness_word": None, "witness_trace": None},
+    ),
+    ("intsearch", "SearchOutcome"): (
+        ("survivors", "tuples_scanned", "bounds", "pruned", "prune_reasons", "first_failure",
+         "metadata"),
+        {"first_failure": None, "metadata": {}},
+    ),
+    ("uset", "URoot"): (("value", "residual", "branch_hint"), {}),
+    ("families", "Family"): (
+        ("build", "defaults", "expected", "checks", "form_defaults"),
+        {"expected": {}, "checks": NO_CHECKS, "form_defaults": {}},
+    ),
+}
+
+
+@pytest.mark.parametrize("home, name", RECORDS, ids=[name for _, name in RECORDS])
+def test_records_keep_their_fields_defaults_and_immutability(home, name):
+    cls = getattr(importlib.import_module(f"commexp.{home}"), name)
+    fields, defaults = RECORDS[home, name]
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == fields
+    record = cls(*(None for p in params.values() if p.default is inspect.Parameter.empty))
+    for field, want in defaults.items():
+        got = getattr(record, field)
+        if want is NO_CHECKS:
+            assert got(None, None, {}) == {}
+        else:
+            assert got == want, field
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
