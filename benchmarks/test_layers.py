@@ -9,7 +9,9 @@ This directory is outside ``testpaths``, so the test suite does not collect
 it.  Inputs are fixed (seeded), so two trees can be compared table to table
 on the same machine; the end-to-end figures come from ``perfbench/run.py``.
 The ``test_process_start`` rows time whole ``python -m commexp.cli``
-processes against the floor of a process that imports numpy and exits.
+processes against two floors: a process that exits at once (for
+``solve-u`` and ``search``, which run in pure Python) and one that imports
+numpy and exits (for ``verify`` and ``families``).
 """
 
 import compileall
@@ -147,10 +149,13 @@ def process_env():
 
 
 @pytest.mark.parametrize("argv", [
+    ("-c", "import os; os._exit(0)"),
     ("-c", "import numpy, os; os._exit(0)"),
     ("-m", "commexp.cli", "solve-u", "--k", "1"),
+    ("-m", "commexp.cli", "search", "iii4", "--box", "3", "--n", "2"),
     ("-m", "commexp.cli", "verify", "--builtin", "intro", "--t", "1..6"),
-], ids=["numpy-floor", "solve-u", "verify-intro"])
+    ("-m", "commexp.cli", "families", "iii2"),
+], ids=["python-floor", "numpy-floor", "solve-u", "search-iii4", "verify-intro", "families-iii2"])
 def test_process_start(benchmark, process_env, argv):
     benchmark.pedantic(subprocess.run, args=([sys.executable, *argv],),
                        kwargs={"env": process_env, "check": True, "capture_output": True},

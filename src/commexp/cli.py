@@ -19,11 +19,15 @@ $id, title and description.  A schema with any other keyword is refused
 (SchemaError), so a schema edit cannot go unchecked.  A document that does
 not match raises SchemaError with its JSON path: exit code 1.
 
-Start-up cost: only ``verify`` and ``families`` load numpy and the numeric
-modules (numkernel, expmkit, relations, simtrig, families), inside those two
-commands.  ``solve-u`` and the three ``search`` cases run in pure Python,
-``--alpha`` included, which saves the numpy import: ~37 ms of the ~75 ms
-that a ``verify --builtin intro`` process takes on a 2-vCPU VM.
+Start-up cost (medians of fresh processes with compiled bytecode and one
+BLAS thread, 2-vCPU VM): each command imports what it uses inside the
+command.  Only ``verify`` and ``families`` load numpy, the numeric modules
+(numkernel, expmkit, relations, simtrig, families) and hashlib, which
+digests their inputs.  ``solve-u`` loads ``uset`` alone and the three
+``search`` cases ``intsearch`` and fractions, all in pure Python,
+``--alpha`` included: ~27-28 ms a process, against ~22 ms for one that
+exits at once, while ``verify --builtin intro`` and ``families iii2`` take
+~66 ms, against ~57 ms for one that imports numpy and exits.
 The process entry (``entry``, for ``python -m commexp.cli`` and the
 ``commexp`` script) makes a process pay only for its command.  It runs
 ``main`` with the cyclic collector off, which skips the ~30 collections
@@ -33,11 +37,13 @@ then flushes stdout and stderr itself, so that a stdout closed by its
 reader is reported as an I/O error, and leaves through ``os._exit``, which
 skips interpreter teardown: module cleanup and the final collection
 (~1.5-2 ms).  ``main`` itself does none of this, as tests call it
-in-process.  The result records that validate nothing (``Spectrum``,
-``RelationReport``, ``TrigVerdict``, ``SearchOutcome``, ``URoot``,
-``Family``) are NamedTuples: a class costs ~0.14 ms to build at import as
-a NamedTuple and ~0.46 ms as a frozen dataclass, ~2.5 ms per numeric
-command for the six.
+in-process.  No module of the package imports ``dataclasses``, which with
+the ``inspect`` it loads costs ~4 ms where numpy is not loaded.  The records that validate nothing
+(``Spectrum``, ``RelationVerdict``, ``RelationReport``, ``TrigVerdict``,
+``SearchOutcome``, ``Survivor``, ``URoot``, ``Family``) are NamedTuples,
+and the validated ones (``CMat``, ``TScanConfig``, the parameter records
+and ``SquarePoly``) are slots classes on ``frozen.Frozen``: ~0.05 ms and
+~0.005 ms to build at import, against ~0.42 ms as a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -45,21 +51,19 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import json
 import math
 import os
 import re
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, NoReturn
 
-from . import intsearch, uset
 from .errors import CommexpError, SchemaError
 
 if TYPE_CHECKING:
+    from .intsearch import SearchOutcome
     from .numkernel import CMat
 
 SCHEMA_VERSION = 1
@@ -207,9 +211,11 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, Fraction):
+    # a Fraction or a numpy value can exist only once its module is loaded
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
-    np = sys.modules.get("numpy")  # a numpy value can exist only once numpy is loaded
+    np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(obj, (np.floating, np.integer, np.bool_)):
             return obj.item()
@@ -266,11 +272,15 @@ def load_matrix_file(path: str) -> CMat:
 
 
 def _digest_file(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fp:
         return hashlib.sha256(fp.read()).hexdigest()
 
 
 def _digest_params(kind: str, params: dict) -> str:
+    import hashlib
+
     blob = json.dumps({"kind": kind, "params": _jsonable(params)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -302,20 +312,28 @@ def emit_report(args, inputs, tolerances, payload, claim, started, out_path=None
 
 
 def parse_int_range(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in spec:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
-    return [int(spec)]
+    text = spec.strip()
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        values = list(range(int(lo), int(hi) + 1))
+    elif "," in text:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    else:
+        values = [int(text)]
+    if not values:
+        raise UsageError(f"the integer range {spec!r} is empty")
+    return values
 
 
 def parse_complex(spec: str) -> complex:
     if "," in spec:
         re, im = spec.split(",", 1)
-        return complex(float(re), float(im))
-    return complex(float(spec), 0.0)
+        z = complex(float(re), float(im))
+    else:
+        z = complex(float(spec), 0.0)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise UsageError(f"the complex value {spec!r} is not finite")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +415,8 @@ def cmd_verify(ns, argv) -> int:
 
 
 def cmd_solve_u(ns, argv) -> int:
+    from . import uset
+
     started = time.monotonic()
     ks = parse_int_range(ns.k)
     wanted = [k for k in ks if k != 0]
@@ -427,7 +447,7 @@ def cmd_solve_u(ns, argv) -> int:
     return emit_report(argv, {"k": ns.k}, tolerances, payload, claim, started, ns.out)
 
 
-def _outcome_payload(outcome: intsearch.SearchOutcome) -> dict:
+def _outcome_payload(outcome: SearchOutcome) -> dict:
     return {
         "survivors": [
             {"params": s.params, "residuals": s.residuals} for s in outcome.survivors
@@ -441,7 +461,7 @@ def _outcome_payload(outcome: intsearch.SearchOutcome) -> dict:
     }
 
 
-def _discriminant_claim(name: str, outcome: intsearch.SearchOutcome, nmax: int) -> dict:
+def _discriminant_claim(name: str, outcome: SearchOutcome, nmax: int) -> dict:
     """Reproduced when the scan finds every n square exactly when the
     degeneracy test (``lemma1_decide``) says the discriminant is a square."""
     decide = outcome.metadata["lemma1_decide"]
@@ -457,6 +477,10 @@ def _discriminant_claim(name: str, outcome: intsearch.SearchOutcome, nmax: int) 
 
 
 def cmd_search(ns, argv) -> int:
+    from fractions import Fraction
+
+    from . import intsearch
+
     started = time.monotonic()
     if ns.case == "iii4":
         if len(ns.n_values) != 1:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -54,6 +53,7 @@ import numpy as np
 from . import uset
 from .errors import ComplexRootsError, ConstraintError, InvalidUError, RankError
 from .expmkit import expm
+from .frozen import Frozen
 from .intsearch import III4Params, case3_III4_residuals, iii4_entries  # noqa: F401  (re-exported)
 from .intsearch import SquarePoly, iii2ii_products, square_root_exact
 from .numkernel import CMat, as_matrix, combine_affine, eigen_decompose, frobenius
@@ -111,24 +111,19 @@ def rotation_star(lam: int, mu: int, nu: int, t) -> bool | None:
     return bool(root) and (root - (lam * t + mu)) % 2 == 0
 
 
-@dataclass(frozen=True)
-class Real2DParams:
+class Real2DParams(Frozen):
     """lambda, mu, nu positive integers with nu^2 != (lambda +- mu)^2."""
 
-    lam: int
-    mu: int
-    nu: int
-    a: float = 0.0
+    __slots__ = ("lam", "mu", "nu", "a")
 
-    def __post_init__(self):
-        for name in ("lam", "mu", "nu"):
-            v = getattr(self, name)
+    def __init__(self, lam: int, mu: int, nu: int, a: float = 0.0):
+        for name, v in (("lam", lam), ("mu", mu), ("nu", nu)):
             _require(isinstance(v, int) and v > 0, f"{name} must be a positive integer")
         _require(
-            self.nu**2 != (self.lam + self.mu) ** 2
-            and self.nu**2 != (self.lam - self.mu) ** 2,
+            nu**2 != (lam + mu) ** 2 and nu**2 != (lam - mu) ** 2,
             "nu^2 must differ from (lambda +- mu)^2",
         )
+        self._store(lam, mu, nu, a)
 
 
 def real2d_family(p: Real2DParams) -> tuple[CMat, CMat]:
@@ -152,26 +147,23 @@ def real2d_family(p: Real2DParams) -> tuple[CMat, CMat]:
     return a_mat, b_mat
 
 
-@dataclass(frozen=True)
-class Theorem2Params:
+class Theorem2Params(Frozen):
     """Root u of e^u = 1 + u plus optional homothety shifts and basis change."""
 
-    u: complex
-    sigma: complex = 0j
-    tau: complex = 0j
-    basis: np.ndarray | None = None
+    __slots__ = ("u", "sigma", "tau", "basis")
 
-    def __post_init__(self):
-        residual = abs(cmath.exp(self.u) - 1 - self.u)
-        if residual > U_RESIDUAL_TOL or self.u == 0:
+    def __init__(self, u: complex, sigma: complex = 0j, tau: complex = 0j,
+                 basis: np.ndarray | None = None):
+        residual = abs(cmath.exp(u) - 1 - u)
+        if residual > U_RESIDUAL_TOL or u == 0:
             raise InvalidUError(
-                f"u = {self.u} fails |e^u - 1 - u| <= {U_RESIDUAL_TOL} (got {residual:.2e})"
+                f"u = {u} fails |e^u - 1 - u| <= {U_RESIDUAL_TOL} (got {residual:.2e})"
             )
-        if self.basis is not None:
-            basis = np.array(self.basis, dtype=complex)
+        if basis is not None:
+            basis = np.array(basis, dtype=complex)
             if basis.shape != (2, 2) or abs(np.linalg.det(basis)) < 1e-12:
                 raise ConstraintError("basis must be an invertible 2x2 matrix")
-            object.__setattr__(self, "basis", basis)
+        self._store(u, sigma, tau, basis)
 
 
 def theorem2_family(p: Theorem2Params) -> tuple[CMat, CMat]:
@@ -218,27 +210,17 @@ def rescale_2ipi(m) -> CMat:
                 pi_scaled=True)
 
 
-@dataclass(frozen=True)
-class III2Params:
+class III2Params(Frozen):
     """Diagonal B = diag(m1,m2,m3) data with A + B similar to diag(n1,n2,0)."""
 
-    l1: int
-    m1: int
-    m2: int
-    m3: int
-    n1: int
-    n2: int
+    __slots__ = ("l1", "m1", "m2", "m3", "n1", "n2")
 
-    def __post_init__(self):
-        _require(self.l1 != 0, "l1 must be nonzero")
-        _require(
-            len({self.m1, self.m2, self.m3}) == 3,
-            "m1, m2, m3 must be pairwise distinct",
-        )
-        _require(self.n1 != 0 and self.n2 != 0 and self.n1 != self.n2,
-                 "n1, n2 must be distinct and nonzero")
-        _require(self.m1 + self.m2 + self.m3 != self.n1 + self.n2,
-                 "m1+m2+m3 must differ from n1+n2")
+    def __init__(self, l1: int, m1: int, m2: int, m3: int, n1: int, n2: int):
+        _require(l1 != 0, "l1 must be nonzero")
+        _require(len({m1, m2, m3}) == 3, "m1, m2, m3 must be pairwise distinct")
+        _require(n1 != 0 and n2 != 0 and n1 != n2, "n1, n2 must be distinct and nonzero")
+        _require(m1 + m2 + m3 != n1 + n2, "m1+m2+m3 must differ from n1+n2")
+        self._store(l1, m1, m2, m3, n1, n2)
 
     def diagonal_values(self) -> tuple[Fraction, Fraction, Fraction]:
         m1, m2, m3, n1, n2 = self.m1, self.m2, self.m3, self.n1, self.n2
@@ -316,31 +298,26 @@ def case3_III2_matrix(p: III2Params, form: III2Form) -> tuple[CMat, CMat]:
     return CMat(a), b
 
 
-@dataclass(frozen=True)
-class III2iiParams:
+class III2iiParams(Frozen):
     """Outer-product family A = a b^T against B = diag(m, 0, 0).
 
     The entrywise products are pinned: a1*b1 = -(m-n1)(m-n2)/m,
     a2*b2 = -alpha + n1*n2/m, a3*b3 = alpha.
     """
 
-    l1: int
-    m: int
-    n1: int
-    n2: int
-    alpha: complex | Fraction
-    a_vector: tuple[complex, complex, complex]
-    b_vector: tuple[complex, complex, complex]
+    __slots__ = ("l1", "m", "n1", "n2", "alpha", "a_vector", "b_vector")
 
-    def __post_init__(self):
-        _require(self.l1 != 0, "l1 must be nonzero")
-        _require(self.l1 == self.n1 + self.n2 - self.m,
-                 f"trace l1 must equal n1 + n2 - m = {self.n1 + self.n2 - self.m}")
-        want = self.required_products()  # checks m, n1 and n2
-        got = [av * bv for av, bv in zip(self.a_vector, self.b_vector)]
+    def __init__(self, l1: int, m: int, n1: int, n2: int, alpha: complex | Fraction,
+                 a_vector: tuple[complex, complex, complex],
+                 b_vector: tuple[complex, complex, complex]):
+        _require(l1 != 0, "l1 must be nonzero")
+        _require(l1 == n1 + n2 - m, f"trace l1 must equal n1 + n2 - m = {n1 + n2 - m}")
+        want = iii2ii_products(m, n1, n2, alpha)  # checks m, n1 and n2
+        got = [av * bv for av, bv in zip(a_vector, b_vector)]
         for i, (w, g) in enumerate(zip(want, got), start=1):
             _require(abs(complex(g) - complex(w)) <= 1e-12 * max(1.0, abs(complex(w))),
                      f"a{i}*b{i} must equal {w}, got {g}")
+        self._store(l1, m, n1, n2, alpha, a_vector, b_vector)
 
     def required_products(self):
         return iii2ii_products(self.m, self.n1, self.n2, self.alpha)

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
 from typing import NamedTuple
 
 from .errors import ConstraintError
+from .frozen import Frozen
 
 INTEGER_BUDGET = 2**126
 
@@ -70,20 +70,18 @@ def is_perfect_square(n: int) -> bool:
     return square_root_exact(n) is not None
 
 
-@dataclass(frozen=True)
-class SquarePoly:
+class SquarePoly(Frozen):
     """P(T) = alpha^2 T^2 + beta T + gamma with alpha a positive integer."""
 
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not isinstance(getattr(self, name), int):
+    def __init__(self, alpha: int, beta: int, gamma: int):
+        for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+            if not isinstance(v, int):
                 raise ConstraintError(f"{name} must be an integer")
-        if self.alpha < 1:
+        if alpha < 1:
             raise ConstraintError("alpha must be a positive integer")
+        self._store(alpha, beta, gamma)
 
     def __call__(self, t: int) -> int:
         return self.alpha * self.alpha * t * t + self.beta * t + self.gamma
@@ -125,8 +123,7 @@ def lemma1_witness(p: SquarePoly, t_bound: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class Survivor:
+class Survivor(NamedTuple):
     params: tuple
     residuals: tuple
 
@@ -280,27 +277,20 @@ def discriminant_scan_III2ii(products, m: int, n_max: int) -> SearchOutcome:
 # type-III4 entry algebra, exact over integers and rationals
 
 
-@dataclass(frozen=True)
-class III4Params:
+class III4Params(Frozen):
     """Type-III4 data: A ~ diag(l1,l2,0), B = diag(m1,m2,m3), A+B ~ diag(n1,n2,0)."""
 
-    l1: int
-    l2: int
-    m1: int
-    m2: int
-    m3: int
-    n1: int
-    n2: int
-    rho: complex | Fraction = 0
-    sigma: complex | Fraction = 0
+    __slots__ = ("l1", "l2", "m1", "m2", "m3", "n1", "n2", "rho", "sigma")
 
-    def __post_init__(self):
-        if not (self.l1 != 0 and self.l2 != 0 and self.l1 != self.l2):
+    def __init__(self, l1: int, l2: int, m1: int, m2: int, m3: int, n1: int, n2: int,
+                 rho: complex | Fraction = 0, sigma: complex | Fraction = 0):
+        if not (l1 != 0 and l2 != 0 and l1 != l2):
             raise ConstraintError("l1, l2 must be distinct and nonzero")
-        if self.m1 == self.m2:
+        if m1 == m2:
             raise ConstraintError("m1 must differ from m2")
-        if not (self.n1 != 0 and self.n2 != 0 and self.n1 != self.n2):
+        if not (n1 != 0 and n2 != 0 and n1 != n2):
             raise ConstraintError("n1, n2 must be distinct and nonzero")
+        self._store(l1, l2, m1, m2, m3, n1, n2, rho, sigma)
 
 
 def _div_exact(num, den):

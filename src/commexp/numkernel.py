@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError
+from .frozen import Frozen
 
 # Two eigenvalues belong to one cluster when |li - lj| <= CLUSTER_TOL * max(1, ||M||_F).
 CLUSTER_TOL = 1e-8
@@ -40,20 +40,18 @@ NEAR_DOUBLE_GAP = 1e-3
 MAX_DIM = 3
 
 
-@dataclass(frozen=True)
-class CMat:
+class CMat(Frozen):
     """Square complex matrix with an optional deferred pi factor.
 
     ``pi_scaled=True`` means every stored entry is implicitly multiplied by
     pi; storing the integer part keeps file round-trips exact.
     """
 
-    entries: np.ndarray
-    pi_scaled: bool = False
+    __slots__ = ("entries", "pi_scaled")
 
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.entries, dtype=complex)
-        if arr is self.entries:  # the caller's own array: freeze a copy, not it
+    def __init__(self, entries: np.ndarray, pi_scaled: bool = False):
+        arr = np.ascontiguousarray(entries, dtype=complex)
+        if arr is entries:  # the caller's own array: freeze a copy, not it
             arr = arr.copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
@@ -61,7 +59,7 @@ class CMat:
         if not np.isfinite(arr).all():
             raise DimensionError("matrix entries must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        self._store(arr, pi_scaled)
 
     @property
     def dim(self) -> int:

@@ -562,6 +562,47 @@ class TestJsonable:
             cli._jsonable({"x": object()})
 
 
+class TestParsers:
+    @pytest.mark.parametrize("spec, values", [
+        ("1..5", [1, 2, 3, 4, 5]), (" -3..-1 ", [-3, -2, -1]), ("2..2", [2]),
+        ("1,2,5", [1, 2, 5]), ("-294,0,299,", [-294, 0, 299]), ("7", [7]),
+    ])
+    def test_int_ranges(self, spec, values):
+        assert cli.parse_int_range(spec) == values
+
+    @pytest.mark.parametrize("spec", ["5..1", "3..-1", ",", " , , "])
+    def test_an_empty_int_range_is_a_usage_error(self, spec):
+        with pytest.raises(cli.UsageError, match=f"the integer range {spec!r} is empty"):
+            cli.parse_int_range(spec)
+
+    @pytest.mark.parametrize("spec, value", [
+        ("0.5,0.25", 0.5 + 0.25j), ("-2", -2 + 0j), ("1e300,-1e-300", 1e300 - 1e-300j),
+    ])
+    def test_complex_values(self, spec, value):
+        assert cli.parse_complex(spec) == value
+
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-inf", "1e400", "1,nan", "0,-1e400"])
+    def test_a_non_finite_complex_value_is_a_usage_error(self, spec):
+        with pytest.raises(cli.UsageError, match=f"the complex value {spec!r} is not finite"):
+            cli.parse_complex(spec)
+
+    REFUSED = [
+        (("verify", "--builtin", "intro", "--t", "5..1"), "the integer range '5..1' is empty"),
+        (("solve-u", "--k", "3..-1"), "the integer range '3..-1' is empty"),
+        (("verify", "--builtin", "intro", "--t-complex", "nan"),
+         "the complex value 'nan' is not finite"),
+        (("verify", "--builtin", "intro", "--t-complex", "inf"),
+         "the complex value 'inf' is not finite"),
+        (("verify", "--builtin", "intro", "--t-complex", "1e400"),
+         "the complex value '1e400' is not finite"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+    def test_commands_exit_one_naming_the_spec(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_form_choices_match_the_family_enum():
     assert cli.III2_FORMS == tuple(form.value for form in families.III2Form)
 
@@ -741,31 +782,37 @@ def test_console_script_targets_the_module_entry():
     assert getattr(importlib.import_module(module), name) is cli.entry
 
 
-# runs one command in-process and reports its exit code, whether numpy got
-# loaded and what it printed
-NUMPY_PROBE = """
+# runs one command in-process and reports its exit code, which of the modules
+# named in its first argument got loaded, and what it printed
+MODULE_PROBE = """
 import contextlib, io, json, sys
 from commexp import cli
+watched = sys.argv[1].split(",")
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
+    code = cli.main(sys.argv[2:])
+print(json.dumps([code, [name for name in watched if name in sys.modules], out.getvalue()]))
 """
+WATCHED = ("numpy", "dataclasses", "hashlib", "fractions", "commexp.intsearch")
 
 
 class TestNumpyLoadsOnlyWhereUsed:
-    """solve-u and the search cases are exact integer work: their processes
-    never import numpy.  verify and families, which compute with floats, do."""
+    """What a command's process loads, of ``WATCHED``.  solve-u and the
+    search cases are exact integer work: their processes never import numpy,
+    and they digest no input, so they leave hashlib unloaded; solve-u needs
+    neither the search module nor fractions.  verify and families, which
+    compute with floats, load numpy.  No command loads dataclasses."""
 
     @staticmethod
     def probe(*argv, report=False):
-        """[exit code, numpy loaded], and the parsed report with ``report``."""
+        """(exit code, the set of ``WATCHED`` modules loaded), and the parsed
+        report with ``report``."""
         env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+        proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, ",".join(WATCHED), *argv],
                               capture_output=True, text=True, env=env, check=True)
-        code, numpy_loaded, out = json.loads(proc.stdout)
+        code, loaded, out = json.loads(proc.stdout)
         if report:
-            return [code, numpy_loaded], json.loads(out)
-        return [code, numpy_loaded]
+            return (code, set(loaded)), json.loads(out)
+        return code, set(loaded)
 
     @pytest.mark.parametrize("argv", [
         ("solve-u", "--k", "-1..3"),
@@ -776,23 +823,34 @@ class TestNumpyLoadsOnlyWhereUsed:
         ("search", "iii4", "--box", "2", "--n", "1"),
     ], ids=" ".join)
     def test_integer_commands_run_without_numpy(self, argv):
-        assert self.probe(*argv) == [0, False]
+        code, loaded = self.probe(*argv)
+        assert code == 0
+        assert not loaded & {"numpy", "hashlib", "dataclasses"}, loaded
+
+    def test_solve_u_loads_no_search_machinery(self):
+        assert self.probe("solve-u", "--k", "1") == (0, set())
 
     def test_iii4_search_at_box_25(self):
         # 7.8e9 base tuples: counted in closed form, never enumerated
-        status, report = self.probe("search", "iii4", "--box", "25", "--n", "2", report=True)
-        assert status == [0, False]
+        (code, loaded), report = self.probe("search", "iii4", "--box", "25", "--n", "2",
+                                            report=True)
+        assert code == 0
+        assert not loaded & {"numpy", "hashlib", "dataclasses"}, loaded
         assert report["claim"]["reproduced"] is True
         assert report["payload"]["tuples_scanned"] == report["payload"]["pruned"] == 7844674936
         assert report["payload"]["survivors"] == []
 
     def test_alpha_search_runs_without_numpy(self):
         # --alpha builds the products from m, n and alpha in exact arithmetic
-        assert self.probe(*TestIII2iiAlpha.ALPHA) == [0, False]
+        code, loaded = self.probe(*TestIII2iiAlpha.ALPHA)
+        assert code == 0
+        assert not loaded & {"numpy", "hashlib", "dataclasses"}, loaded
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--builtin", "intro"),
         ("families", "iii2"),
     ], ids=" ".join)
     def test_float_commands_load_numpy(self, argv):
-        assert self.probe(*argv) == [0, True]
+        code, loaded = self.probe(*argv)
+        assert code == 0
+        assert "numpy" in loaded and "dataclasses" not in loaded, loaded

@@ -1,6 +1,9 @@
+import copy
 import importlib
 import inspect
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import commexp
+from commexp.errors import ConstraintError, DimensionError, InvalidUError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -96,6 +100,7 @@ NO_CHECKS = object()  # the default of Family.checks: a callable that checks not
 # the result records, each with its fields in order and the defaults of the
 # trailing ones; they are NamedTuples now, frozen dataclasses before
 RECORDS = {
+    ("intsearch", "Survivor"): (("params", "residuals"), {}),
     ("numkernel", "Spectrum"): (
         ("eigenvalues", "distinct_count", "multiplicities", "snap"),
         {"multiplicities": (), "snap": None},
@@ -137,3 +142,94 @@ def test_records_keep_their_fields_defaults_and_immutability(home, name):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
+
+
+U1 = 2.088843015613044 + 7.461489285654254j  # the root of e^u = 1 + u on branch 1
+
+# the validated records, plain slots classes now and frozen dataclasses
+# before: fields in order, the defaults of the trailing ones, valid keyword
+# arguments with the repr they give, and invalid ones with the typed error
+# they raise
+VALIDATED = {
+    ("numkernel", "CMat"): (
+        ("entries", "pi_scaled"), {"pi_scaled": False},
+        {"entries": [[2]]}, "CMat(entries=array([[2.+0.j]]), pi_scaled=False)",
+        [({"entries": [[1, 2]]}, DimensionError), ({"entries": [[math.nan]]}, DimensionError)],
+    ),
+    ("relations", "TScanConfig"): (
+        ("t_values", "tol"), {"tol": 1e-9},
+        {"t_values": [1, -2, 0.5j]}, "TScanConfig(t_values=(1, -2, 0.5j), tol=1e-09)",
+        [({"t_values": []}, ValueError), ({"t_values": [1], "tol": 0}, ValueError)],
+    ),
+    ("families", "Real2DParams"): (
+        ("lam", "mu", "nu", "a"), {"a": 0.0},
+        {"lam": 1, "mu": 2, "nu": 5}, "Real2DParams(lam=1, mu=2, nu=5, a=0.0)",
+        [({"lam": 0, "mu": 2, "nu": 5}, ConstraintError),
+         ({"lam": 1, "mu": 2, "nu": 3}, ConstraintError)],
+    ),
+    ("families", "Theorem2Params"): (
+        ("u", "sigma", "tau", "basis"), {"sigma": 0j, "tau": 0j, "basis": None},
+        {"u": U1}, f"Theorem2Params(u={U1!r}, sigma=0j, tau=0j, basis=None)",
+        [({"u": 1}, InvalidUError), ({"u": U1, "basis": [[1, 2], [2, 4]]}, ConstraintError)],
+    ),
+    ("families", "III2Params"): (
+        ("l1", "m1", "m2", "m3", "n1", "n2"), {},
+        {"l1": 3, "m1": 1, "m2": 2, "m3": 3, "n1": 4, "n2": 5},
+        "III2Params(l1=3, m1=1, m2=2, m3=3, n1=4, n2=5)",
+        [({"l1": 3, "m1": 1, "m2": 1, "m3": 3, "n1": 4, "n2": 5}, ConstraintError),
+         ({"l1": 3, "m1": 1, "m2": 2, "m3": 3, "n1": 2, "n2": 4}, ConstraintError)],
+    ),
+    ("families", "III2iiParams"): (
+        ("l1", "m", "n1", "n2", "alpha", "a_vector", "b_vector"), {},
+        {"l1": 8, "m": 1, "n1": 4, "n2": 5, "alpha": 1, "a_vector": (-12, 19, 1),
+         "b_vector": (1, 1, 1)},
+        "III2iiParams(l1=8, m=1, n1=4, n2=5, alpha=1, a_vector=(-12, 19, 1), "
+        "b_vector=(1, 1, 1))",
+        [({"l1": 8, "m": 1, "n1": 4, "n2": 5, "alpha": 1, "a_vector": (-12, 19, 2),
+           "b_vector": (1, 1, 1)}, ConstraintError),
+         ({"l1": 9, "m": 0, "n1": 4, "n2": 5, "alpha": 1, "a_vector": (-12, 19, 1),
+           "b_vector": (1, 1, 1)}, ConstraintError)],
+    ),
+    ("intsearch", "SquarePoly"): (
+        ("alpha", "beta", "gamma"), {},
+        {"alpha": 2, "beta": -3, "gamma": 4}, "SquarePoly(alpha=2, beta=-3, gamma=4)",
+        [({"alpha": 0, "beta": 1, "gamma": 1}, ConstraintError),
+         ({"alpha": 1, "beta": 1.5, "gamma": 1}, ConstraintError)],
+    ),
+    ("intsearch", "III4Params"): (
+        ("l1", "l2", "m1", "m2", "m3", "n1", "n2", "rho", "sigma"), {"rho": 0, "sigma": 0},
+        {"l1": 1, "l2": 2, "m1": 0, "m2": 1, "m3": 0, "n1": 1, "n2": 3},
+        "III4Params(l1=1, l2=2, m1=0, m2=1, m3=0, n1=1, n2=3, rho=0, sigma=0)",
+        [({"l1": 1, "l2": 1, "m1": 0, "m2": 1, "m3": 0, "n1": 1, "n2": 3}, ConstraintError),
+         ({"l1": 1, "l2": 2, "m1": 1, "m2": 1, "m3": 0, "n1": 1, "n2": 3}, ConstraintError)],
+    ),
+}
+
+
+@pytest.mark.parametrize("home, name", VALIDATED, ids=[name for _, name in VALIDATED])
+def test_validated_records_keep_their_dataclass_contract(home, name):
+    cls = getattr(importlib.import_module(f"commexp.{home}"), name)
+    fields, defaults, valid, want_repr, invalid = VALIDATED[home, name]
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == fields
+    assert {f: p.default for f, p in params.items() if p.default is not p.empty} == defaults
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    record = cls(**valid)
+    assert repr(record) == want_repr
+    for field in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    if name == "CMat":  # an array field: equal only to itself, and unhashable
+        assert record == record
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        for twin in (cls(**valid), cls(*(getattr(record, f) for f in fields)),
+                     copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and hash(twin) == hash(record)
+    assert record != tuple(getattr(record, f) for f in fields)
+    for kwargs, error in invalid:
+        with pytest.raises(error):
+            cls(**kwargs)
