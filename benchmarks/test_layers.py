@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commexp.expmkit import expm, expm_2x2_stack
+from commexp.expmkit import _hermite, _snap_annihilates, expm, expm_2x2_stack
 from commexp.families import Theorem2Params, dim2_case1_pair, intro_pair, theorem2_family
 from commexp.intsearch import discriminant_scan_A1, grobner_replacement_search
-from commexp.numkernel import CMat, as_matrix, combine_affine, frobenius
+from commexp.numkernel import CMat, as_matrix, combine_affine, eigen_decompose, frobenius
 from commexp.relations import TScanConfig, check_relation_star, congruence_free, relation_report
 from commexp.simtrig import sim_triangularizable
 
@@ -61,7 +61,29 @@ def test_frobenius_norm(benchmark, norm):
     benchmark(norm, M3)
 
 
-@pytest.mark.parametrize("m", [INTRO_F, M3], ids=["2x2-pi-snapped", "3x3-random"])
+def _expm_path(m):
+    """The path expm takes on a 3x3 matrix: the first whose nodes annihilate it."""
+    spectrum = eigen_decompose(m)
+    if spectrum.snap is not None and _snap_annihilates(m, list(dict.fromkeys(spectrum.snap))):
+        return "exact"
+    _, residual, bound = _hermite(m, spectrum)
+    return "hermite" if residual <= bound else "pade"
+
+
+# one 3x3 input per path of expm: i pi diag(1, 2, 3) under an integer shear
+# snaps; a random matrix takes Hermite; a near-defective block whose close
+# eigenvalues are clustered into one node falls back to Pade
+_SHEAR = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+EXPM3 = {
+    "exact": 1j * np.pi * _SHEAR @ np.diag([1, 2, 3]) @ np.linalg.inv(_SHEAR).round(),
+    "hermite": M3,
+    "pade": np.array([[1e3j, 1, 0], [0, 1e3j + 1e-6, 1], [0, 0, 1e3j - 2e-6]]),
+}
+assert [_expm_path(m) for m in EXPM3.values()] == list(EXPM3)
+
+
+@pytest.mark.parametrize("m", [INTRO_F, *EXPM3.values()],
+                         ids=["2x2-pi-snapped", *(f"3x3-{path}" for path in EXPM3)])
 def test_expm_auto(benchmark, m):
     benchmark(expm, m)  # at d = 2 a stack of one through expm_2x2_stack
 

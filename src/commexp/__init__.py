@@ -16,11 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "CommexpError", "ComplexRootsError", "ConstraintError", "DeflationError",
-        "DimensionError", "IllConditionedError", "InvalidUError", "NoConvergenceError",
-        "RankError", "ResidualOverflowError", "SchemaError", "SnapUnavailableError",
-        "SpectrumOverflowError", "ZeroRootError",
+        "DimensionError", "InvalidUError", "NoConvergenceError", "RankError",
+        "ResidualOverflowError", "SchemaError", "SpectrumOverflowError", "ZeroRootError",
     ),
-    "expmkit": ("ExpMethod", "expm", "expm_affine"),
+    "expmkit": ("expm", "expm_affine"),
     "families": (
         "III2Form", "III2Params", "III2iiParams", "Real2DParams", "Theorem2Params",
         "case3_III2_matrix", "case3_III2ii_matrix", "char_poly_nAB", "dim2_case1_pair",

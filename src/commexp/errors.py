@@ -9,16 +9,6 @@ class DimensionError(CommexpError, ValueError):
     """Matrix dimensions are incompatible or outside the supported range."""
 
 
-class IllConditionedError(CommexpError):
-    """Spectral path rejected: the computed eigenvalues do not annihilate the
-    matrix within the bound of ``expmkit.ANNIHILATION_TOL``."""
-
-
-class SnapUnavailableError(CommexpError):
-    """Exact exponential requested but the spectrum is not an integer
-    multiple of i*pi, or the matrix is defective."""
-
-
 class SpectrumOverflowError(CommexpError, OverflowError):
     """Finite input whose eigenvalues, or their differences, overflow to inf;
     the message names the matrix (F, G or F + G)."""

@@ -1,52 +1,53 @@
-"""Matrix exponentials for d <= 3, three ways.
+"""The matrix exponential ``expm`` of a d <= 3 complex matrix: one cascade
+of paths, each taken only when its nodes annihilate the matrix.
 
-Two independent floating engines act as each other's oracle:
-
-* ``SPECTRAL_HERMITE``: the Newton form of the polynomial p of degree < d
-  that interpolates e^x at the computed eigenvalues z_1..z_d (repeated
-  ones included), applied to the matrix.  The divided differences are
-  computed stably (McCurdy, Ng & Parlett 1984): [x, y] = e^m sinh(h) / h
-  with m = (x + y) / 2 and h = (y - x) / 2, for any two nodes, equal ones
+* The exact snap covers diagonalizable matrices whose spectrum snaps to
+  i*pi*Z: there e^(i*pi*k) = (-1)^k exactly, and the exponential is
+  sum_i (-1)^k_i P_i over the spectral projectors P_i, one per distinct
+  snapped integer k_i.  When every parity agrees that sum is a bare +/-I,
+  exact in every entry.  When parities mix, the Lagrange projectors are
+  computed in floating point (pi-scaled entries over pi-scaled node
+  differences), so an entry that should be an integer can round off it:
+  ``expm(1j*pi*[[-4, -15], [0, 1]])`` gives 5.999999999999999 for the
+  exact 6.  ROADMAP item 4 plans rational projectors for pi-scaled input
+  with integral entries.
+* Hermite: the Newton form of the polynomial p of degree < d that
+  interpolates e^x at the computed eigenvalues z_1..z_d (repeated ones
+  included), applied to the matrix.  The divided differences are computed
+  stably (McCurdy, Ng & Parlett 1984): [x, y] = e^m sinh(h) / h with
+  m = (x + y) / 2 and h = (y - x) / 2, for any two nodes, equal ones
   included; [x, y, z] is the quotient over the farthest pair, or the
   Taylor series about the mean when all three nodes are close.
-* ``PADE_SQUARING``: diagonal degree-13 rational approximation with
-  power-of-two scaling so the scaled 1-norm stays below ``PADE_THETA``.
+* Pade: diagonal degree-13 rational approximation with power-of-two
+  scaling so the scaled 1-norm stays below ``PADE_THETA``.
 
-``EXACT_PI_SNAP`` covers diagonalizable matrices whose spectrum snaps to
-i*pi*Z: there e^(i*pi*k) = (-1)^k exactly, and the exponential is
-sum_i (-1)^k_i P_i over the spectral projectors P_i.  When every parity
-agrees that sum is a bare +/-I, exact in every entry.  When parities mix,
-the Lagrange projectors are computed in floating point (pi-scaled entries
-over pi-scaled node differences), so an entry that should be an integer can
-round off it: ``expm(1j*pi*[[-4, -15], [0, 1]], EXACT_PI_SNAP)`` gives
-5.999999999999999 for the exact 6.  ROADMAP item 4 plans rational
-projectors for pi-scaled input with integral entries.
+At d = 1 and 3 ``expm`` takes the exact snap, then Hermite, then Pade,
+which runs only when the eigenvalues fail the test (near-defective spectra
+whose close eigenvalues were clustered together or computed too
+inaccurately).  The paths stay private referees of each other: the tests
+call ``_pi_snap_projectors``, ``_hermite`` and ``_expm_pade`` directly.
 
-One test decides every path, and no engine reads an eigenvector: a path's
-nodes z_i must annihilate A,
+One test decides every path, and no path reads an eigenvector: its nodes
+z_i must annihilate A,
 
     ||prod_i (A - z_i I)||_F <= ANNIHILATION_TOL * max(1, ||A - (tr A / d) I||_F)^m
 
-with m the number of factors.  For the polynomial p that interpolates e^x
-at the z_i, exp(A) - p(A) = g(A) prod_i (A - z_i I), g being the divided
-difference of e^x over the z_i and one more argument (Higham 2008,
-Functions of Matrices), so the residual measures the error itself.
-The Hermite engine's nodes are the computed eigenvalues; the exact path's
-are i*pi*k, one per distinct snapped cluster, and they annihilate A only
-when A is diagonalizable with that spectrum.  The factors are taken from
+with m the number of factors (``_annihilation_bound``).  For the polynomial
+p that interpolates e^x at the z_i, exp(A) - p(A) = g(A) prod_i (A - z_i I),
+g being the divided difference of e^x over the z_i and one more argument
+(Higham 2008, Functions of Matrices), so the residual measures the error
+itself.  Hermite's nodes are the computed eigenvalues; the exact snap's are
+i*pi*k, one per distinct snapped integer k, and they annihilate A only when
+A is diagonalizable with that spectrum.  The factors are taken from
 A - (tr A / d) I so that a large common shift adds no rounding to them.
 
-Accuracy budget: the Pade engine is trusted to ~1e-9 relative only up to
-Frobenius norm ~1e3; above that (large integer multiples of pi-scaled
-inputs, norms up to ~3e4) route through EXACT_PI_SNAP or SPECTRAL_HERMITE.
-``AUTO`` at d = 1 and 3 takes the first engine whose nodes pass the test:
-the exact path, then the Hermite engine, then Pade, which runs only when
-the eigenvalues fail (near-defective spectra whose close eigenvalues were
-clustered together or computed too inaccurately).  At d = 2 AUTO needs no eigen-decomposition at all:
-with mu = tr A / 2, B = A - mu I and s^2 = -det B,
-exp(A) = e^mu (cosh s I + sinh(s)/s B) (Higham 2008, ch. 10), or the exact
-path when mu +/- s snap and pass the same test in scalars; it never runs
-Pade.
+Accuracy budget: Pade is trusted to ~1e-9 relative only up to Frobenius
+norm ~1e3; above that (large integer multiples of pi-scaled inputs, norms
+up to ~3e4) the exact snap or Hermite must carry the input.  At d = 2
+``expm`` needs no eigen-decomposition at all: with mu = tr A / 2,
+B = A - mu I and s^2 = -det B, exp(A) = e^mu (cosh s I + sinh(s)/s B)
+(Higham 2008, ch. 10), or the exact snap when mu +/- s snap and pass the
+same test in scalars; it never runs Pade.
 
 The d = 2 form is elementwise arithmetic in the entries, so
 ``expm_2x2_stack`` evaluates it over an (n, 2, 2) stack in one pass: the
@@ -66,13 +67,11 @@ twin, entry by entry.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 
 import numpy as np
 
-from .errors import IllConditionedError, SnapUnavailableError
 from .numkernel import (
     SNAP_TOL,
     Spectrum,
@@ -90,13 +89,6 @@ ANNIHILATION_TOL = 1e-13
 # omitted term, s^8/9!, is then below 3e-22.  Three nodes this close to
 # each other take their second divided difference from its series too.
 _SINHC_SERIES_BELOW = 1e-2
-
-
-class ExpMethod(enum.Enum):
-    SPECTRAL_HERMITE = "spectral-hermite"
-    PADE_SQUARING = "pade-squaring"
-    EXACT_PI_SNAP = "exact-pi-snap"
-    AUTO = "auto"
 
 
 _PADE13 = (
@@ -201,9 +193,11 @@ def _exp_second_difference(x: complex, y: complex, z: complex) -> complex:
     return np.exp(x) * (second - first) / (z - x)
 
 
-def _annihilation_bound(shifted_norm: float, factors: int) -> float:
-    # an np.float64 power overflows to inf instead of raising
-    return ANNIHILATION_TOL * np.float64(max(1.0, shifted_norm)) ** factors
+def _annihilation_bound(shifted_norm, factors):
+    """ANNIHILATION_TOL * max(1, ||A - (tr A / d) I||_F)^factors, for a scalar
+    or entry by entry over arrays; an np.float64 power overflows to inf
+    instead of raising."""
+    return ANNIHILATION_TOL * np.maximum(1.0, shifted_norm) ** factors
 
 
 def _node_factors(a: np.ndarray, nodes) -> tuple[list[np.ndarray], float]:
@@ -234,24 +228,17 @@ def _hermite(a: np.ndarray, spectrum: Spectrum) -> tuple[np.ndarray, float, floa
     return result, frobenius(basis), bound
 
 
-def _cluster_snaps(spectrum: Spectrum) -> list[int]:
-    ks = []
-    i = 0
-    for mult in spectrum.multiplicities:
-        ks.append(spectrum.snap[i])
-        i += mult
-    return ks
-
-
-def _snap_annihilates(a: np.ndarray, spectrum: Spectrum) -> bool:
-    """Whether i*pi*k, one per distinct snapped cluster, annihilate ``a``."""
-    factors, bound = _node_factors(a, [1j * math.pi * k for k in _cluster_snaps(spectrum)])
+def _snap_annihilates(a: np.ndarray, ks) -> bool:
+    """Whether the nodes i*pi*k, one per distinct snapped integer k in
+    ``ks``, annihilate ``a``."""
+    factors, bound = _node_factors(a, [1j * math.pi * k for k in ks])
     return bool(frobenius(functools.reduce(np.matmul, factors)) <= bound)
 
 
-def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    d = spectrum.dim
-    ks = _cluster_snaps(spectrum)
+def _pi_snap_projectors(a: np.ndarray, ks) -> np.ndarray:
+    """sum_i (-1)^k_i P_i over the Lagrange projectors P_i at the nodes
+    i*pi*k_i, for distinct integers ``ks`` that annihilate ``a``."""
+    d = a.shape[0]
     signs = [(-1) ** (k & 1) for k in ks]
     if all(s == signs[0] for s in signs):
         # sum of spectral projectors is the identity, so a uniform parity
@@ -260,7 +247,7 @@ def _pi_snap_projectors(a: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     lams = [1j * math.pi * k for k in ks]
     ident = np.eye(d, dtype=complex)
     result = np.zeros((d, d), dtype=complex)
-    for i, (ki, li) in enumerate(zip(ks, lams)):
+    for i, li in enumerate(lams):
         proj = ident
         for j, lj in enumerate(lams):
             if j != i:
@@ -304,15 +291,13 @@ def _pi_snap_rows(a: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     odd1, odd2 = k1 % 2, k2 % 2
     out = (1 - 2 * odd1)[:, None, None] * np.eye(2, dtype=complex)
     for i in np.flatnonzero(odd1 != odd2):
-        ks = (int(k1[i]), int(k2[i]))
-        spectrum = Spectrum(tuple(1j * math.pi * k for k in ks), 2, (1, 1), snap=ks)
-        out[i] = _pi_snap_projectors(a[i], spectrum)
+        out[i] = _pi_snap_projectors(a[i], (int(k1[i]), int(k2[i])))
     return out
 
 
 def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
-    """AUTO's exponential of each matrix of an (n, 2, 2) complex stack, with
-    no eigen-decomposition.  Row i is ``expm(a[i])`` bit for bit: AUTO at
+    """The exponential of each matrix of an (n, 2, 2) complex stack, with no
+    eigen-decomposition.  Row i is ``expm(a[i])`` bit for bit: ``expm`` at
     d = 2 is this function on a stack of one.  The formula is in
     ``_expm_2x2_with_eigenvalues``."""
     return _expm_2x2_with_eigenvalues(a)[0]
@@ -369,52 +354,35 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b_norm = np.hypot(np.hypot(np.abs(b00), np.abs(b00)),
                       np.hypot(np.abs(a01[rows]), np.abs(a10[rows])))
     omega_norm = np.hypot(np.hypot(np.abs(alpha), np.abs(alpha)), np.abs(beta) * b_norm)
-    exact = omega_norm <= ANNIHILATION_TOL * np.maximum(1.0, b_norm) ** np.where(double, 1, 2)
+    exact = omega_norm <= _annihilation_bound(b_norm, np.where(double, 1, 2))
     if exact.any():
         rows = rows[exact]
         out[rows] = _pi_snap_rows(a[rows], k1[exact], k2[exact])
     return out, lams
 
 
-def expm(m, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
+def expm(m) -> np.ndarray:
     """Matrix exponential of a d <= 3 complex matrix.
 
-    Each path is taken only when its nodes annihilate the matrix (see the
-    module docstring).  ``EXACT_PI_SNAP`` raises SnapUnavailableError when
-    the spectrum does not snap to i*pi*Z or the snapped values fail that
-    test (a defective matrix, or eigenvalues off the lattice);
-    ``SPECTRAL_HERMITE`` raises IllConditionedError when the computed
-    eigenvalues fail it (close eigenvalues of a near-defective matrix,
-    clustered together or computed too inaccurately).  AUTO never raises:
-    at d = 2 it is ``expm_2x2_stack`` on a stack of one (the closed form or
-    its exact snap) and never runs Pade; at d = 1 and 3 it tries the exact
-    path, then Hermite, then Pade.
+    At d = 2 it is ``expm_2x2_stack`` on a stack of one: the closed form, or
+    its exact snap.  At d = 1 and 3 it takes the first path whose nodes
+    annihilate the matrix (see the module docstring): the exact snap, then
+    Hermite, then Pade.
     """
     a = as_matrix(m)
-    if method == ExpMethod.PADE_SQUARING:
-        return _expm_pade(a)
-    if method == ExpMethod.AUTO and a.shape[0] == 2:
+    if a.shape[0] == 2:
         return expm_2x2_stack(a[None])[0]
     spectrum = eigen_decompose(a)
-    if method != ExpMethod.SPECTRAL_HERMITE:
-        if spectrum.snap is not None and _snap_annihilates(a, spectrum):
-            return _pi_snap_projectors(a, spectrum)
-        if method == ExpMethod.EXACT_PI_SNAP:
-            raise SnapUnavailableError(
-                "no i*pi*k annihilate the matrix: its spectrum is off the lattice, "
-                "or it is defective"
-            )
+    if spectrum.snap is not None:
+        ks = list(dict.fromkeys(spectrum.snap))
+        if _snap_annihilates(a, ks):
+            return _pi_snap_projectors(a, ks)
     result, residual, bound = _hermite(a, spectrum)
     if residual <= bound:
         return result
-    if method == ExpMethod.SPECTRAL_HERMITE:
-        raise IllConditionedError(
-            f"the eigenvalues do not annihilate the matrix: residual {residual:.2e} "
-            f"exceeds {bound:.2e}"
-        )
     return _expm_pade(a)
 
 
-def expm_affine(f, g, t: complex, method: ExpMethod = ExpMethod.AUTO) -> np.ndarray:
+def expm_affine(f, g, t: complex) -> np.ndarray:
     """exp(t*F + G)."""
-    return expm(combine_affine(f, g, t), method)
+    return expm(combine_affine(f, g, t))

@@ -21,9 +21,6 @@ Dimension 3 (emitted as 1/(2*i*pi)-scaled representatives; use
 
 * ``case3_III2_matrix``: rank-one A against diagonal B, several forms.
 * ``case3_III2ii_matrix``: outer-product A against diag(m, 0, 0).
-* ``case3_III4_residuals``: the six-equation consistency system tying a
-  scaled copy of a type-III4 pair to its base parameters (exact integer
-  algebra, defined in ``intsearch`` and re-exported here).
 * ``char_poly_nAB``: exact integer characteristic polynomial of n*A + B for
   the rank-one family.  Note: the x-coefficient is (1-n)*e2(m) + n*n1*n2;
   the widely quoted form with an extra factor n disagrees with the matrix
@@ -54,7 +51,6 @@ from . import uset
 from .errors import ComplexRootsError, ConstraintError, InvalidUError, RankError
 from .expmkit import expm
 from .frozen import Frozen
-from .intsearch import III4Params, case3_III4_residuals, iii4_entries  # noqa: F401  (re-exported)
 from .intsearch import SquarePoly, iii2ii_products, square_root_exact
 from .numkernel import CMat, as_matrix, combine_affine, eigen_decompose, frobenius
 from .relations import RelationKind

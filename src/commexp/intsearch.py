@@ -16,10 +16,10 @@ smallest t at which squareness breaks when it does not hold.
 The type-III4 search (``grobner_replacement_search``) stands in for the
 paper's computer-algebra elimination and is decided from exact identities of
 the residuals r of ``case3_III4_residuals``, with no candidate scan (that
-entry algebra lives here, and ``families`` re-exports it, so no search
-imports numpy).  For the scale n >= 2, r[2] + r[3] = -l1 l2 n (n - 1) != 0
-rules out every tuple.  For the identity-scaling control n = 1, with both trace
-identities imposed and P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
+entry algebra lives here, so no search imports numpy).  For the scale
+n >= 2, r[2] + r[3] = -l1 l2 n (n - 1) != 0 rules out every tuple.  For the
+identity-scaling control n = 1, with both trace identities imposed and
+P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
 (m1 - m2) r[4] = -(m1 - m2) r[5] = P and
 (m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
 so a scaling survives iff P = 0 and lambda is 0, -n1 or -n2.  Each survivor

@@ -267,10 +267,6 @@ class Spectrum(NamedTuple):
     multiplicities: tuple[int, ...] = ()
     snap: tuple[int, ...] | None = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
     def distinct(self) -> list[tuple[complex, int]]:
         """(representative, multiplicity) pairs in deterministic order."""
         out = []

@@ -60,14 +60,7 @@ import numpy as np
 from .errors import DimensionError, ResidualOverflowError, SpectrumOverflowError
 from .expmkit import _expm_2x2_with_eigenvalues, expm, expm_affine
 from .frozen import Frozen
-from .numkernel import (
-    CMat,
-    Spectrum,
-    _polished_roots,
-    as_matrix,
-    combine_affine,
-    frobenius,
-)
+from .numkernel import CMat, _polished_roots, as_matrix, combine_affine, frobenius
 from .simtrig import sim_triangularizable
 
 DEFAULT_TOL = 1e-9
@@ -226,7 +219,7 @@ def check_exp_swap(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
     return _verdict(RelationKind.EXP_SWAP, ef @ eg, eg @ ef, tol)
 
 
-def congruence_free(spectrum: Spectrum | list | tuple, tol: float = DEFAULT_TOL) -> bool:
+def congruence_free(eigenvalues, tol: float = DEFAULT_TOL) -> bool:
     """True when no two eigenvalues differ by 2*i*pi*k with integer k != 0,
     within tol * max(1, |delta|) for the difference delta.
 
@@ -235,7 +228,7 @@ def congruence_free(spectrum: Spectrum | list | tuple, tol: float = DEFAULT_TOL)
     bound does not depend on k).  A non-finite difference raises
     ValueError when its modulus is NaN and OverflowError when it is infinite.
     """
-    values = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else tuple(spectrum)
+    values = tuple(eigenvalues)
     if not values:
         raise ValueError("spectrum must be nonempty")
     for i, x in enumerate(values):

@@ -35,6 +35,11 @@ import numpy as np
 from .errors import DeflationError, DimensionError
 from .numkernel import MAX_DIM, as_matrix, char_poly, eigen_decompose, frobenius
 
+# on the unit pair: a trace tr([F, G] w) up to WORD_TRACE_TOL counts as zero;
+# in the constructive half, a singular value of the stacked C w, the norm of a
+# 2x2 commutator and a common eigenvector's residual up to EIGENVECTOR_TOL do
+WORD_TRACE_TOL = 1e-9
+EIGENVECTOR_TOL = 1e-8
 BASIS_VERIFY_TOL = 1e-8
 
 
@@ -74,15 +79,16 @@ def _words(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return np.concatenate(levels), labels
 
 
-def _ideal_kernel(a: np.ndarray, b: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
+def _ideal_kernel(a: np.ndarray, b: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning ker J, at least the least singular one.
 
-    The rows are the C w of the unit pair; singular values up to tol count
-    as zero, so a commutator of rounding noise reads as J = 0.
+    The rows are the C w of the unit pair; singular values up to
+    EIGENVECTOR_TOL count as zero, so a commutator of rounding noise reads
+    as J = 0.
     """
     d = a.shape[0]
     _, sv, vh = np.linalg.svd(((a @ b - b @ a) @ words).reshape(-1, d), full_matrices=False)
-    k = max(1, int(np.count_nonzero(sv <= tol)))
+    k = max(1, int(np.count_nonzero(sv <= EIGENVECTOR_TOL)))
     return vh[-k:].conj().T
 
 
@@ -133,17 +139,17 @@ def _commutator_2x2(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex, com
     return a01 * b10 - b01 * a10, da * b01 - db * a01, db * a10 - da * b10
 
 
-def _basis_2x2(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _basis_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unitary [[v0, -conj v1], [v1, conj v0]] whose first column v is a common
     eigenvector of a triangularizable 2x2 pair with ||A||, ||B|| <= 1.
 
-    When ||C|| > tol, C = [A, B] is nilpotent and nonzero, so of rank one, and
-    v spans ker C: (c01, -c00) annihilates row 0 and (c00, c10) row 1, and
-    the larger row is the better conditioned.  Otherwise the pair commutes
-    within tol and ``_eigenline`` finds v.
+    When ||C|| > EIGENVECTOR_TOL, C = [A, B] is nilpotent and nonzero, so of
+    rank one, and v spans ker C: (c01, -c00) annihilates row 0 and (c00, c10)
+    row 1, and the larger row is the better conditioned.  Otherwise the pair
+    commutes within EIGENVECTOR_TOL and ``_eigenline`` finds v.
     """
     c00, c01, c10 = _commutator_2x2(a, b)
-    if math.hypot(abs(c00), abs(c00), abs(c01), abs(c10)) > tol:
+    if math.hypot(abs(c00), abs(c00), abs(c01), abs(c10)) > EIGENVECTOR_TOL:
         v0, v1 = (c01, -c00) if abs(c01) >= abs(c10) else (c00, c10)
         norm = math.hypot(abs(v0), abs(v1))
         v0, v1 = v0 / norm, v1 / norm
@@ -152,20 +158,20 @@ def _basis_2x2(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return np.array([[v0, -v1.conjugate()], [v1, v0.conjugate()]])
 
 
-def _common_eigenvector(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
-    kernel = _ideal_kernel(a, b, words, tol)
+def _common_eigenvector(a: np.ndarray, b: np.ndarray, words) -> np.ndarray:
+    kernel = _ideal_kernel(a, b, words)
     if kernel.shape[1] == 1:
         return kernel[:, 0]
     kh = kernel.conj().T
     return kernel @ _eigenline(kh @ a @ kernel, kh @ b @ kernel)
 
 
-def common_eigenvector(f, g, tol: float = 1e-8) -> np.ndarray | None:
-    """Unit vector v with F v = lambda v and G v = mu v within tol ||F|| and
-    tol ||G||, if any.
+def common_eigenvector(f, g) -> np.ndarray | None:
+    """Unit vector v with F v = lambda v and G v = mu v within
+    EIGENVECTOR_TOL ||F|| and EIGENVECTOR_TOL ||G||, if any.
 
     v is taken in ker J; which common eigenvector is returned is not
-    specified.  None when the best candidate misses tol for F or for G.
+    specified.  None when the best candidate misses that bound for F or G.
     """
     a, b = as_matrix(f), as_matrix(g)
     if a.shape != b.shape:
@@ -174,26 +180,26 @@ def common_eigenvector(f, g, tol: float = 1e-8) -> np.ndarray | None:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
     a, b = _unit(a), _unit(b)
     if a.shape[0] == 2:
-        v = _basis_2x2(a, b, tol)[:, 0]
+        v = _basis_2x2(a, b)[:, 0]
     else:
-        v = _common_eigenvector(a, b, _words(a, b)[0], tol)
-    if max(_residual(a, v), _residual(b, v)) > tol:
+        v = _common_eigenvector(a, b, _words(a, b)[0])
+    if max(_residual(a, v), _residual(b, v)) > EIGENVECTOR_TOL:
         return None
     return v
 
 
-def _deflate(a: np.ndarray, b: np.ndarray, words, tol: float) -> np.ndarray:
+def _deflate(a: np.ndarray, b: np.ndarray, words) -> np.ndarray:
     """Unitary T with T* F T, T* G T upper triangular, for a triangularizable
     pair of dimension 1 or 3 and words spanning its algebra.  The 2x2
     quotient block needs no words: a nonzero nilpotent 2x2 commutator has
     rank one, so ker J = ker C, and ``_basis_2x2`` deflates it."""
     d = a.shape[0]
     # a unitary whose first column is the common eigenvector, up to a phase
-    q = np.linalg.qr(np.column_stack([_common_eigenvector(a, b, words, tol), np.eye(d)]))[0]
+    q = np.linalg.qr(np.column_stack([_common_eigenvector(a, b, words), np.eye(d)]))[0]
     if d > 2:
         qh = q.conj().T
         a2, b2 = (qh @ a @ q)[1:, 1:], (qh @ b @ q)[1:, 1:]
-        q[:, 1:] = q[:, 1:] @ _basis_2x2(a2, b2, tol)
+        q[:, 1:] = q[:, 1:] @ _basis_2x2(a2, b2)
     return q
 
 
@@ -211,7 +217,7 @@ def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
     return math.hypot(*(abs(row[j]) for i, row in enumerate(t) for j in range(i)))
 
 
-def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
+def sim_triangularizable(f, g) -> TrigVerdict:
     """Decide simultaneous triangularizability; construct a basis when true."""
     a, b = as_matrix(f), as_matrix(g)
     if a.shape != b.shape:
@@ -222,15 +228,15 @@ def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
     if a.shape[0] == 2:
         c00, c01, c10 = _commutator_2x2(fu, gu)
         trace = c00 * c00 + c01 * c10  # tr(C Fu Gu) = -det C
-        if abs(trace) > tol:
+        if abs(trace) > WORD_TRACE_TOL:
             scale = frobenius(a) * frobenius(b)
             return TrigVerdict(triangularizable=False, witness=a @ b, witness_word="FG",
                                witness_trace=trace * scale * scale)
-        basis = _basis_2x2(fu, gu, max(tol, 1e-8))
+        basis = _basis_2x2(fu, gu)
     else:
         words, labels = _words(fu, gu)
         traces = np.einsum("ij,kji->k", fu @ gu - gu @ fu, words)
-        failing = np.flatnonzero(np.abs(traces) > tol)
+        failing = np.flatnonzero(np.abs(traces) > WORD_TRACE_TOL)
         if failing.size:
             k = int(failing[0])
             norm_f, norm_g = frobenius(a), frobenius(b)
@@ -241,7 +247,7 @@ def sim_triangularizable(f, g, tol: float = 1e-9) -> TrigVerdict:
                 witness_word=labels[k],
                 witness_trace=complex(traces[k]) * scale * norm_f * norm_g,
             )
-        basis = _deflate(fu, gu, words, max(tol, 1e-8))
+        basis = _deflate(fu, gu, words)
     for m in (a, b):
         if _lower_norm(basis, m) > BASIS_VERIFY_TOL * max(1.0, frobenius(m)):
             raise DeflationError("constructed basis fails the upper-triangularity check")

@@ -429,6 +429,24 @@ class TestMatrixFiles:
                               "t = (400+0j) is not finite")
         assert err.count("\n") == 1
 
+    def test_clusters_sharing_a_snapped_integer_from_files(self, capsys, tmp_path):
+        # F's eigenvalues i pi +/- 3e-8 are two clusters that snap to one
+        # k = 1 (see test_expmkit's test_clusters_sharing_a_snapped_integer):
+        # a commuting pair whose every verdict is finite and correct
+        import math
+
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        cli.save_matrix_file(f, CMat.from_rows(
+            [[1j * math.pi + 3e-8, 0, 0], [0, 1j * math.pi - 3e-8, 0], [0, 0, 0]]))
+        cli.save_matrix_file(g, CMat.zeros(3))
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2")
+        assert code == 0, err
+        holds = {}
+        for v in json.loads(out)["payload"]["verdicts"]:
+            holds.setdefault(v["relation"], []).append(v["holds"])
+        assert holds == {"commute": [True], "exp-equal": [False], "exp-swap": [True],
+                         "sum-product": [True, True]}
+
     def test_one_by_one_pair_from_files(self, capsys, tmp_path):
         f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
         cli.save_matrix_file(f, CMat.from_rows([[1]]))

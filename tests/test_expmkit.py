@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp import expmkit, numkernel
-from commexp.errors import IllConditionedError, SnapUnavailableError
 from commexp.expmkit import (
-    ExpMethod,
     _SINHC_SERIES_BELOW,
     _cosh_sinhc,
     _cosh_sinhc_stack,
@@ -19,6 +17,7 @@ from commexp.expmkit import (
     _pi_snap_projectors,
     _sinhc,
     _sinhc_stack,
+    _snap_annihilates,
     expm,
     expm_2x2_stack,
     expm_affine,
@@ -32,7 +31,28 @@ from commexp.simtrig import sim_triangularizable
 from conftest import random_matrix, rel_residual
 
 PI = math.pi
-ENGINES = (ExpMethod.SPECTRAL_HERMITE, ExpMethod.PADE_SQUARING)
+
+
+def _snapped_ks(a):
+    """The distinct snapped integers of ``a``'s spectrum, in order, or None."""
+    snap = eigen_decompose(a).snap
+    return None if snap is None else list(dict.fromkeys(snap))
+
+
+def _snap_path(m):
+    """The exact snap's exponential, or None where the spectrum does not
+    snap or its nodes do not annihilate the matrix."""
+    a = as_matrix(m)
+    ks = _snapped_ks(a)
+    return _pi_snap_projectors(a, ks) if ks is not None and _snap_annihilates(a, ks) else None
+
+
+def _hermite_path(m):
+    """Hermite's exponential, or None where the computed eigenvalues do not
+    annihilate the matrix."""
+    a = as_matrix(m)
+    result, residual, bound = _hermite(a, eigen_decompose(a))
+    return result if residual <= bound else None
 
 
 class TestExpmBasics:
@@ -41,12 +61,12 @@ class TestExpmBasics:
 
     def test_nilpotent_truncates(self):
         n = np.array([[0, 1], [0, 0]], dtype=complex)
-        for method in ENGINES:
-            assert np.allclose(expm(n, method), np.eye(2) + n, atol=1e-14)
+        for path in (_hermite_path, _expm_pade):
+            assert np.allclose(path(n), np.eye(2) + n, atol=1e-14)
         assert np.array_equal(expm(n), np.eye(2) + n)
 
     def test_intro_exponentials(self):
-        # AUTO snaps the rotation pair to literal +/-I
+        # expm snaps the rotation pair to literal +/-I
         a, b = intro_pair()
         assert np.array_equal(expm(a), np.eye(2))
         assert np.array_equal(expm(b), -np.eye(2))
@@ -54,35 +74,35 @@ class TestExpmBasics:
 
     def test_exact_snap_returns_literal_units(self):
         a, b = intro_pair()
-        assert np.array_equal(expm(a, ExpMethod.EXACT_PI_SNAP), np.eye(2))
-        assert np.array_equal(expm(b, ExpMethod.EXACT_PI_SNAP), -np.eye(2))
+        assert np.array_equal(_snap_path(a), np.eye(2))
+        assert np.array_equal(_snap_path(b), -np.eye(2))
 
     def test_exact_snap_mixed_parity_projectors(self):
         m = np.array([[1j * PI, 1], [0, 0]])
-        got = expm(m, ExpMethod.EXACT_PI_SNAP)
+        got = _snap_path(m)
         # closed form: entry (0,1) is (e^{i pi} - 1)/(i pi) = 2i/pi
         want = np.array([[-1, 2j / PI], [0, 1]])
         assert np.allclose(got, want, atol=1e-14)
-        assert rel_residual(got, expm(m, ExpMethod.SPECTRAL_HERMITE)) < 1e-12
+        assert rel_residual(got, _hermite_path(m)) < 1e-12
 
     def test_snap_unavailable_off_lattice(self):
         a, b = intro_pair()
-        with pytest.raises(SnapUnavailableError):
-            expm(combine_affine(a, b, 6), ExpMethod.EXACT_PI_SNAP)
+        assert _snapped_ks(combine_affine(a, b, 6)) is None
 
     def test_snap_unavailable_defective(self):
-        with pytest.raises(SnapUnavailableError):
-            expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
+        # the spectrum snaps to k = 0, but the node 0 leaves the residual 1
+        a = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert _snapped_ks(a) == [0] and not _snap_annihilates(a, [0])
+        assert _snap_path(a) is None
 
-    def test_ill_conditioned_raises_then_auto_falls_back(self, monkeypatch):
+    def test_ill_conditioned_falls_back_to_pade(self, monkeypatch):
         # eigenvalues 1000i, 1000i + 1e-6, 1000i - 2e-6 lie within the
         # clustering tolerance, so the computed spectrum is one triple node
-        # that leaves ||(A - zI)^3||_F ~ 1e-6: Hermite refuses, AUTO runs Pade
+        # that leaves ||(A - zI)^3||_F ~ 1e-6: Hermite refuses, expm runs Pade
         base = 1e3j
         m3 = np.array([[base, 1, 0], [0, base + 1e-6, 1], [0, 0, base - 2e-6]])
         assert eigen_decompose(m3).distinct_count == 1
-        with pytest.raises(IllConditionedError):
-            expm(m3, ExpMethod.SPECTRAL_HERMITE)
+        assert _hermite_path(m3) is None
         pade_calls = []
 
         def spy(a):
@@ -93,14 +113,14 @@ class TestExpmBasics:
         assert np.array_equal(expm(m3), _expm_pade(m3))
         assert pade_calls == [(3, 3)]
         # eigenvalues +-8e-9 of a near-Jordan block (eigenbasis condition
-        # ~1.2e8) are accurate, so both engines accept them now
+        # ~1.2e8) are accurate, so Hermite accepts them and Pade does not run
         lam = 8e-9
         m = np.array([[0, 1], [lam * lam, 0]], dtype=complex)
         m3 = np.zeros((3, 3), dtype=complex)
         m3[:2, :2] = m
         m3[2, 2] = 1
         for a in (m, m3):
-            assert rel_residual(expm(a, ExpMethod.SPECTRAL_HERMITE), expm(a)) <= 1e-15
+            assert rel_residual(_hermite_path(a), expm(a)) <= 1e-15
         auto3 = expm(m3)
         assert np.allclose(auto3[:2, :2], np.eye(2) + m, rtol=0, atol=1e-15)
         assert auto3[2, 2] == pytest.approx(math.e, rel=1e-15)
@@ -127,8 +147,8 @@ class TestEngineCrossChecks:
         for _ in range(500):
             d = int(rng.integers(1, 4))
             m = random_matrix(rng, d, norm=5.0)
-            e1 = expm(m, ExpMethod.SPECTRAL_HERMITE)
-            e2 = expm(m, ExpMethod.PADE_SQUARING)
+            e1 = _hermite_path(m)
+            e2 = _expm_pade(m)
             worst = max(worst, rel_residual(e1, e2))
         assert worst <= 1e-9
 
@@ -160,17 +180,10 @@ class TestEngineCrossChecks:
         for n in (10, 20):
             m = combine_affine(CMat(n * a.entries, pi_scaled=True), b, 1)
             m = CMat(n * (a.entries + b.entries), pi_scaled=True)
-            exact = expm(m, ExpMethod.EXACT_PI_SNAP)
-            spectral = expm(m, ExpMethod.SPECTRAL_HERMITE)
+            exact = _snap_path(m)
+            spectral = _hermite_path(m)
             assert np.array_equal(exact, (-1) ** n * np.eye(2))
             assert rel_residual(spectral, exact) <= 1e-9
-
-
-def _outcome(m, method):
-    try:
-        return expm(m, method)
-    except (IllConditionedError, SnapUnavailableError) as exc:
-        return type(exc)
 
 
 def _fuzz_inputs(rng):
@@ -239,31 +252,31 @@ class TestAnnihilationGate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_auto_takes_first_engine_that_accepts(self, rng):
         # at d = 1 and 3: the exact path, else Hermite, else Pade, bit for
-        # bit; AUTO at d = 2 is the closed form (TestClosedForm2x2)
+        # bit; expm at d = 2 is the closed form (TestClosedForm2x2)
         taken = set()
         for m in (*_fuzz_inputs(rng), *_near_defective_3x3(rng)):
-            exact = _outcome(m, ExpMethod.EXACT_PI_SNAP)
-            hermite = _outcome(m, ExpMethod.SPECTRAL_HERMITE)
-            taken.update(r for r in (exact, hermite) if isinstance(r, type))
+            exact, hermite = _snap_path(m), _hermite_path(m)
+            taken.update(f"{path} refused" for path, r in (("exact", exact), ("hermite", hermite))
+                         if r is None)
             if m.shape[0] == 2:
                 continue
-            if not isinstance(exact, type):
+            if exact is not None:
                 want, path = exact, "exact"
-            elif not isinstance(hermite, type):
+            elif hermite is not None:
                 want, path = hermite, "hermite"
             else:
-                want, path = _expm_pade(m), "pade"
+                want, path = _expm_pade(as_matrix(m)), "pade"
             assert np.array_equal(expm(m), want, equal_nan=True), (m, path)
             taken.add(path)
-        assert taken == {"exact", "hermite", "pade", SnapUnavailableError, IllConditionedError}
+        assert taken == {"exact", "hermite", "pade", "exact refused", "hermite refused"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_against_mpmath_3x3(self, rng, monkeypatch):
-        # off the snap path AUTO is within max(1e-12, Pade's error) of the
+        # off the snap path expm is within max(1e-12, Pade's error) of the
         # exponential, on it within max(1e-12, 2 x Pade's).  Where Pade has
         # no digits either (error above 1e-8: i*pi*k spectra behind
         # eigenbases of condition >= 1e5 at norms >= 5e4), no engine can
-        # be judged; there AUTO must only not raise.
+        # be judged; there expm must only not raise.
         mpmath = pytest.importorskip("mpmath")
         snapped = _spy(monkeypatch, "_pi_snap_projectors")
         pade = _spy(monkeypatch, "_expm_pade")
@@ -292,7 +305,7 @@ class TestAnnihilationGate:
         assert 3 <= to_pade <= 20
 
     # near-double pairs whose means root-by-root Newton moved by up to 1e-9,
-    # so that their nodes failed the test and AUTO ran Pade
+    # so that their nodes failed the test and expm ran Pade
     NEAR_DOUBLE = (
         [[0, 1, 0], [1e-7 ** 2, 0, 0], [0, 0, 1]],
         [[0, 1, 0], [4.64e-6 ** 2, 0, 0], [0, 0, 1]],
@@ -302,9 +315,9 @@ class TestAnnihilationGate:
     @pytest.mark.parametrize("m", NEAR_DOUBLE)
     def test_near_double_pairs_annihilate(self, m):
         a = np.array(m, dtype=complex)
-        _, residual, bound = _hermite(a, eigen_decompose(a))
+        got, residual, bound = _hermite(a, eigen_decompose(a))
         assert residual <= 1e-3 * bound
-        assert np.array_equal(expm(a, ExpMethod.SPECTRAL_HERMITE), expm(a))
+        assert np.array_equal(got, expm(a))
 
     @pytest.mark.parametrize("m", NEAR_DOUBLE)
     def test_near_double_pairs_against_mpmath(self, m):
@@ -316,14 +329,22 @@ class TestAnnihilationGate:
         pade_err = np.linalg.norm(_expm_pade(a) - want) / scale
         assert err <= max(4e-16, 2 * pade_err), (err, pade_err)
 
-    def test_error_messages(self):
-        with pytest.raises(SnapUnavailableError, match="off the lattice, or it is defective"):
-            expm(np.array([[0, 1], [0, 0]]), ExpMethod.EXACT_PI_SNAP)
-        base = 1e3j
-        m3 = np.array([[base, 1, 0], [0, base + 1e-6, 1], [0, 0, base - 2e-6]])
-        with pytest.raises(IllConditionedError,
-                           match=r"do not annihilate the matrix: residual \S+ exceeds \S+"):
-            expm(m3, ExpMethod.SPECTRAL_HERMITE)
+    @pytest.mark.parametrize("delta", [2.5e-8, 3e-8, 3.1e-8])
+    def test_clusters_sharing_a_snapped_integer(self, delta):
+        # i pi - delta and i pi + delta are 2 delta apart, above CLUSTER_TOL
+        # ||A||_F ~ 4.4e-8, so two clusters, and both snap to k = 1 (delta
+        # below SNAP_TOL pi ~ 3.1e-8).  One node per distinct k, [i pi, 0],
+        # leaves a residual ~delta, so Hermite runs.  One node per cluster,
+        # [i pi, 0, i pi], would pass the test (a residual ~delta^2) and put
+        # i pi - i pi in a Lagrange denominator: an all-NaN exp(A)
+        mpmath = pytest.importorskip("mpmath")
+        a = np.diag([1j * PI + delta, 1j * PI - delta, 0])
+        q, _ = np.linalg.qr(random_matrix(np.random.default_rng(3), 3))
+        for m in (a, q @ a @ q.conj().T):
+            assert eigen_decompose(m).distinct_count == 3 and _snapped_ks(m) == [1, 0]
+            got = expm(m)
+            assert np.isfinite(got).all()
+            assert _mpmath_rel_err(mpmath, m, got) <= 1e-13
 
     def test_residual_bounds_the_error(self):
         # exp(A) - p(A) = g(A) prod (A - z_i I): nodes moved off the
@@ -385,7 +406,7 @@ class TestDividedDifferences:
 
 
 class TestKernelSVDGuard:
-    """expm runs no SVD, so computes no eigenvector kernel, on any engine."""
+    """expm runs no SVD, so computes no eigenvector kernel, on any path."""
 
     @staticmethod
     def _count_svds(monkeypatch):
@@ -426,11 +447,12 @@ class TestKernelSVDGuard:
         inputs = [*defective, *_fuzz_inputs(rng), *_near_defective_3x3(rng)]
         calls = self._count_svds(monkeypatch)
         for m in inputs:
-            for method in ExpMethod:
-                _outcome(m, method)
+            for path in (expm, _snap_path, _hermite_path):
+                path(m)
+            _expm_pade(as_matrix(m))
         assert calls == []
         for m in defective:
-            assert _outcome(m, ExpMethod.EXACT_PI_SNAP) is SnapUnavailableError
+            assert _snap_path(m) is None
         # the counter sees an SVD taken through the package: a non-commuting
         # triangular 3x3 pair's common eigenvector comes from one SVD of the
         # commutator ideal (a 2x2 pair, or quotient block, takes none)
@@ -462,7 +484,7 @@ def _closed_form_inputs(rng):
 
 
 class TestClosedForm2x2:
-    """AUTO at d = 2: e^mu (cosh s I + sinh(s)/s B), or the exact snap."""
+    """expm at d = 2: e^mu (cosh s I + sinh(s)/s B), or the exact snap."""
 
     def test_against_mpmath(self, rng, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
@@ -476,7 +498,7 @@ class TestClosedForm2x2:
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             pade_err = np.linalg.norm(_expm_pade(a) - want) / np.linalg.norm(want)
             if snapped:
-                assert np.array_equal(got, _pi_snap_projectors(a, eigen_decompose(a))), a
+                assert np.array_equal(got, _pi_snap_projectors(a, _snapped_ks(a))), a
                 assert err <= max(1e-12, 2 * pade_err), (a, err, pade_err)
                 snaps += 1
                 continue
@@ -500,7 +522,7 @@ class TestClosedForm2x2:
             assert bool(snapped) == (root is not None), t
             if snapped:
                 assert np.array_equal(got, (-1) ** root * np.eye(2)), t
-                assert np.array_equal(got, _pi_snap_projectors(m, eigen_decompose(m))), t
+                assert np.array_equal(got, _pi_snap_projectors(m, _snapped_ks(m))), t
                 continue
             want = _mpmath_expm(mpmath, m)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -516,7 +538,7 @@ class TestClosedForm2x2:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_does_not_raise(self):
         # Re mu = 800 overflows e^mu; the next two overflow s itself (to inf
-        # and to nan; their characteristic polynomials made AUTO raise
+        # and to nan; their characteristic polynomials made expm raise
         # ValueError before).  At d = 3 the first gave NaN roots that made
         # the snap raise ValueError, the next two made the cubic's ** raise
         # OverflowError (a real and a complex cubic); Pade's 1-norm
@@ -543,7 +565,7 @@ class TestClosedForm2x2:
     def test_loose_double_snap_is_refused(self, monkeypatch):
         # a double -4 i pi eigenvalue perturbed by ~3e-11 sits within
         # KERNEL_FLOOR * ||A||_F of -4 i pi I, but its nodes leave a
-        # residual ~3e-11: AUTO must not return a literal I, here or
+        # residual ~3e-11: expm must not return a literal I, here or
         # embedded in a 3x3 next to 2 i pi (literal I erred by 3.2e-11 and
         # 2.6e-11)
         mpmath = pytest.importorskip("mpmath")
@@ -565,7 +587,7 @@ class TestClosedForm2x2:
         # e^mu underflows and cosh s overflows, but exp(A) is representable
         for m in (np.diag([-1500.0, -100.0]), np.array([[-1500, 1], [0, -100]]),
                   np.array([[-800, 700], [700, -800]]), np.diag([600.0, -800.0])):
-            want = expm(m, ExpMethod.SPECTRAL_HERMITE)
+            want = _hermite_path(m)
             assert np.abs(expm(m) - want).max() <= 1e-14 * np.abs(want).max(), m
 
     def test_defective_snapped_double_eigenvalue(self):
@@ -641,7 +663,7 @@ def _mpmath_rel_err(mpmath, a, got) -> float:
 
 
 class TestStackedClosedForm:
-    """``expm_2x2_stack``: AUTO at d = 2 over an (n, 2, 2) stack."""
+    """``expm_2x2_stack``: expm at d = 2 over an (n, 2, 2) stack."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_ROW_KINDS), st.integers(0, 2 ** 32 - 1)),

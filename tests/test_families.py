@@ -5,21 +5,18 @@ import numpy as np
 import pytest
 
 from commexp.errors import ComplexRootsError, ConstraintError, InvalidUError
-from commexp.expmkit import ExpMethod, expm
+from commexp.expmkit import expm
 from commexp.families import (
     III2Form,
     III2Params,
     III2iiParams,
-    III4Params,
     Real2DParams,
     Theorem2Params,
     _root_product,
     case3_III2_matrix,
     case3_III2ii_matrix,
-    case3_III4_residuals,
     char_poly_nAB,
     dim2_case1_pair,
-    iii4_entries,
     INTRO_ROTATION,
     intro_pair,
     real2d_family,
@@ -27,7 +24,7 @@ from commexp.families import (
     rotation_square_polynomial,
     theorem2_family,
 )
-from commexp.intsearch import iii2ii_products
+from commexp.intsearch import III4Params, case3_III4_residuals, iii2ii_products, iii4_entries
 from commexp.numkernel import char_poly, combine_affine, commutator, eigen_decompose
 from commexp.relations import (
     RelationKind,
