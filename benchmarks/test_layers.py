@@ -49,6 +49,8 @@ _S = 2 * np.eye(3) + _R / frobenius(_R)
 TRIANGULAR3 = tuple(np.linalg.solve(_S, np.triu(_random(3)) @ _S) for _ in range(2))
 # a skew-Hermitian 3x3 pair, ||F|| = ||G|| = 1, as in the benchmark's t-scans
 SKEW3 = tuple(m / frobenius(m) for m in (k - k.conj().T for k in (_random(3), _random(3))))
+# a random 2x2 pair, ||F|| = ||G|| = 1.5, as in the benchmark's sweep
+RANDOM2 = tuple(m * (1.5 / frobenius(m)) for m in (_random(2), _random(2)))
 
 
 @pytest.mark.parametrize("entries", [M2, M3], ids=["2x2", "3x3"])
@@ -119,9 +121,22 @@ def test_relation_report_theorem2_mixed_t(benchmark):
     benchmark(relation_report, THEOREM2_F, THEOREM2_G, TScanConfig((*range(1, 6), 0.5 + 0.25j)))
 
 
+# the three kinds of d = 2 op around the sweep's median: a dim2case1 pair
+# (most rows take the exact snap), a theorem2 pair (nilpotent t F: the sinh
+# series, and snapped rows that fail the annihilation test) and a random
+# pair (no row snaps; the triangularizability test refuses it)
 def test_relation_report_dim2case1_t3_triangularizable(benchmark):
     f, g = dim2_case1_pair(2, 3)
     benchmark(relation_report, f, g, TScanConfig.through(3), include_triangularizable=True)
+
+
+def test_relation_report_theorem2_t3_triangularizable(benchmark):
+    benchmark(relation_report, THEOREM2_F, THEOREM2_G, TScanConfig.through(3),
+              include_triangularizable=True)
+
+
+def test_relation_report_random2x2_t3_triangularizable(benchmark):
+    benchmark(relation_report, *RANDOM2, TScanConfig.through(3), include_triangularizable=True)
 
 
 @pytest.mark.parametrize("f, g", [dim2_case1_pair(2, 3), (INTRO_F, INTRO_G), TRIANGULAR3],

@@ -9,7 +9,7 @@ of paths, each taken only when its nodes annihilate the matrix.
   computed in floating point (pi-scaled entries over pi-scaled node
   differences), so an entry that should be an integer can round off it:
   ``expm(1j*pi*[[-4, -15], [0, 1]])`` gives 5.999999999999999 for the
-  exact 6.  ROADMAP item 4 plans rational projectors for pi-scaled input
+  exact 6.  ROADMAP item 7 plans rational projectors for pi-scaled input
   with integral entries.
 * Hermite: the Newton form of the polynomial p of degree < d that
   interpolates e^x at the computed eigenvalues z_1..z_d (repeated ones
@@ -63,6 +63,15 @@ The scalar ``_cosh_sinhc`` stays as it is: the d = 3 divided differences
 call it up to three times per exponential, where a stack of one would cost
 more than the whole scalar evaluation; ``_cosh_sinhc_stack`` is its array
 twin, entry by entry.
+
+At the stack sizes of a short t-scan (9 rows at t = 1..3) nearly all of
+the d = 2 cost is numpy's fixed cost per call, ~0.3-0.6 us each: about 45
+us for a stack whose rows snap, 24 us for one where none does (2 vCPUs,
+numpy 2.4).  So each test runs once over every row and is read through a
+mask, branches are entered only when ``np.count_nonzero`` finds a row
+that needs them, and only the rows that take the exact path are gathered.
+Every rewrite of this path keeps the output bytes; ``tests/test_bit_pins``
+holds their digests.
 """
 
 from __future__ import annotations
@@ -261,7 +270,7 @@ def _sinhc_stack(s: np.ndarray) -> np.ndarray:
     s = 0, where the series replaces it)."""
     out = np.sinh(s) / s
     series = np.abs(s) < _SINHC_SERIES_BELOW
-    if series.any():
+    if np.count_nonzero(series):
         z = s * s
         out = np.where(series, 1 + z / 6 * (1 + z / 20 * (1 + z / 42)), out)
     return out
@@ -270,12 +279,16 @@ def _sinhc_stack(s: np.ndarray) -> np.ndarray:
 def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Array twin of ``_cosh_sinhc``, entry by entry.  The e^mu form runs
     on every entry, so on an entry that takes the e^(mu+s) form it may
-    overflow; that form runs only on the entries with Re s > 1."""
-    s = np.where(s.real < 0, -s, s)
+    overflow; that form runs only on the entries with Re s > 1.  The fold
+    to Re s >= 0 runs only when some entry needs it: the principal roots
+    that ``_expm_2x2_with_eigenvalues`` passes never do."""
+    flip = s.real < 0
+    if np.count_nonzero(flip):
+        s = np.where(flip, -s, s)
     e = np.exp(mu)
     c, q = e * np.cosh(s), e * _sinhc_stack(s)
     far = s.real > 1
-    if far.any():
+    if np.count_nonzero(far):
         s, mu = s[far], mu[far]
         w = np.exp(-2 * s)
         e = np.exp(mu + s) / 2
@@ -284,17 +297,23 @@ def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.nda
     return c, q
 
 
+# (-1)^k I for even and odd k: I, and the float -1.0 times I, whose product
+# rounds the off-diagonal zeros to -0.0 + 0j
+_SIGNED_EYES = np.stack([np.eye(2, dtype=complex), -1.0 * np.eye(2, dtype=complex)])
+
+
 def _pi_snap_rows(a: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """exp of each row of an (n, 2, 2) stack whose eigenvalues are i*pi*k1 and
     i*pi*k2 and whose nodes annihilate it: (-1)^k1 I, exact, when the
     parities agree, else the spectral projectors of ``_pi_snap_projectors``."""
     odd1, odd2 = k1 % 2, k2 % 2
-    out = (1 - 2 * odd1)[:, None, None] * np.eye(2, dtype=complex)
-    for i in np.flatnonzero(odd1 != odd2):
+    out = _SIGNED_EYES.take(odd1.astype(np.intp), axis=0)
+    for i in (odd1 != odd2).nonzero()[0]:
         out[i] = _pi_snap_projectors(a[i], (int(k1[i]), int(k2[i])))
     return out
 
 
+@np.errstate(all="ignore")
 def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
     """The exponential of each matrix of an (n, 2, 2) complex stack, with no
     eigen-decomposition.  Row i is ``expm(a[i])`` bit for bit: ``expm`` at
@@ -303,7 +322,6 @@ def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
     return _expm_2x2_with_eigenvalues(a)[0]
 
 
-@np.errstate(all="ignore")
 def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``expm_2x2_stack(a)`` and the eigenvalues it computes on the way: a
     (2, n) array holding mu + s and mu - s of each row.
@@ -316,12 +334,16 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if its nodes annihilate the row.  Their product is omega = alpha I +
     beta B and, as tr B = 0, ||omega||_F^2 = 2 |alpha|^2 + |beta|^2 ||B||_F^2:
     one node z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1;
-    two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
+    two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.  The
+    snap test and the annihilation test each run once over every row, and
+    only the rows that pass both are gathered for the exact path.
 
     The e^mu form of cosh s and sinh(s)/s runs on every row, the e^(mu+s)
     form and the exact path only on the rows that take them, so a row can
-    overflow in a form it does not keep; floating-point warnings are off: a
-    row that overflows comes out inf or NaN and leaves the others alone.
+    overflow in a form it does not keep; a row that overflows comes out inf
+    or NaN and leaves the others alone.  Callers run it with floating-point
+    warnings off (``expm_2x2_stack`` and ``relations.relation_report`` each
+    enter one ``np.errstate``).
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
@@ -335,29 +357,30 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c + qb, q * a01, q * a10, c - qb
 
     # numkernel's snap of both eigenvalues: l ~ i*pi*k within
-    # SNAP_TOL * max(1, |l|), l finite
+    # SNAP_TOL * max(1, |l|), l finite; an infinite l passes the distance
+    # test (hypot(inf, .) <= inf), so isfinite is its only guard
     lams = np.empty((2, len(a)), dtype=complex)
     np.add(mu, s, out=lams[0])
     np.subtract(mu, s, out=lams[1])
-    k = np.round(lams.imag / math.pi)
+    k = np.rint(lams.imag / math.pi)
     on_lattice = (np.hypot(lams.real, lams.imag - math.pi * k)
                   <= SNAP_TOL * np.maximum(1.0, np.abs(lams)))
-    snapped = (on_lattice & np.isfinite(lams)).all(axis=0)
-    if not snapped.any():
+    on_lattice &= np.isfinite(lams)
+    snapped = on_lattice[0] & on_lattice[1]
+    if not np.count_nonzero(snapped):
         return out, lams
-    rows = snapped.nonzero()[0]
-    (k1, k2), mu, b00 = k[:, rows], mu[rows], b00[rows]
-    z1, z2 = 1j * math.pi * k1, 1j * math.pi * k2
-    double = k1 == k2
-    alpha = np.where(double, mu - z1, s2[rows] + (mu - z1) * (mu - z2))
-    beta = np.where(double, 1.0, 2 * mu - z1 - z2)
-    b_norm = np.hypot(np.hypot(np.abs(b00), np.abs(b00)),
-                      np.hypot(np.abs(a01[rows]), np.abs(a10[rows])))
-    omega_norm = np.hypot(np.hypot(np.abs(alpha), np.abs(alpha)), np.abs(beta) * b_norm)
-    exact = omega_norm <= _annihilation_bound(b_norm, np.where(double, 1, 2))
-    if exact.any():
-        rows = rows[exact]
-        out[rows] = _pi_snap_rows(a[rows], k1[exact], k2[exact])
+    z = 1j * math.pi * k
+    double = k[0] == k[1]
+    mz = mu - z
+    alpha = np.where(double, mz[0], s2 + mz[0] * mz[1])
+    beta = np.where(double, 1.0, 2 * mu - z[0] - z[1])
+    abs_b00, abs_alpha = np.abs(b00), np.abs(alpha)
+    b_norm = np.hypot(np.hypot(abs_b00, abs_b00), np.hypot(np.abs(a01), np.abs(a10)))
+    omega_norm = np.hypot(np.hypot(abs_alpha, abs_alpha), np.abs(beta) * b_norm)
+    exact = snapped & (omega_norm <= _annihilation_bound(b_norm, np.where(double, 1, 2)))
+    if np.count_nonzero(exact):
+        rows = exact.nonzero()[0]
+        out[rows] = _pi_snap_rows(a[rows], *k[:, rows])
     return out, lams
 
 

@@ -315,9 +315,6 @@ class III2iiParams(Frozen):
                      f"a{i}*b{i} must equal {w}, got {g}")
         self._store(l1, m, n1, n2, alpha, a_vector, b_vector)
 
-    def required_products(self):
-        return iii2ii_products(self.m, self.n1, self.n2, self.alpha)
-
     @classmethod
     def canonical(cls, m: int, n1: int, n2: int, alpha) -> "III2iiParams":
         """b = (1,1,1) and a holding the required products."""

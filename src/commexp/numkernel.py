@@ -119,7 +119,7 @@ def frobenius(x: np.ndarray) -> float | np.ndarray:
         sqnorm = re.dot(re) + im.dot(im)
     else:
         sqnorm = x.dot(x)
-    return float(np.sqrt(sqnorm))
+    return math.sqrt(sqnorm)
 
 
 def combine_affine(f, g, t: complex):

@@ -59,8 +59,8 @@ class TrigVerdict(NamedTuple):
     witness_trace: complex | None = None
 
 
-def _unit(m: np.ndarray) -> np.ndarray:
-    norm = frobenius(m)
+def _unit(m: np.ndarray, norm: float) -> np.ndarray:
+    """M / ||M||_F, given norm = ||M||_F; a zero M as it is."""
     return m / norm if norm > 0 else m
 
 
@@ -101,8 +101,13 @@ def _residual(m: np.ndarray, v: np.ndarray) -> float:
 def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unit common eigenvector of a commuting pair of dimension k <= 3.
 
-    B is the traceless part of the less scalar member, chi its characteristic
-    polynomial and lambda a computed root.  (B - lambda I) adj(lambda I - B)
+    B is the traceless part of the less scalar member, the one whose
+    traceless part has the larger norm; the caller passes members of norm
+    at most 1, so a member that is a scalar plus rounding noise scores at
+    the noise's size and is never picked over one that is not.  (Scored
+    relative to its own norm, pure noise scored ~1, and its eigenvector
+    missed the other member.)  chi is B's characteristic polynomial and
+    lambda a computed root.  (B - lambda I) adj(lambda I - B)
     = -chi(lambda) I, so a column of the adjugate (B + lambda I at k = 2) is
     an eigenvector of B up to the residual of chi at lambda, however poorly
     a defective lambda is known.  When lambda's eigenspace is a line, the
@@ -113,8 +118,7 @@ def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     k = a.shape[0]
     ident = np.eye(k, dtype=complex)
-    m = max((a, b), key=lambda x: frobenius(x - np.trace(x) / k * ident)
-            / max(frobenius(x), np.finfo(float).tiny))
+    m = max((a, b), key=lambda x: frobenius(x - np.trace(x) / k * ident))
     dev = m - np.trace(m) / k * ident
     coeffs = char_poly(dev)
     cands = [ident, dev]
@@ -139,16 +143,17 @@ def _commutator_2x2(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex, com
     return a01 * b10 - b01 * a10, da * b01 - db * a01, db * a10 - da * b10
 
 
-def _basis_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _basis_2x2(a: np.ndarray, b: np.ndarray, comm: tuple[complex, complex, complex]) -> np.ndarray:
     """Unitary [[v0, -conj v1], [v1, conj v0]] whose first column v is a common
-    eigenvector of a triangularizable 2x2 pair with ||A||, ||B|| <= 1.
+    eigenvector of a triangularizable 2x2 pair with ||A||, ||B|| <= 1, given
+    ``comm = _commutator_2x2(a, b)``.
 
     When ||C|| > EIGENVECTOR_TOL, C = [A, B] is nilpotent and nonzero, so of
     rank one, and v spans ker C: (c01, -c00) annihilates row 0 and (c00, c10)
     row 1, and the larger row is the better conditioned.  Otherwise the pair
     commutes within EIGENVECTOR_TOL and ``_eigenline`` finds v.
     """
-    c00, c01, c10 = _commutator_2x2(a, b)
+    c00, c01, c10 = comm
     if math.hypot(abs(c00), abs(c00), abs(c01), abs(c10)) > EIGENVECTOR_TOL:
         v0, v1 = (c01, -c00) if abs(c01) >= abs(c10) else (c00, c10)
         norm = math.hypot(abs(v0), abs(v1))
@@ -178,9 +183,9 @@ def common_eigenvector(f, g) -> np.ndarray | None:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
-    a, b = _unit(a), _unit(b)
+    a, b = _unit(a, frobenius(a)), _unit(b, frobenius(b))
     if a.shape[0] == 2:
-        v = _basis_2x2(a, b)[:, 0]
+        v = _basis_2x2(a, b, _commutator_2x2(a, b))[:, 0]
     else:
         v = _common_eigenvector(a, b, _words(a, b)[0])
     if max(_residual(a, v), _residual(b, v)) > EIGENVECTOR_TOL:
@@ -199,7 +204,7 @@ def _deflate(a: np.ndarray, b: np.ndarray, words) -> np.ndarray:
     if d > 2:
         qh = q.conj().T
         a2, b2 = (qh @ a @ q)[1:, 1:], (qh @ b @ q)[1:, 1:]
-        q[:, 1:] = q[:, 1:] @ _basis_2x2(a2, b2)
+        q[:, 1:] = q[:, 1:] @ _basis_2x2(a2, b2, _commutator_2x2(a2, b2))
     return q
 
 
@@ -220,26 +225,32 @@ def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
 def sim_triangularizable(f, g) -> TrigVerdict:
     """Decide simultaneous triangularizability; construct a basis when true."""
     a, b = as_matrix(f), as_matrix(g)
+    return _sim_triangularizable(a, b, frobenius(a), frobenius(b))
+
+
+def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: float) -> TrigVerdict:
+    """``sim_triangularizable`` of the matrices A, B of F, G, given their
+    Frobenius norms: ``relations.relation_report`` has them from its commute
+    check and passes them on."""
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"sim_triangularizable supports d <= {MAX_DIM}")
-    fu, gu = _unit(a), _unit(b)
+    fu, gu = _unit(a, norm_f), _unit(b, norm_g)
     if a.shape[0] == 2:
-        c00, c01, c10 = _commutator_2x2(fu, gu)
+        comm = c00, c01, c10 = _commutator_2x2(fu, gu)
         trace = c00 * c00 + c01 * c10  # tr(C Fu Gu) = -det C
         if abs(trace) > WORD_TRACE_TOL:
-            scale = frobenius(a) * frobenius(b)
+            scale = norm_f * norm_g
             return TrigVerdict(triangularizable=False, witness=a @ b, witness_word="FG",
                                witness_trace=trace * scale * scale)
-        basis = _basis_2x2(fu, gu)
+        basis = _basis_2x2(fu, gu, comm)
     else:
         words, labels = _words(fu, gu)
         traces = np.einsum("ij,kji->k", fu @ gu - gu @ fu, words)
         failing = np.flatnonzero(np.abs(traces) > WORD_TRACE_TOL)
         if failing.size:
             k = int(failing[0])
-            norm_f, norm_g = frobenius(a), frobenius(b)
             scale = norm_f ** labels[k].count("F") * norm_g ** labels[k].count("G")
             return TrigVerdict(
                 triangularizable=False,
@@ -248,7 +259,7 @@ def sim_triangularizable(f, g) -> TrigVerdict:
                 witness_trace=complex(traces[k]) * scale * norm_f * norm_g,
             )
         basis = _deflate(fu, gu, words)
-    for m in (a, b):
-        if _lower_norm(basis, m) > BASIS_VERIFY_TOL * max(1.0, frobenius(m)):
+    for m, norm in ((a, norm_f), (b, norm_g)):
+        if _lower_norm(basis, m) > BASIS_VERIFY_TOL * max(1.0, norm):
             raise DeflationError("constructed basis fails the upper-triangularity check")
     return TrigVerdict(triangularizable=True, basis=basis)

@@ -12,6 +12,7 @@ from commexp.expmkit import (
     _cosh_sinhc,
     _cosh_sinhc_stack,
     _exp_divided_differences,
+    _expm_2x2_with_eigenvalues,
     _expm_pade,
     _hermite,
     _pi_snap_projectors,
@@ -729,6 +730,32 @@ class TestStackedClosedForm:
         assert taken == [2]
         assert np.array_equal(got[0], -np.eye(2)) and np.array_equal(got[2], np.eye(2))
         assert rel_residual(got[1], -np.array([[1, 1], [0, 1]])) <= 1e-15
+
+    def test_non_finite_eigenvalues_never_snap(self, monkeypatch):
+        # [[0, x], [x, 0]] with x = 1.7e308: s^2 = x^2 overflows to inf + 0j,
+        # so the eigenvalues are inf and -inf, both at k = 0.  hypot(inf, 0)
+        # <= SNAP_TOL * inf reads True, and ||B||_F overflows too, which makes
+        # the annihilation bound inf: only isfinite keeps the row off the
+        # exact path, which would return I.  A NaN eigenvalue fails every
+        # comparison.  The finite row next to them still snaps.
+        taken = []
+        original = expmkit._pi_snap_rows
+
+        def spy(a, k1, k2):
+            taken.append(a.copy())
+            return original(a, k1, k2)
+
+        monkeypatch.setattr(expmkit, "_pi_snap_rows", spy)
+        x = 1.7e308
+        rows = np.array([[[0, x], [x, 0]], [[0, -x], [-x, 0]], [[math.nan, 0], [0, 1j * PI]],
+                         1j * PI * np.diag([1, 3])])
+        with np.errstate(all="ignore"):
+            got, lams = _expm_2x2_with_eigenvalues(rows)
+        assert np.isinf(lams[:, :2].real).all() and (lams[:, :2].imag == 0).all()
+        assert np.isnan(lams[:, 2]).any()
+        assert len(taken) == 1 and np.array_equal(taken[0], rows[3:])
+        assert not np.isfinite(got[:3]).all(axis=(1, 2)).any()
+        assert np.array_equal(got[3], -np.eye(2))
 
     def test_non_finite_rows_leave_the_others_alone(self):
         finite = np.array([_stack_row(kind, seed) for seed in range(5)

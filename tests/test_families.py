@@ -279,14 +279,17 @@ class TestIII2:
 class TestIII2ii:
     def test_canonical_reference_values(self):
         p = III2iiParams.canonical(4, 1, 2, Fraction(1))
-        assert p.required_products() == (Fraction(-3, 2), Fraction(-1, 2), Fraction(1))
-        assert sum(p.required_products()) == p.l1 == -1
+        products = iii2ii_products(p.m, p.n1, p.n2, p.alpha)
+        assert products == (Fraction(-3, 2), Fraction(-1, 2), Fraction(1))
+        assert sum(products) == p.l1 == -1
 
     def test_products_have_one_implementation(self):
+        # canonical takes its products from iii2ii_products: a holds them, b = (1, 1, 1)
         for m, n1, n2, alpha in [(4, 1, 2, Fraction(1)), (-3, 2, 5, Fraction(7, 3)),
                                  (1, 4, 5, 0.5 + 2j)]:
             p = III2iiParams.canonical(m, n1, n2, alpha)
-            assert p.required_products() == iii2ii_products(m, n1, n2, alpha)
+            assert p.a_vector == tuple(map(complex, iii2ii_products(m, n1, n2, alpha)))
+            assert p.b_vector == (1, 1, 1)
 
     @pytest.mark.parametrize("m, n1, n2, message", [
         (3, 1, 2, "l1 must be nonzero"),

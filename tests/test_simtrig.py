@@ -13,7 +13,9 @@ from commexp.simtrig import (
     BASIS_VERIFY_TOL,
     TrigVerdict,
     _commutator_2x2,
+    _eigenline,
     _lower_norm,
+    _residual,
     _words,
     common_eigenvector,
     sim_triangularizable,
@@ -132,6 +134,25 @@ class TestSimTriangularizable:
                     lower = np.linalg.norm(np.tril(np.linalg.inv(t) @ m @ t, -1))
                     assert lower <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_one_f_annihilated_by_g(self, seed):
+        # F = v w^T and G = S diag(0, u1, u2) S^-1 with v = S e2 + S e3 / 2
+        # and w^T = e1^T S^-1: F^2 = 0 and FG = 0, so the pair is
+        # triangularizable.  ker J = span(S e2, S e3) holds F as rounding
+        # noise next to G = diag(u1, u2); an eigenvector of the noise misses
+        # G's eigenvectors, and the basis check raised DeflationError
+        # (seeds 1, 10 and 11)
+        parts = np.random.default_rng(seed).normal(size=(2, 3, 3))
+        s = np.eye(3) if seed == 0 else parts[0] + 1j * parts[1]
+        sinv = np.linalg.inv(s)
+        u1, u2 = (solve_u(branch_seed(k)).value for k in (1, -2))
+        f = np.outer(s[:, 1] + s[:, 2] / 2, sinv[0])
+        g = s @ np.diag([0, u1, u2]) @ sinv
+        t = sim_triangularizable(f, g).basis
+        for m in (f, g):
+            lower = np.linalg.norm(np.tril(np.linalg.inv(t) @ m @ t, -1))
+            assert lower <= BASIS_VERIFY_TOL * max(1, np.linalg.norm(m))
+
     def test_similarity_invariance(self, rng):
         a, b = intro_pair()
         f, g = theorem2_family(Theorem2Params(u=U1))
@@ -212,6 +233,26 @@ def rational_rank(rows) -> int:
 
 def word(f, g, label):
     return reduce(np.matmul, ({"F": f, "G": g}[x] for x in label), np.eye(len(f), dtype=int))
+
+
+class TestEigenline:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scalar", [0, 0.5, 0.6j, 1])
+    @pytest.mark.parametrize("noise", [1e-17, 1e-13, 1e-10])
+    def test_noise_plus_scalar_member_is_not_chosen(self, dim, scalar, noise):
+        # members of norm <= 1, as every caller passes: c I plus noise next
+        # to a unit-norm G with distinct eigenvalues.  The eigenvector comes
+        # from G, in either order, so it holds for G to rounding and for the
+        # other member to the noise's size (plus the rounding of c I)
+        rng = np.random.default_rng(dim * 1000 + int(-math.log10(noise)))
+        s = random_matrix(rng, dim, norm=1.0) + 2 * np.eye(dim)
+        g = s @ np.diag(np.arange(1, dim + 1) * (1 + 1j)) @ np.linalg.inv(s)
+        g /= np.linalg.norm(g)
+        f = (1 - noise) * scalar * np.eye(dim) / math.sqrt(dim) + noise * random_matrix(rng, dim, 1.0)
+        for pair in ((f, g), (g, f)):
+            v = _eigenline(*pair)
+            assert _residual(g, v) <= 1e-13
+            assert _residual(f, v) <= 2 * noise + 1e-15
 
 
 class TestPazLength:
