@@ -15,6 +15,7 @@ numpy and exits (for ``verify`` and ``families``).
 """
 
 import compileall
+import contextlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from commexp import cli
 from commexp.expmkit import _hermite, _snap_annihilates, expm, expm_2x2_stack
 from commexp.families import Theorem2Params, dim2_case1_pair, intro_pair, theorem2_family
 from commexp.intsearch import discriminant_scan_A1, grobner_replacement_search
@@ -165,6 +167,17 @@ def test_relation_report_intro_t1000(benchmark):
 @pytest.mark.parametrize("box, n", [(5, 2), (2, 1)], ids=["box5-n2", "box2-n1-control"])
 def test_grobner_replacement_search(benchmark, box, n):
     benchmark(grobner_replacement_search, box, n)
+
+
+def _main_to_devnull(argv):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert cli.main(argv) == 0
+
+
+def test_emit_report_iii4_box2_n1(benchmark):
+    # the whole command in-process: a 1.8 MB report of 6080 survivors, which
+    # costs ~10x the search itself (ROADMAP item 10)
+    benchmark(_main_to_devnull, ["search", "iii4", "--box", "2", "--n", "1"])
 
 
 @pytest.mark.parametrize("params", [(1, 2, 1, 4), (1, 2, 3, 4)],

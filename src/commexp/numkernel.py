@@ -211,11 +211,8 @@ def _poly_roots_cubic(b, c, d):
     w = cand1 if abs(cand1) >= abs(cand2) else cand2
     if not cmath.isfinite(w):
         return [complex(math.nan, math.nan)] * 3
+    # w != 0 here: |w| >= |q| / 2, and when q = 0, |w| = |p / 3|^(3/2) >= 1.9e-46
     u = w ** (1 / 3)
-    if abs(u) == 0.0:
-        y0 = (-q) ** (1 / 3)
-        omega = cmath.exp(2j * math.pi / 3)
-        return [y0 * omega**k + shift for k in range(3)]
     v = -p / (3 * u)
     omega = cmath.exp(2j * math.pi / 3)
     return [u * omega**k + v * omega ** (-k) + shift for k in range(3)]

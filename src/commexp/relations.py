@@ -131,27 +131,29 @@ def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
     return RelationVerdict(kind, residual <= tol, residual, tol, t)
 
 
-def _scan_stack(f, g, t_values) -> np.ndarray:
+def _scan_stack(f, g, a, b, t_values) -> np.ndarray:
     """[G, F, t F for each t, t F + G for each t, F + G] as one (3 + 2T, d, d)
-    array.
+    array, from F and G and their matrices a and b (``_matrix_pair``).
 
     Each row is rounded as the scalar checks round it: t F + G as
     ``combine_affine`` (pi-scaled entries combined first, then multiplied by
     pi, when F and G both carry the factor), t F as ``check_relation_star``
-    and F + G as ``combine_affine(f, g, 1.0)``.
+    and F + G as ``combine_affine(f, g, 1.0)``.  Rows 0 and 1 are b and a,
+    which equal G and F so expanded bit for bit.
     """
     t = np.array((*t_values, 1), dtype=complex)[:, None, None]
     if isinstance(f, CMat) and isinstance(g, CMat) and f.pi_scaled == g.pi_scaled:
         tf = t * f.entries
-        stack = np.concatenate([g.entries[None], f.entries[None], tf[:-1], tf + g.entries])
-        return stack * math.pi if f.pi_scaled else stack
-    a, b = as_matrix(f), as_matrix(g)
+        stack = np.concatenate([b[None], a[None], tf[:-1], tf + g.entries])
+        if f.pi_scaled:
+            stack[2:] *= math.pi
+        return stack
     tf = t[:-1] * f.entries * math.pi if isinstance(f, CMat) and f.pi_scaled else t[:-1] * a
     return np.concatenate([b[None], a[None], tf, t * a + b])
 
 
 def _scan_2x2(
-    f, g, cfg: TScanConfig,
+    f, g, a: np.ndarray, b: np.ndarray, cfg: TScanConfig,
 ) -> tuple[list[RelationVerdict], np.ndarray, tuple[bool, bool, bool]]:
     """exp-equal, exp-swap, then star and swapped star per t of a 2x2 pair,
     their residuals as an array in that order, and the congruence flags of
@@ -166,7 +168,7 @@ def _scan_2x2(
     of F, G and F + G: rows 1, 0 and -1.
     """
     n = len(cfg.t_values)
-    e, lams = _expm_2x2_with_eigenvalues(_scan_stack(f, g, cfg.t_values))
+    e, lams = _expm_2x2_with_eigenvalues(_scan_stack(f, g, a, b, cfg.t_values))
     eg, sums = e[0], e[2 + n:-1]
     rows = e[1:2 + n]  # exp(F), then exp(t F) for each t
     right = (rows.reshape(-1, 2) @ eg).reshape(-1, 2, 2)
@@ -298,7 +300,7 @@ def relation_report(
     norm_f, norm_g = frobenius(a), frobenius(b)
     verdicts = [_commute_verdict(a, b, norm_f, norm_g, cfg.tol)]
     if a.shape[0] == 2:
-        scanned, residuals, flags = _scan_2x2(f, g, cfg)
+        scanned, residuals, flags = _scan_2x2(f, g, a, b, cfg)
         verdicts.extend(scanned)
     else:
         verdicts.append(check_exp_equal(f, g, cfg.tol))

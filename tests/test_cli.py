@@ -548,36 +548,76 @@ def test_importing_the_cli_leaves_jsonschema_unloaded():
 
 
 class TestJsonable:
+    """``_json_leaf`` as the ``default`` of ``json.dumps``: the leaves JSON has
+    no type for, nested anywhere, and the int key JSON turns into a string."""
+
     def test_mixed_payload_bytes(self):
         import numpy as np
         from fractions import Fraction
 
         obj = {
-            "float64": np.float64(0.1), "int64": np.int64(-3), "bool_": np.bool_(True),
-            "float32": np.float32(0.25), "complex128": np.complex128(3 - 4j),
-            "fractions": [Fraction(1, 3), Fraction(-2), Fraction(0)],
-            "complex": 1 + 2j, "array": np.array([[1.5, 2], [3, 4]]), "int_array": np.arange(3),
-            "complex_array": np.array([1j, 2]),
-            "leaves": (None, True, False, "s", 7, 2.5, -0.0),
             5: {"nested": [np.array([0.5]), {"x": [Fraction(7, 2), np.int32(4)]}]},
+            "array": np.array([[1.5, 2], [3, 4]]), "bool_": np.bool_(True),
+            "complex": 1 + 2j, "complex128": np.complex128(3 - 4j),
+            "complex_array": np.array([1j, 2]), "float32": np.float32(0.25),
+            "float64": np.float64(0.1),
+            "fractions": [Fraction(1, 3), Fraction(-2), Fraction(0)],
+            "int64": np.int64(-3), "int_array": np.arange(3),
+            "leaves": (None, True, False, "s", 7, 2.5, -0.0),
         }
-        out = cli._jsonable(obj)
-        assert json.dumps(out, sort_keys=True) == (
+        assert json.dumps(obj, default=cli._json_leaf) == (
             '{"5": {"nested": [[0.5], {"x": ["7/2", 4]}]}, "array": [[1.5, 2.0], [3.0, 4.0]], '
             '"bool_": true, "complex": [1.0, 2.0], "complex128": [3.0, -4.0], '
             '"complex_array": [[0.0, 1.0], [2.0, 0.0]], "float32": 0.25, "float64": 0.1, '
             '"fractions": ["1/3", "-2", "0"], "int64": -3, "int_array": [0, 1, 2], '
             '"leaves": [null, true, false, "s", 7, 2.5, -0.0]}'
         )
-        # numpy scalars come back as the plain Python types
-        assert type(out["float64"]) is float
-        assert type(out["int64"]) is int
-        assert type(out["bool_"]) is bool
-        assert type(out["5"]["nested"][1]["x"][1]) is int
+        # numpy scalars come back as the plain Python types (np.float64 subclasses
+        # float, so json writes it without the hook)
+        for value, kind in ((np.int64(-3), int), (np.bool_(True), bool),
+                            (np.float32(0.25), float), (np.int32(4), int)):
+            assert type(cli._json_leaf(value)) is kind
 
     def test_unknown_type_raises(self):
-        with pytest.raises(TypeError):
-            cli._jsonable({"x": object()})
+        with pytest.raises(TypeError, match="cannot serialize"):
+            json.dumps({"x": object()}, default=cli._json_leaf)
+
+
+class TestReportAsWritten:
+    """``emit_report`` validates the text it writes, and the leaves that only
+    ``_json_leaf`` can carry reach that text as before."""
+
+    def test_a_claim_without_reproduced_is_a_schema_error(self, capsys, monkeypatch):
+        def builder(ns):
+            return {"k": ns.k}, {}, {}, {"name": "u-roots", "detail": "no verdict"}
+
+        monkeypatch.setattr(cli, "cmd_solve_u", builder)
+        code, out, err = run(capsys, "solve-u", "--k", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SchemaError: $.claim: missing required keys ['reproduced']")
+        assert err.count("\n") == 1
+
+    def test_complex_t_and_u_are_written_as_pairs(self, capsys):
+        argv = ("verify", "--builtin", "theorem2", "--t-complex", "0.5,0.25")
+        u = cli._build_family("theorem2", cli.build_parser().parse_args(argv))[3]["u"]
+        assert type(u) is complex
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["inputs"]["u"] == [u.real, u.imag]
+        assert [v["t"] for v in report["payload"]["complex_t_verdicts"]] == [[0.5, 0.25]]
+        assert '"t": [\n          0.5,\n          0.25\n        ],' in out
+
+    def test_a_numpy_bool_check_is_written_as_true(self, capsys):
+        import numpy as np
+
+        ns = cli.build_parser().parse_args(["families", "iii2"])
+        record, f, g, inputs = cli._build_family("iii2", ns)
+        assert type(record.checks(f, g, inputs)["trace_is_l1"]) is np.bool_
+        code, out, err = run(capsys, "families", "iii2")
+        assert code == 0, err
+        assert '"trace_is_l1": true,' in out
+        assert json.loads(out)["payload"]["checks"]["trace_is_l1"] is True
 
 
 class TestParsers:
