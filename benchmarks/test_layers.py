@@ -203,9 +203,13 @@ def process_env():
     ("-c", "import numpy, os; os._exit(0)"),
     ("-m", "commexp.cli", "solve-u", "--k", "1"),
     ("-m", "commexp.cli", "search", "iii4", "--box", "3", "--n", "2"),
+    # 6080 survivors: the report's cost on a fresh heap, which the
+    # in-process test_emit_report_iii4_box2_n1 cannot show
+    ("-m", "commexp.cli", "search", "iii4", "--box", "2", "--n", "1"),
     ("-m", "commexp.cli", "verify", "--builtin", "intro", "--t", "1..6"),
     ("-m", "commexp.cli", "families", "iii2"),
-], ids=["python-floor", "numpy-floor", "solve-u", "search-iii4", "verify-intro", "families-iii2"])
+], ids=["python-floor", "numpy-floor", "solve-u", "search-iii4", "search-iii4-n1",
+        "verify-intro", "families-iii2"])
 def test_process_start(benchmark, process_env, argv):
     benchmark.pedantic(subprocess.run, args=([sys.executable, *argv],),
                        kwargs={"env": process_env, "check": True, "capture_output": True},

@@ -407,5 +407,5 @@ def expm(m) -> np.ndarray:
 
 
 def expm_affine(f, g, t: complex) -> np.ndarray:
-    """exp(t*F + G)."""
+    """exp(t*F + G), of t F + G as ``numkernel.affine_rows`` rounds it."""
     return expm(combine_affine(f, g, t))

@@ -13,6 +13,16 @@ eigenvalues come out NaN or infinite instead of raising.
 norm without ``ord`` or ``axis`` goes through it.  ``CMat.expanded`` (and so
 ``as_matrix``) returns the stored read-only entries, not a copy, when there
 is no pi factor; a caller that writes must copy first.
+
+A pair (F, G) becomes arrays here and only here.  ``matrix_pair`` gives the
+two matrices and is the one check that their shapes agree.  ``affine_rows``
+gives t F and t F + G for a tuple of t as two (n, d, d) arrays, and it holds
+the package's one rule for rounding them around a deferred pi factor: F and
+G that carry the same scale are combined in their stored entries and
+multiplied by pi once, and a pi-scaled F alone gives t F as (t entries) pi.
+Neither result is a validated ``CMat``, so a t F that overflows stays an
+array of infinities, and the caller sees it as a non-finite residual.
+``combine_affine`` is the single-t view.
 """
 
 from __future__ import annotations
@@ -122,22 +132,45 @@ def frobenius(x: np.ndarray) -> float | np.ndarray:
     return math.sqrt(sqnorm)
 
 
-def combine_affine(f, g, t: complex):
-    """t*F + G, staying in the pi-scaled representation when both carry it."""
-    if isinstance(f, CMat) and isinstance(g, CMat) and f.pi_scaled == g.pi_scaled:
-        if f.dim != g.dim:
-            raise DimensionError(f"dimension mismatch: {f.dim} vs {g.dim}")
-        return CMat(t * f.entries + g.entries, f.pi_scaled)
+def matrix_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix`` of F and of G, which must have one shape."""
     a, b = as_matrix(f), as_matrix(g)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return CMat(t * a + b)
+    return a, b
+
+
+def affine_rows(f, g, t_values) -> tuple[np.ndarray, np.ndarray]:
+    """t F and t F + G for each t of ``t_values``, as two (n, d, d) arrays.
+
+    When F and G are CMats of one scale, t e_F + e_G is formed from their
+    stored entries and, with a pi factor, multiplied by pi once, as is t e_F.
+    Otherwise a pi-scaled F gives t F as (t e_F) pi, and t F + G is t A + B
+    of the expanded matrices A and B.
+    """
+    t = np.array(t_values, dtype=complex)[:, None, None]
+    if isinstance(f, CMat) and isinstance(g, CMat) and f.pi_scaled == g.pi_scaled:
+        if f.dim != g.dim:
+            raise DimensionError(f"dimension mismatch: {f.dim} vs {g.dim}")
+        tf = t * f.entries
+        tfg = tf + g.entries
+        if f.pi_scaled:
+            tf *= math.pi
+            tfg *= math.pi
+        return tf, tfg
+    a, b = matrix_pair(f, g)
+    ta = t * a
+    tf = t * f.entries * math.pi if isinstance(f, CMat) and f.pi_scaled else ta
+    return tf, ta + b
+
+
+def combine_affine(f, g, t: complex) -> np.ndarray:
+    """t F + G as an array, rounded as ``affine_rows`` rounds it."""
+    return affine_rows(f, g, (t,))[1][0]
 
 
 def commutator(m, n) -> np.ndarray:
-    a, b = as_matrix(m), as_matrix(n)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = matrix_pair(m, n)
     return a @ b - b @ a
 
 

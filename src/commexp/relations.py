@@ -48,6 +48,14 @@ the verdict of ``simtrig.sim_triangularizable``, which at d = 2 is one
 test, det [F, G] = 0.  The matrices of F and G and their Frobenius norms
 are taken once and serve both the commute check and that test.
 
+A pair becomes arrays in ``numkernel``, not here: ``matrix_pair`` gives
+the matrices of F and G and refuses unequal shapes, and ``affine_rows``
+gives the rows t F and t F + G under the one rule for a deferred pi
+factor.  The d = 2 stack, ``check_relation_star`` and the d = 3 flags
+(through ``combine_affine``) all take their rows from it, so every path
+rounds t F + G alike and none builds a validated ``CMat``: a t F that
+overflows reaches the non-finite residual rule above at either dimension.
+
 At d = 2 and t = 1..3 a report with the triangularizability test takes
 ~75-100 us (2 vCPUs, numpy 2.4), nearly all of it numpy's fixed cost per
 call: the stacked exponential ~25-45 us, the two products, the sides and
@@ -65,10 +73,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ResidualOverflowError, SpectrumOverflowError
-from .expmkit import _expm_2x2_with_eigenvalues, expm, expm_affine
+from .errors import ResidualOverflowError, SpectrumOverflowError
+from .expmkit import _expm_2x2_with_eigenvalues, expm
 from .frozen import Frozen
-from .numkernel import CMat, _polished_roots, as_matrix, combine_affine, frobenius
+from .numkernel import _polished_roots, affine_rows, combine_affine, frobenius, matrix_pair
 from .simtrig import _sim_triangularizable
 
 DEFAULT_TOL = 1e-9
@@ -131,27 +139,6 @@ def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
     return RelationVerdict(kind, residual <= tol, residual, tol, t)
 
 
-def _scan_stack(f, g, a, b, t_values) -> np.ndarray:
-    """[G, F, t F for each t, t F + G for each t, F + G] as one (3 + 2T, d, d)
-    array, from F and G and their matrices a and b (``_matrix_pair``).
-
-    Each row is rounded as the scalar checks round it: t F + G as
-    ``combine_affine`` (pi-scaled entries combined first, then multiplied by
-    pi, when F and G both carry the factor), t F as ``check_relation_star``
-    and F + G as ``combine_affine(f, g, 1.0)``.  Rows 0 and 1 are b and a,
-    which equal G and F so expanded bit for bit.
-    """
-    t = np.array((*t_values, 1), dtype=complex)[:, None, None]
-    if isinstance(f, CMat) and isinstance(g, CMat) and f.pi_scaled == g.pi_scaled:
-        tf = t * f.entries
-        stack = np.concatenate([b[None], a[None], tf[:-1], tf + g.entries])
-        if f.pi_scaled:
-            stack[2:] *= math.pi
-        return stack
-    tf = t[:-1] * f.entries * math.pi if isinstance(f, CMat) and f.pi_scaled else t[:-1] * a
-    return np.concatenate([b[None], a[None], tf, t * a + b])
-
-
 def _scan_2x2(
     f, g, a: np.ndarray, b: np.ndarray, cfg: TScanConfig,
 ) -> tuple[list[RelationVerdict], np.ndarray, tuple[bool, bool, bool]]:
@@ -159,16 +146,19 @@ def _scan_2x2(
     their residuals as an array in that order, and the congruence flags of
     F, G and F + G, from one stacked exponential.
 
-    Each of exp(F), exp(G), exp(t F + G) and exp(t F) is taken once.  The
-    products with exp(G) on either side are one matrix product each over
-    the rows [exp(F), exp(t F) for each t]: the (n, 2, 2) stack read as
-    (2n, 2) rows times exp(G), and exp(G) times the stack laid out as
-    (2, 2n) columns.  Every residual is ``_relative_residual`` over the
+    The stack is [G, F, t F for each t, t F + G for each t, F + G]: b and a
+    (``matrix_pair``), then the rows of one ``affine_rows`` call over the t
+    values and 1.  Each of exp(F), exp(G), exp(t F + G) and exp(t F) is
+    taken once.  The products with exp(G) on either side are one matrix
+    product each over the rows [exp(F), exp(t F) for each t]: the (n, 2, 2)
+    stack read as (2n, 2) rows times exp(G), and exp(G) times the stack laid
+    out as (2, 2n) columns.  Every residual is ``_relative_residual`` over the
     stack, and the flags read the eigenvalue differences (mu + s) - (mu - s)
     of F, G and F + G: rows 1, 0 and -1.
     """
     n = len(cfg.t_values)
-    e, lams = _expm_2x2_with_eigenvalues(_scan_stack(f, g, a, b, cfg.t_values))
+    tf, tfg = affine_rows(f, g, (*cfg.t_values, 1))
+    e, lams = _expm_2x2_with_eigenvalues(np.concatenate([b[None], a[None], tf[:-1], tfg]))
     eg, sums = e[0], e[2 + n:-1]
     rows = e[1:2 + n]  # exp(F), then exp(t F) for each t
     right = (rows.reshape(-1, 2) @ eg).reshape(-1, 2, 2)
@@ -196,35 +186,23 @@ def _scan_2x2(
     return verdicts, residuals, _congruence_flags([[f1 - f2], [g1 - g2], [s1 - s2]], tol)
 
 
-def _matrix_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
-    a, b = as_matrix(f), as_matrix(g)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def _commute_verdict(a, b, norm_f: float, norm_g: float, tol: float) -> RelationVerdict:
     residual = frobenius(a @ b - b @ a) / max(1.0, norm_f * norm_g)
     return RelationVerdict(RelationKind.COMMUTE, residual <= tol, residual, tol)
 
 
 def check_commute(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
-    a, b = _matrix_pair(f, g)
+    a, b = matrix_pair(f, g)
     return _commute_verdict(a, b, frobenius(a), frobenius(b), tol)
-
-
-def _scaled(f, t):
-    if isinstance(f, CMat):
-        return CMat(t * f.entries, f.pi_scaled)
-    return t * as_matrix(f)
 
 
 def check_relation_star(
     f, g, t: complex, tol: float = DEFAULT_TOL, swapped: bool = False,
 ) -> RelationVerdict:
     """exp(t F + G) versus exp(t F) exp(G), or exp(G) exp(t F) when swapped."""
-    lhs = expm_affine(f, g, t)
-    etf = expm(_scaled(f, t))
+    tf, tfg = affine_rows(f, g, (t,))
+    lhs = expm(tfg[0])
+    etf = expm(tf[0])
     eg = expm(g)
     rhs = eg @ etf if swapped else etf @ eg
     kind = RelationKind.SUM_PRODUCT_SWAPPED if swapped else RelationKind.SUM_PRODUCT
@@ -296,7 +274,7 @@ def relation_report(
     raises a typed error instead.  The matrices of F and G and their norms
     are taken once, for the commute check and the triangularizability test.
     """
-    a, b = _matrix_pair(f, g)
+    a, b = matrix_pair(f, g)
     norm_f, norm_g = frobenius(a), frobenius(b)
     verdicts = [_commute_verdict(a, b, norm_f, norm_g, cfg.tol)]
     if a.shape[0] == 2:
@@ -308,8 +286,8 @@ def relation_report(
         for t in cfg.t_values:
             verdicts.append(check_relation_star(f, g, t, cfg.tol))
             verdicts.append(check_relation_star(f, g, t, cfg.tol, swapped=True))
-        flags = _congruence_flags([_differences(_polished_roots(as_matrix(m)))
-                                   for m in (f, g, combine_affine(f, g, 1.0))], cfg.tol)
+        flags = _congruence_flags([_differences(_polished_roots(m))
+                                   for m in (a, b, combine_affine(f, g, 1.0))], cfg.tol)
         residuals = [v.residual for v in verdicts[1:]]
     if not (math.isfinite(verdicts[0].residual) and np.isfinite(residuals).all()):
         bad = next(v for v in verdicts if not math.isfinite(v.residual))

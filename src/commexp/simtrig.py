@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DeflationError, DimensionError
-from .numkernel import MAX_DIM, as_matrix, char_poly, eigen_decompose, frobenius
+from .numkernel import MAX_DIM, char_poly, eigen_decompose, frobenius, matrix_pair
 
 # on the unit pair: a trace tr([F, G] w) up to WORD_TRACE_TOL counts as zero;
 # in the constructive half, a singular value of the stacked C w, the norm of a
@@ -178,9 +178,7 @@ def common_eigenvector(f, g) -> np.ndarray | None:
     v is taken in ker J; which common eigenvector is returned is not
     specified.  None when the best candidate misses that bound for F or G.
     """
-    a, b = as_matrix(f), as_matrix(g)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = matrix_pair(f, g)
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
     a, b = _unit(a, frobenius(a)), _unit(b, frobenius(b))
@@ -224,16 +222,15 @@ def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
 
 def sim_triangularizable(f, g) -> TrigVerdict:
     """Decide simultaneous triangularizability; construct a basis when true."""
-    a, b = as_matrix(f), as_matrix(g)
+    a, b = matrix_pair(f, g)
     return _sim_triangularizable(a, b, frobenius(a), frobenius(b))
 
 
 def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: float) -> TrigVerdict:
-    """``sim_triangularizable`` of the matrices A, B of F, G, given their
-    Frobenius norms: ``relations.relation_report`` has them from its commute
-    check and passes them on."""
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    """``sim_triangularizable`` of the matrices A, B of F, G
+    (``numkernel.matrix_pair``), given their Frobenius norms:
+    ``relations.relation_report`` has them from its commute check and passes
+    them on."""
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"sim_triangularizable supports d <= {MAX_DIM}")
     fu, gu = _unit(a, norm_f), _unit(b, norm_g)

@@ -1,23 +1,25 @@
-"""Digests of the d = 2 outputs, pinned bit for bit.
+"""Digests of the relation outputs, pinned bit for bit.
 
-A change that only makes the d = 2 path faster must leave every output
-bit where it was: every verdict's holds and residual, the congruence
-flags, the triangularizability verdict, and the entries and eigenvalues
-that ``_expm_2x2_with_eigenvalues`` returns.  Each test hashes those bits
-over a fixed set of inputs and compares the sha256 with the value recorded
-before the d = 2 path was last restructured.  A digest that moves means an
-output moved; which one, the per-row comparison against a checkout of the
-older tree tells.
+A change that only restructures or speeds up a path must leave every
+output bit where it was: every verdict's holds and residual, the
+congruence flags, the triangularizability verdict, the entries and
+eigenvalues that ``_expm_2x2_with_eigenvalues`` returns, and the matrices
+t F + G and exp(t F + G) of every scale combination of a pair.  Each test
+hashes those bits over a fixed set of inputs and compares the sha256 with
+the value recorded before the path was last restructured.  A digest that
+moves means an output moved; which one, the per-row comparison against a
+checkout of the older tree tells.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 
 from commexp import uset
 from commexp.errors import ComplexRootsError, ConstraintError
-from commexp.expmkit import _expm_2x2_with_eigenvalues
+from commexp.expmkit import _expm_2x2_with_eigenvalues, expm_affine
 from commexp.families import (
     Real2DParams,
     Theorem2Params,
@@ -25,7 +27,22 @@ from commexp.families import (
     real2d_family,
     theorem2_family,
 )
-from commexp.relations import TScanConfig, relation_report
+from commexp.numkernel import CMat, as_matrix, combine_affine
+from commexp.relations import TScanConfig, check_relation_star, relation_report
+
+
+def _random_pairs(seed: int) -> tuple[list, list]:
+    """The random pairs of the benchmark's ``sweep`` workload at ``seed``, in
+    the order it draws them: 40 2x2 pairs, then 120 3x3 pairs, each matrix
+    complex Gaussian scaled to Frobenius norm 1.5."""
+    rng = np.random.default_rng(seed)
+
+    def draw(dim):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return m * (1.5 / np.linalg.norm(m))
+
+    pairs2 = [(draw(2), draw(2)) for _ in range(40)]
+    return pairs2, [(draw(3), draw(3)) for _ in range(120)]
 
 
 def _sweep_pairs_2x2(seed: int) -> list:
@@ -44,20 +61,13 @@ def _sweep_pairs_2x2(seed: int) -> list:
               if lam and mu and lam + mu]
     pairs += [theorem2_family(Theorem2Params(u=uset.solve_u(uset.branch_seed(k)).value))
               for k in range(-6, 7) if k]
-    rng = np.random.default_rng(seed)
-
-    def random2():
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        return m * (1.5 / np.linalg.norm(m))
-
-    pairs += [(random2(), random2()) for _ in range(40)]
-    return pairs
+    return pairs + _random_pairs(seed)[0]
 
 
-def _report_digest(seed: int) -> tuple[int, str]:
+def _report_digest(pairs: list) -> tuple[int, str]:
+    """sha256 over the t = 1..3 reports, with triangularizability, of ``pairs``."""
     cfg = TScanConfig.through(3)
     h = hashlib.sha256()
-    pairs = _sweep_pairs_2x2(seed)
     for f, g in pairs:
         report = relation_report(f, g, cfg, include_triangularizable=True)
         fields = [(v.relation.value, v.holds, float(v.residual).hex(), v.t)
@@ -89,19 +99,90 @@ def _kernel_rows() -> np.ndarray:
     return np.concatenate([*rows, np.array(lattice, dtype=complex)])
 
 
+def _array_bits(*arrays) -> bytes:
+    # every other bit counts, signed zeros included; a NaN's sign and
+    # payload carry nothing, so each NaN part is hashed as one NaN
+    parts = np.concatenate([a.ravel() for a in arrays]).view(np.float64).copy()
+    parts[np.isnan(parts)] = math.nan
+    return parts.tobytes()
+
+
 def _kernel_digest() -> str:
     with np.errstate(all="ignore"):  # the 1e3 rows overflow e^mu
         out, lams = _expm_2x2_with_eigenvalues(_kernel_rows())
-    # every other bit counts, signed zeros included; a NaN's sign and
-    # payload carry nothing, so each NaN part is hashed as one NaN
-    parts = np.concatenate([out.ravel(), lams.ravel()]).view(np.float64).copy()
-    parts[np.isnan(parts)] = math.nan
-    return hashlib.sha256(parts.tobytes()).hexdigest()
+    return hashlib.sha256(_array_bits(out, lams)).hexdigest()
+
+
+GRID_T = (1, 2, 3, -2, 0, 7, 0.5 + 0.25j, 1j)
+
+
+def _grid_entries(dim: int) -> list:
+    """Nine (F, G) entry pairs of one dimension: i times integer matrices
+    (whose pi-scaled forms lie on the i pi lattice and may snap), an
+    integer diagonal pair, a Jordan block, Gaussian integers, and seeded
+    complex Gaussian pairs of Frobenius norm 1."""
+    rng = np.random.default_rng(20261020 + dim)
+
+    def ints():
+        return 1j * rng.integers(-3, 4, size=(dim, dim)).astype(complex)
+
+    def gaussian_ints():
+        return (rng.integers(-2, 3, size=(dim, dim))
+                + 1j * rng.integers(-2, 3, size=(dim, dim))).astype(complex)
+
+    def normal():
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return m / np.linalg.norm(m)
+
+    jordan = 1j * np.eye(dim) + np.eye(dim, k=1)
+    pairs = [(ints(), ints()) for _ in range(3)]
+    pairs.append((1j * np.diag(np.arange(1, dim + 1)).astype(complex),
+                   -1j * np.diag(np.arange(dim, 0, -1)).astype(complex)))
+    pairs.append((jordan, ints()))
+    pairs += [(gaussian_ints(), gaussian_ints()) for _ in range(2)]
+    pairs += [(normal(), normal()) for _ in range(2)]
+    return pairs
+
+
+def _as_scale(entries: np.ndarray, scale: str):
+    if scale == "array":
+        return entries.copy()
+    return CMat(entries, pi_scaled=scale == "pi")
+
+
+def _scale_grid_digest() -> tuple[int, str]:
+    """sha256 over every scale combination (pi-scaled CMat, plain CMat,
+    array) of F and of G for the grid pairs at d = 2 and 3, and every t of
+    GRID_T: star and swapped star (holds and residual), exp(t F + G) and
+    t F + G."""
+    h = hashlib.sha256()
+    count = 0
+    for dim in (2, 3):
+        for ef, eg in _grid_entries(dim):
+            for sf, sg in itertools.product(("pi", "plain", "array"), repeat=2):
+                f, g = _as_scale(ef, sf), _as_scale(eg, sg)
+                count += 1
+                for t in GRID_T:
+                    verdicts = [check_relation_star(f, g, t, swapped=swapped)
+                                for swapped in (False, True)]
+                    h.update(repr([(v.holds, float(v.residual).hex()) for v in verdicts]).encode())
+                    h.update(_array_bits(expm_affine(f, g, t),
+                                         as_matrix(combine_affine(f, g, t))))
+    return count, h.hexdigest()
 
 
 def test_sweep_2x2_reports_keep_their_bits():
-    assert _report_digest(1) == PINNED_REPORTS[1]
-    assert _report_digest(2) == PINNED_REPORTS[2]
+    assert _report_digest(_sweep_pairs_2x2(1)) == PINNED_REPORTS[1]
+    assert _report_digest(_sweep_pairs_2x2(2)) == PINNED_REPORTS[2]
+
+
+def test_sweep_3x3_reports_keep_their_bits():
+    assert _report_digest(_random_pairs(1)[1]) == PINNED_REPORTS_3X3[1]
+    assert _report_digest(_random_pairs(2)[1]) == PINNED_REPORTS_3X3[2]
+
+
+def test_scale_grid_keeps_its_bits():
+    assert _scale_grid_digest() == PINNED_SCALE_GRID
 
 
 def test_expm_2x2_kernel_keeps_its_bits():
@@ -113,3 +194,8 @@ PINNED_REPORTS = {
     2: (202, "7e26ba153789b523d5a7f5eb223404a2c599df8cac444be6957aa6bcfec34670"),
 }
 PINNED_KERNEL = "e9a5ac506b7dfe1e87914fdc5408dd2b7cc024dc2de4d0206cfa2a17792bee94"
+PINNED_REPORTS_3X3 = {
+    1: (120, "674b8a9eb1ea85e9de4646a13a53fed1ad237cf0db2e961326a861a436540f18"),
+    2: (120, "cf2bd505a46fa3bd26598328e5107758392359e6d2fe1b6aa2deace0c068d921"),
+}
+PINNED_SCALE_GRID = (162, "8083b73257d43aafc65da16649bd2765a76bb1f5ce80e5b32238da8dbc0b8cd0")

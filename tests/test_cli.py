@@ -429,6 +429,19 @@ class TestMatrixFiles:
                               "t = (400+0j) is not finite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("family", ["intro", "iii2"])
+    def test_overflowing_t_f_exits_one_with_one_line(self, capsys, tmp_path, family):
+        # 1e308i t F overflows at d = 2 (intro) and d = 3 (iii2) alike: a
+        # non-finite residual, not a refused matrix
+        f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
+        assert run(capsys, "families", family, "-o", f, g)[0] == 0
+        code, out, err = run(capsys, "verify", "-f", f, "-g", g, "--t", "1..2",
+                             "--t-complex", "0,1e308")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ResidualOverflowError: the sum-product residual at "
+                              "t = 1e+308j is not finite")
+        assert err.count("\n") == 1
+
     def test_clusters_sharing_a_snapped_integer_from_files(self, capsys, tmp_path):
         # F's eigenvalues i pi +/- 3e-8 are two clusters that snap to one
         # k = 1 (see test_expmkit's test_clusters_sharing_a_snapped_integer):

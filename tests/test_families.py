@@ -56,7 +56,6 @@ class TestIntroPair:
     def test_integer_multiples_identity(self):
         a, b = intro_pair()
         for n in range(1, 21):
-            lhs = expm(combine_affine(a, b, 1.0).entries * n * PI)
             lhs = expm(np.asarray(n * (a.expanded() + b.expanded())))
             rhs = expm(np.asarray(n * a.expanded())) @ expm(np.asarray(n * b.expanded()))
             assert rel_residual(lhs, rhs) <= 1e-6
@@ -66,7 +65,8 @@ class TestIntroPair:
         square = rotation_square_polynomial(*INTRO_ROTATION)
         for t in range(1, 8):
             m = combine_affine(a, b, t)
-            det = np.linalg.det(m.expanded())
+            assert np.array_equal(m, (t * a.entries + b.entries) * PI)
+            det = np.linalg.det(m)
             assert det / PI**2 == pytest.approx(square(t), rel=1e-12)
 
 

@@ -10,6 +10,7 @@ from commexp.errors import DimensionError
 from commexp.families import intro_pair
 from commexp.numkernel import (
     CMat,
+    affine_rows,
     char_poly,
     combine_affine,
     commutator,
@@ -70,10 +71,40 @@ class TestCMat:
         assert np.array_equal(scaled.expanded(), plain)
 
     def test_combine_affine_keeps_pi_flag(self):
+        # two pi-scaled matrices are combined in their stored entries and
+        # multiplied by pi once, into a plain array
         a, b = intro_pair()
         s = combine_affine(a, b, 3)
-        assert s.pi_scaled
-        assert np.array_equal(s.entries, 3 * a.entries + b.entries)
+        assert type(s) is np.ndarray
+        assert np.array_equal(s, (3 * a.entries + b.entries) * PI)
+
+
+class TestAffineRows:
+    def test_rows_are_plain_arrays_in_t_order(self):
+        a, b = intro_pair()
+        tf, tfg = affine_rows(a, b, (2, -1, 0.5j))
+        assert type(tf) is np.ndarray and type(tfg) is np.ndarray
+        assert tf.shape == tfg.shape == (3, 2, 2)
+        for row, t in enumerate((2, -1, 0.5j)):
+            assert np.array_equal(tf[row], (t * a.entries) * PI)
+            assert np.array_equal(tfg[row], (t * a.entries + b.entries) * PI)
+
+    def test_mixed_scales_combine_the_expanded_matrices(self):
+        a, b = intro_pair()
+        plain = CMat(b.expanded())
+        tf, tfg = affine_rows(a, plain, (3,))
+        assert np.array_equal(tf[0], (3 * a.entries) * PI)
+        assert np.array_equal(tfg[0], 3 * a.expanded() + plain.entries)
+        tf, tfg = affine_rows(plain, a, (3,))
+        assert np.array_equal(tf[0], 3 * plain.entries)
+        assert np.array_equal(tfg[0], 3 * plain.entries + a.expanded())
+
+    def test_an_overflowing_t_f_stays_an_array(self):
+        f = CMat.from_rows([[1e10j, 0], [0, 2j]])
+        with np.errstate(over="ignore"):
+            tf, tfg = affine_rows(f, CMat.identity(2), (1e300j,))
+        assert tf[0, 0, 0].real == -math.inf and np.isfinite(tf[0, 1, 1])
+        assert tfg[0, 0, 0].real == -math.inf
 
 
 _NORM_ELEMENTS = {

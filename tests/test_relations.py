@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commexp import expmkit, relations, uset
+from commexp import expmkit, numkernel, relations, simtrig, uset
 from commexp.errors import (
     CommexpError,
     DimensionError,
@@ -65,6 +65,28 @@ class TestCheckCommute:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             check_commute(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, g: check_relation_star(f, g, 2),
+    lambda f, g: check_relation_star(f, g, 2, swapped=True),
+    lambda f, g: relation_report(f, g, TScanConfig.through(2)),
+    lambda f, g: relation_report(f, g, TScanConfig.through(2), include_triangularizable=True),
+    lambda f, g: expmkit.expm_affine(f, g, 2),
+    lambda f, g: combine_affine(f, g, 2),
+    lambda f, g: numkernel.commutator(f, g),
+    lambda f, g: simtrig.sim_triangularizable(f, g),
+    lambda f, g: simtrig.common_eigenvector(f, g),
+], ids=["star", "swapped-star", "report", "report-triangularizable", "expm-affine",
+        "combine-affine", "commutator", "sim-triangularizable", "common-eigenvector"])
+@pytest.mark.parametrize("f, g", [
+    (np.eye(2), np.eye(3)),
+    (CMat.identity(3), CMat.identity(2)),
+    (CMat.from_rows(np.eye(2), pi_scaled=True), np.eye(3)),
+], ids=["arrays", "cmats", "pi-array"])
+def test_every_pair_entry_point_refuses_mismatched_shapes(call, f, g):
+    with pytest.raises(DimensionError, match="dimension mismatch"):
+        call(f, g)
 
 
 class TestRelationStar:
@@ -433,21 +455,27 @@ class TestSpectrumEdges:
         with pytest.raises(ResidualOverflowError):
             relation_report(f, g, cfg)
 
-    @pytest.mark.parametrize("f, g, first", [
-        ([[1e3, 1e3, 0], [0, 0, 0], [0, 0, 1]], np.eye(3), "exp-equal residual is"),
-        ([[1e52, 1e52, 0], [0, 0, 0], [0, 0, 1]], np.eye(3), "exp-equal residual is"),
-        (np.diag([1e3, 0]), np.eye(2), "exp-equal residual is"),
+    @pytest.mark.parametrize("f, g, t_values, first", [
+        ([[1e3, 1e3, 0], [0, 0, 0], [0, 0, 1]], np.eye(3), (1, 2, 3), "exp-equal residual is"),
+        ([[1e52, 1e52, 0], [0, 0, 0], [0, 0, 1]], np.eye(3), (1, 2, 3), "exp-equal residual is"),
+        (np.diag([1e3, 0]), np.eye(2), (1, 2, 3), "exp-equal residual is"),
         # e^600 is finite (its norm is not, but star holds exactly there)
         # and e^900 is not
-        (np.diag([300, 0, 0]), np.zeros((3, 3)), "sum-product residual at t = 3 is"),
-        (np.diag([300, 0]), np.zeros((2, 2)), "sum-product residual at t = 3 is"),
-    ], ids=["d3-1e3", "d3-1e52", "d2-1e3", "d3-t3", "d2-t3"])
-    def test_non_finite_residual_names_its_relation(self, f, g, first):
+        (np.diag([300, 0, 0]), np.zeros((3, 3)), (1, 2, 3), "sum-product residual at t = 3 is"),
+        (np.diag([300, 0]), np.zeros((2, 2)), (1, 2, 3), "sum-product residual at t = 3 is"),
+        # t F itself overflows: 1e300i * 1e10i is -inf, at either dimension
+        (np.diag([1e10j, 2j, 3j]), 0.5j * np.eye(3), (1, 1e300j),
+         r"sum-product residual at t = 1e\+300j is"),
+        (np.diag([1e10j, 2j]), 0.5j * np.eye(2), (1, 1e300j),
+         r"sum-product residual at t = 1e\+300j is"),
+    ], ids=["d3-1e3", "d3-1e52", "d2-1e3", "d3-t3", "d2-t3", "d3-tf-overflows",
+            "d2-tf-overflows"])
+    def test_non_finite_residual_names_its_relation(self, f, g, t_values, first):
         # F and G commute, so a NaN residual must not read as a failed verdict
         f, g = np.array(f, dtype=complex), np.array(g, dtype=complex)
         assert check_commute(f, g).holds
         with pytest.raises(ResidualOverflowError, match=f"the {first} not finite") as raised:
-            relation_report(f, g, TScanConfig.through(3))
+            relation_report(f, g, TScanConfig(t_values))
         assert isinstance(raised.value, CommexpError) and isinstance(raised.value, OverflowError)
 
     @pytest.mark.parametrize("f, g, name", [
