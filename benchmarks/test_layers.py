@@ -26,7 +26,14 @@ import pytest
 
 from commexp import cli
 from commexp.expmkit import _hermite, _snap_annihilates, expm, expm_2x2_stack
-from commexp.families import Theorem2Params, dim2_case1_pair, intro_pair, theorem2_family
+from commexp.families import (
+    Real2DParams,
+    Theorem2Params,
+    dim2_case1_pair,
+    intro_pair,
+    real2d_family,
+    theorem2_family,
+)
 from commexp.intsearch import discriminant_scan_A1, grobner_replacement_search
 from commexp.numkernel import CMat, as_matrix, combine_affine, eigen_decompose, frobenius
 from commexp.relations import TScanConfig, check_relation_star, congruence_free, relation_report
@@ -107,6 +114,20 @@ def test_relation_report_intro_t20(benchmark):
 
 def test_relation_report_intro_t100(benchmark):
     benchmark(relation_report, INTRO_F, INTRO_G, TScanConfig.through(100))
+
+
+REAL2D_F, REAL2D_G = real2d_family(Real2DParams(lam=1, mu=2, nu=5))
+
+
+def test_relation_report_real2d_t100(benchmark):
+    # the t-scan benchmark's other rotation pair: no row takes the far form
+    benchmark(relation_report, REAL2D_F, REAL2D_G, TScanConfig.through(100))
+
+
+def test_tscan_config_through_100(benchmark):
+    # what a scan builds once for all its reports: the checked t values, the
+    # read-only t rows and the verdict heads
+    benchmark(TScanConfig.through, 100)
 
 
 # theorem2 branch 1: half the rows of its t = 1..100 stack take the far

@@ -68,10 +68,14 @@ At the stack sizes of a short t-scan (9 rows at t = 1..3) nearly all of
 the d = 2 cost is numpy's fixed cost per call, ~0.3-0.6 us each: about 45
 us for a stack whose rows snap, 24 us for one where none does (2 vCPUs,
 numpy 2.4).  So each test runs once over every row and is read through a
-mask, branches are entered only when ``np.count_nonzero`` finds a row
-that needs them, and only the rows that take the exact path are gathered.
-Every rewrite of this path keeps the output bytes; ``tests/test_bit_pins``
-holds their digests.
+mask, and branches are entered only when ``np.count_nonzero`` finds a row
+that needs them.  The exact path's signed identities are selected over
+every row by one ``np.where``, since a fancy index into an (n, 2, 2) stack
+costs ~5 us at a hundred rows; once some row has Re s > 1 (about half of
+a theorem2 scan's rows at t = 1..100), the two forms of cosh s and
+sinh(s)/s are gathered instead, each onto the 1-d entries that keep it,
+where the exponentials saved outweigh the gathers.  Every rewrite of this
+path keeps the output bytes; ``tests/test_bit_pins`` holds their digests.
 """
 
 from __future__ import annotations
@@ -277,23 +281,29 @@ def _sinhc_stack(s: np.ndarray) -> np.ndarray:
 
 
 def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``_cosh_sinhc``, entry by entry.  The e^mu form runs
-    on every entry, so on an entry that takes the e^(mu+s) form it may
-    overflow; that form runs only on the entries with Re s > 1.  The fold
-    to Re s >= 0 runs only when some entry needs it: the principal roots
-    that ``_expm_2x2_with_eigenvalues`` passes never do."""
-    flip = s.real < 0
-    if np.count_nonzero(flip):
-        s = np.where(flip, -s, s)
-    e = np.exp(mu)
-    c, q = e * np.cosh(s), e * _sinhc_stack(s)
+    """Array twin of ``_cosh_sinhc``, entry by entry, for Re s >= 0 (or NaN),
+    as the principal roots that ``_expm_2x2_with_eigenvalues`` passes are;
+    the scalar form folds Re s < 0 onto them, as both functions are even in
+    s.  Each form runs only on the entries that keep it: the e^(mu+s) form
+    on those with Re s > 1, gathered, and the e^mu form on the rest,
+    gathered too when some entry is far."""
     far = s.real > 1
-    if np.count_nonzero(far):
-        s, mu = s[far], mu[far]
-        w = np.exp(-2 * s)
-        e = np.exp(mu + s) / 2
-        c[far] = e * (1 + w)
-        q[far] = e * (1 - w) / s
+    n_far = np.count_nonzero(far)
+    if not n_far:
+        e = np.exp(mu)
+        return e * np.cosh(s), e * _sinhc_stack(s)
+    c, q = np.empty_like(s), np.empty_like(s)
+    if n_far < len(s):
+        near = ~far
+        s_near = s[near]
+        e = np.exp(mu[near])
+        c[near] = e * np.cosh(s_near)
+        q[near] = e * _sinhc_stack(s_near)
+    s, mu = s[far], mu[far]
+    w = np.exp(-2 * s)
+    e = np.exp(mu + s) / 2
+    c[far] = e * (1 + w)
+    q[far] = e * (1 - w) / s
     return c, q
 
 
@@ -302,14 +312,20 @@ def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.nda
 _SIGNED_EYES = np.stack([np.eye(2, dtype=complex), -1.0 * np.eye(2, dtype=complex)])
 
 
-def _pi_snap_rows(a: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """exp of each row of an (n, 2, 2) stack whose eigenvalues are i*pi*k1 and
-    i*pi*k2 and whose nodes annihilate it: (-1)^k1 I, exact, when the
-    parities agree, else the spectral projectors of ``_pi_snap_projectors``."""
-    odd1, odd2 = k1 % 2, k2 % 2
-    out = _SIGNED_EYES.take(odd1.astype(np.intp), axis=0)
-    for i in (odd1 != odd2).nonzero()[0]:
-        out[i] = _pi_snap_projectors(a[i], (int(k1[i]), int(k2[i])))
+def _pi_snap_rows(a: np.ndarray, exact: np.ndarray, k: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """``out`` with each row of the (n, 2, 2) stack ``a`` where ``exact``
+    holds replaced by its exact exponential.  Those rows have the eigenvalues
+    i*pi*k[0] and i*pi*k[1], and their nodes annihilate them: the exponential
+    is (-1)^k I, exact, when the parities agree, else the spectral projectors
+    of ``_pi_snap_projectors``.  One ``np.where`` over every row selects the
+    signed identities: gathering and scattering the exact rows instead costs
+    ~5 us per fancy index at a hundred rows, more than the whole selection."""
+    half = k * 0.5
+    odd = np.rint(half) != half  # k's parity; every float past 2^53 is even
+    out = np.where(exact[:, None, None], _SIGNED_EYES.take(odd[0].astype(np.intp), axis=0), out)
+    for i in (exact & (odd[0] != odd[1])).nonzero()[0]:
+        out[i] = _pi_snap_projectors(a[i], (int(k[0, i]), int(k[1, i])))
     return out
 
 
@@ -336,14 +352,15 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one node z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1;
     two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.  The
     snap test and the annihilation test each run once over every row, and
-    only the rows that pass both are gathered for the exact path.
+    ``_pi_snap_rows`` puts the exact exponential on the rows that pass both.
 
-    The e^mu form of cosh s and sinh(s)/s runs on every row, the e^(mu+s)
-    form and the exact path only on the rows that take them, so a row can
-    overflow in a form it does not keep; a row that overflows comes out inf
-    or NaN and leaves the others alone.  Callers run it with floating-point
-    warnings off (``expm_2x2_stack`` and ``relations.relation_report`` each
-    enter one ``np.errstate``).
+    Each form of cosh s and sinh(s)/s, e^mu or e^(mu+s), runs only on the
+    rows that keep it (``_cosh_sinhc_stack``), but the closed form runs on
+    every row, the exact ones too, so a row can overflow in a form it does
+    not keep; a row that overflows comes out inf or NaN and leaves the
+    others alone.  Callers run it with floating-point warnings off
+    (``expm_2x2_stack`` and ``relations.relation_report`` each enter one
+    ``np.errstate``).
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
@@ -379,8 +396,7 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     omega_norm = np.hypot(np.hypot(abs_alpha, abs_alpha), np.abs(beta) * b_norm)
     exact = snapped & (omega_norm <= _annihilation_bound(b_norm, np.where(double, 1, 2)))
     if np.count_nonzero(exact):
-        rows = exact.nonzero()[0]
-        out[rows] = _pi_snap_rows(a[rows], *k[:, rows])
+        out = _pi_snap_rows(a, exact, k, out)
     return out, lams
 
 

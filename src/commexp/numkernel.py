@@ -142,13 +142,15 @@ def matrix_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
 
 def affine_rows(f, g, t_values) -> tuple[np.ndarray, np.ndarray]:
     """t F and t F + G for each t of ``t_values``, as two (n, d, d) arrays.
+    ``t_values`` is a sequence of numbers or a complex array, which is read
+    as it is, not copied (``relations.TScanConfig`` builds one per scan).
 
     When F and G are CMats of one scale, t e_F + e_G is formed from their
     stored entries and, with a pi factor, multiplied by pi once, as is t e_F.
     Otherwise a pi-scaled F gives t F as (t e_F) pi, and t F + G is t A + B
     of the expanded matrices A and B.
     """
-    t = np.array(t_values, dtype=complex)[:, None, None]
+    t = np.asarray(t_values, dtype=complex)[:, None, None]
     if isinstance(f, CMat) and isinstance(g, CMat) and f.pi_scaled == g.pi_scaled:
         if f.dim != g.dim:
             raise DimensionError(f"dimension mismatch: {f.dim} vs {g.dim}")

@@ -19,12 +19,16 @@ t <= 1e4, those of commuting non-normal pairs (G = 0.1 F^2 + 2 F, d = 2 and
 failing star verdicts keep residuals of at least 1.06e-2 over t <= 1e4
 (the tests pin 1e-14 and 1e-2 over t = 1..1000).
 
-A ``TScanConfig`` is one tuple of t values, each an int of either sign (0
-included) or a complex number, in any order; ``relation_report`` gives
-exp-equal and exp-swap, then star and swapped star per t in that order.  It
-chooses its path by the pair's dimension.  At d = 2 it takes every
-exponential once, in one stacked closed-form call over [G, F, t F for each t,
-t F + G for each t, F + G].  The products with exp(G), on the right and on
+A ``TScanConfig`` is one tuple of t values, each a finite int of either
+sign (0 included) or a finite complex number, in any order; it refuses a
+non-finite t by name.  ``relation_report`` gives exp-equal and exp-swap, then
+star and swapped star per t in that order.  It chooses its path by the
+pair's dimension.  At d = 2 it takes every exponential once, in one stacked
+closed-form call over [G, F, t F for each t, t F + G for each t, F + G].
+What that path reads of the t values alone, the complex array of the t
+values and 1 that ``affine_rows`` scales F by and the relation and t of
+each verdict, the config builds once, when it is made, so the reports of
+one scan share it.  The products with exp(G), on the right and on
 the left, are one matrix product (GEMM) each over the rows [exp(F), exp(t F)
 for each t]; every residual comes from one stacked Frobenius norm, and the
 verdicts are built in bulk from the residual array.  Each verdict is what
@@ -61,7 +65,13 @@ At d = 2 and t = 1..3 a report with the triangularizability test takes
 call: the stacked exponential ~25-45 us, the two products, the sides and
 their norms ~15 us, the verdicts and flags ~5 us, the triangularizability
 test ~8 us and the commute check ~6 us.  The flags test the eigenvalue
-difference of F, G and F + G in Python arithmetic.
+difference of F, G and F + G in Python arithmetic.  At t = 1..100 a
+report on the intro, real2d or theorem2 pair takes ~230-260 us at best
+(same machine).  Of that, the building of the 202 verdicts from the residual
+array is ~35 us and the exponential stack ~150 us.  The config's t rows and
+verdict heads, ~20 us of int-to-complex conversion and list building, are
+paid once per config instead (``TScanConfig.through(100)`` ~25 us), so the
+saving needs many reports under one config.
 """
 
 from __future__ import annotations
@@ -104,8 +114,20 @@ class RelationVerdict(NamedTuple):
     t: complex | None = None
 
 
-class TScanConfig(Frozen):
-    """The t values of a scan, ints and complex numbers in any order."""
+class _ScanPlan(Frozen):
+    """What every d = 2 report of one scan reads of its t values, built
+    once with the config: ``_t_rows``, the read-only complex array of the t
+    values and 1, and ``_heads``, the relation and t of each verdict after
+    commute, in report order.  These slots sit below the config's own, so
+    they are not fields: eq, hash, repr, copy and pickle read only
+    (t_values, tol), and a copy or an unpickled config builds its plan
+    again."""
+
+    __slots__ = ("_t_rows", "_heads")
+
+
+class TScanConfig(_ScanPlan):
+    """The t values of a scan, finite ints and complex numbers in any order."""
 
     __slots__ = ("t_values", "tol")
 
@@ -115,7 +137,17 @@ class TScanConfig(Frozen):
             raise ValueError("a t scan needs at least one t")
         if tol <= 0:
             raise ValueError("tol must be positive")
+        t_rows = np.array((*t_values, 1), dtype=complex)
+        finite = np.isfinite(t_rows)
+        if not finite.all():
+            raise ValueError(f"t = {t_values[int(finite.argmin())]} is not finite")
+        t_rows.setflags(write=False)
+        kinds = (RelationKind.EXP_EQUAL, RelationKind.EXP_SWAP,
+                 *(RelationKind.SUM_PRODUCT, RelationKind.SUM_PRODUCT_SWAPPED) * len(t_values))
+        ts = (None, None, *itertools.chain.from_iterable(zip(t_values, t_values)))
         self._store(t_values, tol)
+        object.__setattr__(self, "_t_rows", t_rows)
+        object.__setattr__(self, "_heads", (kinds, ts))
 
     @classmethod
     def through(cls, t_max: int, tol: float = DEFAULT_TOL) -> "TScanConfig":
@@ -157,7 +189,7 @@ def _scan_2x2(
     of F, G and F + G: rows 1, 0 and -1.
     """
     n = len(cfg.t_values)
-    tf, tfg = affine_rows(f, g, (*cfg.t_values, 1))
+    tf, tfg = affine_rows(f, g, cfg._t_rows)
     e, lams = _expm_2x2_with_eigenvalues(np.concatenate([b[None], a[None], tf[:-1], tfg]))
     eg, sums = e[0], e[2 + n:-1]
     rows = e[1:2 + n]  # exp(F), then exp(t F) for each t
@@ -173,9 +205,7 @@ def _scan_2x2(
     # fmax, as Python's max, passes over a NaN norm
     residuals = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
     tol = cfg.tol
-    kinds = [RelationKind.EXP_EQUAL, RelationKind.EXP_SWAP]
-    kinds += [RelationKind.SUM_PRODUCT, RelationKind.SUM_PRODUCT_SWAPPED] * n
-    ts = [None, None, *itertools.chain.from_iterable(zip(cfg.t_values, cfg.t_values))]
+    kinds, ts = cfg._heads
     # tuple.__new__ builds each verdict from its fields at C level, skipping
     # the NamedTuple's Python-level __new__
     fields = zip(kinds, (residuals <= tol).tolist(), residuals.tolist(), itertools.repeat(tol), ts)

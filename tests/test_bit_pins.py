@@ -24,6 +24,7 @@ from commexp.families import (
     Real2DParams,
     Theorem2Params,
     dim2_case1_pair,
+    intro_pair,
     real2d_family,
     theorem2_family,
 )
@@ -64,12 +65,25 @@ def _sweep_pairs_2x2(seed: int) -> list:
     return pairs + _random_pairs(seed)[0]
 
 
-def _report_digest(pairs: list) -> tuple[int, str]:
-    """sha256 over the t = 1..3 reports, with triangularizability, of ``pairs``."""
-    cfg = TScanConfig.through(3)
+def _tscan_pairs_2x2() -> list:
+    """The d = 2 pairs of the benchmark's ``tscan`` workload, in its order:
+    intro, real2d(1, 2, 5) and theorem2 on branches 1 and -2."""
+    return [intro_pair(), real2d_family(Real2DParams(lam=1, mu=2, nu=5)),
+            *(theorem2_family(Theorem2Params(u=uset.solve_u(uset.branch_seed(k)).value))
+              for k in (1, -2))]
+
+
+# intro's star set at integers is {-294, 0, 1, 2, 3, 4, 5, 299}; -3 is off it
+INTRO_MIXED_T = (-294, -3, 0, 1, 5, 299, 0.5 + 0.25j, 1j)
+
+
+def _report_digest(pairs: list, cfg: TScanConfig = TScanConfig.through(3),
+                   triangularizable: bool = True) -> tuple[int, str]:
+    """sha256 over the reports of ``pairs`` under ``cfg`` (t = 1..3 by
+    default), with triangularizability unless told otherwise."""
     h = hashlib.sha256()
     for f, g in pairs:
-        report = relation_report(f, g, cfg, include_triangularizable=True)
+        report = relation_report(f, g, cfg, include_triangularizable=triangularizable)
         fields = [(v.relation.value, v.holds, float(v.residual).hex(), v.t)
                   for v in report.verdicts]
         h.update(repr((fields, report.congruence_free, report.sim_triangularizable)).encode())
@@ -176,6 +190,14 @@ def test_sweep_2x2_reports_keep_their_bits():
     assert _report_digest(_sweep_pairs_2x2(2)) == PINNED_REPORTS[2]
 
 
+def test_tscan_2x2_reports_keep_their_bits():
+    # the benchmark's tscan ops at d = 2 (t = 1..100, no triangularizability)
+    assert _report_digest(_tscan_pairs_2x2(), TScanConfig.through(100),
+                          triangularizable=False) == PINNED_TSCAN
+    assert _report_digest([intro_pair()], TScanConfig(INTRO_MIXED_T),
+                          triangularizable=False) == PINNED_INTRO_MIXED_T
+
+
 def test_sweep_3x3_reports_keep_their_bits():
     assert _report_digest(_random_pairs(1)[1]) == PINNED_REPORTS_3X3[1]
     assert _report_digest(_random_pairs(2)[1]) == PINNED_REPORTS_3X3[2]
@@ -199,3 +221,5 @@ PINNED_REPORTS_3X3 = {
     2: (120, "cf2bd505a46fa3bd26598328e5107758392359e6d2fe1b6aa2deace0c068d921"),
 }
 PINNED_SCALE_GRID = (162, "8083b73257d43aafc65da16649bd2765a76bb1f5ce80e5b32238da8dbc0b8cd0")
+PINNED_TSCAN = (4, "085c4431f35626c3e9a3cf369f6573d91fe2cc99e83810f812811846b8b98f84")
+PINNED_INTRO_MIXED_T = (1, "866a588a2e31e7363eade42471e671976daba36dbc9b852b4f351ada5005dee2")

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -863,7 +864,8 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(sys.argv[2:])
 print(json.dumps([code, [name for name in watched if name in sys.modules], out.getvalue()]))
 """
-WATCHED = ("numpy", "dataclasses", "hashlib", "fractions", "commexp.intsearch")
+WATCHED = ("numpy", "dataclasses", "hashlib", "_hashlib", "fractions", "commexp.intsearch")
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 class TestNumpyLoadsOnlyWhereUsed:
@@ -925,3 +927,41 @@ class TestNumpyLoadsOnlyWhereUsed:
         code, loaded = self.probe(*argv)
         assert code == 0
         assert "numpy" in loaded and "dataclasses" not in loaded, loaded
+
+    @pytest.mark.skipif(not BUILTIN_SHA256, reason="no built-in sha256 module")
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--builtin", "intro"),
+        ("families", "iii2"),
+    ], ids=" ".join)
+    def test_input_digests_leave_hashlib_unloaded(self, argv):
+        # the built-in sha256 digests the inputs: no OpenSSL backend loads
+        code, loaded = self.probe(*argv)
+        assert code == 0
+        assert not loaded & {"hashlib", "_hashlib"}, loaded
+
+
+class TestInputDigests:
+    """The inputs' digests are hashlib's sha256, whichever module computes
+    them; the pins were recorded while ``hashlib`` computed them."""
+
+    def test_digests_equal_hashlib(self, tmp_path):
+        for data in (b"", b"abc", bytes(range(256)) * 300):
+            assert cli._sha256()(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"entries": [[1, 2], [3, 4]]}))
+        assert cli._digest_file(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest()
+        params = {"t": [1, 2], "z": 0.5 + 0.25j}
+        blob = json.dumps({"kind": "k", "params": {"t": [1, 2], "z": [0.5, 0.25]}},
+                          sort_keys=True)
+        assert cli._digest_params("k", params) == hashlib.sha256(blob.encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--builtin", "intro"),
+         "12400cdf24488a9c4355af13f86df753a07212fdd4a2a0fd2d65d5b25f4158da"),
+        (("families", "iii2"),
+         "aa5e4fdab0b27c5fcd50485f9c11fc1bd899e8e1f643938f6a7577c718968a00"),
+    ], ids=["verify-intro", "families-iii2"])
+    def test_report_input_digests_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["inputs"]["digest"] == digest

@@ -161,7 +161,8 @@ VALIDATED = {
     ("relations", "TScanConfig"): (
         ("t_values", "tol"), {"tol": 1e-9},
         {"t_values": [1, -2, 0.5j]}, "TScanConfig(t_values=(1, -2, 0.5j), tol=1e-09)",
-        [({"t_values": []}, ValueError), ({"t_values": [1], "tol": 0}, ValueError)],
+        [({"t_values": []}, ValueError), ({"t_values": [1], "tol": 0}, ValueError),
+         ({"t_values": [1, math.nan]}, ValueError), ({"t_values": [1, math.inf]}, ValueError)],
     ),
     ("families", "Real2DParams"): (
         ("lam", "mu", "nu", "a"), {"a": 0.0},

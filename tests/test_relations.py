@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -148,6 +149,27 @@ class TestScan:
             TScanConfig((1, 2), tol=0)
         # any order, any sign, repeats and complex t are a scan's own business
         assert TScanConfig([3, -1, 0, 0.5j, 3]).t_values == (3, -1, 0, 0.5j, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.inf),
+                                     complex(math.nan, 0)], ids=repr)
+    def test_config_refuses_a_non_finite_t(self, bad):
+        # refused when the scan is built, naming the t, not later as an
+        # overflowing exponential of some relation
+        with pytest.raises(ValueError, match=f"t = {re.escape(str(bad))} is not finite"):
+            TScanConfig((1, bad, 2))
+
+    def test_config_builds_its_plan_once(self):
+        cfg = TScanConfig((2, -1, 0.5j))
+        assert cfg._t_rows.tolist() == [2, -1, 0.5j, 1]
+        assert not cfg._t_rows.flags.writeable
+        kinds, ts = cfg._heads
+        assert ts == (None, None, 2, 2, -1, -1, 0.5j, 0.5j)
+        assert kinds[:4] == (RelationKind.EXP_EQUAL, RelationKind.EXP_SWAP,
+                             RelationKind.SUM_PRODUCT, RelationKind.SUM_PRODUCT_SWAPPED)
+        # the plan is no field: a copy equals the config and builds its own
+        twin = pickle.loads(pickle.dumps(cfg))
+        assert twin == cfg and twin._heads == cfg._heads
+        assert twin._t_rows is not cfg._t_rows
 
     def test_commuting_pair_all_hold(self, rng):
         m = random_matrix(rng, 2, norm=1.0)
