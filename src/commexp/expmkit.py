@@ -281,12 +281,14 @@ def _sinhc_stack(s: np.ndarray) -> np.ndarray:
 
 
 def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``_cosh_sinhc``, entry by entry, for Re s >= 0 (or NaN),
-    as the principal roots that ``_expm_2x2_with_eigenvalues`` passes are;
-    the scalar form folds Re s < 0 onto them, as both functions are even in
-    s.  Each form runs only on the entries that keep it: the e^(mu+s) form
-    on those with Re s > 1, gathered, and the e^mu form on the rest,
-    gathered too when some entry is far."""
+    """Array twin of ``_cosh_sinhc``, entry by entry.  Each form runs only
+    on the entries that keep it: the e^(mu+s) form on those with Re s > 1,
+    gathered, and the e^mu form on the rest, gathered too when some entry
+    is far.  The fold to Re s >= 0 runs only when some entry needs it: the
+    principal roots that ``_expm_2x2_with_eigenvalues`` passes never do."""
+    flip = s.real < 0
+    if np.count_nonzero(flip):
+        s = np.where(flip, -s, s)
     far = s.real > 1
     n_far = np.count_nonzero(far)
     if not n_far:

@@ -114,22 +114,19 @@ class RelationVerdict(NamedTuple):
     t: complex | None = None
 
 
-class _ScanPlan(Frozen):
-    """What every d = 2 report of one scan reads of its t values, built
-    once with the config: ``_t_rows``, the read-only complex array of the t
-    values and 1, and ``_heads``, the relation and t of each verdict after
-    commute, in report order.  These slots sit below the config's own, so
-    they are not fields: eq, hash, repr, copy and pickle read only
-    (t_values, tol), and a copy or an unpickled config builds its plan
+class TScanConfig(Frozen):
+    """The t values of a scan, finite ints and complex numbers in any order.
+
+    Its fields are (t_values, tol).  Two more slots hold what every d = 2
+    report of the scan reads of its t values, built once with the config:
+    ``_t_rows``, the read-only complex array of the t values and 1, and
+    ``_heads``, the relation and t of each verdict after commute, in report
+    order.  They are not fields, so eq, hash, repr, copy and pickle read
+    only (t_values, tol), and a copy or an unpickled config builds them
     again."""
 
-    __slots__ = ("_t_rows", "_heads")
-
-
-class TScanConfig(_ScanPlan):
-    """The t values of a scan, finite ints and complex numbers in any order."""
-
-    __slots__ = ("t_values", "tol")
+    __slots__ = ("t_values", "tol", "_t_rows", "_heads")
+    _fields = ("t_values", "tol")
 
     def __init__(self, t_values: tuple[int | complex, ...], tol: float = DEFAULT_TOL):
         t_values = tuple(t_values)

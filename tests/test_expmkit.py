@@ -771,11 +771,9 @@ class TestStackedClosedForm:
         assert not np.isfinite(got[~is_finite]).all(axis=(1, 2)).any()
 
     def test_array_twin_of_cosh_sinhc(self):
-        # one branch per entry, as the scalar form takes it: Re s < 0 (which
-        # the scalar form folds, and the stack is passed folded, as principal
-        # roots are), Re s > 1, |s| below and above the series threshold,
-        # s = 0; numpy's array arithmetic may fuse multiply-adds, so
-        # agreement is to 4 eps
+        # one branch per entry, as the scalar form takes it: Re s < 0, Re s
+        # > 1, |s| below and above the series threshold, s = 0; numpy's
+        # array arithmetic may fuse multiply-adds, so agreement is to 4 eps
         rng = np.random.default_rng(11)
         n = 3000
         mu = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 3
@@ -783,7 +781,7 @@ class TestStackedClosedForm:
         s[:3] = 0
         s[3:6] = _SINHC_SERIES_BELOW * np.array([1 - 1e-12, 1, 1 + 1e-12])
         with np.errstate(all="ignore"):
-            c, q = _cosh_sinhc_stack(mu, np.where(s.real < 0, -s, s))
+            c, q = _cosh_sinhc_stack(mu, s)
             sinhc = _sinhc_stack(s)
         for i in range(n):
             want_c, want_q = _cosh_sinhc(complex(mu[i]), complex(s[i]))
