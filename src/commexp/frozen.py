@@ -2,11 +2,11 @@
 
 A record is a plain class whose fields are its ``_fields``, in order: its
 ``__slots__`` unless it names them.  Its own ``__init__`` runs the record's
-checks and stores the fields with ``_store``.  ``Frozen`` gives it what a frozen dataclass would: assigning or
-deleting a field raises ``AttributeError``, two records of one class compare
-and hash as the tuples of their fields, the repr reads ``Name(field=value,
-...)``, and copy and pickle rebuild a record through its ``__init__``, so
-through its checks.  A slot that is not a field holds what the record
+checks and stores the fields with ``_store``.  ``Frozen`` gives it what a
+frozen dataclass would: assigning or deleting a field raises
+``AttributeError``, two records of one class compare and hash as the tuples
+of their fields, the repr reads ``Name(field=value, ...)``, and copy and
+pickle rebuild a record through its ``__init__``, so through its checks.  A slot that is not a field holds what the record
 derives from its fields (``relations.TScanConfig`` keeps its scan plan
 there); a copy derives it again.
 
