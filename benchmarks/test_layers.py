@@ -144,10 +144,17 @@ def test_relation_report_theorem2_mixed_t(benchmark):
     benchmark(relation_report, THEOREM2_F, THEOREM2_G, TScanConfig((*range(1, 6), 0.5 + 0.25j)))
 
 
-# the three kinds of d = 2 op around the sweep's median: a dim2case1 pair
-# (most rows take the exact snap), a theorem2 pair (nilpotent t F: the sinh
-# series, and snapped rows that fail the annihilation test) and a random
-# pair (no row snaps; the triangularizability test refuses it)
+# the four kinds of d = 2 op around the sweep's median: a real2d rotation
+# pair (the kind at the median itself), a dim2case1 pair (most stacks snap
+# exactly in every row, so the closed form does not run), a theorem2 pair
+# (nilpotent t F: the sinh series, and snapped rows that fail the
+# annihilation test) and a random pair (no row snaps; the
+# triangularizability test refuses it)
+def test_relation_report_real2d_t3_triangularizable(benchmark):
+    benchmark(relation_report, REAL2D_F, REAL2D_G, TScanConfig.through(3),
+              include_triangularizable=True)
+
+
 def test_relation_report_dim2case1_t3_triangularizable(benchmark):
     f, g = dim2_case1_pair(2, 3)
     benchmark(relation_report, f, g, TScanConfig.through(3), include_triangularizable=True)

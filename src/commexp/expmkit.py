@@ -52,7 +52,9 @@ same test in scalars; it never runs Pade.
 The d = 2 form is elementwise arithmetic in the entries, so
 ``expm_2x2_stack`` evaluates it over an (n, 2, 2) stack in one pass: the
 branches of cosh s and sinh(s)/s, the snap and its annihilation test are
-chosen row by row through masks.  ``expm`` at d = 2 is that function on a
+chosen row by row through masks.  The snap and its annihilation test run
+first; on a stack whose every row passes both the closed form does not
+run at all.  ``expm`` at d = 2 is that function on a
 stack of one, so the formula has one implementation and a row of any stack
 equals ``expm`` of that row bit for bit.  A stack of one pays numpy's fixed
 cost per call (tens of microseconds against a few for scalar arithmetic),
@@ -66,15 +68,20 @@ twin, entry by entry.
 
 At the stack sizes of a short t-scan (9 rows at t = 1..3) nearly all of
 the d = 2 cost is numpy's fixed cost per call, ~0.3-0.6 us each: about 45
-us for a stack whose rows snap, 24 us for one where none does (2 vCPUs,
-numpy 2.4).  So each test runs once over every row and is read through a
-mask, and branches are entered only when ``np.count_nonzero`` finds a row
-that needs them.  The exact path's signed identities are selected over
-every row by one ``np.where``, since a fancy index into an (n, 2, 2) stack
-costs ~5 us at a hundred rows; once some row has Re s > 1 (about half of
-a theorem2 scan's rows at t = 1..100), the two forms of cosh s and
-sinh(s)/s are gathered instead, each onto the 1-d entries that keep it,
-where the exponentials saved outweigh the gathers.  Every rewrite of this
+us for a stack where some rows snap, about 25% less for one whose every
+row snaps exactly (the closed form skipped), 24 us for one where none
+does (2 vCPUs, numpy 2.4).  So each test runs once over every row and is
+read through a mask, with as few calls as it can: the snap distance is
+|l - i pi k| of the complex eigenvalues, and hypot(x, x) in the
+annihilation norms is sqrt(2) |x|.  Branches are entered only when
+``np.count_nonzero`` finds a row that needs them.  The exact path's
+signed identities are selected over every row by one ``np.where``, since
+a fancy index into an (n, 2, 2) stack costs ~5 us at a hundred rows; once
+some row has Re s > 1 (about half of a theorem2 scan's rows at
+t = 1..100), the two forms of cosh s and sinh(s)/s are gathered instead,
+each onto the 1-d entries that keep it, where the exponentials saved
+outweigh the gathers, and the sinh(s)/s series runs only on the entries
+with |s| below ``_SINHC_SERIES_BELOW``.  Every rewrite of this
 path keeps the output bytes; ``tests/test_bit_pins`` holds their digests.
 """
 
@@ -271,12 +278,14 @@ def _pi_snap_projectors(a: np.ndarray, ks) -> np.ndarray:
 
 def _sinhc_stack(s: np.ndarray) -> np.ndarray:
     """Array twin of ``_sinhc``, entry by entry (its quotient is 0/0 at
-    s = 0, where the series replaces it)."""
+    s = 0, where the series replaces it).  The series is summed only on
+    the entries below ``_SINHC_SERIES_BELOW``, gathered."""
     out = np.sinh(s) / s
     series = np.abs(s) < _SINHC_SERIES_BELOW
     if np.count_nonzero(series):
-        z = s * s
-        out = np.where(series, 1 + z / 6 * (1 + z / 20 * (1 + z / 42)), out)
+        near = s[series]
+        z = near * near
+        out[series] = 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
     return out
 
 
@@ -308,6 +317,8 @@ def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.nda
     q[far] = e * (1 - w) / s
     return c, q
 
+
+_SQRT2 = math.sqrt(2.0)
 
 # (-1)^k I for even and odd k: I, and the float -1.0 times I, whose product
 # rounds the off-diagonal zeros to -0.0 + 0j
@@ -352,17 +363,19 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if its nodes annihilate the row.  Their product is omega = alpha I +
     beta B and, as tr B = 0, ||omega||_F^2 = 2 |alpha|^2 + |beta|^2 ||B||_F^2:
     one node z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1;
-    two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.  The
-    snap test and the annihilation test each run once over every row, and
-    ``_pi_snap_rows`` puts the exact exponential on the rows that pass both.
+    two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
 
-    Each form of cosh s and sinh(s)/s, e^mu or e^(mu+s), runs only on the
-    rows that keep it (``_cosh_sinhc_stack``), but the closed form runs on
-    every row, the exact ones too, so a row can overflow in a form it does
-    not keep; a row that overflows comes out inf or NaN and leaves the
-    others alone.  Callers run it with floating-point warnings off
-    (``expm_2x2_stack`` and ``relations.relation_report`` each enter one
-    ``np.errstate``).
+    The snap test and the annihilation test each run first, once over every
+    row, and ``_pi_snap_rows`` puts the exact exponential on the rows that
+    pass both.  When every row passes (most dim2case1 stacks) it writes the
+    whole output and the closed form does not run.  Otherwise the closed
+    form runs on every row, the exact ones too, and is overwritten on them;
+    each form of cosh s and sinh(s)/s, e^mu or e^(mu+s), runs only on the
+    rows that keep it (``_cosh_sinhc_stack``), so only an exact row can
+    overflow in a form whose value it does not keep.  A row that overflows
+    comes out inf or NaN and leaves the others alone.  Callers run it with
+    floating-point warnings off (``expm_2x2_stack`` and
+    ``relations.relation_report`` each enter one ``np.errstate``).
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
@@ -370,34 +383,35 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b00 = (a00 - a11) / 2
     s2 = b00 * b00 + a01 * a10
     s = np.sqrt(s2)
-    c, q = _cosh_sinhc_stack(mu, s)
-    qb = q * b00
-    out = np.empty_like(a)
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c + qb, q * a01, q * a10, c - qb
-
-    # numkernel's snap of both eigenvalues: l ~ i*pi*k within
-    # SNAP_TOL * max(1, |l|), l finite; an infinite l passes the distance
-    # test (hypot(inf, .) <= inf), so isfinite is its only guard
     lams = np.empty((2, len(a)), dtype=complex)
     np.add(mu, s, out=lams[0])
     np.subtract(mu, s, out=lams[1])
+
+    # numkernel's snap of both eigenvalues: l ~ i*pi*k within
+    # SNAP_TOL * max(1, |l|), l finite; an infinite l passes the distance
+    # test (|inf - z| <= inf), so isfinite is its only guard
     k = np.rint(lams.imag / math.pi)
-    on_lattice = (np.hypot(lams.real, lams.imag - math.pi * k)
-                  <= SNAP_TOL * np.maximum(1.0, np.abs(lams)))
+    z = 1j * math.pi * k
+    on_lattice = np.abs(lams - z) <= SNAP_TOL * np.maximum(1.0, np.abs(lams))
     on_lattice &= np.isfinite(lams)
     snapped = on_lattice[0] & on_lattice[1]
-    if not np.count_nonzero(snapped):
-        return out, lams
-    z = 1j * math.pi * k
-    double = k[0] == k[1]
-    mz = mu - z
-    alpha = np.where(double, mz[0], s2 + mz[0] * mz[1])
-    beta = np.where(double, 1.0, 2 * mu - z[0] - z[1])
-    abs_b00, abs_alpha = np.abs(b00), np.abs(alpha)
-    b_norm = np.hypot(np.hypot(abs_b00, abs_b00), np.hypot(np.abs(a01), np.abs(a10)))
-    omega_norm = np.hypot(np.hypot(abs_alpha, abs_alpha), np.abs(beta) * b_norm)
-    exact = snapped & (omega_norm <= _annihilation_bound(b_norm, np.where(double, 1, 2)))
-    if np.count_nonzero(exact):
+    n_exact = 0
+    if np.count_nonzero(snapped):
+        double = k[0] == k[1]
+        mz = mu - z
+        alpha = np.where(double, mz[0], s2 + mz[0] * mz[1])
+        beta = np.where(double, 1.0, 2 * mu - z[0] - z[1])
+        # sqrt(2) |x| for hypot(x, x): one ufunc call fewer each
+        b_norm = np.hypot(_SQRT2 * np.abs(b00), np.hypot(np.abs(a01), np.abs(a10)))
+        omega_norm = np.hypot(_SQRT2 * np.abs(alpha), np.abs(beta) * b_norm)
+        exact = snapped & (omega_norm <= _annihilation_bound(b_norm, np.where(double, 1, 2)))
+        n_exact = np.count_nonzero(exact)
+    out = np.empty_like(a)
+    if n_exact < len(a):  # else _pi_snap_rows writes every row
+        c, q = _cosh_sinhc_stack(mu, s)
+        qb = q * b00
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c + qb, q * a01, q * a10, c - qb
+    if n_exact:
         out = _pi_snap_rows(a, exact, k, out)
     return out, lams
 

@@ -10,7 +10,9 @@ exponentials can later be taken exactly.  On overflowing input the
 eigenvalues come out NaN or infinite instead of raising.
 
 ``frobenius`` is the package's one Frobenius-norm implementation: every
-norm without ``ord`` or ``axis`` goes through it.  ``CMat.expanded`` (and so
+norm without ``ord`` or ``axis`` goes through it, or through
+``frobenius_2x2``, its sum over the four entries of a 2x2 matrix held as
+Python complex numbers.  ``CMat.expanded`` (and so
 ``as_matrix``) returns the stored read-only entries, not a copy, when there
 is no pi factor; a caller that writes must copy first.
 
@@ -130,6 +132,21 @@ def frobenius(x: np.ndarray) -> float | np.ndarray:
     else:
         sqnorm = x.dot(x)
     return math.sqrt(sqnorm)
+
+
+def frobenius_2x2(entries) -> float:
+    """``frobenius`` of a 2x2 matrix from its four entries x0..x3 in row
+    order, Python complex numbers, in Python arithmetic: ~1 us against ~2.
+
+    The squares are summed as numpy's dot sums four terms,
+    (x0^2 + x2^2) + (x1^2 + x3^2), real parts and imaginary parts apart, so
+    with that dot (OpenBLAS 0.3) it is ``frobenius`` of a C-ordered matrix
+    bit for bit, and like it inf once the squares overflow, past ~1e154.
+    """
+    x0, x1, x2, x3 = entries
+    re = (x0.real * x0.real + x2.real * x2.real) + (x1.real * x1.real + x3.real * x3.real)
+    im = (x0.imag * x0.imag + x2.imag * x2.imag) + (x1.imag * x1.imag + x3.imag * x3.imag)
+    return math.sqrt(re + im)
 
 
 def matrix_pair(f, g) -> tuple[np.ndarray, np.ndarray]:

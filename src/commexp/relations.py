@@ -21,8 +21,9 @@ failing star verdicts keep residuals of at least 1.06e-2 over t <= 1e4
 
 A ``TScanConfig`` is one tuple of t values, each a finite int of either
 sign (0 included) or a finite complex number, in any order; it refuses a
-non-finite t by name.  ``relation_report`` gives exp-equal and exp-swap, then
-star and swapped star per t in that order.  It chooses its path by the
+non-finite t, or an int past the float range, by name.  ``relation_report``
+gives exp-equal and exp-swap, then star and swapped star per t in that
+order.  It chooses its path by the
 pair's dimension.  At d = 2 it takes every exponential once, in one stacked
 closed-form call over [G, F, t F for each t, t F + G for each t, F + G].
 What that path reads of the t values alone, the complex array of the t
@@ -50,7 +51,11 @@ report runs with floating-point warnings off: an overflow reaches the caller
 as that one typed error.  With ``include_triangularizable`` the report adds
 the verdict of ``simtrig.sim_triangularizable``, which at d = 2 is one
 test, det [F, G] = 0.  The matrices of F and G and their Frobenius norms
-are taken once and serve both the commute check and that test.
+are taken once and serve both the commute check and that test.  At d = 2
+the norms are Python arithmetic on the entries, and each of the two takes
+[F, G] as its three entries c00, c01, c10 in Python complex arithmetic
+(``simtrig._commutator_2x2``), the commute check from the matrices and the
+test from their entries scaled to unit norm.
 
 A pair becomes arrays in ``numkernel``, not here: ``matrix_pair`` gives
 the matrices of F and G and refuses unequal shapes, and ``affine_rows``
@@ -61,17 +66,21 @@ rounds t F + G alike and none builds a validated ``CMat``: a t F that
 overflows reaches the non-finite residual rule above at either dimension.
 
 At d = 2 and t = 1..3 a report with the triangularizability test takes
-~75-100 us (2 vCPUs, numpy 2.4), nearly all of it numpy's fixed cost per
-call: the stacked exponential ~25-45 us, the two products, the sides and
-their norms ~15 us, the verdicts and flags ~5 us, the triangularizability
-test ~8 us and the commute check ~6 us.  The flags test the eigenvalue
-difference of F, G and F + G in Python arithmetic.  At t = 1..100 a
-report on the intro, real2d or theorem2 pair takes ~230-260 us at best
-(same machine).  Of that, the building of the 202 verdicts from the residual
-array is ~35 us and the exponential stack ~150 us.  The config's t rows and
-verdict heads, ~20 us of int-to-complex conversion and list building, are
-paid once per config instead (``TScanConfig.through(100)`` ~25 us), so the
-saving needs many reports under one config.
+~70-100 us (2 vCPUs, numpy 2.4), nearly all of it numpy's fixed cost per
+call: the stacked exponential ~25-45 us (the low end on a stack whose
+every row snaps exactly, where the closed form does not run), the two
+products, the sides and their norms ~15 us, the verdicts and flags ~5 us,
+the triangularizability test ~6-8 us and the commute check with the norms
+of F and G ~3 us, against ~10 us for numpy's products and norms.  The
+flags test the eigenvalue difference of F, G and F + G in Python
+arithmetic, and the finiteness of the residuals is read from their sum.
+At t = 1..100 a report on the intro, real2d or theorem2 pair takes
+~230-260 us at best (same machine).  Of that, the building of the 202
+verdicts from the residual array is ~35 us and the exponential stack ~150
+us.  The config's t rows and verdict heads, ~20 us of int-to-complex
+conversion and list building, are paid once per config instead
+(``TScanConfig.through(100)`` ~25 us), so the saving needs many reports
+under one config.
 """
 
 from __future__ import annotations
@@ -86,8 +95,15 @@ import numpy as np
 from .errors import ResidualOverflowError, SpectrumOverflowError
 from .expmkit import _expm_2x2_with_eigenvalues, expm
 from .frozen import Frozen
-from .numkernel import _polished_roots, affine_rows, combine_affine, frobenius, matrix_pair
-from .simtrig import _sim_triangularizable
+from .numkernel import (
+    _polished_roots,
+    affine_rows,
+    combine_affine,
+    frobenius,
+    frobenius_2x2,
+    matrix_pair,
+)
+from .simtrig import _commutator_2x2, _commutator_norm_2x2, _sim_triangularizable
 
 DEFAULT_TOL = 1e-9
 
@@ -114,6 +130,14 @@ class RelationVerdict(NamedTuple):
     t: complex | None = None
 
 
+def _complex_or_inf(t) -> complex:
+    """complex(t), or inf for an int past the float range."""
+    try:
+        return complex(t)
+    except OverflowError:
+        return complex(math.inf)
+
+
 class TScanConfig(Frozen):
     """The t values of a scan, finite ints and complex numbers in any order.
 
@@ -134,7 +158,10 @@ class TScanConfig(Frozen):
             raise ValueError("a t scan needs at least one t")
         if tol <= 0:
             raise ValueError("tol must be positive")
-        t_rows = np.array((*t_values, 1), dtype=complex)
+        try:
+            t_rows = np.array((*t_values, 1), dtype=complex)
+        except OverflowError:  # an int past the float range, refused below
+            t_rows = np.array([_complex_or_inf(t) for t in (*t_values, 1)])
         finite = np.isfinite(t_rows)
         if not finite.all():
             raise ValueError(f"t = {t_values[int(finite.argmin())]} is not finite")
@@ -170,9 +197,9 @@ def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
 
 def _scan_2x2(
     f, g, a: np.ndarray, b: np.ndarray, cfg: TScanConfig,
-) -> tuple[list[RelationVerdict], np.ndarray, tuple[bool, bool, bool]]:
+) -> tuple[list[RelationVerdict], list[float], tuple[bool, bool, bool]]:
     """exp-equal, exp-swap, then star and swapped star per t of a 2x2 pair,
-    their residuals as an array in that order, and the congruence flags of
+    their residuals as a list in that order, and the congruence flags of
     F, G and F + G, from one stacked exponential.
 
     The stack is [G, F, t F for each t, t F + G for each t, F + G]: b and a
@@ -200,12 +227,13 @@ def _scan_2x2(
     np.subtract(sides[0], sides[1], out=sides[2])
     lhs_norm, rhs_norm, diff_norm = frobenius(sides.reshape(-1, 2, 2)).reshape(3, -1)
     # fmax, as Python's max, passes over a NaN norm
-    residuals = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
+    residual_array = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
+    residuals = residual_array.tolist()
     tol = cfg.tol
     kinds, ts = cfg._heads
     # tuple.__new__ builds each verdict from its fields at C level, skipping
     # the NamedTuple's Python-level __new__
-    fields = zip(kinds, (residuals <= tol).tolist(), residuals.tolist(), itertools.repeat(tol), ts)
+    fields = zip(kinds, (residual_array <= tol).tolist(), residuals, itertools.repeat(tol), ts)
     verdicts = list(map(tuple.__new__, itertools.repeat(RelationVerdict), fields))
     # the eigenvalues mu + s and mu - s of F and G (rows 1 and 0) and of F + G
     (f1, g1), (f2, g2) = lams[:, 1::-1].tolist()
@@ -213,14 +241,30 @@ def _scan_2x2(
     return verdicts, residuals, _congruence_flags([[f1 - f2], [g1 - g2], [s1 - s2]], tol)
 
 
-def _commute_verdict(a, b, norm_f: float, norm_g: float, tol: float) -> RelationVerdict:
-    residual = frobenius(a @ b - b @ a) / max(1.0, norm_f * norm_g)
-    return RelationVerdict(RelationKind.COMMUTE, residual <= tol, residual, tol)
+def _commute_verdict(a, b, tol: float) -> tuple[RelationVerdict, float, float]:
+    """The verdict ||[F, G]||_F / max(1, ||F||_F ||G||_F) <= tol on the
+    matrices A, B of F, G, and the two norms, which ``relation_report``
+    passes on to the triangularizability test.
+
+    At d = 2 all three norms come from the eight entries in Python complex
+    arithmetic (``numkernel.frobenius_2x2``; the commutator is
+    ``simtrig._commutator_2x2``), ~3 us against ~10 for numpy's products
+    and norms.  The norms of F and G are numpy's bit for bit; the
+    commutator's entries may differ from those of numpy's products in the
+    last digits, and so may the residual.  At d = 3 it is numpy's."""
+    if a.shape[0] == 2:
+        ea, eb = a.ravel().tolist(), b.ravel().tolist()
+        norm_f, norm_g = frobenius_2x2(ea), frobenius_2x2(eb)
+        comm_norm = _commutator_norm_2x2(_commutator_2x2(ea, eb))
+    else:
+        norm_f, norm_g = frobenius(a), frobenius(b)
+        comm_norm = frobenius(a @ b - b @ a)
+    residual = comm_norm / max(1.0, norm_f * norm_g)
+    return RelationVerdict(RelationKind.COMMUTE, residual <= tol, residual, tol), norm_f, norm_g
 
 
 def check_commute(f, g, tol: float = DEFAULT_TOL) -> RelationVerdict:
-    a, b = matrix_pair(f, g)
-    return _commute_verdict(a, b, frobenius(a), frobenius(b), tol)
+    return _commute_verdict(*matrix_pair(f, g), tol)[0]
 
 
 def check_relation_star(
@@ -302,8 +346,8 @@ def relation_report(
     are taken once, for the commute check and the triangularizability test.
     """
     a, b = matrix_pair(f, g)
-    norm_f, norm_g = frobenius(a), frobenius(b)
-    verdicts = [_commute_verdict(a, b, norm_f, norm_g, cfg.tol)]
+    commute, norm_f, norm_g = _commute_verdict(a, b, cfg.tol)
+    verdicts = [commute]
     if a.shape[0] == 2:
         scanned, residuals, flags = _scan_2x2(f, g, a, b, cfg)
         verdicts.extend(scanned)
@@ -316,7 +360,9 @@ def relation_report(
         flags = _congruence_flags([_differences(_polished_roots(m))
                                    for m in (a, b, combine_affine(f, g, 1.0))], cfg.tol)
         residuals = [v.residual for v in verdicts[1:]]
-    if not (math.isfinite(verdicts[0].residual) and np.isfinite(residuals).all()):
+    # every residual is at most ~2, as ||x - y|| <= ||x|| + ||y||, so their
+    # sum is finite exactly when each one is
+    if not math.isfinite(verdicts[0].residual + sum(residuals)):
         bad = next(v for v in verdicts if not math.isfinite(v.residual))
         at = "" if bad.t is None else f" at t = {bad.t}"
         raise ResidualOverflowError(

@@ -12,7 +12,13 @@ At d = 2 the test is one number.  C is traceless, so C^2 = -det(C) I, and
 of the words of length <= 2 the traces of C, C F, C G, C F^2 and C G^2
 vanish identically, while tr(C F G) = -det C = -tr(C G F).  So the pair is
 triangularizable iff C is nilpotent, iff det [F, G] = 0: at d = 2 that is
-Shemesh's (1984) criterion for a common eigenvector, ker [F, G] != 0.
+Shemesh's (1984) criterion for a common eigenvector, ker [F, G] != 0.  The
+test reads C's three entries c00, c01, c10, taken in Python complex
+arithmetic from the entries of F / ||F|| and G / ||G||, each scaled before
+any product is formed: -det C is of degree four in the entries, so
+entries of 1e100 would overflow it unscaled.  No numpy array of the unit
+pair is built unless the pair commutes within EIGENVECTOR_TOL and its
+common eigenvector comes from ``_eigenline``.
 
 The constructive half guesses no eigenvalue.  x lies in ker J iff C w x = 0
 for every word w, so ker J is one SVD of the stacked C w.  It holds every
@@ -33,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DeflationError, DimensionError
-from .numkernel import MAX_DIM, char_poly, eigen_decompose, frobenius, matrix_pair
+from .numkernel import MAX_DIM, char_poly, eigen_decompose, frobenius, frobenius_2x2, matrix_pair
 
 # on the unit pair: a trace tr([F, G] w) up to WORD_TRACE_TOL counts as zero;
 # in the constructive half, a singular value of the stacked C w, the norm of a
@@ -134,32 +140,54 @@ def _eigenline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                key=lambda v: _residual(a, v) + _residual(b, v))
 
 
-def _commutator_2x2(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex, complex]:
-    """c00, c01, c10 of C = [A, B] = [[c00, c01], [c10, -c00]] for 2x2 A, B, in
-    Python complex arithmetic: numpy scalars cost several times more."""
-    a00, a01, a10, a11 = a.ravel().tolist()
-    b00, b01, b10, b11 = b.ravel().tolist()
+def _unit_entries(m: np.ndarray, norm: float) -> list[complex]:
+    """The entries of ``_unit(m, norm)`` in row order, in Python complex
+    arithmetic: numpy too divides a complex by a float as a product with
+    1 / norm, so they equal its entries bar the sign of a zero."""
+    entries = m.ravel().tolist()
+    if norm > 0:
+        r = 1 / norm
+        return [x * r for x in entries]
+    return entries
+
+
+def _commutator_2x2(a, b) -> tuple[complex, complex, complex]:
+    """c00, c01, c10 of C = [A, B] = [[c00, c01], [c10, -c00]] for 2x2 A, B given
+    by their four entries in row order, in Python complex arithmetic: numpy
+    scalars cost several times more."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
     da, db = a00 - a11, b00 - b11
     return a01 * b10 - b01 * a10, da * b01 - db * a01, db * a10 - da * b10
 
 
-def _basis_2x2(a: np.ndarray, b: np.ndarray, comm: tuple[complex, complex, complex]) -> np.ndarray:
+def _commutator_norm_2x2(comm: tuple[complex, complex, complex]) -> float:
+    """||C||_F from ``comm = _commutator_2x2(a, b)``, the Frobenius norm of
+    the entries [c00, c01, c10, -c00]: ||C||^2 = 2 |c00|^2 + |c01|^2 +
+    |c10|^2."""
+    c00, c01, c10 = comm
+    return frobenius_2x2((c00, c01, c10, -c00))
+
+
+def _basis_2x2(comm: tuple[complex, complex, complex], unit_pair) -> np.ndarray:
     """Unitary [[v0, -conj v1], [v1, conj v0]] whose first column v is a common
-    eigenvector of a triangularizable 2x2 pair with ||A||, ||B|| <= 1, given
-    ``comm = _commutator_2x2(a, b)``.
+    eigenvector of a triangularizable 2x2 pair A, B with ||A||, ||B|| <= 1,
+    given ``comm = _commutator_2x2`` of their entries and ``unit_pair()``
+    returning A and B as arrays.
 
     When ||C|| > EIGENVECTOR_TOL, C = [A, B] is nilpotent and nonzero, so of
     rank one, and v spans ker C: (c01, -c00) annihilates row 0 and (c00, c10)
     row 1, and the larger row is the better conditioned.  Otherwise the pair
-    commutes within EIGENVECTOR_TOL and ``_eigenline`` finds v.
+    commutes within EIGENVECTOR_TOL and ``_eigenline`` finds v: the only
+    step that reads A and B as arrays.
     """
     c00, c01, c10 = comm
-    if math.hypot(abs(c00), abs(c00), abs(c01), abs(c10)) > EIGENVECTOR_TOL:
+    if _commutator_norm_2x2(comm) > EIGENVECTOR_TOL:
         v0, v1 = (c01, -c00) if abs(c01) >= abs(c10) else (c00, c10)
         norm = math.hypot(abs(v0), abs(v1))
         v0, v1 = v0 / norm, v1 / norm
     else:
-        v0, v1 = _eigenline(a, b).tolist()
+        v0, v1 = _eigenline(*unit_pair()).tolist()
     return np.array([[v0, -v1.conjugate()], [v1, v0.conjugate()]])
 
 
@@ -183,7 +211,8 @@ def common_eigenvector(f, g) -> np.ndarray | None:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
     a, b = _unit(a, frobenius(a)), _unit(b, frobenius(b))
     if a.shape[0] == 2:
-        v = _basis_2x2(a, b, _commutator_2x2(a, b))[:, 0]
+        v = _basis_2x2(_commutator_2x2(a.ravel().tolist(), b.ravel().tolist()),
+                       lambda: (a, b))[:, 0]
     else:
         v = _common_eigenvector(a, b, _words(a, b)[0])
     if max(_residual(a, v), _residual(b, v)) > EIGENVECTOR_TOL:
@@ -202,7 +231,8 @@ def _deflate(a: np.ndarray, b: np.ndarray, words) -> np.ndarray:
     if d > 2:
         qh = q.conj().T
         a2, b2 = (qh @ a @ q)[1:, 1:], (qh @ b @ q)[1:, 1:]
-        q[:, 1:] = q[:, 1:] @ _basis_2x2(a2, b2, _commutator_2x2(a2, b2))
+        comm = _commutator_2x2(a2.ravel().tolist(), b2.ravel().tolist())
+        q[:, 1:] = q[:, 1:] @ _basis_2x2(comm, lambda: (a2, b2))
     return q
 
 
@@ -233,16 +263,18 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
     them on."""
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"sim_triangularizable supports d <= {MAX_DIM}")
-    fu, gu = _unit(a, norm_f), _unit(b, norm_g)
     if a.shape[0] == 2:
-        comm = c00, c01, c10 = _commutator_2x2(fu, gu)
+        # the unit pair's commutator, from entries scaled before they are
+        # multiplied: unscaled, entries of 1e100 would overflow -det C
+        comm = c00, c01, c10 = _commutator_2x2(_unit_entries(a, norm_f), _unit_entries(b, norm_g))
         trace = c00 * c00 + c01 * c10  # tr(C Fu Gu) = -det C
         if abs(trace) > WORD_TRACE_TOL:
             scale = norm_f * norm_g
             return TrigVerdict(triangularizable=False, witness=a @ b, witness_word="FG",
                                witness_trace=trace * scale * scale)
-        basis = _basis_2x2(fu, gu, comm)
+        basis = _basis_2x2(comm, lambda: (_unit(a, norm_f), _unit(b, norm_g)))
     else:
+        fu, gu = _unit(a, norm_f), _unit(b, norm_g)
         words, labels = _words(fu, gu)
         traces = np.einsum("ij,kji->k", fu @ gu - gu @ fu, words)
         failing = np.flatnonzero(np.abs(traces) > WORD_TRACE_TOL)

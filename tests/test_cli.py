@@ -430,6 +430,12 @@ class TestMatrixFiles:
                               "t = (400+0j) is not finite")
         assert err.count("\n") == 1
 
+    def test_int_t_past_the_float_range_exits_one_with_one_line(self, capsys):
+        # 10^400 has no float: refused by name, as a non-finite t is
+        code, out, err = run(capsys, "verify", "--builtin", "intro", "--t", f"1,{10 ** 400}")
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: t = {10 ** 400} is not finite\n"
+
     @pytest.mark.parametrize("family", ["intro", "iii2"])
     def test_overflowing_t_f_exits_one_with_one_line(self, capsys, tmp_path, family):
         # 1e308i t F overflows at d = 2 (intro) and d = 3 (iii2) alike: a

@@ -644,6 +644,9 @@ def _stack_row(kind: str, seed: int) -> np.ndarray:
 
 _ROW_KINDS = ("random", "series", "far", "nilpotent", "snap-same-parity", "snap-mixed-parity",
               "defective-snap", "huge-mu", "non-finite")
+# rows whose eigenvalues snap and whose nodes annihilate them: a stack of
+# only these skips the closed form
+_EXACT_KINDS = ("snap-same-parity", "snap-mixed-parity")
 
 
 def _bits(m: np.ndarray) -> bytes:
@@ -666,10 +669,13 @@ def _mpmath_rel_err(mpmath, a, got) -> float:
 class TestStackedClosedForm:
     """``expm_2x2_stack``: expm at d = 2 over an (n, 2, 2) stack."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(_ROW_KINDS), st.integers(0, 2 ** 32 - 1)),
-                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(*(st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 2 ** 32 - 1)),
+                                min_size=1, max_size=12)
+                       for kinds in (_ROW_KINDS, _EXACT_KINDS))))
     def test_each_row_is_its_stack_of_one(self, drawn):
+        # the second kind of draw is a stack whose every row is exact, of
+        # either parity or mixed: one that skips the closed form
         rows = np.array([_stack_row(kind, seed) for kind, seed in drawn], dtype=complex)
         got = expm_2x2_stack(rows)
         for row, out in zip(rows, got):
@@ -715,6 +721,23 @@ class TestStackedClosedForm:
         got = expm_2x2_stack(np.array(rows))
         for a, g, w in zip(rows, got, want):
             assert np.array_equal(g, w), (a / (1j * PI), g)
+
+    def test_closed_form_runs_only_when_some_row_is_not_exact(self, monkeypatch):
+        # i pi k I of both parities and a mixed-parity i pi diag(1, 2) under a
+        # shear are all exact: _pi_snap_rows writes every row, and the closed
+        # form does not run; one random row more brings it back
+        forms = _spy(monkeypatch, "_cosh_sinhc_stack")
+        snapped = _spy(monkeypatch, "_pi_snap_rows")
+        shear = np.array([[1, 1], [0, 1]])
+        exact = np.array([1j * PI * np.eye(2), 2j * PI * np.eye(2),
+                          1j * PI * shear @ np.diag([1, 2]) @ np.linalg.inv(shear)])
+        got = expm_2x2_stack(exact)
+        assert len(forms) == 0 and len(snapped) == 1
+        assert np.array_equal(got[:2], [-np.eye(2), np.eye(2)])
+        assert np.array_equal(got[2], shear @ np.diag([-1, 1]) @ np.linalg.inv(shear))
+        mixed = np.concatenate([exact, random_matrix(np.random.default_rng(3), 2)[None]])
+        assert _bits(expm_2x2_stack(mixed)[:3]) == _bits(got)
+        assert len(forms) == 1 and len(snapped) == 2
 
     def test_defective_snapped_row_takes_the_closed_form(self, monkeypatch):
         taken = []

@@ -16,6 +16,7 @@ from commexp.numkernel import (
     commutator,
     eigen_decompose,
     frobenius,
+    frobenius_2x2,
 )
 from commexp.relations import congruence_free
 
@@ -148,6 +149,13 @@ class TestFrobenius:
         for stack in (x, x[:, ::-1].transpose(0, 2, 1)):  # the second one is copied
             want = np.array([frobenius(m) for m in stack])
             assert np.all(np.abs(frobenius(stack) - want) <= 2 * np.finfo(float).eps * want)
+
+    @settings(max_examples=500, deadline=None)
+    @given(arrays(np.complex128, (2, 2), elements=_NORM_ELEMENTS[np.complex128]))
+    def test_2x2_from_entries_is_bit_identical(self, x):
+        # a C-ordered 2x2, whose row order is its memory order
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert frobenius_2x2(x.ravel().tolist()).hex() == frobenius(x).hex()
 
     def test_nan_and_inf(self):
         assert math.isnan(frobenius(np.array([[math.nan, 0], [0, 1]])))

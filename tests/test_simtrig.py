@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commexp.families import Theorem2Params, dim2_case1_pair, intro_pair, theorem2_family
-from commexp.numkernel import CMat
+from commexp.numkernel import CMat, frobenius
 from commexp.simtrig import (
     BASIS_VERIFY_TOL,
     TrigVerdict,
     _commutator_2x2,
+    _commutator_norm_2x2,
     _eigenline,
     _lower_norm,
     _residual,
@@ -392,6 +393,27 @@ class TestClosedForm2x2:
             comm = f @ g - g @ f
             assert np.trace(comm @ verdict.witness) == pytest.approx(verdict.witness_trace, rel=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_entries_far_above_one(self, scale):
+        # of the raw entries, [F, G] is ~scale^2 and tr(C F G) ~scale^4, past
+        # the float range here; the unit pair keeps both near 1, so the
+        # verdicts stay right.  (Past ~1e154 the Frobenius norm itself
+        # overflows.)
+        c, s = math.cos(0.3), math.sin(0.3)
+        q = np.array([[c, -s], [s, c]], dtype=complex)
+        tri = [scale * q @ np.array(u, dtype=complex) @ q.conj().T
+               for u in ([[1, 2], [0, 3j]], [[2j, 1], [0, -1]])]
+        verdict = sim_triangularizable(*tri)
+        assert verdict.triangularizable
+        t = verdict.basis
+        assert np.allclose(t.conj().T @ t, np.eye(2), rtol=0, atol=1e-12)
+        for m in tri:
+            lower = abs((t.conj().T @ m @ t)[1, 0])
+            assert lower <= BASIS_VERIFY_TOL * np.linalg.norm(m)
+        rotation = (scale * np.array([[0, -1], [1, 0]], dtype=complex),
+                    scale * np.array([[1, 0], [0, -1]], dtype=complex))
+        assert not sim_triangularizable(*rotation).triangularizable
+
     def test_fg_trace_is_minus_det_commutator(self):
         # exact in integers: C = [F, G] is traceless, so tr(C F G) = -det C =
         # -tr(C G F), and the other words of length <= 2 give 0
@@ -401,9 +423,21 @@ class TestClosedForm2x2:
             assert np.trace(c @ f @ g) == -det == -np.trace(c @ g @ f)
             for label in ("", "F", "G", "FF", "GG"):
                 assert np.trace(c @ word(f, g, label)) == 0
-            c00, c01, c10 = _commutator_2x2(f.astype(complex), g.astype(complex))
+            c00, c01, c10 = _commutator_2x2(f.astype(complex).ravel().tolist(),
+                                            g.astype(complex).ravel().tolist())
             assert (c00, c01, c10, -c00) == tuple(c.ravel())
             assert c00 * c00 + c01 * c10 == -det
+            assert _commutator_norm_2x2((c00, c01, c10)) == np.linalg.norm(c)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_commutator_norm_is_the_frobenius_norm(self, rng):
+        # numkernel.frobenius of [[c00, c01], [c10, -c00]], inf past ~1e154
+        # as it is, not OverflowError
+        for scale in (1e-150, 1.0, 1e150, 1e160):
+            c00, c01, c10 = (complex(*rng.standard_normal(2)) * scale for _ in range(3))
+            want = frobenius(np.array([[c00, c01], [c10, -c00]]))
+            assert _commutator_norm_2x2((c00, c01, c10)) == want
+        assert math.isnan(_commutator_norm_2x2((complex(math.nan, 0), 0j, 0j)))
 
     def test_lower_norm_at_d3(self, rng):
         for _ in range(200):
