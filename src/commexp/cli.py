@@ -31,32 +31,30 @@ string and a numpy scalar or array into ``.tolist()``; it validates
 before the builder runs, so ``wall_clock_seconds`` includes the command's
 own imports (numpy and the numeric modules for ``verify`` and ``families``).
 
-Start-up cost (medians of fresh processes with compiled bytecode and one
-BLAS thread, 2-vCPU VM): each command imports what it uses inside the
-command.  Only ``verify`` and ``families`` load numpy, the numeric modules
+Start-up cost: each command imports what it uses inside the command.
+Only ``verify`` and ``families`` load numpy, the numeric modules
 (numkernel, expmkit, relations, simtrig, families) and the interpreter's
 built-in sha256 module, which digests their inputs (``hashlib`` only where
 no built-in one exists).  ``solve-u`` loads ``uset`` alone and the three
 ``search`` cases ``intsearch`` and fractions, all in pure Python,
-``--alpha`` included: ~27-28 ms a process, against ~22 ms for one that
-exits at once, while ``verify --builtin intro`` and ``families iii2`` take
-~66 ms, against ~57 ms for one that imports numpy and exits.
-The process entry (``entry``, for ``python -m commexp.cli`` and the
-``commexp`` script) makes a process pay only for its command.  It runs
-``main`` with the cyclic collector off, which skips the ~30 collections
-that the numpy and numeric-module imports would trigger (~2.5 ms of a
-numeric command); the process ends before uncollected cycles matter.  It
-then flushes stdout and stderr itself, so that a stdout closed by its
-reader is reported as an I/O error, and leaves through ``os._exit``, which
-skips interpreter teardown: module cleanup and the final collection
-(~1.5-2 ms).  ``main`` itself does none of this, as tests call it
-in-process.  No module of the package imports ``dataclasses``, which with
-the ``inspect`` it loads costs ~4 ms where numpy is not loaded.  The records that validate nothing
-(``Spectrum``, ``RelationVerdict``, ``RelationReport``, ``TrigVerdict``,
+``--alpha`` included, so they cost little more than a process that exits
+at once, and a numeric command little more than one that imports numpy
+and exits.  The process entry (``entry``, for ``python -m commexp.cli``
+and the ``commexp`` script) makes a process pay only for its command.  It
+runs ``main`` with the cyclic collector off, which skips the collections
+that the numpy and numeric-module imports would trigger; the process ends
+before uncollected cycles matter.  It then flushes stdout and stderr
+itself, so that a stdout closed by its reader is reported as an I/O
+error, and leaves through ``os._exit``, which skips interpreter teardown:
+module cleanup and the final collection.  ``main`` itself does none of
+this, as tests call it in-process.  No module of the package imports
+``dataclasses``, which loads ``inspect``, a sizeable import where numpy is
+not loaded.  The records that validate nothing (``Spectrum``,
+``RelationVerdict``, ``RelationReport``, ``TrigVerdict``,
 ``SearchOutcome``, ``Survivor``, ``URoot``, ``Family``) are NamedTuples,
 and the validated ones (``CMat``, ``TScanConfig``, the parameter records
-and ``SquarePoly``) are slots classes on ``frozen.Frozen``: ~0.05 ms and
-~0.005 ms to build at import, against ~0.42 ms as a frozen dataclass.
+and ``SquarePoly``) are slots classes on ``frozen.Frozen``, each cheaper
+to build at import than a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -272,12 +270,9 @@ def load_matrix_file(path: str) -> CMat:
 def _sha256():
     """The sha256 constructor of the interpreter's built-in module: ``_sha2``
     (Python 3.12 on) or ``_sha256``, else ``hashlib``'s.  The digests are the
-    same, and the built-in module loads in ~0.3 ms against ~4 ms for
-    ``hashlib`` with its OpenSSL backend (``-X importtime``, medians of 5
-    processes, Python 3.11, 2-vCPU VM).  A whole ``verify --builtin intro``
-    or ``families iii2`` process is ~4 ms faster for it: the median paired
-    difference over two runs of 60 alternating fresh processes each, of
-    ~162 ms against ~166 ms (same VM)."""
+    same, and the built-in module loads an order of magnitude faster than
+    ``hashlib`` with its OpenSSL backend, which is a measurable share of a
+    whole ``verify --builtin intro`` or ``families iii2`` process."""
     for name in ("_sha2", "_sha256"):
         try:
             return __import__(name).sha256
@@ -462,11 +457,11 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
     from fractions import Fraction
 
     # the III4 survivors' Fraction residuals become strings here, not one
-    # json.dumps default call at a time (box 3, n = 1: 1.02 s a process
-    # against 1.53 s).  The n = 1 survivors share one residual tuple, so each
-    # distinct tuple is converted once, keyed by id(): the tuples live as
-    # long as the outcome, and hashing six Fractions would cost more than
-    # converting them (box 3: 0.93 s and 211 MB against 1.02 s and 253 MB)
+    # json.dumps default call at a time, which costs a large search a third
+    # of its process time.  The n = 1 survivors share one residual tuple, so
+    # each distinct tuple is converted once, keyed by id(): the tuples live
+    # as long as the outcome, and hashing six Fractions would cost more than
+    # converting them, in time and in memory
     converted = {}
 
     def residuals(values):

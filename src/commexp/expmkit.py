@@ -9,7 +9,7 @@ of paths, each taken only when its nodes annihilate the matrix.
   computed in floating point (pi-scaled entries over pi-scaled node
   differences), so an entry that should be an integer can round off it:
   ``expm(1j*pi*[[-4, -15], [0, 1]])`` gives 5.999999999999999 for the
-  exact 6.  ROADMAP item 7 plans rational projectors for pi-scaled input
+  exact 6.  ROADMAP item 9 plans rational projectors for pi-scaled input
   with integral entries.
 * Hermite: the Newton form of the polynomial p of degree < d that
   interpolates e^x at the computed eigenvalues z_1..z_d (repeated ones
@@ -51,38 +51,32 @@ same test in scalars; it never runs Pade.
 
 The d = 2 form is elementwise arithmetic in the entries, so
 ``expm_2x2_stack`` evaluates it over an (n, 2, 2) stack in one pass: the
-branches of cosh s and sinh(s)/s, the snap and its annihilation test are
-chosen row by row through masks.  The snap and its annihilation test run
-first; on a stack whose every row passes both the closed form does not
-run at all.  ``expm`` at d = 2 is that function on a
-stack of one, so the formula has one implementation and a row of any stack
-equals ``expm`` of that row bit for bit.  A stack of one pays numpy's fixed
-cost per call (tens of microseconds against a few for scalar arithmetic),
-so batch callers such as ``relations.relation_report`` pass whole stacks;
+snap and its annihilation test are chosen row by row through masks, and
+run first; on a stack whose every row passes both the closed form does
+not run at all.  ``expm`` at d = 2 is that function on a stack of one, so
+the formula has one implementation and a row of any stack equals ``expm``
+of that row bit for bit.  A stack of one pays numpy's fixed cost per
+call, which outweighs scalar arithmetic, so batch callers such as
+``relations.relation_report`` pass whole stacks;
 ``_expm_2x2_with_eigenvalues`` also hands them the eigenvalues mu +/- s
 that the snap test computes, so they need no eigen-decomposition either.
-The scalar ``_cosh_sinhc`` stays as it is: the d = 3 divided differences
-call it up to three times per exponential, where a stack of one would cost
-more than the whole scalar evaluation; ``_cosh_sinhc_stack`` is its array
-twin, entry by entry.
+
+cosh s and sinh(s)/s have one scalar form, ``_cosh_sinhc``, which the
+d = 3 divided differences call up to three times per exponential, where a
+stack of one would cost more than the whole scalar evaluation, and its
+array twin ``_cosh_sinhc_stack`` for the d = 2 stack.  The twin takes the
+principal roots s, Re s >= 0, so it needs no fold of s: it evaluates the
+e^mu form over every entry and writes the e^(mu+s) form over the entries
+with Re s > 1, gathered.
 
 At the stack sizes of a short t-scan (9 rows at t = 1..3) nearly all of
-the d = 2 cost is numpy's fixed cost per call, ~0.3-0.6 us each: about 45
-us for a stack where some rows snap, about 25% less for one whose every
-row snaps exactly (the closed form skipped), 24 us for one where none
-does (2 vCPUs, numpy 2.4).  So each test runs once over every row and is
-read through a mask, with as few calls as it can: the snap distance is
-|l - i pi k| of the complex eigenvalues, and hypot(x, x) in the
-annihilation norms is sqrt(2) |x|.  Branches are entered only when
-``np.count_nonzero`` finds a row that needs them.  The exact path's
-signed identities are selected over every row by one ``np.where``, since
-a fancy index into an (n, 2, 2) stack costs ~5 us at a hundred rows; once
-some row has Re s > 1 (about half of a theorem2 scan's rows at
-t = 1..100), the two forms of cosh s and sinh(s)/s are gathered instead,
-each onto the 1-d entries that keep it, where the exponentials saved
-outweigh the gathers, and the sinh(s)/s series runs only on the entries
-with |s| below ``_SINHC_SERIES_BELOW``.  Every rewrite of this
-path keeps the output bytes; ``tests/test_bit_pins`` holds their digests.
+the d = 2 cost is numpy's fixed cost per call.  So each test runs once
+over every row and is read through a mask, with as few calls as it can:
+the snap distance is |l - i pi k| of the complex eigenvalues, and
+hypot(x, x) in the annihilation norms is sqrt(2) |x|.  Branches are
+entered only when ``np.count_nonzero`` finds a row that needs them.
+Every rewrite of this path keeps the output bytes;
+``tests/test_bit_pins`` holds their digests.
 """
 
 from __future__ import annotations
@@ -141,20 +135,14 @@ def _expm_pade(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _sinhc(s: complex) -> complex:
-    """sinh(s) / s, continuous through s = 0."""
-    if abs(s) < _SINHC_SERIES_BELOW:
-        z = s * s
-        return 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
-    return np.sinh(s) / s
-
-
 def _cosh_sinhc(mu: complex, s: complex) -> tuple[complex, complex]:
-    """(e^mu cosh s, e^mu sinh(s)/s), even in s.
+    """(e^mu cosh s, e^mu sinh(s)/s), even in s and continuous through s = 0.
 
     For |Re s| > 1 they are evaluated as e^(mu+s) (1 +/- e^-2s) / 2 (divided
     by s for the second), with Re s > 0: e^mu and cosh s can under- and
-    overflow where the products do not.
+    overflow where the products do not.  Otherwise sinh(s)/s is summed from
+    its Taylor series below ``_SINHC_SERIES_BELOW``, where the quotient
+    loses digits and is 0/0 at s = 0.
     """
     if s.real < 0:
         s = -s
@@ -163,7 +151,10 @@ def _cosh_sinhc(mu: complex, s: complex) -> tuple[complex, complex]:
         e = np.exp(mu + s) / 2
         return e * (1 + w), e * (1 - w) / s
     e = np.exp(mu)
-    return e * np.cosh(s), e * _sinhc(s)
+    if abs(s) < _SINHC_SERIES_BELOW:
+        z = s * s
+        return e * np.cosh(s), e * (1 + z / 6 * (1 + z / 20 * (1 + z / 42)))
+    return e * np.cosh(s), e * (np.sinh(s) / s)
 
 
 def _exp_divided_differences(nodes) -> list[complex]:
@@ -276,45 +267,29 @@ def _pi_snap_projectors(a: np.ndarray, ks) -> np.ndarray:
     return result
 
 
-def _sinhc_stack(s: np.ndarray) -> np.ndarray:
-    """Array twin of ``_sinhc``, entry by entry (its quotient is 0/0 at
-    s = 0, where the series replaces it).  The series is summed only on
-    the entries below ``_SINHC_SERIES_BELOW``, gathered."""
-    out = np.sinh(s) / s
+def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of ``_cosh_sinhc``, entry by entry, for s with Re s >= 0
+    (the principal roots that ``_expm_2x2_with_eigenvalues`` passes): the
+    e^mu form over every entry, its series only on the entries below
+    ``_SINHC_SERIES_BELOW``, then the e^(mu+s) form on the entries with
+    Re s > 1, gathered, written over them.  The e^mu form of such an entry
+    may overflow before it is overwritten; callers run with floating-point
+    warnings off."""
+    e = np.exp(mu)
+    q = np.sinh(s) / s
     series = np.abs(s) < _SINHC_SERIES_BELOW
     if np.count_nonzero(series):
         near = s[series]
         z = near * near
-        out[series] = 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
-    return out
-
-
-def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``_cosh_sinhc``, entry by entry.  Each form runs only
-    on the entries that keep it: the e^(mu+s) form on those with Re s > 1,
-    gathered, and the e^mu form on the rest, gathered too when some entry
-    is far.  The fold to Re s >= 0 runs only when some entry needs it: the
-    principal roots that ``_expm_2x2_with_eigenvalues`` passes never do."""
-    flip = s.real < 0
-    if np.count_nonzero(flip):
-        s = np.where(flip, -s, s)
+        q[series] = 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
+    c, q = e * np.cosh(s), e * q
     far = s.real > 1
-    n_far = np.count_nonzero(far)
-    if not n_far:
-        e = np.exp(mu)
-        return e * np.cosh(s), e * _sinhc_stack(s)
-    c, q = np.empty_like(s), np.empty_like(s)
-    if n_far < len(s):
-        near = ~far
-        s_near = s[near]
-        e = np.exp(mu[near])
-        c[near] = e * np.cosh(s_near)
-        q[near] = e * _sinhc_stack(s_near)
-    s, mu = s[far], mu[far]
-    w = np.exp(-2 * s)
-    e = np.exp(mu + s) / 2
-    c[far] = e * (1 + w)
-    q[far] = e * (1 - w) / s
+    if np.count_nonzero(far):
+        s, mu = s[far], mu[far]
+        w = np.exp(-2 * s)
+        e = np.exp(mu + s) / 2
+        c[far] = e * (1 + w)
+        q[far] = e * (1 - w) / s
     return c, q
 
 
@@ -332,8 +307,8 @@ def _pi_snap_rows(a: np.ndarray, exact: np.ndarray, k: np.ndarray,
     i*pi*k[0] and i*pi*k[1], and their nodes annihilate them: the exponential
     is (-1)^k I, exact, when the parities agree, else the spectral projectors
     of ``_pi_snap_projectors``.  One ``np.where`` over every row selects the
-    signed identities: gathering and scattering the exact rows instead costs
-    ~5 us per fancy index at a hundred rows, more than the whole selection."""
+    signed identities: at a hundred rows, a fancy index to gather and
+    scatter the exact rows costs more than the whole selection."""
     half = k * 0.5
     odd = np.rint(half) != half  # k's parity; every float past 2^53 is even
     out = np.where(exact[:, None, None], _SIGNED_EYES.take(odd[0].astype(np.intp), axis=0), out)
@@ -369,13 +344,15 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row, and ``_pi_snap_rows`` puts the exact exponential on the rows that
     pass both.  When every row passes (most dim2case1 stacks) it writes the
     whole output and the closed form does not run.  Otherwise the closed
-    form runs on every row, the exact ones too, and is overwritten on them;
-    each form of cosh s and sinh(s)/s, e^mu or e^(mu+s), runs only on the
-    rows that keep it (``_cosh_sinhc_stack``), so only an exact row can
-    overflow in a form whose value it does not keep.  A row that overflows
-    comes out inf or NaN and leaves the others alone.  Callers run it with
-    floating-point warnings off (``expm_2x2_stack`` and
-    ``relations.relation_report`` each enter one ``np.errstate``).
+    form runs on every row, the exact ones too, and is overwritten on them.
+    s is the principal root, Re s >= 0, so ``_cosh_sinhc_stack`` takes it
+    unfolded: the e^mu form of cosh s and sinh(s)/s runs on every row, and
+    the e^(mu+s) form is written over the rows with Re s > 1.  So a far row,
+    or an exact one, can overflow in a form whose value it does not keep,
+    and a row whose kept value overflows comes out inf or NaN; either
+    leaves the other rows alone.  Callers run it with floating-point
+    warnings off (``expm_2x2_stack`` and ``relations.relation_report`` each
+    enter one ``np.errstate``).
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]

@@ -10,11 +10,10 @@ pickle rebuild a record through its ``__init__``, so through its checks.  A slot
 derives from its fields (``relations.TScanConfig`` keeps its scan plan
 there); a copy derives it again.
 
-Records with no checks are ``typing.NamedTuple``s instead.  Building a
-six-field class at import takes ~0.005 ms as a slots class, ~0.05 ms as a
-NamedTuple and ~0.42 ms as a frozen dataclass (median of 200 builds in one
-process on a 2-vCPU VM), and a process that builds no dataclass need not
-import ``dataclasses``: ~4 ms with the ``inspect`` it loads, where numpy
+Records with no checks are ``typing.NamedTuple``s instead.  A slots class
+builds at import faster than a NamedTuple, and both far faster than a
+frozen dataclass; and a process that builds no dataclass need not import
+``dataclasses``, whose ``inspect`` is a sizeable import where numpy
 (which loads ``inspect`` too) is not imported.
 """
 

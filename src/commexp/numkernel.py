@@ -136,7 +136,8 @@ def frobenius(x: np.ndarray) -> float | np.ndarray:
 
 def frobenius_2x2(entries) -> float:
     """``frobenius`` of a 2x2 matrix from its four entries x0..x3 in row
-    order, Python complex numbers, in Python arithmetic: ~1 us against ~2.
+    order, Python complex numbers, in Python arithmetic: cheaper than
+    building an array for ``frobenius``.
 
     The squares are summed as numpy's dot sums four terms,
     (x0^2 + x2^2) + (x1^2 + x3^2), real parts and imaginary parts apart, so
@@ -407,16 +408,25 @@ def _norm_past_overflow(x: np.ndarray) -> float:
     return peak * frobenius(x / peak)
 
 
+def frobenius_finite(x: np.ndarray) -> float:
+    """``frobenius`` of a matrix, finite wherever its entries are: once the
+    squares of the entries overflow, past ~1e154, it is taken as
+    ``_norm_past_overflow``.  A caller that scales by this norm then sees
+    unit entries, not zeros.  ``frobenius`` warns of that overflow unless
+    the caller runs with floating-point warnings off."""
+    norm = frobenius(x)
+    if norm == math.inf and np.isfinite(x).all():
+        return _norm_past_overflow(x)
+    return norm
+
+
 def eigen_decompose(m) -> Spectrum:
     """Closed-form spectrum for d <= 3 with clustering and snap."""
     a = as_matrix(m)
     d = a.shape[0]
     if d > MAX_DIM:
         raise DimensionError(f"eigen_decompose supports d <= {MAX_DIM}, got {d}")
-    scale = frobenius(a)
-    if scale == math.inf and np.isfinite(a).all():
-        scale = _norm_past_overflow(a)
-    reps, mults = _cluster(_polished_roots(a), CLUSTER_TOL * max(1.0, scale))
+    reps, mults = _cluster(_polished_roots(a), CLUSTER_TOL * max(1.0, frobenius_finite(a)))
     return Spectrum(
         eigenvalues=tuple(reps),
         distinct_count=len(mults),

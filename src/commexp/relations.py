@@ -65,22 +65,18 @@ factor.  The d = 2 stack, ``check_relation_star`` and the d = 3 flags
 rounds t F + G alike and none builds a validated ``CMat``: a t F that
 overflows reaches the non-finite residual rule above at either dimension.
 
-At d = 2 and t = 1..3 a report with the triangularizability test takes
-~70-100 us (2 vCPUs, numpy 2.4), nearly all of it numpy's fixed cost per
-call: the stacked exponential ~25-45 us (the low end on a stack whose
-every row snaps exactly, where the closed form does not run), the two
-products, the sides and their norms ~15 us, the verdicts and flags ~5 us,
-the triangularizability test ~6-8 us and the commute check with the norms
-of F and G ~3 us, against ~10 us for numpy's products and norms.  The
-flags test the eigenvalue difference of F, G and F + G in Python
-arithmetic, and the finiteness of the residuals is read from their sum.
-At t = 1..100 a report on the intro, real2d or theorem2 pair takes
-~230-260 us at best (same machine).  Of that, the building of the 202
-verdicts from the residual array is ~35 us and the exponential stack ~150
-us.  The config's t rows and verdict heads, ~20 us of int-to-complex
-conversion and list building, are paid once per config instead
-(``TScanConfig.through(100)`` ~25 us), so the saving needs many reports
-under one config.
+At d = 2 and t = 1..3 nearly all of a report's cost is numpy's fixed
+cost per call, so it makes as few calls as it can: one stacked
+exponential (cheapest on a stack whose every row snaps exactly, where the
+closed form does not run), the two products, the sides and their norms,
+and the commute check and triangularizability test in Python arithmetic
+on the entries.  The flags test the eigenvalue difference of F, G and
+F + G in Python arithmetic, and the finiteness of the residuals is read
+from their sum.  At t = 1..100 the exponential stack and the building of
+the verdicts from the residual array take most of a report.  The
+config's t rows and verdict heads, int-to-complex conversion and list
+building, are paid once per config instead, so the saving needs many
+reports under one config.
 """
 
 from __future__ import annotations
@@ -120,8 +116,7 @@ class RelationVerdict(NamedTuple):
     """One judged relation; immutable.  A NamedTuple, as a d = 2 report
     builds 2T + 3 of them in bulk (``tuple.__new__``); it checks nothing, so
     it needs no ``frozen.Frozen`` class, and every CLI process that loads
-    this module builds it in ~0.05 ms, against ~0.42 ms as a frozen
-    dataclass."""
+    this module builds it faster than it would a frozen dataclass."""
 
     relation: RelationKind
     holds: bool
@@ -248,10 +243,11 @@ def _commute_verdict(a, b, tol: float) -> tuple[RelationVerdict, float, float]:
 
     At d = 2 all three norms come from the eight entries in Python complex
     arithmetic (``numkernel.frobenius_2x2``; the commutator is
-    ``simtrig._commutator_2x2``), ~3 us against ~10 for numpy's products
-    and norms.  The norms of F and G are numpy's bit for bit; the
-    commutator's entries may differ from those of numpy's products in the
-    last digits, and so may the residual.  At d = 3 it is numpy's."""
+    ``simtrig._commutator_2x2``), cheaper than numpy's products and norms,
+    whose fixed cost per call dominates at d = 2.  The norms of F and G are
+    numpy's bit for bit; the commutator's entries may differ from those of
+    numpy's products in the last digits, and so may the residual.  At d = 3
+    it is numpy's."""
     if a.shape[0] == 2:
         ea, eb = a.ravel().tolist(), b.ravel().tolist()
         norm_f, norm_g = frobenius_2x2(ea), frobenius_2x2(eb)

@@ -39,7 +39,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DeflationError, DimensionError
-from .numkernel import MAX_DIM, char_poly, eigen_decompose, frobenius, frobenius_2x2, matrix_pair
+from .numkernel import (
+    MAX_DIM,
+    char_poly,
+    eigen_decompose,
+    frobenius,
+    frobenius_2x2,
+    frobenius_finite,
+    matrix_pair,
+)
 
 # on the unit pair: a trace tr([F, G] w) up to WORD_TRACE_TOL counts as zero;
 # in the constructive half, a singular value of the stacked C w, the norm of a
@@ -199,6 +207,7 @@ def _common_eigenvector(a: np.ndarray, b: np.ndarray, words) -> np.ndarray:
     return kernel @ _eigenline(kh @ a @ kernel, kh @ b @ kernel)
 
 
+@np.errstate(all="ignore")
 def common_eigenvector(f, g) -> np.ndarray | None:
     """Unit vector v with F v = lambda v and G v = mu v within
     EIGENVECTOR_TOL ||F|| and EIGENVECTOR_TOL ||G||, if any.
@@ -209,7 +218,7 @@ def common_eigenvector(f, g) -> np.ndarray | None:
     a, b = matrix_pair(f, g)
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
-    a, b = _unit(a, frobenius(a)), _unit(b, frobenius(b))
+    a, b = _unit(a, frobenius_finite(a)), _unit(b, frobenius_finite(b))
     if a.shape[0] == 2:
         v = _basis_2x2(_commutator_2x2(a.ravel().tolist(), b.ravel().tolist()),
                        lambda: (a, b))[:, 0]
@@ -250,10 +259,16 @@ def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
     return math.hypot(*(abs(row[j]) for i, row in enumerate(t) for j in range(i)))
 
 
+@np.errstate(all="ignore")
 def sim_triangularizable(f, g) -> TrigVerdict:
-    """Decide simultaneous triangularizability; construct a basis when true."""
+    """Decide simultaneous triangularizability; construct a basis when true.
+
+    It runs with floating-point warnings off, as ``relations.relation_report``
+    does: entries past ~1e154 overflow the squares in the Frobenius norms
+    (``numkernel.frobenius_finite`` keeps the norms finite), and then the
+    witness and its trace, in the caller's scale, may read inf or NaN."""
     a, b = matrix_pair(f, g)
-    return _sim_triangularizable(a, b, frobenius(a), frobenius(b))
+    return _sim_triangularizable(a, b, frobenius_finite(a), frobenius_finite(b))
 
 
 def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: float) -> TrigVerdict:
@@ -280,7 +295,9 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
         failing = np.flatnonzero(np.abs(traces) > WORD_TRACE_TOL)
         if failing.size:
             k = int(failing[0])
-            scale = norm_f ** labels[k].count("F") * norm_g ** labels[k].count("G")
+            # np.float64 powers overflow to inf where a Python float's raise
+            scale = float(np.float64(norm_f) ** labels[k].count("F")
+                          * np.float64(norm_g) ** labels[k].count("G"))
             return TrigVerdict(
                 triangularizable=False,
                 witness=words[k] * scale,

@@ -76,7 +76,7 @@ def enumerate_u(k_min: int, k_max: int) -> list[URoot]:
         try:
             root = solve_u(branch_seed(k))
         except (NoConvergenceError, ZeroRootError) as exc:
-            import logging  # here, not at the top: ~5 ms of every CLI start-up
+            import logging  # here, not at the top: a sizeable share of every CLI start-up
 
             logging.getLogger(__name__).warning("branch k=%d failed: %s", k, exc)
             continue

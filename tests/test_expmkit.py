@@ -16,8 +16,6 @@ from commexp.expmkit import (
     _expm_pade,
     _hermite,
     _pi_snap_projectors,
-    _sinhc,
-    _sinhc_stack,
     _snap_annihilates,
     expm,
     expm_2x2_stack,
@@ -532,8 +530,8 @@ class TestClosedForm2x2:
     def test_sinhc_continuous_at_series_threshold(self):
         for phase in np.linspace(0, 2 * PI, 37):
             unit = complex(math.cos(phase), math.sin(phase))
-            below = _sinhc(_SINHC_SERIES_BELOW * (1 - 1e-12) * unit)
-            above = _sinhc(_SINHC_SERIES_BELOW * (1 + 1e-12) * unit)
+            below = _cosh_sinhc(0j, _SINHC_SERIES_BELOW * (1 - 1e-12) * unit)[1]
+            above = _cosh_sinhc(0j, _SINHC_SERIES_BELOW * (1 + 1e-12) * unit)[1]
             assert abs(below - above) <= 1e-15 * abs(above)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -794,21 +792,44 @@ class TestStackedClosedForm:
         assert not np.isfinite(got[~is_finite]).all(axis=(1, 2)).any()
 
     def test_array_twin_of_cosh_sinhc(self):
-        # one branch per entry, as the scalar form takes it: Re s < 0, Re s
-        # > 1, |s| below and above the series threshold, s = 0; numpy's
-        # array arithmetic may fuse multiply-adds, so agreement is to 4 eps
+        # one branch per entry, as the scalar form takes it: Re s > 1, |s|
+        # below and above the series threshold, s = 0; s folded to Re s >= 0
+        # first, as the stack is only passed principal roots.  numpy's array
+        # arithmetic may fuse multiply-adds, so agreement is to 4 eps
         rng = np.random.default_rng(11)
         n = 3000
         mu = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 3
         s = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10 ** rng.uniform(-6, 1.5, n)
         s[:3] = 0
         s[3:6] = _SINHC_SERIES_BELOW * np.array([1 - 1e-12, 1, 1 + 1e-12])
+        s = np.where(s.real < 0, -s, s)
         with np.errstate(all="ignore"):
             c, q = _cosh_sinhc_stack(mu, s)
-            sinhc = _sinhc_stack(s)
         for i in range(n):
             want_c, want_q = _cosh_sinhc(complex(mu[i]), complex(s[i]))
             assert abs(c[i] - want_c) <= 4 * EPS * abs(want_c), (mu[i], s[i])
             assert abs(q[i] - want_q) <= 4 * EPS * abs(want_q), (mu[i], s[i])
-            want = _sinhc(complex(s[i]))
-            assert abs(sinhc[i] - want) <= 4 * EPS * abs(want), s[i]
+
+    def test_stack_is_passed_principal_roots_only(self, monkeypatch):
+        # _cosh_sinhc_stack has no fold of Re s < 0: every s that reaches it,
+        # from rows of every kind, the non-finite ones included, is np.sqrt's
+        # principal root, from stacks of many rows and of one
+        passed = []
+        original = expmkit._cosh_sinhc_stack
+
+        def spy(mu, s):
+            passed.append(s.copy())
+            return original(mu, s)
+
+        monkeypatch.setattr(expmkit, "_cosh_sinhc_stack", spy)
+        rows = np.array([_stack_row(kind, seed) for seed in range(20) for kind in _ROW_KINDS])
+        rows = np.concatenate([rows, [np.full((2, 2), math.inf), np.full((2, 2), math.nan),
+                                      [[0, 1.7e308], [1.7e308, 0]]]])
+        expm_2x2_stack(rows)
+        for row in rows:
+            expm_2x2_stack(row[None])
+        assert len(passed) > 1
+        s = np.concatenate(passed)
+        assert not np.count_nonzero(s.real < 0)
+        assert np.count_nonzero(s.real > 1) and np.count_nonzero(np.abs(s) < _SINHC_SERIES_BELOW)
+        assert np.count_nonzero(np.isnan(s)) and np.count_nonzero(np.isinf(s))

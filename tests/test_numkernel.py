@@ -17,6 +17,7 @@ from commexp.numkernel import (
     eigen_decompose,
     frobenius,
     frobenius_2x2,
+    frobenius_finite,
 )
 from commexp.relations import congruence_free
 
@@ -160,6 +161,20 @@ class TestFrobenius:
     def test_nan_and_inf(self):
         assert math.isnan(frobenius(np.array([[math.nan, 0], [0, 1]])))
         assert frobenius(np.array([[complex(0, math.inf), 0], [0, 1]])) == math.inf
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_finite_past_the_squares_overflow(self, rng, dim):
+        # frobenius's answer wherever it is finite or an entry is not; past
+        # ~1e154 on finite entries, the norm that frobenius overflows
+        m = random_matrix(rng, dim)
+        with np.errstate(over="ignore"):
+            for scale in (1e-300, 1.0, 1e150):
+                assert frobenius_finite(scale * m) == frobenius(scale * m)
+            for scale in (1e154, 1e200, 1e300):
+                assert frobenius(scale * m) == math.inf
+                assert abs(frobenius_finite(scale * m) / (scale * frobenius(m)) - 1) <= 4e-16
+            m[0, 0] = math.inf
+            assert frobenius_finite(m) == math.inf
 
 
 def congruence_free_by_loop(values, tol):

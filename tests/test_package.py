@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,20 @@ def test_unknown_names_raise_attribute_error():
         commexp.null_space
     with pytest.raises(ImportError):
         exec("from commexp import mat_equal_approx", {})
+
+
+# a timing such as "~3 us", "45 ms" or "1.02 s", or the machine it was taken
+# on: such figures go stale with each speed change and belong with the
+# benchmark records, so docstrings and comments keep to what the code does
+_TIMING_FIGURE = re.compile(r"\d ?(us|µs|ms)\b|\d s\b|vCPU")
+
+
+def test_source_carries_no_timing_figures():
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted((Path(SRC) / "commexp").glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if _TIMING_FIGURE.search(line)]
+    assert not found, found
 
 
 def test_importing_the_package_loads_no_submodule():

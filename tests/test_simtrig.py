@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -279,6 +280,17 @@ class TestPazLength:
             assert len(verdict.witness_word) == 4
             assert np.allclose(verdict.witness, word(f, g, verdict.witness_word))
 
+    @pytest.mark.parametrize("scale", [1e120, 1e200, 1e300])
+    def test_refused_when_the_witness_overflows(self, scale):
+        # the witness word FFGF scales by ||F||^3 ||G||, past the float range
+        # here: it reads inf or NaN, and the verdict stands (a Python float's
+        # ** raised OverflowError; past ~1e154 the norms overflowed too)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = sim_triangularizable(scale * PAZ_F, scale * PAZ_G)
+        assert not verdict.triangularizable and verdict.witness_word == "FFGF"
+        assert not np.isfinite(verdict.witness_trace)
+
     def test_words_span_the_algebra(self):
         # 35 of these pairs need words of length 4
         rng = np.random.default_rng(11)
@@ -367,6 +379,19 @@ def pair_2x2(rng, kind):
     return u.conj().T @ np.diag([1, -1]) @ u, u.conj().T @ np.array([[p, 1], [r, s]]) @ u
 
 
+def _conjugated_triangular(dim: int) -> list[np.ndarray]:
+    """A non-commuting pair of upper triangular matrices, conjugated by a
+    fixed unitary, with entries of modulus <= 3."""
+    if dim == 2:
+        c, s = math.cos(0.3), math.sin(0.3)
+        q = np.array([[c, -s], [s, c]], dtype=complex)
+        uppers = ([[1, 2], [0, 3j]], [[2j, 1], [0, -1]])
+    else:
+        q = np.linalg.qr(np.array([[1, 2, 0.5], [0.3, -1, 2], [1j, 0, 1]]))[0]
+        uppers = ([[1, 2, 0.5], [0, 3j, 1], [0, 0, -1]], [[2j, 1, 0], [0, -1, 1j], [0, 0, 2]])
+    return [q @ np.array(u, dtype=complex) @ q.conj().T for u in uppers]
+
+
 class TestClosedForm2x2:
     """At d = 2 the word test is one number, c00^2 + c01 c10 = tr(C F G) on
     the unit pair, and the basis is read off ker C."""
@@ -393,26 +418,39 @@ class TestClosedForm2x2:
             comm = f @ g - g @ f
             assert np.trace(comm @ verdict.witness) == pytest.approx(verdict.witness_trace, rel=1e-6)
 
-    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e154, 1e200, 1e300])
     def test_entries_far_above_one(self, scale):
         # of the raw entries, [F, G] is ~scale^2 and tr(C F G) ~scale^4, past
         # the float range here; the unit pair keeps both near 1, so the
-        # verdicts stay right.  (Past ~1e154 the Frobenius norm itself
-        # overflows.)
-        c, s = math.cos(0.3), math.sin(0.3)
-        q = np.array([[c, -s], [s, c]], dtype=complex)
-        tri = [scale * q @ np.array(u, dtype=complex) @ q.conj().T
-               for u in ([[1, 2], [0, 3j]], [[2j, 1], [0, -1]])]
-        verdict = sim_triangularizable(*tri)
-        assert verdict.triangularizable
-        t = verdict.basis
-        assert np.allclose(t.conj().T @ t, np.eye(2), rtol=0, atol=1e-12)
-        for m in tri:
-            lower = abs((t.conj().T @ m @ t)[1, 0])
-            assert lower <= BASIS_VERIFY_TOL * np.linalg.norm(m)
-        rotation = (scale * np.array([[0, -1], [1, 0]], dtype=complex),
-                    scale * np.array([[1, 0], [0, -1]], dtype=complex))
-        assert not sim_triangularizable(*rotation).triangularizable
+        # verdicts stay right.  Past ~1e154 the squares in the Frobenius norm
+        # overflow too, and a norm of inf made every unit entry 0, so the
+        # rotation pair (det [F, G] != 0) read triangularizable.  At d = 3 it
+        # sits in the top-left block, and e3 is the common eigenvector
+        for dim in (2, 3):
+            tri = [scale * m for m in _conjugated_triangular(dim)]
+            rotation = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
+            rotation[0][:2, :2] = [[0, -scale], [scale, 0]]
+            rotation[1][:2, :2] = [[scale, 0], [0, -scale]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = sim_triangularizable(*tri)
+                v = common_eigenvector(*tri)
+                refused = sim_triangularizable(*rotation)
+                common = common_eigenvector(*rotation)
+            assert verdict.triangularizable, dim
+            t = verdict.basis
+            assert np.allclose(t.conj().T @ t, np.eye(dim), rtol=0, atol=1e-12)
+            for m in tri:
+                # T is unitary: T* M T is the triangular form, which stays finite
+                lower = np.abs(np.tril(t.conj().T @ m @ t, -1)).max()
+                assert lower <= BASIS_VERIFY_TOL * scale, dim
+                mv = (m / scale) @ v
+                assert np.abs(mv - (v.conj() @ mv) * v).max() <= 1e-12, dim
+            assert not refused.triangularizable and refused.witness_word == "FG", dim
+            if dim == 2:
+                assert common is None
+            else:
+                assert abs(abs(common[2]) - 1) <= 1e-15
 
     def test_fg_trace_is_minus_det_commutator(self):
         # exact in integers: C = [F, G] is traceless, so tr(C F G) = -det C =
