@@ -99,6 +99,13 @@ def test_expm_auto(benchmark, m):
     benchmark(expm, m)  # at d = 2 a stack of one through expm_2x2_stack
 
 
+@pytest.mark.parametrize("m", [M3, EXPM3["pade"]], ids=["3x3-separated", "3x3-clustered"])
+def test_eigen_decompose(benchmark, m):
+    # separated roots skip the greedy clustering pass; the Pade input's
+    # close roots form one cluster through it
+    benchmark(eigen_decompose, m)
+
+
 def test_expm_2x2_stack_200(benchmark):
     benchmark(expm_2x2_stack, STACK2)
 

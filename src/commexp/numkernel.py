@@ -307,9 +307,11 @@ def _polish_roots(coeffs, roots, scale):
 class Spectrum(NamedTuple):
     """Eigenvalues with multiplicity, plus clustering and snap metadata.
 
-    ``eigenvalues`` lists each cluster representative repeated per algebraic
-    multiplicity.  ``snap`` gives integers k with lambda_i ~ i*pi*k (aligned
-    with ``eigenvalues``) and is None when any eigenvalue fails to snap.
+    ``eigenvalues`` lists each cluster representative, the mean of its
+    cluster, repeated per algebraic multiplicity.  The clusters are ordered
+    by mean real part, then by mean imaginary part.  ``snap`` gives
+    integers k with lambda_i ~ i*pi*k (aligned with ``eigenvalues``) and is
+    None when any eigenvalue fails to snap.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -328,7 +330,42 @@ class Spectrum(NamedTuple):
 
 
 def _cluster(values: list[complex], tol_abs: float):
-    """Greedy clustering; returns (representatives repeated, multiplicities)."""
+    """Clusters of the roots ``values``: (representatives, each repeated per
+    its cluster's size, and the sizes), ordered as ``Spectrum`` promises.
+
+    When every gap |li - lj| exceeds ``tol_abs`` there is nothing to merge:
+    each root is its own cluster, ordered by (real, imag) and represented by
+    its mean ``sum(cl) / len(cl)`` as ``_cluster_greedy`` forms it, so the
+    result is the greedy pass's bit for bit, signed zeros, infinities and
+    NaN parts included.  Any other input (a gap at or below ``tol_abs``, or
+    a NaN gap) goes through ``_cluster_greedy``.
+    """
+    if not _separated(values, tol_abs):
+        return _cluster_greedy(values, tol_abs)
+    singles = [[v] for v in sorted(values, key=lambda z: (z.real, z.imag))]
+    return [sum(cl) / len(cl) for cl in singles], [1] * len(singles)
+
+
+def _separated(values: list[complex], tol_abs: float) -> bool:
+    """Whether every gap |li - lj| of ``values`` exceeds ``tol_abs``."""
+    try:
+        for i, v in enumerate(values):
+            for w in values[:i]:
+                if not abs(v - w) > tol_abs:
+                    return False
+    except OverflowError:
+        # a gap past the float range; or, where CPython's abs() reads a
+        # stale errno, a NaN gap.  The greedy pass decides either
+        return False
+    return True
+
+
+def _cluster_greedy(values: list[complex], tol_abs: float):
+    """Greedy clustering; returns (representatives repeated, multiplicities).
+
+    Each root, in order of its (real, imag) rounded to 12 digits, joins the
+    first cluster whose first root lies within ``tol_abs``; the clusters
+    are then ordered by mean real part, then mean imaginary part."""
     # float() first: rounding a numpy float64 costs several microseconds
     remaining = sorted(values, key=lambda z: (round(float(z.real), 12), round(float(z.imag), 12)))
     clusters: list[list[complex]] = []
@@ -420,8 +457,16 @@ def frobenius_finite(x: np.ndarray) -> float:
     return norm
 
 
+@np.errstate(over="ignore")
 def eigen_decompose(m) -> Spectrum:
-    """Closed-form spectrum for d <= 3 with clustering and snap."""
+    """Closed-form spectrum for d <= 3 with clustering and snap.
+
+    Roots within CLUSTER_TOL * max(1, ||M||_F) of each other form one
+    cluster.  When every pair of roots lies farther apart, as it does for
+    a matrix with well separated eigenvalues, ``_cluster`` skips the greedy
+    pass and returns its bits.  It runs with overflow warnings off: finite
+    entries past ~1e154 overflow the squares in ``frobenius``, and the
+    norms and the roots are then taken past that overflow."""
     a = as_matrix(m)
     d = a.shape[0]
     if d > MAX_DIM:

@@ -159,6 +159,17 @@ def _unit_entries(m: np.ndarray, norm: float) -> list[complex]:
     return entries
 
 
+def _scaled(z: complex, *factors: float) -> complex:
+    """z times each of the positive ``factors`` in turn, its real and
+    imaginary parts apart, so an exact zero part stays zero.  Python's
+    complex product would take a float f as f + 0j, and once the factors
+    overflow to inf, its 0 * inf would turn a part into NaN."""
+    re, im = z.real, z.imag
+    for f in factors:
+        re, im = re * f if re else re, im * f if im else im
+    return complex(re, im)
+
+
 def _commutator_2x2(a, b) -> tuple[complex, complex, complex]:
     """c00, c01, c10 of C = [A, B] = [[c00, c01], [c10, -c00]] for 2x2 A, B given
     by their four entries in row order, in Python complex arithmetic: numpy
@@ -266,7 +277,8 @@ def sim_triangularizable(f, g) -> TrigVerdict:
     It runs with floating-point warnings off, as ``relations.relation_report``
     does: entries past ~1e154 overflow the squares in the Frobenius norms
     (``numkernel.frobenius_finite`` keeps the norms finite), and then the
-    witness and its trace, in the caller's scale, may read inf or NaN."""
+    witness, in the caller's scale, may read inf or NaN, and its trace inf.
+    The trace reads NaN only where the entries do."""
     a, b = matrix_pair(f, g)
     return _sim_triangularizable(a, b, frobenius_finite(a), frobenius_finite(b))
 
@@ -286,7 +298,7 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
         if abs(trace) > WORD_TRACE_TOL:
             scale = norm_f * norm_g
             return TrigVerdict(triangularizable=False, witness=a @ b, witness_word="FG",
-                               witness_trace=trace * scale * scale)
+                               witness_trace=_scaled(trace, scale, scale))
         basis = _basis_2x2(comm, lambda: (_unit(a, norm_f), _unit(b, norm_g)))
     else:
         fu, gu = _unit(a, norm_f), _unit(b, norm_g)
@@ -302,7 +314,7 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
                 triangularizable=False,
                 witness=words[k] * scale,
                 witness_word=labels[k],
-                witness_trace=complex(traces[k]) * scale * norm_f * norm_g,
+                witness_trace=_scaled(complex(traces[k]), scale, norm_f, norm_g),
             )
         basis = _deflate(fu, gu, words)
     for m, norm in ((a, norm_f), (b, norm_g)):

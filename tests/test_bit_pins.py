@@ -75,6 +75,20 @@ def _tscan_pairs_2x2() -> list:
               for k in (1, -2))]
 
 
+def _tscan_pairs_3x3(seed: int) -> list:
+    """The two d = 3 pairs of the benchmark's ``tscan`` workload at ``seed``,
+    in its order: each matrix the skew-Hermitian part of a complex Gaussian,
+    scaled to Frobenius norm 1."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = (m - m.conj().T) / 2
+        return m * (1.0 / np.linalg.norm(m))
+
+    return [(draw(), draw()) for _ in range(2)]
+
+
 # intro's star set at integers is {-294, 0, 1, 2, 3, 4, 5, 299}; -3 is off it
 INTRO_MIXED_T = (-294, -3, 0, 1, 5, 299, 0.5 + 0.25j, 1j)
 
@@ -226,6 +240,14 @@ def test_sweep_3x3_reports_keep_their_bits():
     assert _report_digest(_random_pairs(2)[1]) == PINNED_REPORTS_3X3[2]
 
 
+def test_tscan_3x3_reports_keep_their_bits():
+    # the benchmark's tscan ops at d = 3 (t = 1..100, no triangularizability),
+    # which take most of its time
+    for seed in (1, 2):
+        assert _report_digest(_tscan_pairs_3x3(seed), TScanConfig.through(100),
+                              triangularizable=False) == PINNED_TSCAN_3X3[seed]
+
+
 def test_scale_grid_keeps_its_bits():
     assert _scale_grid_digest() == PINNED_SCALE_GRID
 
@@ -248,6 +270,10 @@ PINNED_KERNEL = "e9a5ac506b7dfe1e87914fdc5408dd2b7cc024dc2de4d0206cfa2a17792bee9
 PINNED_REPORTS_3X3 = {
     1: (120, "674b8a9eb1ea85e9de4646a13a53fed1ad237cf0db2e961326a861a436540f18"),
     2: (120, "cf2bd505a46fa3bd26598328e5107758392359e6d2fe1b6aa2deace0c068d921"),
+}
+PINNED_TSCAN_3X3 = {
+    1: (2, "b5e0c1a5681e6936850b99d8b67691f05ac09ae8fdcd06aceb3ab4f2829bff62"),
+    2: (2, "43b50407abc2dcb6dc6b3a940af0e89537950508fdee7a7512413126d8609e2e"),
 }
 PINNED_SCALE_GRID = (162, "8083b73257d43aafc65da16649bd2765a76bb1f5ce80e5b32238da8dbc0b8cd0")
 PINNED_TSCAN = (4, "82d98783f7cfad1468089e1470acbcc31a8352297762d1be0c93d5148ebea57f",

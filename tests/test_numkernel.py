@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from commexp import numkernel
 from commexp.errors import DimensionError
 from commexp.families import intro_pair
 from commexp.numkernel import (
     CMat,
+    _cluster,
+    _cluster_greedy,
     affine_rows,
     char_poly,
     combine_affine,
@@ -21,7 +25,7 @@ from commexp.numkernel import (
 )
 from commexp.relations import congruence_free
 
-from conftest import SQUARES_OVERFLOW, random_matrix
+from conftest import random_matrix
 
 PI = math.pi
 
@@ -388,7 +392,7 @@ class TestEigenDecompose:
                     assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * abs(shift)
 
 
-    @pytest.mark.parametrize("x", [1e52, 1e100, pytest.param(1e200, marks=SQUARES_OVERFLOW)])
+    @pytest.mark.parametrize("x", [1e52, 1e100, 1e200])
     def test_finite_spectrum_past_cubic_overflow(self, x):
         # eigenvalues x, 0 and 1: the cubic's p^3 overflows past ||M|| ~ 1e51,
         # and the roots of M / ||M||_F, scaled back, stay finite
@@ -398,7 +402,6 @@ class TestEigenDecompose:
         assert abs(top - x) <= 1e-12 * x
         assert abs(sum(spec.eigenvalues) - (x + 1)) <= 1e-12 * x
 
-    @SQUARES_OVERFLOW
     def test_finite_2x2_spectrum_past_determinant_overflow(self):
         # eigenvalues +-sqrt(2) 1e200; the determinant -2e400 overflows
         spec = eigen_decompose(np.array([[1e200, 1e200], [1e200, -1e200]]))
@@ -417,3 +420,85 @@ class TestEigenDecompose:
                 assert abs(third - 1) <= 1e-14
                 assert abs((pair[0] + pair[1]) / 2 - shift) <= 1e-14 * max(1, abs(shift))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("x", [1e200, 1e300])
+    def test_no_warning_past_the_squares_overflow(self, rng, dim, x):
+        # past ~1e154 the squares in ||M||_F overflow; the norm and the roots
+        # are taken past that overflow, so nothing warns and the spectrum is
+        # LAPACK's to rounding
+        m = random_matrix(rng, dim)
+        m *= x / np.abs(m).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = eigen_decompose(m)
+        assert spec.distinct_count == dim
+        for want in np.linalg.eigvals(m):
+            assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * x
+
+    @pytest.mark.parametrize("m, greedy", [
+        (np.diag([1.0, 2.0, 3.0]), False),
+        (np.array([[1j, 1, 0], [0, 1j + 1e-9, 1], [0, 0, 2]]), True),
+        (np.array([[0, 1], [0, 0]]), True),
+    ])
+    def test_greedy_pass_only_where_roots_are_close(self, monkeypatch, m, greedy):
+        calls = []
+
+        def spy(values, tol_abs):
+            calls.append(len(values))
+            return _cluster_greedy(values, tol_abs)
+
+        monkeypatch.setattr(numkernel, "_cluster_greedy", spy)
+        eigen_decompose(m)
+        assert bool(calls) == greedy
+
+
+_CLUSTER_PARTS = st.one_of(st.floats(-4, 4),
+                           st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _roots_and_tol(draw):
+    """1 to 3 roots and a tolerance: each root after the first lies a gap
+    just below, at or just above the tolerance from an earlier one, or
+    shares its real part to 12 digits (where the greedy pass's rounded
+    order and the exact order part), or is free; any part may be a signed
+    zero, an infinity or NaN.  No gap is subnormal: math.nextafter to one
+    sets errno to ERANGE, and CPython's abs() of a complex with a NaN part
+    may then raise OverflowError."""
+    tol = draw(st.sampled_from([0.0, 1e-8, 0.5]) | st.floats(1e-300, 2))
+    roots = [complex(draw(_CLUSTER_PARTS), draw(_CLUSTER_PARTS))]
+    for _ in range(draw(st.integers(0, 2))):
+        base = draw(st.sampled_from(roots))
+        how = draw(st.sampled_from(["below", "at", "above", "rounded", "free"]))
+        if how == "free":
+            roots.append(complex(draw(_CLUSTER_PARTS), draw(_CLUSTER_PARTS)))
+        elif how == "rounded":
+            nudge = draw(st.sampled_from([0.0, 1e-14, -1e-14]))
+            roots.append(complex(base.real + nudge, draw(_CLUSTER_PARTS)))
+        else:
+            gap = {"below": math.nextafter(tol, -math.inf), "at": tol,
+                   "above": math.nextafter(tol, math.inf)}[how]
+            roots.append(base + gap * draw(st.sampled_from([1, -1, 1j, -1j, 0.6 + 0.8j])))
+    return draw(st.permutations(roots)), tol
+
+
+def _hex_parts(values):
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in values]
+
+
+class TestCluster:
+    @settings(max_examples=1000, deadline=None)
+    @given(_roots_and_tol())
+    def test_matches_the_greedy_pass_bit_for_bit(self, case):
+        # the greedy pass is the referee: where every gap exceeds the
+        # tolerance, the shortcut must return its multiplicities and its
+        # representatives, signed zeros and NaN parts included
+        roots, tol = case
+        got, want = _cluster(list(roots), tol), _cluster_greedy(list(roots), tol)
+        assert got[1] == want[1]
+        assert _hex_parts(got[0]) == _hex_parts(want[0])
+
+    def test_spectrum_order_is_by_mean_real_then_imaginary_part(self):
+        # a cluster of two roots (mean 1 + 2i) between two single roots
+        reps, mults = _cluster([3 + 0j, 1 + 2.5j, 1 + 1.5j, 1 + 0j], 1.0)
+        assert mults == [1, 2, 1] and reps == [1 + 0j, 1 + 2j, 1 + 2j, 3 + 0j]

@@ -69,6 +69,27 @@ class TestSimTriangularizable:
         assert np.trace(comm @ v.witness) == pytest.approx(v.witness_trace)
         assert abs(v.witness_trace) > 1.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e154, 1e300])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_witness_trace_is_never_nan_on_finite_entries(self, dim, scale):
+        # s [[0, -1], [1, 0]] and s diag(1, -1), at d = 3 with a third
+        # eigenvalue apiece: tr([F, G] F G) = 4 s^4, real.  Past the float
+        # range it reads inf + 0j: scaled as one Python complex product, the
+        # zero imaginary part would meet an infinite factor and read NaN
+        f, g = np.zeros((dim, dim)), np.zeros((dim, dim))
+        f[:2, :2], g[:2, :2] = [[0, -1], [1, 0]], [[1, 0], [0, -1]]
+        if dim == 3:
+            f[2, 2], g[2, 2] = 1, 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = sim_triangularizable(scale * f, scale * g)
+        assert not verdict.triangularizable and verdict.witness_word == "FG"
+        trace = verdict.witness_trace
+        if scale == 1.0:
+            assert trace == pytest.approx(4, rel=1e-15, abs=0)
+        else:
+            assert (trace.real, trace.imag) == (math.inf, 0.0)
+
     @pytest.mark.parametrize("scale", (1e-8, 1e-5, 1e-3, 1.0, 1e3, 1e6))
     @pytest.mark.parametrize("name", sorted(NO_COMMON_EIGENVECTOR))
     def test_refused_at_every_scale(self, name, scale):
