@@ -101,8 +101,8 @@ def test_expm_auto(benchmark, m):
 
 @pytest.mark.parametrize("m", [M3, EXPM3["pade"]], ids=["3x3-separated", "3x3-clustered"])
 def test_eigen_decompose(benchmark, m):
-    # separated roots skip the greedy clustering pass; the Pade input's
-    # close roots form one cluster through it
+    # separated roots leave every cluster with one root, so the clusters
+    # are not sorted again; the Pade input's close roots share a cluster
     benchmark(eigen_decompose, m)
 
 

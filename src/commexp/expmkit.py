@@ -181,9 +181,15 @@ def _exp_second_difference(x: complex, y: complex, z: complex) -> complex:
     u_i the nodes minus c, e2 = u1 u2 + u1 u3 + u2 u3 and e3 = u1 u2 u3,
     the complete symmetric polynomials are h2 = -e2, h3 = e3, h4 = e2^2,
     h5 = -2 e2 e3, h6 = e3^2 - e2^3, and [x, y, z] = e^c sum_k h_k / (k + 2)!;
-    the omitted h7 / 9! is below 1e-19 relative.
+    the omitted h7 / 9! is below 1e-19 relative.  It is NaN when the
+    modulus of a gap between the nodes is past the float range.
     """
-    dxy, dyz, dxz = abs(y - x), abs(z - y), abs(z - x)
+    try:
+        dxy, dyz, dxz = abs(y - x), abs(z - y), abs(z - x)
+    except OverflowError:
+        # abs() raises where a gap's parts are finite and its modulus is
+        # not; the caller then sees a non-finite exponential
+        return complex(math.nan, math.nan)
     if max(dxy, dyz, dxz) < _SINHC_SERIES_BELOW:
         c = (x + y + z) / 3
         u, v, w = x - c, y - c, z - c

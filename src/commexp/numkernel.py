@@ -7,7 +7,8 @@ from an eigenvalue here: a defective eigenvalue is only known to ~sqrt(eps),
 so ``simtrig`` finds common eigenvectors from the commutator instead.
 Matrices whose spectrum sits in i*pi*Z are recognized ("snapped") so that
 exponentials can later be taken exactly.  On overflowing input the
-eigenvalues come out NaN or infinite instead of raising.
+eigenvalues come out NaN or infinite instead of raising, and ``_cluster``
+groups them without raising too, however far apart two roots lie.
 
 ``frobenius`` is the package's one Frobenius-norm implementation: every
 norm without ``ord`` or ``axis`` goes through it, or through
@@ -309,7 +310,8 @@ class Spectrum(NamedTuple):
 
     ``eigenvalues`` lists each cluster representative, the mean of its
     cluster, repeated per algebraic multiplicity.  The clusters are ordered
-    by mean real part, then by mean imaginary part.  ``snap`` gives
+    by mean real part, then by mean imaginary part, a NaN part after every
+    number.  ``snap`` gives
     integers k with lambda_i ~ i*pi*k (aligned with ``eigenvalues``) and is
     None when any eigenvalue fails to snap.
     """
@@ -329,61 +331,46 @@ class Spectrum(NamedTuple):
         return out
 
 
+def _exact_order(z: complex) -> tuple:
+    """Sort key of z by its exact (real, imag), made a total order: a NaN
+    part sorts after every number, where Python's float order would leave
+    it unordered and a sort dependent on the order of its input."""
+    re, im = z.real, z.imag
+    return (re != re, 0.0 if re != re else re, im != im, 0.0 if im != im else im)
+
+
 def _cluster(values: list[complex], tol_abs: float):
     """Clusters of the roots ``values``: (representatives, each repeated per
     its cluster's size, and the sizes), ordered as ``Spectrum`` promises.
 
-    When every gap |li - lj| exceeds ``tol_abs`` there is nothing to merge:
-    each root is its own cluster, ordered by (real, imag) and represented by
-    its mean ``sum(cl) / len(cl)`` as ``_cluster_greedy`` forms it, so the
-    result is the greedy pass's bit for bit, signed zeros, infinities and
-    NaN parts included.  Any other input (a gap at or below ``tol_abs``, or
-    a NaN gap) goes through ``_cluster_greedy``.
+    The roots are visited in exact (real, imag) order (``_exact_order``),
+    and each joins the first cluster whose first root lies within
+    ``tol_abs`` of it, or else starts a cluster.  So the clusters depend on
+    the set of roots alone, not on their order; and a chain of roots, each
+    within ``tol_abs`` of the next, need not form one cluster.  A gap's
+    real and imaginary parts are compared with ``tol_abs`` before its
+    modulus is taken: ``abs()`` raises ``OverflowError`` on a gap past the
+    float range and, where CPython reads a stale errno, on a NaN gap, and
+    either gap keeps its two roots apart instead.  The clusters are then
+    sorted by mean real part, then mean imaginary part, a sort skipped when
+    every cluster holds one root, since it would reorder nothing; each
+    representative is the mean ``sum(cl) / len(cl)``.
     """
-    if not _separated(values, tol_abs):
-        return _cluster_greedy(values, tol_abs)
-    singles = [[v] for v in sorted(values, key=lambda z: (z.real, z.imag))]
-    return [sum(cl) / len(cl) for cl in singles], [1] * len(singles)
-
-
-def _separated(values: list[complex], tol_abs: float) -> bool:
-    """Whether every gap |li - lj| of ``values`` exceeds ``tol_abs``."""
-    try:
-        for i, v in enumerate(values):
-            for w in values[:i]:
-                if not abs(v - w) > tol_abs:
-                    return False
-    except OverflowError:
-        # a gap past the float range; or, where CPython's abs() reads a
-        # stale errno, a NaN gap.  The greedy pass decides either
-        return False
-    return True
-
-
-def _cluster_greedy(values: list[complex], tol_abs: float):
-    """Greedy clustering; returns (representatives repeated, multiplicities).
-
-    Each root, in order of its (real, imag) rounded to 12 digits, joins the
-    first cluster whose first root lies within ``tol_abs``; the clusters
-    are then ordered by mean real part, then mean imaginary part."""
-    # float() first: rounding a numpy float64 costs several microseconds
-    remaining = sorted(values, key=lambda z: (round(float(z.real), 12), round(float(z.imag), 12)))
     clusters: list[list[complex]] = []
-    for v in remaining:
-        placed = False
+    for v in sorted(values, key=_exact_order):
         for cl in clusters:
-            if abs(v - cl[0]) <= tol_abs:
+            gap = v - cl[0]
+            if abs(gap.real) <= tol_abs and abs(gap.imag) <= tol_abs and abs(gap) <= tol_abs:
                 cl.append(v)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([v])
-    clusters.sort(key=lambda cl: (sum(z.real for z in cl) / len(cl),
-                                  sum(z.imag for z in cl) / len(cl)))
+    if len(clusters) < len(values):
+        clusters.sort(key=lambda cl: _exact_order(complex(sum(z.real for z in cl) / len(cl),
+                                                          sum(z.imag for z in cl) / len(cl))))
     reps, mults = [], []
     for cl in clusters:
-        rep = sum(cl) / len(cl)
-        reps.extend([rep] * len(cl))
+        reps += [sum(cl) / len(cl)] * len(cl)
         mults.append(len(cl))
     return reps, mults
 
@@ -461,12 +448,15 @@ def frobenius_finite(x: np.ndarray) -> float:
 def eigen_decompose(m) -> Spectrum:
     """Closed-form spectrum for d <= 3 with clustering and snap.
 
-    Roots within CLUSTER_TOL * max(1, ||M||_F) of each other form one
-    cluster.  When every pair of roots lies farther apart, as it does for
-    a matrix with well separated eigenvalues, ``_cluster`` skips the greedy
-    pass and returns its bits.  It runs with overflow warnings off: finite
-    entries past ~1e154 overflow the squares in ``frobenius``, and the
-    norms and the roots are then taken past that overflow."""
+    The roots are clustered by ``_cluster`` with tol = CLUSTER_TOL *
+    max(1, ||M||_F): visited in exact (real, imag) order, each root joins
+    the first cluster whose first root lies within tol of it, its gap's
+    real and imaginary parts compared with tol before its modulus.  Roots
+    farther apart than tol are each their own cluster, in (real, imag)
+    order; no gap, however large or NaN, makes the clustering raise.  It
+    runs with overflow warnings off: finite entries past ~1e154 overflow
+    the squares in ``frobenius``, and the norms and the roots are then
+    taken past that overflow."""
     a = as_matrix(m)
     d = a.shape[0]
     if d > MAX_DIM:

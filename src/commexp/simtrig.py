@@ -170,6 +170,16 @@ def _scaled(z: complex, *factors: float) -> complex:
     return complex(re, im)
 
 
+def _scaled_entries(m: np.ndarray, *factors: float) -> np.ndarray:
+    """``_scaled`` of every entry of M, as a new array: numpy's product
+    with a float takes it as a complex number too."""
+    out = m.copy()
+    parts = out.view(np.float64)  # real and imaginary parts interleaved
+    for f in factors:
+        np.multiply(parts, f, out=parts, where=parts != 0)
+    return out
+
+
 def _commutator_2x2(a, b) -> tuple[complex, complex, complex]:
     """c00, c01, c10 of C = [A, B] = [[c00, c01], [c10, -c00]] for 2x2 A, B given
     by their four entries in row order, in Python complex arithmetic: numpy
@@ -277,8 +287,8 @@ def sim_triangularizable(f, g) -> TrigVerdict:
     It runs with floating-point warnings off, as ``relations.relation_report``
     does: entries past ~1e154 overflow the squares in the Frobenius norms
     (``numkernel.frobenius_finite`` keeps the norms finite), and then the
-    witness, in the caller's scale, may read inf or NaN, and its trace inf.
-    The trace reads NaN only where the entries do."""
+    witness and its trace, in the caller's scale, may read inf.  Neither
+    reads NaN where the entries are finite: an exact zero part stays zero."""
     a, b = matrix_pair(f, g)
     return _sim_triangularizable(a, b, frobenius_finite(a), frobenius_finite(b))
 
@@ -296,8 +306,12 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
         comm = c00, c01, c10 = _commutator_2x2(_unit_entries(a, norm_f), _unit_entries(b, norm_g))
         trace = c00 * c00 + c01 * c10  # tr(C Fu Gu) = -det C
         if abs(trace) > WORD_TRACE_TOL:
+            witness = a @ b
+            if not np.isfinite(witness).all():
+                # a product past the float range, where inf - inf reads NaN
+                witness = _scaled_entries(_unit(a, norm_f) @ _unit(b, norm_g), norm_f, norm_g)
             scale = norm_f * norm_g
-            return TrigVerdict(triangularizable=False, witness=a @ b, witness_word="FG",
+            return TrigVerdict(triangularizable=False, witness=witness, witness_word="FG",
                                witness_trace=_scaled(trace, scale, scale))
         basis = _basis_2x2(comm, lambda: (_unit(a, norm_f), _unit(b, norm_g)))
     else:
@@ -312,7 +326,7 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
                           * np.float64(norm_g) ** labels[k].count("G"))
             return TrigVerdict(
                 triangularizable=False,
-                witness=words[k] * scale,
+                witness=_scaled_entries(words[k], scale),
                 witness_word=labels[k],
                 witness_trace=_scaled(complex(traces[k]), scale, norm_f, norm_g),
             )

@@ -18,6 +18,8 @@ from commexp.relations import RelationKind
 from conftest import admissible_real_triples
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# an eigenvalue whose difference from its negative has an overflowing modulus
+_A = 0.75e308 * (1 + 1j)
 
 
 def run(capsys, *argv):
@@ -759,7 +761,10 @@ class TestProcessExitCodes:
         ([[1e160, 1e160], [0, 0]], "SpectrumOverflowError: the spectrum of F overflows"),
         # F and G commute; e^1000 is not finite
         ([[1, 0, 0], [0, 0, 0], [0, 0, 1e3]], "ResidualOverflowError: the exp-equal residual"),
-    ], ids=["d2-spectrum", "d3-exponential"])
+        # finite eigenvalues +-a (and 0) whose gaps' moduli overflow
+        ([[_A, 0], [0, -_A]], "SpectrumOverflowError: the spectrum of F overflows"),
+        ([[_A, 0, 0], [0, -_A, 0], [0, 0, 0]], "SpectrumOverflowError: the spectrum of F overflows"),
+    ], ids=["d2-spectrum", "d3-exponential", "d2-root-gap", "d3-root-gap"])
     def test_overflow_prints_one_error_line_and_no_warning(self, tmp_path, rows, message):
         f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
         cli.save_matrix_file(f, CMat.from_rows(rows))

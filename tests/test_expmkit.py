@@ -403,6 +403,12 @@ class TestDividedDifferences:
         got = _exp_divided_differences([600 + 0j, -800 + 0j, -800 + 0j])
         assert got[2] == pytest.approx(math.exp(600) / 1400 ** 2, rel=1e-13)
 
+    def test_gap_past_the_float_range_is_nan(self):
+        # the gap 1.5e308 (1 + i) has finite parts and an overflowing modulus
+        a = 0.75e308 * (1 + 1j)
+        got = _exp_divided_differences([-a, 0j, a])[2]
+        assert math.isnan(got.real) and math.isnan(got.imag)
+
 
 class TestKernelSVDGuard:
     """expm runs no SVD, so computes no eigenvector kernel, on any path."""
@@ -541,13 +547,16 @@ class TestClosedForm2x2:
         # ValueError before).  At d = 3 the first gave NaN roots that made
         # the snap raise ValueError, the next two made the cubic's ** raise
         # OverflowError (a real and a complex cubic); Pade's 1-norm
-        # overflows on the last.
+        # overflows on the next.  The last has eigenvalues +-a and 0 whose
+        # gaps' moduli overflow, where abs() raised OverflowError.
+        a = 0.75e308 * (1 + 1j)
         for m in ([[800, 1], [0, 800]], [[801, 2], [0.5, 799]], [[800j + 800, 0], [0, 800]],
                   [[1e300, 1e300], [1e300, -1e300]], [[1e300, 1e300], [-1e300, -1e300]],
                   [[1e300, 1e300, 0], [1e300, -1e300, 0], [0, 0, 1]],
                   [[1e120, 1, 0], [0, 2e120, 0], [0, 0, 1]],
                   [[1e60j, 0, 0], [0, 1e60, 0], [0, 0, 1]],
-                  [[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 1]]):
+                  [[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 1]],
+                  [[a, 0, 0], [0, -a, 0], [0, 0, 0]]):
             assert expm(m).shape == (len(m), len(m))
 
     def test_snap_gate_follows_annihilation(self, monkeypatch):

@@ -1,9 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,7 +14,7 @@ from commexp.families import intro_pair
 from commexp.numkernel import (
     CMat,
     _cluster,
-    _cluster_greedy,
+    _exact_order,
     affine_rows,
     char_poly,
     combine_affine,
@@ -435,37 +436,28 @@ class TestEigenDecompose:
         for want in np.linalg.eigvals(m):
             assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * x
 
-    @pytest.mark.parametrize("m, greedy", [
-        (np.diag([1.0, 2.0, 3.0]), False),
-        (np.array([[1j, 1, 0], [0, 1j + 1e-9, 1], [0, 0, 2]]), True),
-        (np.array([[0, 1], [0, 0]]), True),
-    ])
-    def test_greedy_pass_only_where_roots_are_close(self, monkeypatch, m, greedy):
-        calls = []
-
-        def spy(values, tol_abs):
-            calls.append(len(values))
-            return _cluster_greedy(values, tol_abs)
-
-        monkeypatch.setattr(numkernel, "_cluster_greedy", spy)
-        eigen_decompose(m)
-        assert bool(calls) == greedy
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflowing_root_gap_does_not_raise(self, dim):
+        # two finite roots whose gap's modulus is past the float range
+        a = 0.75e308 * (1 + 1j)
+        spec = eigen_decompose(np.diag([a, -a, 0][:dim]))
+        assert spec.multiplicities == (1,) * dim
+        assert spec.eigenvalues[0].real < 0 < spec.eigenvalues[-1].real
 
 
-_CLUSTER_PARTS = st.one_of(st.floats(-4, 4),
-                           st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+_CLUSTER_PARTS = st.one_of(
+    st.floats(-4, 4),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0.75e308, -0.75e308, 1e308]))
 
 
 @st.composite
 def _roots_and_tol(draw):
     """1 to 3 roots and a tolerance: each root after the first lies a gap
     just below, at or just above the tolerance from an earlier one, or
-    shares its real part to 12 digits (where the greedy pass's rounded
-    order and the exact order part), or is free; any part may be a signed
-    zero, an infinity or NaN.  No gap is subnormal: math.nextafter to one
-    sets errno to ERANGE, and CPython's abs() of a complex with a NaN part
-    may then raise OverflowError."""
-    tol = draw(st.sampled_from([0.0, 1e-8, 0.5]) | st.floats(1e-300, 2))
+    shares its real part to 12 digits, or is free; any part may be a signed
+    zero, an infinity, NaN or large enough that a gap's modulus, or the gap
+    itself, overflows.  The tolerance and the gaps may be subnormal."""
+    tol = draw(st.sampled_from([0.0, 1e-8, 0.5]) | st.floats(0, 2))
     roots = [complex(draw(_CLUSTER_PARTS), draw(_CLUSTER_PARTS))]
     for _ in range(draw(st.integers(0, 2))):
         base = draw(st.sampled_from(roots))
@@ -486,17 +478,75 @@ def _hex_parts(values):
     return [(float(z.real).hex(), float(z.imag).hex()) for z in values]
 
 
+def _within(v, w, tol):
+    """|v - w| <= tol, the modulus taken only where it cannot overflow."""
+    gap = v - w
+    return abs(gap.real) <= tol and abs(gap.imag) <= tol and abs(gap) <= tol
+
+
+def _dealt_as(roots, reps, mults, tol):
+    """Whether ``roots``, cut in this order into runs of the sizes ``mults``,
+    are the clusters (reps, mults): each run's members, in exact order, lie
+    within tol of the first, and their mean is the run's representative."""
+    i = 0
+    for m in mults:
+        members = sorted(roots[i:i + m], key=_exact_order)
+        if not all(_within(v, members[0], tol) for v in members[1:]):
+            return False
+        if _hex_parts(reps[i:i + m]) != _hex_parts([sum(members) / m]) * m:
+            return False
+        i += m
+    return True
+
+
 class TestCluster:
-    @settings(max_examples=1000, deadline=None)
+    # a chain, each root within tol of the next: the greedy pass that
+    # visited the roots by their rounded parts returned [3], [1, 2] or
+    # [2, 1] clusters depending on the order of the input
+    @example(([1e-13 + 0j, 0j, -1e-13 + 0j], 1e-13))
+    @settings(max_examples=500, deadline=None)
     @given(_roots_and_tol())
-    def test_matches_the_greedy_pass_bit_for_bit(self, case):
-        # the greedy pass is the referee: where every gap exceeds the
-        # tolerance, the shortcut must return its multiplicities and its
-        # representatives, signed zeros and NaN parts included
+    def test_permuting_the_roots_changes_nothing(self, case):
         roots, tol = case
-        got, want = _cluster(list(roots), tol), _cluster_greedy(list(roots), tol)
-        assert got[1] == want[1]
-        assert _hex_parts(got[0]) == _hex_parts(want[0])
+        reps, mults = _cluster(list(roots), tol)
+        for order in itertools.permutations(roots):
+            got_reps, got_mults = _cluster(list(order), tol)
+            assert got_mults == mults
+            assert _hex_parts(got_reps) == _hex_parts(reps)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_roots_and_tol())
+    def test_separated_roots_are_their_own_clusters(self, case):
+        # every gap above tol (or NaN): the roots in exact order, each its
+        # own mean, signed zeros, infinities and NaN parts included
+        roots, tol = case
+        if any(_within(v, w, tol) for v, w in itertools.combinations(roots, 2)):
+            return
+        reps, mults = _cluster(list(roots), tol)
+        assert mults == [1] * len(roots)
+        assert _hex_parts(reps) == _hex_parts([sum([v]) / 1 for v in sorted(roots, key=_exact_order)])
+
+    @settings(max_examples=500, deadline=None)
+    @given(_roots_and_tol())
+    def test_each_cluster_lies_within_tol_of_its_first_root(self, case):
+        roots, tol = case
+        reps, mults = _cluster(list(roots), tol)
+        assert sum(mults) == len(reps) == len(roots)
+        assert any(_dealt_as(list(order), reps, mults, tol)
+                   for order in itertools.permutations(roots))
+
+    @pytest.mark.parametrize("roots, tol", [
+        # the gap's parts are finite, its modulus is past the float range
+        ([0.75e308 * (1 + 1j), -0.75e308 * (1 + 1j), 0j], 1e-8),
+        ([1e308 + 0j, -1e308 + 0j], 1.0),  # the gap itself overflows
+        ([complex(math.inf, 0), complex(math.inf, 0), complex(-math.inf, 1)], 1.0),
+        ([complex(math.nan, 0), 0j, complex(0, math.nan)], 1.0),
+    ], ids=["modulus", "gap", "infinite", "nan"])
+    def test_no_gap_raises(self, roots, tol):
+        # math.nextafter to a subnormal leaves errno at ERANGE, and CPython's
+        # abs() of a complex with a NaN part may then raise OverflowError
+        math.nextafter(1e-310, 0.0)
+        assert _cluster(roots, tol)[1] == [1] * len(roots)
 
     def test_spectrum_order_is_by_mean_real_then_imaginary_part(self):
         # a cluster of two roots (mean 1 + 2i) between two single roots

@@ -75,7 +75,9 @@ class TestSimTriangularizable:
         # s [[0, -1], [1, 0]] and s diag(1, -1), at d = 3 with a third
         # eigenvalue apiece: tr([F, G] F G) = 4 s^4, real.  Past the float
         # range it reads inf + 0j: scaled as one Python complex product, the
-        # zero imaginary part would meet an infinite factor and read NaN
+        # zero imaginary part would meet an infinite factor and read NaN.
+        # The witness F G = s^2 [[0, 1], [1, 0]] (and 2 s^2 at (2, 2)) keeps
+        # its zero entries zero there likewise, its others reading inf
         f, g = np.zeros((dim, dim)), np.zeros((dim, dim))
         f[:2, :2], g[:2, :2] = [[0, -1], [1, 0]], [[1, 0], [0, -1]]
         if dim == 3:
@@ -89,6 +91,10 @@ class TestSimTriangularizable:
             assert trace == pytest.approx(4, rel=1e-15, abs=0)
         else:
             assert (trace.real, trace.imag) == (math.inf, 0.0)
+        witness = verdict.witness
+        assert (witness.imag == 0).all() and np.array_equal(np.sign(witness.real), np.sign(f @ g))
+        if scale <= 1e150:
+            assert np.allclose(witness, scale * scale * (f @ g), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("scale", (1e-8, 1e-5, 1e-3, 1.0, 1e3, 1e6))
     @pytest.mark.parametrize("name", sorted(NO_COMMON_EIGENVECTOR))
