@@ -270,7 +270,8 @@ def case3_III2_matrix(p: III2Params, form: III2Form) -> tuple[CMat, CMat]:
             exact = _root_product(values[i], values[j])
             if exact is not None:
                 a[i, j] = exact
-        if _rank1_max_minor(a) > 1e-10 * max(1.0, frobenius(a) ** 2):
+        norm = frobenius(a)  # squared as a product, which overflows to inf, not raising
+        if _rank1_max_minor(a) > 1e-10 * max(1.0, norm * norm):
             raise RankError("no square-root sign assignment achieved rank 1")
         return CMat(a), b
     if form in (III2Form.A1, III2Form.A2):

@@ -12,8 +12,10 @@ groups them without raising too, however far apart two roots lie.
 
 ``frobenius`` is the package's one Frobenius-norm implementation: every
 norm without ``ord`` or ``axis`` goes through it, or through
-``frobenius_2x2``, its sum over the four entries of a 2x2 matrix held as
-Python complex numbers.  ``CMat.expanded`` (and so
+``frobenius_2x2``, the same norm of a 2x2 matrix held as four Python
+complex numbers.  A single matrix's norm is ``math.hypot`` over its real
+and imaginary parts, which cannot overflow short of the float range; a
+stack's norms are numpy's ``einsum``.  ``CMat.expanded`` (and so
 ``as_matrix``) returns the stored read-only entries, not a copy, when there
 is no pi factor; a caller that writes must copy first.
 
@@ -112,43 +114,33 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frobenius(x: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm of a float or complex matrix, 2-norm of a vector: what
-    ``np.linalg.norm`` gives without ``ord`` or ``axis``, bit for bit.
+    """Frobenius norm of a float or complex matrix, 2-norm of a vector.
 
-    It repeats that default path operation for operation (ravel in memory
-    order, re.re + im.im as two dot products, sqrt) and skips the argument
-    dispatch, a sizeable share of the cost at d <= 3.  An (n, d, d) stack
-    gives its n norms as an array, summed in an order of numpy's choosing.
+    A single matrix or vector gives ``math.hypot`` over its real and
+    imaginary parts in memory order: correctly rounded but for a rare last
+    bit (its error is under 1 ulp), finite wherever the norm itself is,
+    whatever the size of the squares, and free of floating-point warnings.
+    An (n, d, d) stack gives its n norms as an array, from numpy's
+    ``einsum``, summed in an order of numpy's choosing; its squares
+    overflow to inf past ~1e154.
     """
     if x.ndim == 3:
+        # a real stack's imaginary part is zeros, which add nothing
         x = x.reshape(x.shape[0], x.shape[1] * x.shape[2])
-        if issubclass(x.dtype.type, np.complexfloating):
-            re, im = x.real, x.imag
-            return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
-        return np.sqrt(np.einsum("ij,ij->i", x, x))
-    x = x.ravel(order="K")
-    if issubclass(x.dtype.type, np.complexfloating):
         re, im = x.real, x.imag
-        sqnorm = re.dot(re) + im.dot(im)
-    else:
-        sqnorm = x.dot(x)
-    return math.sqrt(sqnorm)
+        return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+    # contiguous, so a complex x views as its parts (a real x as itself)
+    x = x.ravel(order="K")
+    return math.hypot(*x.view(x.real.dtype).tolist())
 
 
 def frobenius_2x2(entries) -> float:
     """``frobenius`` of a 2x2 matrix from its four entries x0..x3 in row
-    order, Python complex numbers, in Python arithmetic: cheaper than
-    building an array for ``frobenius``.
-
-    The squares are summed as numpy's dot sums four terms,
-    (x0^2 + x2^2) + (x1^2 + x3^2), real parts and imaginary parts apart, so
-    with that dot (OpenBLAS 0.3) it is ``frobenius`` of a C-ordered matrix
-    bit for bit, and like it inf once the squares overflow, past ~1e154.
-    """
+    order, Python complex numbers: the same ``math.hypot`` over the same
+    eight parts in the same order as for a C-ordered matrix, so the same
+    bits, without building an array."""
     x0, x1, x2, x3 = entries
-    re = (x0.real * x0.real + x2.real * x2.real) + (x1.real * x1.real + x3.real * x3.real)
-    im = (x0.imag * x0.imag + x2.imag * x2.imag) + (x1.imag * x1.imag + x3.imag * x3.imag)
-    return math.sqrt(re + im)
+    return math.hypot(x0.real, x0.imag, x1.real, x1.imag, x2.real, x2.imag, x3.real, x3.imag)
 
 
 def matrix_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -381,7 +373,13 @@ def _snap_ints(values, tol: float):
         if not cmath.isfinite(v):
             return None
         k = round(v.imag / math.pi)
-        if abs(v - 1j * math.pi * k) > tol * max(1.0, abs(v)):
+        try:
+            size = abs(v)
+        except OverflowError:
+            # |v| past the float range needs |Re v| >= ~1.05e-8 |v|, farther
+            # from every i pi k than SNAP_TOL |v|
+            return None
+        if abs(v - 1j * math.pi * k) > tol * max(1.0, size):
             return None
         ks.append(k)
     return tuple(ks)
@@ -412,39 +410,23 @@ def _polished_roots(a: np.ndarray) -> list[complex]:
     polished and none clustered.  A is a validated complex ndarray."""
     d = a.shape[0]
     # roots of A - mu I, mu = tr A / d, then shifted back: a large common
-    # shift would otherwise swamp the characteristic polynomial's coefficients
-    mu = complex(a.trace()) / d
+    # shift would otherwise swamp the characteristic polynomial's coefficients.
+    # The trace is summed in numpy's order, from 0j on, but in Python
+    # arithmetic, which overflows to inf without a warning
+    trace = 0j
+    for x in a.diagonal().tolist():
+        trace += x
+    mu = trace / d
     shifted = a.copy()
     shifted.flat[:: d + 1] -= mu
     scale = frobenius(shifted)
     if scale > SCALED_SOLVE_NORM[d] and np.isfinite(shifted).all():
-        # solve for shifted / s, s = ||shifted||_F, and scale the roots back
-        s = _norm_past_overflow(shifted)
-        unit = shifted / s
-        return [r * s + mu for r in _shifted_roots(unit, frobenius(unit))]
+        # solve for shifted / scale and scale the roots back
+        unit = shifted / scale
+        return [r * scale + mu for r in _shifted_roots(unit, frobenius(unit))]
     return [r + mu for r in _shifted_roots(shifted, scale)]
 
 
-def _norm_past_overflow(x: np.ndarray) -> float:
-    """||x||_F of a nonzero x as peak * ||x / peak||_F, finite where the
-    squares of x's entries overflow."""
-    peak = float(np.abs(x).max())
-    return peak * frobenius(x / peak)
-
-
-def frobenius_finite(x: np.ndarray) -> float:
-    """``frobenius`` of a matrix, finite wherever its entries are: once the
-    squares of the entries overflow, past ~1e154, it is taken as
-    ``_norm_past_overflow``.  A caller that scales by this norm then sees
-    unit entries, not zeros.  ``frobenius`` warns of that overflow unless
-    the caller runs with floating-point warnings off."""
-    norm = frobenius(x)
-    if norm == math.inf and np.isfinite(x).all():
-        return _norm_past_overflow(x)
-    return norm
-
-
-@np.errstate(over="ignore")
 def eigen_decompose(m) -> Spectrum:
     """Closed-form spectrum for d <= 3 with clustering and snap.
 
@@ -453,15 +435,14 @@ def eigen_decompose(m) -> Spectrum:
     the first cluster whose first root lies within tol of it, its gap's
     real and imaginary parts compared with tol before its modulus.  Roots
     farther apart than tol are each their own cluster, in (real, imag)
-    order; no gap, however large or NaN, makes the clustering raise.  It
-    runs with overflow warnings off: finite entries past ~1e154 overflow
-    the squares in ``frobenius``, and the norms and the roots are then
-    taken past that overflow."""
+    order; no gap, however large or NaN, makes the clustering raise.  On
+    finite input whose norm is past the float range, ~1.8e308, the roots
+    may come out NaN; nothing raises or warns."""
     a = as_matrix(m)
     d = a.shape[0]
     if d > MAX_DIM:
         raise DimensionError(f"eigen_decompose supports d <= {MAX_DIM}, got {d}")
-    reps, mults = _cluster(_polished_roots(a), CLUSTER_TOL * max(1.0, frobenius_finite(a)))
+    reps, mults = _cluster(_polished_roots(a), CLUSTER_TOL * max(1.0, frobenius(a)))
     return Spectrum(
         eigenvalues=tuple(reps),
         distinct_count=len(mults),

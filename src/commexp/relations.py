@@ -42,13 +42,17 @@ itself: ``check_exp_equal``, ``check_exp_swap``, then
 (star and swapped star each take exp(t F + G), exp(t F) and exp(G)); the
 flags read the polished roots of F, G and F + G, which ``eigen_decompose``
 would cluster: a cluster's mean can hide two roots that differ by 2 i pi
-once ||M|| is ~1e8 or more.  At either dimension an infinite eigenvalue
-difference raises ``SpectrumOverflowError`` naming the matrix; past the
-flags, a residual that is not finite (an exponential, or its norm,
+once ||M|| is ~1e8 or more.  At either dimension an infinite or NaN
+eigenvalue difference raises ``SpectrumOverflowError`` naming the matrix;
+past the flags, a residual that is not finite (an exponential, or its norm,
 overflowed on a finite spectrum) raises ``ResidualOverflowError`` naming
-the relation and its t, instead of reading as a failed verdict.  So the
-report runs with floating-point warnings off: an overflow reaches the caller
-as that one typed error.  With ``include_triangularizable`` the report adds
+the relation and its t, instead of reading as a failed verdict.  At d = 2
+the residuals come from one stacked norm (numpy's ``einsum``), whose
+squares overflow once an entry of a side passes ~1e154, so such a side
+raises ``ResidualOverflowError``; at d = 3 each norm is ``math.hypot``'s,
+which overflows only past the float range, ~1.8e308.  So the report runs
+with floating-point warnings off: an overflow reaches the caller as that
+one typed error.  With ``include_triangularizable`` the report adds
 the verdict of ``simtrig.sim_triangularizable``, which at d = 2 is one
 test, det [F, G] = 0.  The matrices of F and G and their Frobenius norms
 are taken once and serve both the commute check and that test.  At d = 2
@@ -245,9 +249,9 @@ def _commute_verdict(a, b, tol: float) -> tuple[RelationVerdict, float, float]:
     arithmetic (``numkernel.frobenius_2x2``; the commutator is
     ``simtrig._commutator_2x2``), cheaper than numpy's products and norms,
     whose fixed cost per call dominates at d = 2.  The norms of F and G are
-    numpy's bit for bit; the commutator's entries may differ from those of
-    numpy's products in the last digits, and so may the residual.  At d = 3
-    it is numpy's."""
+    ``frobenius``'s bit for bit; the commutator's entries may differ from
+    those of numpy's products in the last digits, and so may the residual.
+    At d = 3 the commutator is numpy's product."""
     if a.shape[0] == 2:
         ea, eb = a.ravel().tolist(), b.ravel().tolist()
         norm_f, norm_g = frobenius_2x2(ea), frobenius_2x2(eb)
@@ -319,12 +323,14 @@ def congruence_free(eigenvalues, tol: float = DEFAULT_TOL) -> bool:
 
 def _congruence_flags(differences, tol: float) -> tuple[bool, bool, bool]:
     """``congruence_free`` of F, G and F + G, in order, from the differences
-    of each one's eigenvalues (``_differences``)."""
+    of each one's eigenvalues (``_differences``).  An infinite or NaN
+    difference, which finite input gives once the matrix's norm is past the
+    float range, raises ``SpectrumOverflowError`` naming the matrix."""
     flags = []
     for name, deltas in zip(("F", "G", "F + G"), differences):
         try:
             flags.append(not any(_congruent(delta, tol) for delta in deltas))
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:
             raise SpectrumOverflowError(f"the spectrum of {name} overflows: {exc}") from exc
     return tuple(flags)
 

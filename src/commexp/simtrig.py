@@ -45,7 +45,6 @@ from .numkernel import (
     eigen_decompose,
     frobenius,
     frobenius_2x2,
-    frobenius_finite,
     matrix_pair,
 )
 
@@ -239,7 +238,7 @@ def common_eigenvector(f, g) -> np.ndarray | None:
     a, b = matrix_pair(f, g)
     if a.shape[0] > MAX_DIM:
         raise DimensionError(f"common_eigenvector supports d <= {MAX_DIM}")
-    a, b = _unit(a, frobenius_finite(a)), _unit(b, frobenius_finite(b))
+    a, b = _unit(a, frobenius(a)), _unit(b, frobenius(b))
     if a.shape[0] == 2:
         v = _basis_2x2(_commutator_2x2(a.ravel().tolist(), b.ravel().tolist()),
                        lambda: (a, b))[:, 0]
@@ -285,12 +284,12 @@ def sim_triangularizable(f, g) -> TrigVerdict:
     """Decide simultaneous triangularizability; construct a basis when true.
 
     It runs with floating-point warnings off, as ``relations.relation_report``
-    does: entries past ~1e154 overflow the squares in the Frobenius norms
-    (``numkernel.frobenius_finite`` keeps the norms finite), and then the
-    witness and its trace, in the caller's scale, may read inf.  Neither
-    reads NaN where the entries are finite: an exact zero part stays zero."""
+    does: the witness and its trace are in the caller's scale, and past the
+    float range an entry reads inf.  Neither reads NaN where the entries
+    are finite (an exact zero part stays zero), and an entry of finite
+    value reads finite: the unit word is scaled back one letter at a time."""
     a, b = matrix_pair(f, g)
-    return _sim_triangularizable(a, b, frobenius_finite(a), frobenius_finite(b))
+    return _sim_triangularizable(a, b, frobenius(a), frobenius(b))
 
 
 def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: float) -> TrigVerdict:
@@ -321,14 +320,13 @@ def _sim_triangularizable(a: np.ndarray, b: np.ndarray, norm_f: float, norm_g: f
         failing = np.flatnonzero(np.abs(traces) > WORD_TRACE_TOL)
         if failing.size:
             k = int(failing[0])
-            # np.float64 powers overflow to inf where a Python float's raise
-            scale = float(np.float64(norm_f) ** labels[k].count("F")
-                          * np.float64(norm_g) ** labels[k].count("G"))
+            # the norm of each letter of the word; the empty word "1" has none
+            letters = [norm_f if x == "F" else norm_g for x in labels[k] if x != "1"]
             return TrigVerdict(
                 triangularizable=False,
-                witness=_scaled_entries(words[k], scale),
+                witness=_scaled_entries(words[k], *letters),
                 witness_word=labels[k],
-                witness_trace=_scaled(complex(traces[k]), scale, norm_f, norm_g),
+                witness_trace=_scaled(complex(traces[k]), *letters, norm_f, norm_g),
             )
         basis = _deflate(fu, gu, words)
     for m, norm in ((a, norm_f), (b, norm_g)):

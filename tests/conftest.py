@@ -4,8 +4,16 @@ import pytest
 from commexp import families
 from commexp.errors import ComplexRootsError, ConstraintError
 
-# entries past ~1e154 overflow the squares summed in a Frobenius norm
-SQUARES_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+# finite matrices whose Frobenius norm is past the float range, ~1.8e308: a
+# 1x1 whose root's modulus is past it too, a 3x3 of finite roots +-b and 0,
+# and a 3x3 whose trace overflows
+_B = 1.3e308 * (1 + 1j)
+NORM_PAST_FLOAT_RANGE = {
+    "1x1": np.diag([_B]),
+    "plus-minus-b": np.diag([_B, -_B, 0]),
+    "trace": np.diag([1e308, 1e308, 1e308]).astype(complex),
+}
+
 
 @pytest.fixture
 def rng():

@@ -15,7 +15,7 @@ from commexp.errors import ConstraintError
 from commexp.numkernel import CMat
 from commexp.relations import RelationKind
 
-from conftest import admissible_real_triples
+from conftest import NORM_PAST_FLOAT_RANGE, admissible_real_triples
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # an eigenvalue whose difference from its negative has an overflowing modulus
@@ -764,7 +764,14 @@ class TestProcessExitCodes:
         # finite eigenvalues +-a (and 0) whose gaps' moduli overflow
         ([[_A, 0], [0, -_A]], "SpectrumOverflowError: the spectrum of F overflows"),
         ([[_A, 0, 0], [0, -_A, 0], [0, 0, 0]], "SpectrumOverflowError: the spectrum of F overflows"),
-    ], ids=["d2-spectrum", "d3-exponential", "d2-root-gap", "d3-root-gap"])
+        # a finite root whose modulus overflows, and so does e^x
+        (NORM_PAST_FLOAT_RANGE["1x1"].tolist(), "ResidualOverflowError: the exp-equal residual"),
+        # ||F|| past the float range: F's roots are NaN
+        (NORM_PAST_FLOAT_RANGE["plus-minus-b"].tolist(),
+         "SpectrumOverflowError: the spectrum of F overflows"),
+        (NORM_PAST_FLOAT_RANGE["trace"].tolist(), "SpectrumOverflowError: the spectrum of F overflows"),
+    ], ids=["d2-spectrum", "d3-exponential", "d2-root-gap", "d3-root-gap", "d1-root-modulus",
+            "d3-nan-roots", "d3-trace"])
     def test_overflow_prints_one_error_line_and_no_warning(self, tmp_path, rows, message):
         f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")
         cli.save_matrix_file(f, CMat.from_rows(rows))

@@ -239,6 +239,16 @@ class TestIII2:
         got = sorted(spec.eigenvalues, key=lambda z: z.real)
         assert np.allclose(got, [0, 4, 5], atol=1e-8)
 
+    def test_symmetric_rank1_past_the_squares_overflow(self):
+        # entries ~1e161, whose squares overflow: the rank check's bound reads
+        # inf instead of raising OverflowError.  Its minors are numpy scalar
+        # products, which overflow too
+        s = 10 ** 160
+        p = III2Params(l1=6 * s, m1=s, m2=2 * s, m3=3 * s, n1=5 * s, n2=7 * s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, _ = case3_III2_matrix(p, III2Form.SYMMETRIC_RANK1)
+        assert a.entries.diagonal().tolist() == [complex(x) for x in (-12 * s, 30 * s, -12 * s)]
+
     def test_rank1_exponentials_are_identity(self):
         p = III2Params(l1=3, m1=1, m2=2, m3=3, n1=4, n2=5)
         a, b = case3_III2_matrix(p, III2Form.SYMMETRIC_RANK1)

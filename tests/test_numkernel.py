@@ -22,11 +22,10 @@ from commexp.numkernel import (
     eigen_decompose,
     frobenius,
     frobenius_2x2,
-    frobenius_finite,
 )
 from commexp.relations import congruence_free
 
-from conftest import random_matrix
+from conftest import NORM_PAST_FLOAT_RANGE, random_matrix
 
 PI = math.pi
 
@@ -139,9 +138,21 @@ def _norm_inputs(draw):
 class TestFrobenius:
     @settings(max_examples=500, deadline=None)
     @given(_norm_inputs())
-    def test_bit_identical_to_numpy(self, x):
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow to inf
-            assert frobenius(x).hex() == float(np.linalg.norm(x)).hex()
+    def test_within_one_ulp_of_the_exact_norm(self, x):
+        # sqrt of the sum of the squared parts at 200 bits, rounded to a
+        # float: inf once the norm passes the float range or a part is
+        # infinite, NaN when a part is NaN and none is infinite
+        mpmath = pytest.importorskip("mpmath")
+        parts = x.ravel().view(np.float64).tolist()  # a float64 x views as itself
+        got = frobenius(x)
+        if any(math.isinf(p) for p in parts):
+            assert got == math.inf
+        elif any(math.isnan(p) for p in parts):
+            assert math.isnan(got)
+        else:
+            with mpmath.workprec(200):
+                want = float(mpmath.sqrt(mpmath.fsum(mpmath.mpf(p) ** 2 for p in parts)))
+            assert got in (want, math.nextafter(want, -math.inf), math.nextafter(want, math.inf))
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 2, 2), (7, 2, 2), (5, 3, 3)])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -160,8 +171,7 @@ class TestFrobenius:
     @given(arrays(np.complex128, (2, 2), elements=_NORM_ELEMENTS[np.complex128]))
     def test_2x2_from_entries_is_bit_identical(self, x):
         # a C-ordered 2x2, whose row order is its memory order
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert frobenius_2x2(x.ravel().tolist()).hex() == frobenius(x).hex()
+        assert frobenius_2x2(x.ravel().tolist()).hex() == frobenius(x).hex()
 
     def test_nan_and_inf(self):
         assert math.isnan(frobenius(np.array([[math.nan, 0], [0, 1]])))
@@ -169,17 +179,14 @@ class TestFrobenius:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_finite_past_the_squares_overflow(self, rng, dim):
-        # frobenius's answer wherever it is finite or an entry is not; past
-        # ~1e154 on finite entries, the norm that frobenius overflows
+        # the squares of entries past ~1e154 overflow, the norm does not
+        # until it passes the float range; an infinite entry gives inf
         m = random_matrix(rng, dim)
-        with np.errstate(over="ignore"):
-            for scale in (1e-300, 1.0, 1e150):
-                assert frobenius_finite(scale * m) == frobenius(scale * m)
-            for scale in (1e154, 1e200, 1e300):
-                assert frobenius(scale * m) == math.inf
-                assert abs(frobenius_finite(scale * m) / (scale * frobenius(m)) - 1) <= 4e-16
-            m[0, 0] = math.inf
-            assert frobenius_finite(m) == math.inf
+        for scale in (1e-300, 1.0, 1e150, 1e154, 1e200, 1e300):
+            assert abs(frobenius(scale * m) / (scale * frobenius(m)) - 1) <= 4e-16
+        assert frobenius(np.full((dim, dim), 1e308 + 1e308j)) == math.inf
+        m[0, 0] = math.inf
+        assert frobenius(m) == math.inf
 
 
 def congruence_free_by_loop(values, tol):
@@ -435,6 +442,21 @@ class TestEigenDecompose:
         assert spec.distinct_count == dim
         for want in np.linalg.eigvals(m):
             assert min(abs(lam - want) for lam in spec.eigenvalues) <= 1e-13 * x
+
+    @pytest.mark.parametrize("name", sorted(NORM_PAST_FLOAT_RANGE))
+    def test_norm_past_the_float_range_neither_raises_nor_warns(self, name):
+        # the 1x1's root is its entry, whose modulus overflows: it lies
+        # ~45 degrees off the imaginary axis, so it cannot snap.  At d = 3
+        # the roots of a matrix of infinite norm come out NaN
+        m = NORM_PAST_FLOAT_RANGE[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = eigen_decompose(m)
+        assert spec.snap is None
+        if name == "1x1":
+            assert spec.eigenvalues == (m[0, 0],)
+        else:
+            assert all(z != z for z in spec.eigenvalues)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_overflowing_root_gap_does_not_raise(self, dim):

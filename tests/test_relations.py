@@ -37,7 +37,7 @@ from commexp.relations import (
     relation_report,
 )
 
-from conftest import SQUARES_OVERFLOW, admissible_real_triples, random_matrix
+from conftest import admissible_real_triples, random_matrix
 
 PI = math.pi
 U1 = 2.088843015613044 + 7.461489285654254j
@@ -462,18 +462,19 @@ class TestSpectrumEdges:
         report = relation_report(f, np.zeros((3, 3)), TScanConfig.through(3))
         assert report.congruence_free == (False, True, False)
 
-    @pytest.mark.parametrize("x", [1e52, 1e100, pytest.param(1e200, marks=SQUARES_OVERFLOW)])
+    @pytest.mark.parametrize("x", [1e52, 1e100, 1e200])
     def test_d3_report_past_cubic_overflow(self, x):
-        # F's spectrum {x, 0, 1} is finite, though the cubic's p^3 is not
-        # (eigen_decompose warns of no overflow below ~1e154, see
-        # test_numkernel; at 1e200 the roots' own Frobenius norm does).  The
-        # flags are the report's, from the polished roots of F, G and F + G;
-        # the report, which warns of nothing, then refuses the non-finite
-        # residuals of exp(F), whose e^x is inf
+        # F's spectrum {x, 0, 1} is finite, though the cubic's p^3 is not,
+        # and nothing warns, though at 1e200 the squares in the Frobenius
+        # norms overflow.  The flags are the report's, from the differences
+        # of the polished roots of F, G and F + G; the report, which warns
+        # of nothing, then refuses the non-finite residuals of exp(F), whose
+        # e^x is inf
         f, g = np.array([[x, x, 0], [0, 0, 0], [0, 0, 1]]), np.eye(3)
         cfg = TScanConfig.through(3)
-        roots = [relations._polished_roots(as_matrix(m)) for m in (f, g, combine_affine(f, g, 1.0))]
-        assert relations._congruence_flags(roots, cfg.tol) == (True, True, True)
+        differences = [relations._differences(relations._polished_roots(as_matrix(m)))
+                       for m in (f, g, combine_affine(f, g, 1.0))]
+        assert relations._congruence_flags(differences, cfg.tol) == (True, True, True)
         with pytest.raises(ResidualOverflowError):
             relation_report(f, g, cfg)
 

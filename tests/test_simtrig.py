@@ -24,7 +24,7 @@ from commexp.simtrig import (
 )
 from commexp.uset import branch_seed, solve_u
 
-from conftest import random_matrix
+from conftest import NORM_PAST_FLOAT_RANGE, random_matrix
 
 U1 = 2.088843015613044 + 7.461489285654254j
 
@@ -77,7 +77,8 @@ class TestSimTriangularizable:
         # range it reads inf + 0j: scaled as one Python complex product, the
         # zero imaginary part would meet an infinite factor and read NaN.
         # The witness F G = s^2 [[0, 1], [1, 0]] (and 2 s^2 at (2, 2)) keeps
-        # its zero entries zero there likewise, its others reading inf
+        # its zero entries zero there likewise; an entry of finite value reads
+        # it (s^2 = 1e308 at s = 1e154), the others inf
         f, g = np.zeros((dim, dim)), np.zeros((dim, dim))
         f[:2, :2], g[:2, :2] = [[0, -1], [1, 0]], [[1, 0], [0, -1]]
         if dim == 3:
@@ -93,8 +94,19 @@ class TestSimTriangularizable:
             assert (trace.real, trace.imag) == (math.inf, 0.0)
         witness = verdict.witness
         assert (witness.imag == 0).all() and np.array_equal(np.sign(witness.real), np.sign(f @ g))
-        if scale <= 1e150:
-            assert np.allclose(witness, scale * scale * (f @ g), rtol=1e-15, atol=0)
+        # s^2 F G in Python arithmetic, which overflows to inf without a warning
+        want = [[x * scale * scale for x in row] for row in (f @ g).tolist()]
+        assert np.allclose(witness, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(NORM_PAST_FLOAT_RANGE))
+    def test_norm_past_the_float_range_does_not_warn(self, name):
+        # a diagonal F and the identity are triangular as they are
+        m = NORM_PAST_FLOAT_RANGE[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [sim_triangularizable(*pair) for pair in ((m, np.eye(len(m))),
+                                                                  (np.eye(len(m)), m))]
+        assert all(v.triangularizable for v in verdicts)
 
     @pytest.mark.parametrize("scale", (1e-8, 1e-5, 1e-3, 1.0, 1e3, 1e6))
     @pytest.mark.parametrize("name", sorted(NO_COMMON_EIGENVECTOR))
@@ -450,8 +462,8 @@ class TestClosedForm2x2:
         # of the raw entries, [F, G] is ~scale^2 and tr(C F G) ~scale^4, past
         # the float range here; the unit pair keeps both near 1, so the
         # verdicts stay right.  Past ~1e154 the squares in the Frobenius norm
-        # overflow too, and a norm of inf made every unit entry 0, so the
-        # rotation pair (det [F, G] != 0) read triangularizable.  At d = 3 it
+        # overflow too; a norm summed from them read inf and made every unit
+        # entry 0, so the rotation pair (det [F, G] != 0) read triangularizable.  At d = 3 it
         # sits in the top-left block, and e3 is the common eigenvector
         for dim in (2, 3):
             tri = [scale * m for m in _conjugated_triangular(dim)]
@@ -494,14 +506,13 @@ class TestClosedForm2x2:
             assert c00 * c00 + c01 * c10 == -det
             assert _commutator_norm_2x2((c00, c01, c10)) == np.linalg.norm(c)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_commutator_norm_is_the_frobenius_norm(self, rng):
-        # numkernel.frobenius of [[c00, c01], [c10, -c00]], inf past ~1e154
-        # as it is, not OverflowError
+        # numkernel.frobenius of [[c00, c01], [c10, -c00]], finite at 1e160,
+        # where the squares overflow, and with no warning
         for scale in (1e-150, 1.0, 1e150, 1e160):
             c00, c01, c10 = (complex(*rng.standard_normal(2)) * scale for _ in range(3))
             want = frobenius(np.array([[c00, c01], [c10, -c00]]))
-            assert _commutator_norm_2x2((c00, c01, c10)) == want
+            assert _commutator_norm_2x2((c00, c01, c10)) == want < math.inf
         assert math.isnan(_commutator_norm_2x2((complex(math.nan, 0), 0j, 0j)))
 
     def test_lower_norm_at_d3(self, rng):
