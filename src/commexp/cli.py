@@ -19,6 +19,20 @@ $id, title and description.  A schema with any other keyword is refused
 (SchemaError), so a schema edit cannot go unchecked.  A document that does
 not match raises SchemaError with its JSON path: exit code 1.
 
+Each command, and each case of ``search``, declares only the flags it
+reads, with their arity, and a flag it does not read is a usage error
+(exit code 1), never an input that changes nothing.  ``search`` has one
+subcommand per case: ``iii4`` takes ``--box`` and the scale ``--n N``;
+``a1-discriminant`` takes ``--m M1 M2``, ``--n N1 N2`` and ``--nmax``;
+``iii2ii-discriminant`` takes ``--m M``, ``--nmax`` and either
+``--products P1 P2 P3`` or ``--alpha A`` with ``--n N1 N2``.  The family
+flags (``FAMILY_FLAGS``) have no default in the parser: each family's
+defaults are held by its ``families.FAMILIES`` record, whose keys are the
+flags the family takes, and ``families NAME`` and ``verify --builtin NAME``
+alike refuse any other family flag, naming it.  ``verify`` takes either
+``--builtin`` or both ``-f`` and ``-g``, and family flags only with
+``--builtin``.
+
 One path writes every report.  Each command is a builder,
 ``cmd_*(ns) -> (inputs, tolerances, payload, claim)``, that returns its
 report and writes nothing else (``families -o`` aside, which writes the
@@ -84,6 +98,11 @@ SCHEMA_VERSION = 1
 III2_FORMS = ("symmetric-rank1", "a1", "a2", "a3", "a4")
 FAMILY_NAMES = ("intro", "real2d", "theorem2", "dim2case1", "iii2", "iii2ii")
 BUILTINS = FAMILY_NAMES[:4]
+# the dest and the option of each family flag; a family takes the flags whose
+# dests key its record's defaults
+FAMILY_FLAGS = {"lam": "--lambda", "mu": "--mu", "nu": "--nu", "a": "--a",
+                "u_branch": "--u-branch", "l1": "--l1", "m": "--m", "n_pair": "--n",
+                "alpha": "--alpha", "form": "--form"}
 # the t values at which ``families`` judges a record's star verdicts: through
 # t = 6, where the intro pair's identity first fails (over all integers it
 # holds exactly at t = -294, 0, 1..5 and 299)
@@ -348,22 +367,30 @@ def parse_complex(spec: str) -> complex:
 # builtin pair construction
 
 
+def _family_flags(ns, takes, why: str) -> dict:
+    """{dest: value} of the family flags given in ``ns``; a usage error,
+    naming the flag as typed and ``why``, for one not in ``takes``."""
+    given = {dest: getattr(ns, dest) for dest in FAMILY_FLAGS
+             if getattr(ns, dest, None) is not None}
+    for dest in given:
+        if dest not in takes:
+            raise UsageError(f"{FAMILY_FLAGS[dest]} {why}")
+    return given
+
+
 def _build_family(name: str, ns):
-    """(record, F, G, report inputs) of family ``name``, built from the flags in ``ns``."""
+    """(record, F, G, report inputs) of family ``name``, built from the
+    family flags given in ``ns``, each one that the family's record takes."""
     from . import families
 
     record = families.FAMILIES[name]
-    return (record, *record.build(record.resolve(vars(ns))))
+    given = _family_flags(ns, record.defaults.keys(), f"does not apply to {name}")
+    return (record, *record.build(record.resolve(given)))
 
 
 def _verdict_obj(v) -> dict:
-    return {
-        "relation": v.relation.value,
-        "t": v.t,
-        "holds": v.holds,
-        "residual": v.residual,
-        "tol": v.tol,
-    }
+    return {"relation": v.relation.value, "t": v.t, "holds": v.holds,
+            "residual": v.residual, "tol": v.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +403,15 @@ def cmd_verify(ns) -> tuple:
     t_complex = [parse_complex(spec) for spec in ns.t_complex or []]
     cfg = TScanConfig((*parse_int_range(ns.t), *t_complex), ns.tol)
     if ns.builtin:
+        if ns.f or ns.g:
+            raise UsageError("--builtin excludes -f and -g")
         record, f, g, params = _build_family(ns.builtin, ns)
         inputs = {"builtin": ns.builtin, "digest": _digest_params(ns.builtin, params), **params}
     else:
         if not (ns.f and ns.g):
             raise UsageError("need either --builtin NAME or both -f and -g matrix files")
-        f = load_matrix_file(ns.f)
-        g = load_matrix_file(ns.g)
+        _family_flags(ns, (), "needs --builtin")
+        f, g = load_matrix_file(ns.f), load_matrix_file(ns.g)
         inputs = {"f": {"path": ns.f, "sha256": _digest_file(ns.f)},
                   "g": {"path": ns.g, "sha256": _digest_file(ns.g)}}
     report = relation_report(
@@ -430,12 +459,8 @@ def cmd_solve_u(ns) -> tuple:
         raise UsageError("the k = 0 branch holds only the excluded root u = 0")
     roots = uset.enumerate_u(min(wanted), max(wanted))
     roots = [r for r in roots if r.branch_hint in set(wanted)]
-    payload = {
-        "roots": [
-            {"value": r.value, "residual": r.residual, "branch_hint": r.branch_hint}
-            for r in roots
-        ],
-    }
+    payload = {"roots": [{"value": r.value, "residual": r.residual, "branch_hint": r.branch_hint}
+                         for r in roots]}
     reproduced = len(roots) == len(wanted) and all(
         r.residual <= uset.RESIDUAL_TARGET for r in roots
     )
@@ -498,50 +523,44 @@ def _discriminant_claim(name: str, outcome: SearchOutcome, nmax: int) -> dict:
             "detail": "squareness pattern contradicts the degeneracy test: " + detail}
 
 
-def cmd_search(ns) -> tuple:
+def cmd_search_iii4(ns) -> tuple:
+    from . import intsearch
+
+    outcome = intsearch.grobner_replacement_search(ns.box, ns.n)
+    if ns.n >= 2:
+        reproduced = not outcome.survivors
+        detail = (f"no consistent scaling with n={ns.n} inside the box" if reproduced
+                  else f"{len(outcome.survivors)} unexpected survivors")
+    else:
+        bases = {s.params[:7] for s in outcome.survivors}
+        reproduced = len(bases) == outcome.tuples_scanned
+        detail = f"{len(bases)} of {outcome.tuples_scanned} base tuples survive identity scaling"
+    claim = {"name": "iii4-search", "reproduced": reproduced, "detail": detail}
+    return {"box": ns.box, "n": ns.n}, {}, _outcome_payload(outcome), claim
+
+
+def cmd_search_a1(ns) -> tuple:
+    from . import intsearch
+
+    outcome = intsearch.discriminant_scan_A1(*ns.m, *ns.n, ns.nmax)
+    claim = _discriminant_claim("a1-discriminant", outcome, ns.nmax)
+    return {"m": ns.m, "n": ns.n, "nmax": ns.nmax}, {}, _outcome_payload(outcome), claim
+
+
+def cmd_search_iii2ii(ns) -> tuple:
     from fractions import Fraction
 
     from . import intsearch
 
-    if ns.case == "iii4":
-        if len(ns.n_values) != 1:
-            raise UsageError("iii4 takes a single --n (the scale integer)")
-        n = ns.n_values[0]
-        outcome = intsearch.grobner_replacement_search(ns.box, n)
-        if n >= 2:
-            reproduced = not outcome.survivors
-            detail = (
-                f"no consistent scaling with n={n} inside the box"
-                if reproduced else f"{len(outcome.survivors)} unexpected survivors"
-            )
-        else:
-            bases = {s.params[:7] for s in outcome.survivors}
-            reproduced = len(bases) == outcome.tuples_scanned
-            detail = f"{len(bases)} of {outcome.tuples_scanned} base tuples survive identity scaling"
-        claim = {"name": "iii4-search", "reproduced": reproduced, "detail": detail}
-        inputs = {"box": ns.box, "n": n}
-    elif ns.case == "a1-discriminant":
-        if len(ns.m) != 2 or len(ns.n_values) != 2:
-            raise UsageError("a1-discriminant needs --m M1 M2 and --n N1 N2")
-        m1, m2 = ns.m
-        n1, n2 = ns.n_values
-        outcome = intsearch.discriminant_scan_A1(m1, m2, n1, n2, ns.nmax)
-        claim = _discriminant_claim("a1-discriminant", outcome, ns.nmax)
-        inputs = {"m": ns.m, "n": ns.n_values, "nmax": ns.nmax}
+    if (ns.alpha is None) != (ns.n is None):  # argparse keeps --products apart from --alpha
+        raise UsageError("--alpha and --n N1 N2 come together, in place of --products")
+    if ns.products:
+        products = tuple(Fraction(p) for p in ns.products)
     else:
-        if len(ns.m) != 1:
-            raise UsageError("iii2ii-discriminant takes a single --m")
-        m_val = ns.m[0]
-        if ns.products:
-            products = tuple(Fraction(p) for p in ns.products)
-        elif len(ns.n_values) == 2 and ns.alpha is not None:
-            n1, n2 = ns.n_values
-            products = intsearch.iii2ii_products(m_val, n1, n2, Fraction(ns.alpha))
-        else:
-            raise UsageError("need --products P1 P2 P3 or --n N1 N2 with --alpha")
-        outcome = intsearch.discriminant_scan_III2ii(products, m_val, ns.nmax)
-        claim = _discriminant_claim("iii2ii-discriminant", outcome, ns.nmax)
-        inputs = {"m": m_val, "products": [str(p) for p in products], "nmax": ns.nmax}
+        products = intsearch.iii2ii_products(ns.m, *ns.n, Fraction(ns.alpha))
+    outcome = intsearch.discriminant_scan_III2ii(products, ns.m, ns.nmax)
+    claim = _discriminant_claim("iii2ii-discriminant", outcome, ns.nmax)
+    inputs = {"m": ns.m, "products": [str(p) for p in products], "nmax": ns.nmax}
     return inputs, {}, _outcome_payload(outcome), claim
 
 
@@ -628,18 +647,31 @@ def build_parser() -> _Parser:
     pu.add_argument("-o", "--out")
     pu.set_defaults(func=cmd_solve_u)
 
-    ps = sub.add_parser("search", help="exact integer scans")
-    ps.add_argument("case", choices=["iii4", "a1-discriminant", "iii2ii-discriminant"])
-    ps.add_argument("--box", type=int, default=4)
-    ps.add_argument("--n", dest="n_values", nargs="+", type=int, default=[2],
-                    help="scale integer for iii4, or the pair N1 N2 for the scans")
-    ps.add_argument("--m", nargs="+", type=int, default=[1],
-                    help="m values (two for a1, one for iii2ii)")
-    ps.add_argument("--alpha", help="rational alpha, e.g. 1 or 3/2")
-    ps.add_argument("--products", nargs=3, help="a1b1 a2b2 a3b3 as rationals")
-    ps.add_argument("--nmax", type=int, default=50)
-    ps.add_argument("-o", "--out")
-    ps.set_defaults(func=cmd_search)
+    ps = sub.add_parser("search", help="exact integer scans, one subcommand per case")
+    cases = ps.add_subparsers(dest="case", required=True)
+    p4, pa, pii = (cases.add_parser(name, help=text, description=text) for name, text in (
+        ("iii4", "type-III4 search over the tuples with every |param| <= BOX: at scale "
+                 "N >= 2 none survives, and at the identity control N = 1 all do"),
+        ("a1-discriminant", "squareness, n = 1..NMAX, of the A1-form discriminant with "
+                            "B = diag(M1, M2, 0) and A + B ~ diag(N1, N2, 0)"),
+        ("iii2ii-discriminant", "squareness, n = 1..NMAX, of the discriminant of the outer-"
+                                "product family against diag(M, 0, 0), from its products "
+                                "P1 P2 P3 or from --alpha A with --n N1 N2")))
+    p4.add_argument("--box", type=int, default=4, help="default 4")
+    p4.add_argument("--n", type=int, default=2, help="the scale integer, default 2")
+    pa.add_argument("--m", nargs=2, type=int, required=True, metavar=("M1", "M2"))
+    pa.add_argument("--n", nargs=2, type=int, required=True, metavar=("N1", "N2"))
+    pii.add_argument("--m", type=int, default=1, help="default 1")
+    given = pii.add_mutually_exclusive_group(required=True)
+    given.add_argument("--products", nargs=3, metavar=("P1", "P2", "P3"),
+                       help="a1b1 a2b2 a3b3 as rationals")
+    given.add_argument("--alpha", metavar="A", help="rational alpha, e.g. 1 or 3/2, with --n")
+    pii.add_argument("--n", nargs=2, type=int, metavar=("N1", "N2"), help="with --alpha")
+    for p in (pa, pii):
+        p.add_argument("--nmax", type=int, default=50, help="default 50")
+    for p, func in zip((p4, pa, pii), (cmd_search_iii4, cmd_search_a1, cmd_search_iii2ii)):
+        p.add_argument("-o", "--out")
+        p.set_defaults(func=func)
 
     pf = sub.add_parser("families", help="construct an exhibited pair, emit matrices")
     pf.add_argument("name", choices=FAMILY_NAMES)
@@ -649,9 +681,9 @@ def build_parser() -> _Parser:
     pf.add_argument("--m", nargs="+", type=int,
                     help="default 1 2 3 (iii2), 1 2 0 (iii2 --form a1, iii2 --form a2) "
                          "or 1 (iii2ii)")
-    pf.add_argument("--n", dest="n_pair", nargs=2, type=int, default=[4, 5])
-    pf.add_argument("--alpha", default="1")
-    pf.add_argument("--form", default="symmetric-rank1", choices=III2_FORMS)
+    pf.add_argument("--n", dest="n_pair", nargs=2, type=int, help="default 4 5 (iii2, iii2ii)")
+    pf.add_argument("--alpha", help="default 1 (iii2ii)")
+    pf.add_argument("--form", choices=III2_FORMS, help="default symmetric-rank1 (iii2)")
     pf.add_argument("-o", "--out-files", nargs=2, help="write F and G matrix files")
     pf.add_argument("--out", help="write the report here instead of stdout")
     pf.set_defaults(func=cmd_families)

@@ -357,8 +357,8 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or an exact one, can overflow in a form whose value it does not keep,
     and a row whose kept value overflows comes out inf or NaN; either
     leaves the other rows alone.  Callers run it with floating-point
-    warnings off (``expm_2x2_stack`` and ``relations.relation_report`` each
-    enter one ``np.errstate``).
+    warnings off (``expm_2x2_stack``, ``expm`` and
+    ``relations.relation_report`` each enter one ``np.errstate``).
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
@@ -399,17 +399,20 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, lams
 
 
+@np.errstate(all="ignore")
 def expm(m) -> np.ndarray:
     """Matrix exponential of a d <= 3 complex matrix.
 
     At d = 2 it is ``expm_2x2_stack`` on a stack of one: the closed form, or
     its exact snap.  At d = 1 and 3 it takes the first path whose nodes
     annihilate the matrix (see the module docstring): the exact snap, then
-    Hermite, then Pade.
+    Hermite, then Pade.  It runs with floating-point warnings off at every
+    d, as ``expm_2x2_stack`` does: an exponential that overflows comes out
+    inf or NaN, and says so in its entries alone.
     """
     a = as_matrix(m)
     if a.shape[0] == 2:
-        return expm_2x2_stack(a[None])[0]
+        return _expm_2x2_with_eigenvalues(a[None])[0][0]
     spectrum = eigen_decompose(a)
     if spectrum.snap is not None:
         ks = list(dict.fromkeys(spectrum.snap))

@@ -29,7 +29,9 @@ Dimension 3 (emitted as 1/(2*i*pi)-scaled representatives; use
 ``FAMILIES`` declares each family the CLI exhibits once, as a ``Family``
 record that ``verify --builtin`` and ``families`` both read: ``build`` (flag
 values to F, G and report inputs), the flag ``defaults`` (and those one
-``--form`` changes), ``expected`` (per relation, the exact ``holds`` of a
+``--form`` changes), which are the one home of the family's defaults and
+whose keys are the flags it takes (the CLI refuses any other family flag
+for it), ``expected`` (per relation, the exact ``holds`` of a
 verdict at t, or None where nothing is predicted: square-with-parity of
 ``rotation_square_polynomial`` for intro and real2d, star always and swapped
 star only at t = 0 for theorem2, lambda*t + mu != 0 at integer t for
@@ -359,8 +361,10 @@ Rule = Callable[[dict, "int | complex | None"], "bool | None"]
 
 class Family(NamedTuple):
     """How to build one exhibited pair, its flag defaults, and what it
-    predicts.  The ``{}`` defaults are one object shared by every record
-    built without them, so no record's dict is ever mutated."""
+    predicts.  The keys of ``defaults`` are the flags the family takes, and
+    a ``form_defaults`` entry changes only some of them.  The ``{}``
+    defaults are one object shared by every record built without them, so
+    no record's dict is ever mutated."""
 
     build: Callable[[dict], tuple[CMat, CMat, dict]]
     defaults: dict
@@ -368,10 +372,11 @@ class Family(NamedTuple):
     checks: Callable[[CMat, CMat, dict], dict[str, bool]] = lambda f, g, inputs: {}
     form_defaults: dict[str, dict] = {}
 
-    def resolve(self, flags: dict) -> dict:
-        """The flag values, with this family's default for each flag not given."""
-        given = {key: value for key, value in flags.items() if value is not None}
-        return {**self.defaults, **self.form_defaults.get(flags.get("form"), {}), **given}
+    def resolve(self, given: dict) -> dict:
+        """The values of the flags ``given``, each a key of ``defaults`` (the
+        CLI refuses any other), over this family's default for each flag
+        not given, and over the defaults of a given ``--form``."""
+        return {**self.defaults, **self.form_defaults.get(given.get("form"), {}), **given}
 
     def judge(self, inputs: dict, verdicts) -> dict[str, tuple[bool, bool]]:
         """{"relation@t=t": (expected holds, holds)} for each predicted verdict."""
@@ -495,7 +500,9 @@ FAMILIES: dict[str, Family] = {
         _theorem2_checks),
     "dim2case1": Family(_taking(("lam", "mu"), dim2_case1_pair), {"lam": 1, "mu": 1},
                         _star_rules(_COMMUTE_NEVER, _dim2case1_star)),
-    "iii2": Family(_build_iii2, {"m": (1, 2, 3), "l1": 3}, checks=_iii2_checks,
+    "iii2": Family(_build_iii2, {"m": (1, 2, 3), "l1": 3, "n_pair": (4, 5),
+                                 "form": "symmetric-rank1"}, checks=_iii2_checks,
                    form_defaults={form: {"m": (1, 2, 0), "l1": 6} for form in ("a1", "a2")}),
-    "iii2ii": Family(_build_iii2ii, {"m": (1,)}, checks=_iii2ii_checks),
+    "iii2ii": Family(_build_iii2ii, {"m": (1,), "n_pair": (4, 5), "alpha": "1"},
+                     checks=_iii2ii_checks),
 }

@@ -122,7 +122,10 @@ def frobenius(x: np.ndarray) -> float | np.ndarray:
     whatever the size of the squares, and free of floating-point warnings.
     An (n, d, d) stack gives its n norms as an array, from numpy's
     ``einsum``, summed in an order of numpy's choosing; its squares
-    overflow to inf past ~1e154.
+    overflow to inf once an entry passes ~1e154, though the norm may be
+    finite.  The one stack caller, ``relations._scan_2x2``, tests the sum of
+    residuals that it forms anyway and then takes such a norm again, one
+    matrix at a time; a test here would cost every stack a numpy call.
     """
     if x.ndim == 3:
         # a real stack's imaginary part is zeros, which add nothing

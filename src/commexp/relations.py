@@ -46,11 +46,15 @@ once ||M|| is ~1e8 or more.  At either dimension an infinite or NaN
 eigenvalue difference raises ``SpectrumOverflowError`` naming the matrix;
 past the flags, a residual that is not finite (an exponential, or its norm,
 overflowed on a finite spectrum) raises ``ResidualOverflowError`` naming
-the relation and its t, instead of reading as a failed verdict.  At d = 2
-the residuals come from one stacked norm (numpy's ``einsum``), whose
-squares overflow once an entry of a side passes ~1e154, so such a side
-raises ``ResidualOverflowError``; at d = 3 each norm is ``math.hypot``'s,
-which overflows only past the float range, ~1.8e308.  So the report runs
+the relation and its t, instead of reading as a failed verdict.  At d = 3
+each norm is ``math.hypot``'s, which overflows only past the float range,
+~1.8e308.  At d = 2 the residuals come from one stacked norm (numpy's
+``einsum``), whose squares overflow once an entry of a side passes ~1e154;
+when the residuals' sum is not finite, each stacked norm that is not
+finite is taken again by ``math.hypot``, and the finite ones keep their
+bits.  So at either dimension a residual is refused only when an
+exponential or its norm passes the float range: diag(400, 0) against 0,
+whose e^400 is ~5.2e173, reports at d = 2 as at d = 3.  The report runs
 with floating-point warnings off: an overflow reaches the caller as that
 one typed error.  With ``include_triangularizable`` the report adds
 the verdict of ``simtrig.sim_triangularizable``, which at d = 2 is one
@@ -76,8 +80,9 @@ closed form does not run), the two products, the sides and their norms,
 and the commute check and triangularizability test in Python arithmetic
 on the entries.  The flags test the eigenvalue difference of F, G and
 F + G in Python arithmetic, and the finiteness of the residuals is read
-from their sum.  At t = 1..100 the exponential stack and the building of
-the verdicts from the residual array take most of a report.  The
+from their sum, which also decides whether any norm is taken again.  At
+t = 1..100 the exponential stack and the building of the verdicts from
+the residual array take most of a report.  The
 config's t rows and verdict heads, int-to-complex conversion and list
 building, are paid once per config instead, so the saving needs many
 reports under one config.
@@ -196,10 +201,10 @@ def _verdict(kind, lhs, rhs, tol, t=None) -> RelationVerdict:
 
 def _scan_2x2(
     f, g, a: np.ndarray, b: np.ndarray, cfg: TScanConfig,
-) -> tuple[list[RelationVerdict], list[float], tuple[bool, bool, bool]]:
+) -> tuple[list[RelationVerdict], float, tuple[bool, bool, bool]]:
     """exp-equal, exp-swap, then star and swapped star per t of a 2x2 pair,
-    their residuals as a list in that order, and the congruence flags of
-    F, G and F + G, from one stacked exponential.
+    the sum of their residuals, and the congruence flags of F, G and F + G,
+    from one stacked exponential.
 
     The stack is [G, F, t F for each t, t F + G for each t, F + G]: b and a
     (``matrix_pair``), then the rows of one ``affine_rows`` call over the t
@@ -208,8 +213,10 @@ def _scan_2x2(
     product each over the rows [exp(F), exp(t F) for each t]: the (n, 2, 2)
     stack read as (2n, 2) rows times exp(G), and exp(G) times the stack laid
     out as (2, 2n) columns.  Every residual is ``_relative_residual`` over the
-    stack, and the flags read the eigenvalue differences (mu + s) - (mu - s)
-    of F, G and F + G: rows 1, 0 and -1.
+    stack, from one stacked norm; when their sum is not finite, each norm
+    that is not finite is taken again one matrix at a time, as at d = 3.
+    The flags read the eigenvalue differences (mu + s) - (mu - s) of F, G
+    and F + G: rows 1, 0 and -1.
     """
     n = len(cfg.t_values)
     tf, tfg = affine_rows(f, g, cfg._t_rows)
@@ -224,10 +231,15 @@ def _scan_2x2(
     sides[0, 0, 0], sides[0, 0, 1], sides[0, 1:] = e[1], right[0], sums[:, None]
     sides[1, :, 0], sides[1, :, 1], sides[1, 0, 0] = right, left, eg
     np.subtract(sides[0], sides[1], out=sides[2])
-    lhs_norm, rhs_norm, diff_norm = frobenius(sides.reshape(-1, 2, 2)).reshape(3, -1)
-    # fmax, as Python's max, passes over a NaN norm
-    residual_array = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
-    residuals = residual_array.tolist()
+    stack = sides.reshape(-1, 2, 2)
+    norms = frobenius(stack)
+    residual_array, residuals, total = _stack_residuals(norms)
+    if not math.isfinite(total):
+        # the stacked squares overflow once an entry passes ~1e154: take each
+        # norm that is not finite again by math.hypot, and keep the others
+        for i in np.flatnonzero(~np.isfinite(norms)).tolist():
+            norms[i] = frobenius(stack[i])
+        residual_array, residuals, total = _stack_residuals(norms)
     tol = cfg.tol
     kinds, ts = cfg._heads
     # tuple.__new__ builds each verdict from its fields at C level, skipping
@@ -237,7 +249,18 @@ def _scan_2x2(
     # the eigenvalues mu + s and mu - s of F and G (rows 1 and 0) and of F + G
     (f1, g1), (f2, g2) = lams[:, 1::-1].tolist()
     s1, s2 = lams[:, -1].tolist()
-    return verdicts, residuals, _congruence_flags([[f1 - f2], [g1 - g2], [s1 - s2]], tol)
+    return verdicts, total, _congruence_flags([[f1 - f2], [g1 - g2], [s1 - s2]], tol)
+
+
+def _stack_residuals(norms: np.ndarray) -> tuple[np.ndarray, list[float], float]:
+    """The residual of each verdict of ``_scan_2x2`` from the norms of its
+    left sides, right sides and differences, in that order: as an array, as
+    a list and the list's sum."""
+    lhs_norm, rhs_norm, diff_norm = norms.reshape(3, -1)
+    # fmax, as Python's max, passes over a NaN norm
+    residual_array = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
+    residuals = residual_array.tolist()
+    return residual_array, residuals, sum(residuals)
 
 
 def _commute_verdict(a, b, tol: float) -> tuple[RelationVerdict, float, float]:
@@ -351,7 +374,7 @@ def relation_report(
     commute, norm_f, norm_g = _commute_verdict(a, b, cfg.tol)
     verdicts = [commute]
     if a.shape[0] == 2:
-        scanned, residuals, flags = _scan_2x2(f, g, a, b, cfg)
+        scanned, total, flags = _scan_2x2(f, g, a, b, cfg)
         verdicts.extend(scanned)
     else:
         verdicts.append(check_exp_equal(f, g, cfg.tol))
@@ -361,10 +384,10 @@ def relation_report(
             verdicts.append(check_relation_star(f, g, t, cfg.tol, swapped=True))
         flags = _congruence_flags([_differences(_polished_roots(m))
                                    for m in (a, b, combine_affine(f, g, 1.0))], cfg.tol)
-        residuals = [v.residual for v in verdicts[1:]]
+        total = sum(v.residual for v in verdicts[1:])
     # every residual is at most ~2, as ||x - y|| <= ||x|| + ||y||, so their
     # sum is finite exactly when each one is
-    if not math.isfinite(verdicts[0].residual + sum(residuals)):
+    if not math.isfinite(verdicts[0].residual + total):
         bad = next(v for v in verdicts if not math.isfinite(v.residual))
         at = "" if bad.t is None else f" at t = {bad.t}"
         raise ResidualOverflowError(

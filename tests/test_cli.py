@@ -186,6 +186,105 @@ class TestSearchExitCodes:
         assert err == "error: ConstraintError: n_max must be a positive integer\n"
 
 
+def assert_usage_error(capsys, argv, message=None):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+class TestEachCaseTakesOnlyItsFlags:
+    """Each search case and each family takes only the flags it reads; any
+    other flag is a usage error, not an input that changes nothing."""
+
+    CASE_OPTIONS = {
+        "iii4": {"--box", "--n"},
+        "a1-discriminant": {"--m", "--n", "--nmax"},
+        "iii2ii-discriminant": {"--m", "--products", "--alpha", "--n", "--nmax"},
+    }
+
+    def test_each_search_case_declares_only_its_flags(self):
+        search = cli.build_parser()._subparsers._group_actions[0].choices["search"]
+        cases = search._subparsers._group_actions[0].choices
+        assert cases.keys() == self.CASE_OPTIONS.keys()
+        for name, options in self.CASE_OPTIONS.items():
+            declared = {o for a in cases[name]._actions for o in a.option_strings}
+            assert declared == options | {"-h", "--help", "-o", "--out"}, name
+
+    @pytest.mark.parametrize("argv", [
+        ("iii4", "--nmax", "7"),
+        ("iii4", "--m", "1"),
+        ("iii4", "--alpha", "3"),
+        ("iii4", "--products", "1", "1/2", "3"),
+        ("a1-discriminant", "--m", "1", "2", "--n", "3", "4", "--box", "9"),
+        ("a1-discriminant", "--m", "1", "2", "--n", "3", "4", "--alpha", "1"),
+        ("a1-discriminant", "--m", "1", "2", "--n", "3", "4", "--products", "1", "1", "1"),
+        ("iii2ii-discriminant", "--products", "1", "1/2", "3", "--box", "3"),
+        # --products excludes --alpha and --n, and --alpha needs --n
+        ("iii2ii-discriminant", "--products", "1", "1/2", "3", "--n", "4", "5"),
+        ("iii2ii-discriminant", "--products", "1", "1/2", "3", "--alpha", "1"),
+        ("iii2ii-discriminant", "--alpha", "1"),
+        ("iii2ii-discriminant", "--n", "4", "5"),
+        ("iii2ii-discriminant", "--m", "1"),
+        # the arity of each case's flags
+        ("iii4", "--n", "1", "2"),
+        ("a1-discriminant", "--m", "1", "--n", "3", "4"),
+        ("a1-discriminant", "--m", "1", "2"),
+        ("iii2ii-discriminant", "--m", "1", "2", "--products", "1", "1/2", "3"),
+    ], ids=" ".join)
+    def test_a_foreign_search_flag_exits_one(self, capsys, argv):
+        assert_usage_error(capsys, ("search", *argv))
+
+    def test_products_with_n_names_the_pairing(self, capsys):
+        assert_usage_error(
+            capsys, ("search", "iii2ii-discriminant", "--products", "1", "1/2", "3",
+                     "--n", "4", "5"),
+            "--alpha and --n N1 N2 come together, in place of --products")
+
+    # a valid value of each family flag, as typed on the command line
+    VALUES = {"lam": ("2",), "mu": ("2",), "nu": ("3",), "a": ("0.5",), "u_branch": ("2",),
+              "l1": ("3",), "m": ("1",), "n_pair": ("4", "5"), "alpha": ("1",),
+              "form": ("a3",)}
+    FOREIGN = [(name, dest) for name, record in families.FAMILIES.items()
+               for dest in cli.FAMILY_FLAGS if dest not in record.defaults]
+    D2_FLAGS = ("lam", "mu", "nu", "a", "u_branch")
+
+    @pytest.mark.parametrize("name, dest", FOREIGN, ids=[f"{n}-{d}" for n, d in FOREIGN])
+    def test_a_foreign_family_flag_exits_one_naming_it(self, capsys, name, dest):
+        flag = cli.FAMILY_FLAGS[dest]
+        message = f"{flag} does not apply to {name}"
+        assert_usage_error(capsys, ("families", name, flag, *self.VALUES[dest]), message)
+        if name in cli.BUILTINS and dest in self.D2_FLAGS:
+            assert_usage_error(capsys, ("verify", "--builtin", name, flag, *self.VALUES[dest]),
+                               message)
+
+    def test_every_family_takes_its_own_flags(self, capsys):
+        for name, record in families.FAMILIES.items():
+            # each default typed out changes no input
+            argv = [token for dest, value in record.defaults.items()
+                    for token in (cli.FAMILY_FLAGS[dest],
+                                  *map(str, value if isinstance(value, tuple) else (value,)))]
+            code, out, err = run(capsys, "families", name, *argv)
+            assert code == 0, (name, err)
+            code, default, _ = run(capsys, "families", name)
+            assert json.loads(out)["inputs"] == json.loads(default)["inputs"]
+
+    def test_builtin_excludes_matrix_files(self, capsys, tmp_path):
+        f, g = write_matrix(tmp_path / "F.json"), write_matrix(tmp_path / "G.json")
+        for argv in (("-f", f, "-g", g), ("-f", f), ("-g", g),
+                     ("-f", "missing.json", "-g", "missing.json")):
+            assert_usage_error(capsys, ("verify", "--builtin", "intro", *argv),
+                               "--builtin excludes -f and -g")
+
+    @pytest.mark.parametrize("dest", D2_FLAGS)
+    def test_family_flags_need_builtin(self, capsys, tmp_path, dest):
+        f, g = write_matrix(tmp_path / "F.json"), write_matrix(tmp_path / "G.json")
+        flag = cli.FAMILY_FLAGS[dest]
+        assert_usage_error(capsys, ("verify", "-f", f, "-g", g, flag, *self.VALUES[dest]),
+                           f"{flag} needs --builtin")
+
+
 class TestPinnedSearchReports:
     """sha256 of each search report minus its wall_clock_seconds line.  The
     payloads hold only integers and exact rationals, so the digests do not
@@ -708,12 +807,21 @@ def test_family_choices_and_defaults_match_the_records():
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     dests = {dest for r in families.FAMILIES.values()
              for d in (r.defaults, *r.form_defaults.values()) for dest in d}
-    for command, want in (("verify", dests - {"l1", "m"}), ("families", dests)):
+    assert dests == cli.FAMILY_FLAGS.keys()
+    # verify --builtin takes the flags of the d = 2 families
+    d2 = {dest for name in cli.BUILTINS for dest in families.FAMILIES[name].defaults}
+    assert d2 == {"lam", "mu", "nu", "a", "u_branch"}
+    for command, want in (("verify", d2), ("families", dests)):
         actions = {a.dest: a for a in subparsers[command]._actions if a.dest in dests}
         assert actions.keys() == want
         for dest, action in actions.items():
+            assert action.option_strings == [cli.FAMILY_FLAGS[dest]], (command, dest)
             assert action.default is None, (command, dest)
             assert action.help == _default_help(dest), (command, dest)
+    # a form's defaults change only flags that its family takes
+    for record in families.FAMILIES.values():
+        for defaults in record.form_defaults.values():
+            assert defaults.keys() <= record.defaults.keys()
 
 
 def module_run(*argv):
@@ -735,7 +843,7 @@ class TestProcessExitCodes:
     def test_one_for_a_usage_error(self):
         proc = module_run("search", "iii4", "--n", "1", "2")
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: iii4 takes a single --n (the scale integer)\n"
+        assert proc.stderr == "error: unrecognized arguments: 2\n"
 
     def test_two_for_a_failed_claim(self):
         # a tolerance below the rounding of exp(tF + G) = exp(tF) exp(G)

@@ -842,3 +842,23 @@ class TestStackedClosedForm:
         assert not np.count_nonzero(s.real < 0)
         assert np.count_nonzero(s.real > 1) and np.count_nonzero(np.abs(s) < _SINHC_SERIES_BELOW)
         assert np.count_nonzero(np.isnan(s)) and np.count_nonzero(np.isinf(s))
+
+
+class TestOverflowIsQuiet:
+    """Past e^709 an exponential overflows to inf and NaN entries.  ``expm``
+    runs under one ``np.errstate`` at every d, so it says so in its entries
+    alone, as the d = 2 stack always did, and its bits are those it returns
+    with warnings switched off by its caller."""
+
+    @pytest.mark.parametrize("s", [1e100, 1e160, 1e200])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_expm_warns_at_no_d(self, d, s):
+        m = s * random_matrix(np.random.default_rng(20261021 + d), d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expm(m)
+        with np.errstate(all="ignore"):
+            want = expm(m)
+            if d == 2:
+                assert _bits(want) == _bits(expm_2x2_stack(m[None])[0])
+        assert _bits(got) == _bits(want)

@@ -1,9 +1,10 @@
-"""The benchmark's in-process workloads still build and pass their own oracles.
+"""The benchmark's workloads still build and pass their own oracles.
 
 ``perfbench/`` is outside ``testpaths`` and is not a package, so the suite
 would not see a change to ``commexp`` that removes or breaks a name the
-benchmark calls.  Each test builds one workload at seed 1 and judges a
-sample of its operations, untimed, the way the benchmark's worker does.
+benchmark calls.  Each in-process workload is built at seed 1 and a sample
+of its operations judged, untimed, the way the benchmark's worker does;
+every command of the ``cli`` workload at seeds 1-3 is run in-process.
 """
 
 import importlib.util
@@ -67,6 +68,20 @@ def test_search_controls_and_both_scan_kinds(workloads):
     assert _wrong(wl, chosen) == {}
 
 
-def test_cli_commands_build(workloads):
-    commands = workloads.cli_commands(random.Random(1))
-    assert commands and all(c.argv for c in commands)
+def test_cli_commands_pass_their_oracle(workloads, capsys):
+    # the 63 commands of the cli workload at seeds 1-3, run in-process through
+    # cli.main and judged as the worker judges them, the known-defect ones
+    # included, so a change to the CLI contract cannot lower the workload's
+    # ok_ratio unseen
+    from commexp import cli
+
+    commands = [c for seed in (1, 2, 3) for c in workloads.cli_commands(random.Random(seed))]
+    assert len(commands) == 63
+    wrong = {}
+    for command in commands:
+        code = cli.main(list(command.argv))
+        out = capsys.readouterr().out
+        reason = workloads.judge_cli(command, code, out)
+        if reason is not None:
+            wrong[" ".join(command.argv)] = reason
+    assert wrong == {}
