@@ -279,8 +279,7 @@ def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.nda
     e^mu form over every entry, its series only on the entries below
     ``_SINHC_SERIES_BELOW``, then the e^(mu+s) form on the entries with
     Re s > 1, gathered, written over them.  The e^mu form of such an entry
-    may overflow before it is overwritten; callers run with floating-point
-    warnings off."""
+    may overflow before it is overwritten."""
     e = np.exp(mu)
     q = np.sinh(s) / s
     series = np.abs(s) < _SINHC_SERIES_BELOW
@@ -353,12 +352,10 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     form runs on every row, the exact ones too, and is overwritten on them.
     s is the principal root, Re s >= 0, so ``_cosh_sinhc_stack`` takes it
     unfolded: the e^mu form of cosh s and sinh(s)/s runs on every row, and
-    the e^(mu+s) form is written over the rows with Re s > 1.  So a far row,
-    or an exact one, can overflow in a form whose value it does not keep,
-    and a row whose kept value overflows comes out inf or NaN; either
-    leaves the other rows alone.  Callers run it with floating-point
-    warnings off (``expm_2x2_stack``, ``expm`` and
-    ``relations.relation_report`` each enter one ``np.errstate``).
+    the e^(mu+s) form is written over the rows with Re s > 1.  A row whose
+    kept value overflows reads inf or NaN and leaves the other rows alone;
+    callers keep the numeric range of the ``numkernel`` module docstring,
+    each under one ``np.errstate`` that turns warnings off.
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
@@ -406,9 +403,9 @@ def expm(m) -> np.ndarray:
     At d = 2 it is ``expm_2x2_stack`` on a stack of one: the closed form, or
     its exact snap.  At d = 1 and 3 it takes the first path whose nodes
     annihilate the matrix (see the module docstring): the exact snap, then
-    Hermite, then Pade.  It runs with floating-point warnings off at every
-    d, as ``expm_2x2_stack`` does: an exponential that overflows comes out
-    inf or NaN, and says so in its entries alone.
+    Hermite, then Pade.  Past the float range it keeps the numeric range of
+    the ``numkernel`` module docstring at every d: an exponential that
+    overflows reads inf or NaN in its entries, with no warning.
     """
     a = as_matrix(m)
     if a.shape[0] == 2:
@@ -425,5 +422,9 @@ def expm(m) -> np.ndarray:
 
 
 def expm_affine(f, g, t: complex) -> np.ndarray:
-    """exp(t*F + G), of t F + G as ``numkernel.affine_rows`` rounds it."""
+    """exp(t*F + G), of t F + G as ``numkernel.affine_rows`` rounds it.
+
+    No module of the package calls it: its one caller is the benchmark's
+    scipy cross-check (``perfbench/workloads.py``), so it stays exported
+    until a benchmark-only change stops that call (ROADMAP item 2)."""
     return expm(combine_affine(f, g, t))

@@ -6,18 +6,14 @@ Cardano's cubic (applied to M - (tr M / d) I).  No eigenvector is computed
 from an eigenvalue here: a defective eigenvalue is only known to ~sqrt(eps),
 so ``simtrig`` finds common eigenvectors from the commutator instead.
 Matrices whose spectrum sits in i*pi*Z are recognized ("snapped") so that
-exponentials can later be taken exactly.  On overflowing input the
-eigenvalues come out NaN or infinite instead of raising, and ``_cluster``
-groups them without raising too, however far apart two roots lie.
+exponentials can later be taken exactly.
 
 ``frobenius`` is the package's one Frobenius-norm implementation: every
 norm without ``ord`` or ``axis`` goes through it, or through
 ``frobenius_2x2``, the same norm of a 2x2 matrix held as four Python
-complex numbers.  A single matrix's norm is ``math.hypot`` over its real
-and imaginary parts, which cannot overflow short of the float range; a
-stack's norms are numpy's ``einsum``.  ``CMat.expanded`` (and so
-``as_matrix``) returns the stored read-only entries, not a copy, when there
-is no pi factor; a caller that writes must copy first.
+complex numbers.  ``CMat.expanded`` (and so ``as_matrix``) returns the
+stored read-only entries, not a copy, when there is no pi factor; a caller
+that writes must copy first.
 
 A pair (F, G) becomes arrays here and only here.  ``matrix_pair`` gives the
 two matrices and is the one check that their shapes agree.  ``affine_rows``
@@ -28,11 +24,34 @@ multiplied by pi once, and a pi-scaled F alone gives t F as (t entries) pi.
 Neither result is a validated ``CMat``, so a t F that overflows stays an
 array of infinities, and the caller sees it as a non-finite residual.
 ``combine_affine`` is the single-t view.
+
+The numeric range, which every floating-point module of the package
+keeps: finite input of any size is read, and a result is refused only
+once it passes the float range, ~1.8e308.
+
+* A Frobenius norm, of one matrix or of each matrix of a stack, is finite
+  wherever the norm itself is, however far the squares of its entries
+  pass the float range.
+* Eigenvalues are solved at the scale of the matrix; on finite input whose
+  norm is past the float range they may come out infinite or NaN, without
+  raising, and ``_cluster`` groups them without raising however far apart
+  two roots lie.
+* ``expmkit.expm`` and ``simtrig`` run with floating-point warnings off:
+  an exponential or a product that overflows reads inf or NaN in its
+  entries alone.
+* ``relations.relation_report`` turns these into typed errors, at d = 2 and
+  3 alike.  An infinite or NaN eigenvalue difference of F, G or F + G
+  raises ``SpectrumOverflowError`` naming the matrix.  Past that, a
+  residual that is not finite (an exponential, or its norm, passed the
+  float range on a finite spectrum) raises ``ResidualOverflowError`` naming
+  its relation and t.  So diag(400, 0) against 0, whose e^400 is ~5.2e173,
+  is reported, and diag(1e3, 0) raises naming exp-equal.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -118,20 +137,14 @@ def frobenius(x: np.ndarray) -> float | np.ndarray:
 
     A single matrix or vector gives ``math.hypot`` over its real and
     imaginary parts in memory order: correctly rounded but for a rare last
-    bit (its error is under 1 ulp), finite wherever the norm itself is,
-    whatever the size of the squares, and free of floating-point warnings.
-    An (n, d, d) stack gives its n norms as an array, from numpy's
-    ``einsum``, summed in an order of numpy's choosing; its squares
-    overflow to inf once an entry passes ~1e154, though the norm may be
-    finite.  The one stack caller, ``relations._scan_2x2``, tests the sum of
-    residuals that it forms anyway and then takes such a norm again, one
-    matrix at a time; a test here would cost every stack a numpy call.
+    bit (its error is under 1 ulp), and free of floating-point warnings.
+    An (n, d, d) stack gives its n norms as an array: ``np.hypot`` folded
+    over the moduli of each matrix's entries in row order, within a few ulp
+    of the single matrix's norm.  Either is finite wherever the norm is.
     """
     if x.ndim == 3:
-        # a real stack's imaginary part is zeros, which add nothing
-        x = x.reshape(x.shape[0], x.shape[1] * x.shape[2])
-        re, im = x.real, x.imag
-        return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+        moduli = np.abs(x.reshape(x.shape[0], x.shape[1] * x.shape[2]))
+        return functools.reduce(np.hypot, moduli.T)
     # contiguous, so a complex x views as its parts (a real x as itself)
     x = x.ravel(order="K")
     return math.hypot(*x.view(x.real.dtype).tolist())

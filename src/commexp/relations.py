@@ -23,9 +23,9 @@ A ``TScanConfig`` is one tuple of t values, each a finite int of either
 sign (0 included) or a finite complex number, in any order; it refuses a
 non-finite t, or an int past the float range, by name.  ``relation_report``
 gives exp-equal and exp-swap, then star and swapped star per t in that
-order.  It chooses its path by the
-pair's dimension.  At d = 2 it takes every exponential once, in one stacked
-closed-form call over [G, F, t F for each t, t F + G for each t, F + G].
+order.  It chooses its path by the pair's dimension.  At d = 2 it takes
+every exponential once, in one stacked closed-form call over [G, F, t F
+for each t, t F + G for each t, F + G].
 What that path reads of the t values alone, the complex array of the t
 values and 1 that ``affine_rows`` scales F by and the relation and t of
 each verdict, the config builds once, when it is made, so the reports of
@@ -42,23 +42,13 @@ itself: ``check_exp_equal``, ``check_exp_swap``, then
 (star and swapped star each take exp(t F + G), exp(t F) and exp(G)); the
 flags read the polished roots of F, G and F + G, which ``eigen_decompose``
 would cluster: a cluster's mean can hide two roots that differ by 2 i pi
-once ||M|| is ~1e8 or more.  At either dimension an infinite or NaN
-eigenvalue difference raises ``SpectrumOverflowError`` naming the matrix;
-past the flags, a residual that is not finite (an exponential, or its norm,
-overflowed on a finite spectrum) raises ``ResidualOverflowError`` naming
-the relation and its t, instead of reading as a failed verdict.  At d = 3
-each norm is ``math.hypot``'s, which overflows only past the float range,
-~1.8e308.  At d = 2 the residuals come from one stacked norm (numpy's
-``einsum``), whose squares overflow once an entry of a side passes ~1e154;
-when the residuals' sum is not finite, each stacked norm that is not
-finite is taken again by ``math.hypot``, and the finite ones keep their
-bits.  So at either dimension a residual is refused only when an
-exponential or its norm passes the float range: diag(400, 0) against 0,
-whose e^400 is ~5.2e173, reports at d = 2 as at d = 3.  The report runs
-with floating-point warnings off: an overflow reaches the caller as that
-one typed error.  With ``include_triangularizable`` the report adds
-the verdict of ``simtrig.sim_triangularizable``, which at d = 2 is one
-test, det [F, G] = 0.  The matrices of F and G and their Frobenius norms
+once ||M|| is ~1e8 or more.  Both paths keep the numeric range of the
+``numkernel`` module docstring: an infinite or NaN eigenvalue difference
+raises ``SpectrumOverflowError``, and a residual that is not finite raises
+``ResidualOverflowError``, instead of reading as a failed verdict; nothing
+warns.  With ``include_triangularizable`` the report adds the verdict of
+``simtrig.sim_triangularizable``, which at d = 2 is one test,
+det [F, G] = 0.  The matrices of F and G and their Frobenius norms
 are taken once and serve both the commute check and that test.  At d = 2
 the norms are Python arithmetic on the entries, and each of the two takes
 [F, G] as its three entries c00, c01, c10 in Python complex arithmetic
@@ -80,12 +70,11 @@ closed form does not run), the two products, the sides and their norms,
 and the commute check and triangularizability test in Python arithmetic
 on the entries.  The flags test the eigenvalue difference of F, G and
 F + G in Python arithmetic, and the finiteness of the residuals is read
-from their sum, which also decides whether any norm is taken again.  At
-t = 1..100 the exponential stack and the building of the verdicts from
-the residual array take most of a report.  The
-config's t rows and verdict heads, int-to-complex conversion and list
-building, are paid once per config instead, so the saving needs many
-reports under one config.
+from their sum.  At t = 1..100 the exponential stack and the building of
+the verdicts from the residual array take most of a report.  The config's
+t rows and verdict heads, int-to-complex conversion and list building, are
+paid once per config instead, so the saving needs many reports under one
+config.
 """
 
 from __future__ import annotations
@@ -213,10 +202,8 @@ def _scan_2x2(
     product each over the rows [exp(F), exp(t F) for each t]: the (n, 2, 2)
     stack read as (2n, 2) rows times exp(G), and exp(G) times the stack laid
     out as (2, 2n) columns.  Every residual is ``_relative_residual`` over the
-    stack, from one stacked norm; when their sum is not finite, each norm
-    that is not finite is taken again one matrix at a time, as at d = 3.
-    The flags read the eigenvalue differences (mu + s) - (mu - s) of F, G
-    and F + G: rows 1, 0 and -1.
+    stack, from one stacked norm.  The flags read the eigenvalue differences
+    (mu + s) - (mu - s) of F, G and F + G: rows 1, 0 and -1.
     """
     n = len(cfg.t_values)
     tf, tfg = affine_rows(f, g, cfg._t_rows)
@@ -231,15 +218,10 @@ def _scan_2x2(
     sides[0, 0, 0], sides[0, 0, 1], sides[0, 1:] = e[1], right[0], sums[:, None]
     sides[1, :, 0], sides[1, :, 1], sides[1, 0, 0] = right, left, eg
     np.subtract(sides[0], sides[1], out=sides[2])
-    stack = sides.reshape(-1, 2, 2)
-    norms = frobenius(stack)
-    residual_array, residuals, total = _stack_residuals(norms)
-    if not math.isfinite(total):
-        # the stacked squares overflow once an entry passes ~1e154: take each
-        # norm that is not finite again by math.hypot, and keep the others
-        for i in np.flatnonzero(~np.isfinite(norms)).tolist():
-            norms[i] = frobenius(stack[i])
-        residual_array, residuals, total = _stack_residuals(norms)
+    lhs_norm, rhs_norm, diff_norm = frobenius(sides.reshape(-1, 2, 2)).reshape(3, -1)
+    # fmax, as Python's max, passes over a NaN norm
+    residual_array = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
+    residuals = residual_array.tolist()
     tol = cfg.tol
     kinds, ts = cfg._heads
     # tuple.__new__ builds each verdict from its fields at C level, skipping
@@ -249,18 +231,7 @@ def _scan_2x2(
     # the eigenvalues mu + s and mu - s of F and G (rows 1 and 0) and of F + G
     (f1, g1), (f2, g2) = lams[:, 1::-1].tolist()
     s1, s2 = lams[:, -1].tolist()
-    return verdicts, total, _congruence_flags([[f1 - f2], [g1 - g2], [s1 - s2]], tol)
-
-
-def _stack_residuals(norms: np.ndarray) -> tuple[np.ndarray, list[float], float]:
-    """The residual of each verdict of ``_scan_2x2`` from the norms of its
-    left sides, right sides and differences, in that order: as an array, as
-    a list and the list's sum."""
-    lhs_norm, rhs_norm, diff_norm = norms.reshape(3, -1)
-    # fmax, as Python's max, passes over a NaN norm
-    residual_array = diff_norm / np.fmax(np.fmax(lhs_norm, rhs_norm), 1.0)
-    residuals = residual_array.tolist()
-    return residual_array, residuals, sum(residuals)
+    return verdicts, sum(residuals), _congruence_flags([[f1 - f2], [g1 - g2], [s1 - s2]], tol)
 
 
 def _commute_verdict(a, b, tol: float) -> tuple[RelationVerdict, float, float]:

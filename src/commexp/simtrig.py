@@ -15,10 +15,10 @@ triangularizable iff C is nilpotent, iff det [F, G] = 0: at d = 2 that is
 Shemesh's (1984) criterion for a common eigenvector, ker [F, G] != 0.  The
 test reads C's three entries c00, c01, c10, taken in Python complex
 arithmetic from the entries of F / ||F|| and G / ||G||, each scaled before
-any product is formed: -det C is of degree four in the entries, so
-entries of 1e100 would overflow it unscaled.  No numpy array of the unit
-pair is built unless the pair commutes within EIGENVECTOR_TOL and its
-common eigenvector comes from ``_eigenline``.
+any product is formed, as -det C is of degree four in the entries: so
+the test keeps the numeric range of the ``numkernel`` module docstring.
+No numpy array of the unit pair is built unless the pair commutes within
+EIGENVECTOR_TOL and its common eigenvector comes from ``_eigenline``.
 
 The constructive half guesses no eigenvalue.  x lies in ker J iff C w x = 0
 for every word w, so ker J is one SVD of the stacked C w.  It holds every
@@ -283,11 +283,11 @@ def _lower_norm(basis: np.ndarray, m: np.ndarray) -> float:
 def sim_triangularizable(f, g) -> TrigVerdict:
     """Decide simultaneous triangularizability; construct a basis when true.
 
-    It runs with floating-point warnings off, as ``relations.relation_report``
-    does: the witness and its trace are in the caller's scale, and past the
-    float range an entry reads inf.  Neither reads NaN where the entries
-    are finite (an exact zero part stays zero), and an entry of finite
-    value reads finite: the unit word is scaled back one letter at a time."""
+    The witness and its trace are in the caller's scale, under the numeric
+    range of the ``numkernel`` module docstring: an entry of finite value
+    reads finite, one past the float range inf, and none NaN where the
+    entries are finite, as the unit word is scaled back one letter at a
+    time and an exact zero part stays zero."""
     a, b = matrix_pair(f, g)
     return _sim_triangularizable(a, b, frobenius(a), frobenius(b))
 

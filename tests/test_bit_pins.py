@@ -262,11 +262,17 @@ def test_expm_2x2_kernel_keeps_its_bits():
 # parts, which moved the d = 2 commute residuals of 53 of the 404 sweep
 # pairs, 1 of the 4 tscan pairs and the intro pair at INTRO_MIXED_T, 980 of
 # the 2972 d = 3 report residuals and 590 of the 2592 scale-grid residuals,
-# each by at most 6.5e-16 relative; no holds, flag or exponential moved
+# each by at most 6.5e-16 relative; no holds, flag or exponential moved.
+# The d = 2 report digests but the commute ones and INTRO_MIXED_T's were
+# last re-recorded when the stacked Frobenius norm became np.hypot folded
+# over the moduli of the entries, in place of numpy's einsum of the
+# squares, which moved 332 and 335 of the 1818 sweep residuals of seeds 1
+# and 2 and 384 of the 812 tscan residuals, each by at most 5.8e-16
+# relative; no holds or flag moved
 PINNED_REPORTS = {
-    1: (202, "24ad77fe3887656504ff4176bce9037c1e58f1b26ab718e108a63ff00b2b3285",
+    1: (202, "42ba5e48b1f7a5daa2d8ff7d16a7ea3852cc2a89a33ce51f50d3b06e0be9b219",
         "4f61ba3a2b708821f56e1757c97ce23754df86e4a37945425ac603255359ac21"),
-    2: (202, "7fff8485c857316a08a1416e119841a190b504c8b41b32af210d197d973610d5",
+    2: (202, "a07854d42672dc8ea1a7a607d640fc494ef61b9b53239e9691c361ba4e760522",
         "623948f0ddf0b95dba0c58ab060df10d7f7dc6e8cce31a73349449fdabe0b6cd"),
 }
 PINNED_KERNEL = "e9a5ac506b7dfe1e87914fdc5408dd2b7cc024dc2de4d0206cfa2a17792bee94"
@@ -279,7 +285,7 @@ PINNED_TSCAN_3X3 = {
     2: (2, "a5e5b8361e35502da2c7924e1346d00dc167277f9ff721de17ed908950b8d3a5"),
 }
 PINNED_SCALE_GRID = (162, "287f616f7ada4aec5cb07234bde686c33251fd4c88b8f145ad89c94c690ce7a2")
-PINNED_TSCAN = (4, "82d98783f7cfad1468089e1470acbcc31a8352297762d1be0c93d5148ebea57f",
+PINNED_TSCAN = (4, "a81370aac079e2f073281f283e39130f3079949ced561d0859728adf432d0535",
                 "7aa48da396f7538dc60ad47105b43b671f1531450276ba11147857a99d7d798f")
 PINNED_INTRO_MIXED_T = (1, "857ef6d111364960e645adf6a1c83606efddf1390ccedb0a3cacfc9d4e5cfe52",
                         "df16f120f45ecdda959d3bff3712e5def09ab003083280509db20983447f41e3")

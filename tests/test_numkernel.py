@@ -162,7 +162,7 @@ class TestFrobenius:
             x = x + 1j * rng.standard_normal(shape)
         got = frobenius(x)
         assert got.shape == (shape[0],)
-        # the summation order is numpy's, so agreement is to rounding
+        # np.hypot folded over the entries' moduli: agreement is to rounding
         for stack in (x, x[:, ::-1].transpose(0, 2, 1)):  # the second one is copied
             want = np.array([frobenius(m) for m in stack])
             assert np.all(np.abs(frobenius(stack) - want) <= 2 * np.finfo(float).eps * want)
@@ -180,13 +180,21 @@ class TestFrobenius:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_finite_past_the_squares_overflow(self, rng, dim):
         # the squares of entries past ~1e154 overflow, the norm does not
-        # until it passes the float range; an infinite entry gives inf
+        # until it passes the float range; an infinite entry gives inf.  A
+        # stack's rows read as the single matrices do
         m = random_matrix(rng, dim)
         for scale in (1e-300, 1.0, 1e150, 1e154, 1e200, 1e300):
             assert abs(frobenius(scale * m) / (scale * frobenius(m)) - 1) <= 4e-16
         assert frobenius(np.full((dim, dim), 1e308 + 1e308j)) == math.inf
-        m[0, 0] = math.inf
+        stack = np.array([scale * random_matrix(rng, dim)
+                          for scale in (1e-300, 1.0, 1e154, 1e200, 1e300)])
+        want = np.array([frobenius(row) for row in stack])
+        assert np.all(np.abs(frobenius(stack) / want - 1) <= 4e-16)
+        m[0, 0] = stack[2, 0, 0] = math.inf
         assert frobenius(m) == math.inf
+        got = frobenius(stack)
+        assert got[2] == math.inf
+        assert np.all(np.abs(np.delete(got, 2) / np.delete(want, 2) - 1) <= 4e-16)
 
 
 def congruence_free_by_loop(values, tol):

@@ -3,8 +3,9 @@
 ``perfbench/`` is outside ``testpaths`` and is not a package, so the suite
 would not see a change to ``commexp`` that removes or breaks a name the
 benchmark calls.  Each in-process workload is built at seed 1 and a sample
-of its operations judged, untimed, the way the benchmark's worker does;
-every command of the ``cli`` workload at seeds 1-3 is run in-process.
+of its operations judged, untimed, the way the benchmark's worker does,
+with the scipy cross-check of ``tscan`` and ``sweep``; every command of the
+``cli`` workload at seeds 1-3 is run in-process.
 """
 
 import importlib.util
@@ -55,6 +56,13 @@ def test_sweep_one_op_of_each_kind(workloads):
     wl = workloads.build("sweep", 1)
     chosen = _first_of_each(wl, ("real2d(", "dim2case1(", "theorem2(", "random2x2#", "random3x3#"))
     assert _wrong(wl, chosen) == {}
+
+
+@pytest.mark.parametrize("name", ["tscan", "sweep"])
+def test_scipy_crosscheck_passes(workloads, name):
+    # the worker counts each op that the scipy cross-check refuses as failed,
+    # and the cross-check calls names of commexp that no other op calls
+    assert workloads.build(name, 1).crosscheck() == {}
 
 
 def test_search_controls_and_both_scan_kinds(workloads):

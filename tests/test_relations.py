@@ -503,9 +503,9 @@ class TestSpectrumEdges:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_finite_exponential_past_the_stacked_squares(self, d):
-        # e^400 ~ 5.2e173 is finite, though its square is not: the d = 2
-        # report takes the stacked norms that overflowed again by math.hypot,
-        # which every norm is at d = 3, and so reports as d = 3 does
+        # e^400 ~ 5.2e173 is finite, though its square is not, and so is the
+        # norm of each side at either dimension, stacked at d = 2 and one
+        # matrix at a time at d = 3: both report alike
         f = np.zeros((d, d))
         f[0, 0] = 400
         report = relation_report(f, np.zeros((d, d)), TScanConfig((1,)))
@@ -513,9 +513,9 @@ class TestSpectrumEdges:
         assert [v.holds for v in report.verdicts] == [True, False, True, True, True]
 
     def test_finite_stacked_norms_keep_their_bits(self):
-        # at t = 2 the sides hold e^400, whose stacked norm overflows; the
-        # verdicts of the rows whose norms did not are those of the report
-        # that never overflowed, bit for bit
+        # at t = 2 the sides hold e^400, whose square overflows; the t = 1
+        # verdicts of the longer stack are those of the report that holds no
+        # such square, bit for bit, as a row's norm reads only its own row
         f, g = np.diag([200.0, 0.0]), np.array([[0, 1e-3], [0, 0]])
         short = relation_report(f, g, TScanConfig((1,))).verdicts
         long = relation_report(f, g, TScanConfig((1, 2))).verdicts
@@ -589,3 +589,20 @@ class TestBlockLift:
         # real2d (residuals ~1.5 at d = 2, ~5.6e-7 lifted); nothing else is
         # within three decades of tol
         assert compared >= len(flat.verdicts) - 2
+
+    @pytest.mark.parametrize("x, t_values", [(120, (1, 2, 3)), (200, (2, 3)), (300, (2,))])
+    def test_lift_keeps_verdicts_past_the_squares_overflow(self, x, t_values):
+        # diag(x, 0) against [[0, 1e-5], [0, 0]] fails star and swapped star
+        # at every t by ~1e-5 and ~1e-5 / (x t); at t = 3 for x = 120, and at each
+        # t of the others, e^(x t) lies in (1e154, 1.8e308), where its square
+        # overflows and its norm does not, so no side norm may read inf and
+        # no residual 0
+        f, g = np.diag([float(x), 0.0]), np.array([[0, 1e-5], [0, 0]], dtype=complex)
+        cfg = TScanConfig(t_values)
+        flat = relation_report(f, g, cfg).verdicts
+        lifted = relation_report(_lift(f, 0), _lift(g, 0), cfg).verdicts
+        assert [(v.relation, v.t, v.holds) for v in flat] == [
+            (v.relation, v.t, v.holds) for v in lifted]
+        assert not any(v.holds for v in flat)
+        for v, w in zip(flat, lifted):
+            assert abs(v.residual - w.residual) <= 1e-9 * w.residual, (v, w)
