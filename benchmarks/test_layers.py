@@ -127,7 +127,7 @@ REAL2D_F, REAL2D_G = real2d_family(Real2DParams(lam=1, mu=2, nu=5))
 
 
 def test_relation_report_real2d_t100(benchmark):
-    # the t-scan benchmark's other rotation pair: no row takes the far form
+    # the t-scan benchmark's other rotation pair
     benchmark(relation_report, REAL2D_F, REAL2D_G, TScanConfig.through(100))
 
 
@@ -137,8 +137,8 @@ def test_tscan_config_through_100(benchmark):
     benchmark(TScanConfig.through, 100)
 
 
-# theorem2 branch 1: half the rows of its t = 1..100 stack take the far
-# (Re s > 1) form of cosh s and sinh(s)/s
+# theorem2 branch 1: half the rows of its t = 1..100 stack have eigenvalues
+# whose real parts lie more than 2 apart (Re s > 1)
 THEOREM2_F, THEOREM2_G = theorem2_family(Theorem2Params(u=2.088843015613044 + 7.461489285654254j))
 
 
@@ -154,8 +154,8 @@ def test_relation_report_theorem2_mixed_t(benchmark):
 # the four kinds of d = 2 op around the sweep's median: a real2d rotation
 # pair (the kind at the median itself), a dim2case1 pair (most stacks snap
 # exactly in every row, so the closed form does not run), a theorem2 pair
-# (nilpotent t F: the sinh series, and snapped rows that fail the
-# annihilation test) and a random pair (no row snaps; the
+# (nilpotent t F, s = 0, and snapped rows that fail the annihilation test)
+# and a random pair (no row snaps; the
 # triangularizability test refuses it)
 def test_relation_report_real2d_t3_triangularizable(benchmark):
     benchmark(relation_report, REAL2D_F, REAL2D_G, TScanConfig.through(3),

@@ -44,10 +44,16 @@ A - (tr A / d) I so that a large common shift adds no rounding to them.
 Accuracy budget: Pade is trusted to ~1e-9 relative only up to Frobenius
 norm ~1e3; above that (large integer multiples of pi-scaled inputs, norms
 up to ~3e4) the exact snap or Hermite must carry the input.  At d = 2
-``expm`` needs no eigen-decomposition at all: with mu = tr A / 2,
-B = A - mu I and s^2 = -det B, exp(A) = e^mu (cosh s I + sinh(s)/s B)
-(Higham 2008, ch. 10), or the exact snap when mu +/- s snap and pass the
-same test in scalars; it never runs Pade.
+``expm`` needs no eigen-decomposition at all: the eigenvalues are
+z0, z1 = mu -/+ s, with mu = tr A / 2 and s the principal root of
+s^2 = -det(A - mu I), and exp(A) is the Newton form
+e^z0 I + [z0, z1] (A - z0 I), [z0, z1] = e^z1 (1 - e^-h) / h with
+h = z1 - z0 taken through ``np.expm1`` (Higham 2008, ch. 10), or the exact
+snap when z0 and z1 snap and pass the same test in scalars; it never runs
+Pade.  A triangular A has s = +/-(a00 - a11) / 2 exactly, so the diagonal
+of exp(A) is e^a00 and e^a11, however far apart they lie.  The d = 3
+divided differences keep the scalar e^m sinh(h)/h (``_exp_sinhc``): an
+expm1 form misses their mpmath bounds.
 
 The d = 2 form is elementwise arithmetic in the entries, so
 ``expm_2x2_stack`` evaluates it over an (n, 2, 2) stack in one pass: the
@@ -61,22 +67,14 @@ call, which outweighs scalar arithmetic, so batch callers such as
 ``_expm_2x2_with_eigenvalues`` also hands them the eigenvalues mu +/- s
 that the snap test computes, so they need no eigen-decomposition either.
 
-cosh s and sinh(s)/s have one scalar form, ``_cosh_sinhc``, which the
-d = 3 divided differences call up to three times per exponential, where a
-stack of one would cost more than the whole scalar evaluation, and its
-array twin ``_cosh_sinhc_stack`` for the d = 2 stack.  The twin takes the
-principal roots s, Re s >= 0, so it needs no fold of s: it evaluates the
-e^mu form over every entry and writes the e^(mu+s) form over the entries
-with Re s > 1, gathered.
-
 At the stack sizes of a short t-scan (9 rows at t = 1..3) nearly all of
 the d = 2 cost is numpy's fixed cost per call.  So each test runs once
 over every row and is read through a mask, with as few calls as it can:
 the snap distance is |l - i pi k| of the complex eigenvalues, and
 hypot(x, x) in the annihilation norms is sqrt(2) |x|.  Branches are
-entered only when ``np.count_nonzero`` finds a row that needs them.
-Every rewrite of this path keeps the output bytes;
-``tests/test_bit_pins`` holds their digests.
+entered only when ``np.count_nonzero`` or ``nonzero`` finds a row that
+needs them.  A rewrite of this path keeps the output bytes or lists what
+moved; ``tests/test_bit_pins`` holds their digests.
 """
 
 from __future__ import annotations
@@ -135,26 +133,27 @@ def _expm_pade(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _cosh_sinhc(mu: complex, s: complex) -> tuple[complex, complex]:
-    """(e^mu cosh s, e^mu sinh(s)/s), even in s and continuous through s = 0.
+def _exp_sinhc(mu: complex, s: complex) -> complex:
+    """e^mu sinh(s)/s, the divided difference [mu - s, mu + s] of e^x: even
+    in s and continuous through s = 0.
 
-    For |Re s| > 1 they are evaluated as e^(mu+s) (1 +/- e^-2s) / 2 (divided
-    by s for the second), with Re s > 0: e^mu and cosh s can under- and
-    overflow where the products do not.  Otherwise sinh(s)/s is summed from
-    its Taylor series below ``_SINHC_SERIES_BELOW``, where the quotient
-    loses digits and is 0/0 at s = 0.
+    For |Re s| > 1 it is evaluated as e^(mu+s) (1 - e^-2s) / 2s, with
+    Re s > 0: e^mu and sinh s can under- and overflow where the product does
+    not.  Otherwise sinh(s)/s is summed from its Taylor series below
+    ``_SINHC_SERIES_BELOW``, where the quotient loses digits and is 0/0 at
+    s = 0.
     """
     if s.real < 0:
         s = -s
     if s.real > 1:
         w = np.exp(-2 * s)
         e = np.exp(mu + s) / 2
-        return e * (1 + w), e * (1 - w) / s
+        return e * (1 - w) / s
     e = np.exp(mu)
     if abs(s) < _SINHC_SERIES_BELOW:
         z = s * s
-        return e * np.cosh(s), e * (1 + z / 6 * (1 + z / 20 * (1 + z / 42)))
-    return e * np.cosh(s), e * (np.sinh(s) / s)
+        return e * (1 + z / 6 * (1 + z / 20 * (1 + z / 42)))
+    return e * (np.sinh(s) / s)
 
 
 def _exp_divided_differences(nodes) -> list[complex]:
@@ -162,7 +161,7 @@ def _exp_divided_differences(nodes) -> list[complex]:
     coeffs = [np.exp(nodes[0])]
     if len(nodes) > 1:
         x, y = nodes[:2]
-        coeffs.append(_cosh_sinhc((x + y) / 2, (y - x) / 2)[1])
+        coeffs.append(_exp_sinhc((x + y) / 2, (y - x) / 2))
     if len(nodes) > 2:
         coeffs.append(_exp_second_difference(*nodes))
     return coeffs
@@ -205,8 +204,8 @@ def _exp_second_difference(x: complex, y: complex, z: complex) -> complex:
     if z.real > x.real:
         x, z = z, x
     h1, h2 = (y - x) / 2, (z - y) / 2
-    first = _cosh_sinhc(h1, h1)[1]
-    second = _cosh_sinhc(2 * h1 + h2, h2)[1]
+    first = _exp_sinhc(h1, h1)
+    second = _exp_sinhc(2 * h1 + h2, h2)
     return np.exp(x) * (second - first) / (z - x)
 
 
@@ -273,29 +272,16 @@ def _pi_snap_projectors(a: np.ndarray, ks) -> np.ndarray:
     return result
 
 
-def _cosh_sinhc_stack(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``_cosh_sinhc``, entry by entry, for s with Re s >= 0
-    (the principal roots that ``_expm_2x2_with_eigenvalues`` passes): the
-    e^mu form over every entry, its series only on the entries below
-    ``_SINHC_SERIES_BELOW``, then the e^(mu+s) form on the entries with
-    Re s > 1, gathered, written over them.  The e^mu form of such an entry
-    may overflow before it is overwritten."""
-    e = np.exp(mu)
-    q = np.sinh(s) / s
-    series = np.abs(s) < _SINHC_SERIES_BELOW
-    if np.count_nonzero(series):
-        near = s[series]
-        z = near * near
-        q[series] = 1 + z / 6 * (1 + z / 20 * (1 + z / 42))
-    c, q = e * np.cosh(s), e * q
-    far = s.real > 1
-    if np.count_nonzero(far):
-        s, mu = s[far], mu[far]
-        w = np.exp(-2 * s)
-        e = np.exp(mu + s) / 2
-        c[far] = e * (1 + w)
-        q[far] = e * (1 - w) / s
-    return c, q
+def _exp_newton_stack(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^z0 and [z0, z1], the Newton coefficients of e^x, entry by entry over
+    a (2, n) array of nodes z0, z1 with Re z0 <= Re z1: [z0, z1] is
+    e^z1 (1 - e^-h) / h with h = z1 - z0, taken as e^z1 expm1(-h) / -h, and
+    e^z1 where h = 0.  As Re h >= 0, e^-h cannot overflow, and expm1 needs
+    no series at small h."""
+    z0, z1 = nodes
+    e0, e1 = np.exp(nodes)
+    g = z0 - z1
+    return e0, e1 * np.divide(np.expm1(g), g, out=np.ones_like(g), where=g != 0)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -333,36 +319,41 @@ def expm_2x2_stack(a: np.ndarray) -> np.ndarray:
 
 def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``expm_2x2_stack(a)`` and the eigenvalues it computes on the way: a
-    (2, n) array holding mu + s and mu - s of each row.
+    (2, n) array holding z1 = mu + s and z0 = mu - s of each row.
 
     With mu = tr A / 2, B = A - mu I and s = sqrt(-det B), B^2 = s^2 I, so
-    the eigenvalues are mu +/- s and exp(A) = e^mu (cosh s I + sinh(s)/s B);
-    for a nilpotent B that is e^mu (I + B).
+    the eigenvalues are mu +/- s, and exp(A) is the Newton form
+    e^z0 I + [z0, z1] (B + s I).  s is the principal root, Re s >= 0, so
+    Re z0 <= Re z1.  On a row with a01 a10 == 0, s is b00 or -b00 exactly,
+    whichever has Re s >= 0, so one diagonal entry is e^z0 alone.  For a
+    nilpotent B (s = 0) the form is e^mu (I + B).
 
     Rows whose eigenvalues both snap to i*pi*Z take the exact path instead,
     if its nodes annihilate the row.  Their product is omega = alpha I +
     beta B and, as tr B = 0, ||omega||_F^2 = 2 |alpha|^2 + |beta|^2 ||B||_F^2:
-    one node z (a double snapped eigenvalue) gives alpha = mu - z, beta = 1;
-    two give alpha = s^2 + (mu - z1)(mu - z2), beta = 2 mu - z1 - z2.
+    one node y (a double snapped eigenvalue) gives alpha = mu - y, beta = 1;
+    two give alpha = s^2 + (mu - y1)(mu - y2), beta = 2 mu - y1 - y2.
 
     The snap test and the annihilation test each run first, once over every
     row, and ``_pi_snap_rows`` puts the exact exponential on the rows that
     pass both.  When every row passes (most dim2case1 stacks) it writes the
     whole output and the closed form does not run.  Otherwise the closed
     form runs on every row, the exact ones too, and is overwritten on them.
-    s is the principal root, Re s >= 0, so ``_cosh_sinhc_stack`` takes it
-    unfolded: the e^mu form of cosh s and sinh(s)/s runs on every row, and
-    the e^(mu+s) form is written over the rows with Re s > 1.  A row whose
-    kept value overflows reads inf or NaN and leaves the other rows alone;
-    callers keep the numeric range of the ``numkernel`` module docstring,
-    each under one ``np.errstate`` that turns warnings off.
+    A row whose kept value overflows reads inf or NaN and leaves the other
+    rows alone; callers keep the numeric range of the ``numkernel`` module
+    docstring, each under one ``np.errstate`` that turns warnings off.
     """
     a = np.asarray(a, dtype=complex)
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
     mu = (a00 + a11) / 2
     b00 = (a00 - a11) / 2
-    s2 = b00 * b00 + a01 * a10
+    p = a01 * a10
+    s2 = b00 * b00 + p
     s = np.sqrt(s2)
+    triangular = (p == 0).nonzero()[0]
+    if len(triangular):
+        b = b00[triangular]
+        s[triangular] = np.where(b.real < 0, -b, b)
     lams = np.empty((2, len(a)), dtype=complex)
     np.add(mu, s, out=lams[0])
     np.subtract(mu, s, out=lams[1])
@@ -388,9 +379,9 @@ def _expm_2x2_with_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_exact = np.count_nonzero(exact)
     out = np.empty_like(a)
     if n_exact < len(a):  # else _pi_snap_rows writes every row
-        c, q = _cosh_sinhc_stack(mu, s)
-        qb = q * b00
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c + qb, q * a01, q * a10, c - qb
+        e0, q = _exp_newton_stack(lams[::-1])
+        out[:, 0, 0], out[:, 0, 1] = e0 + q * (s + b00), q * a01
+        out[:, 1, 0], out[:, 1, 1] = q * a10, e0 + q * (s - b00)
     if n_exact:
         out = _pi_snap_rows(a, exact, k, out)
     return out, lams

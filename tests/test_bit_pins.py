@@ -131,7 +131,9 @@ def _kernel_rows() -> np.ndarray:
     """Seeded random rows at scales 1e-3..1e3, then rows on the i pi lattice:
     i pi S diag(k1, k2) S^-1 for unimodular integer S (either parity mix),
     i pi [[k1, b], [0, k2]] (a Jordan block where k1 = k2 and b != 0), and
-    i pi times small integer matrices, some of whose spectra snap."""
+    i pi times small integer matrices, some of whose spectra snap; then
+    exactly triangular rows, upper and lower and diagonal, of real and
+    complex diagonals whose real parts lie 0 to 700 apart, either way."""
     rng = np.random.default_rng(20261019)
     rows = [scale * (rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2)))
             for scale in 10.0 ** np.arange(-3, 4)]
@@ -147,7 +149,14 @@ def _kernel_rows() -> np.ndarray:
             for b in (1, -15):
                 lattice.append(1j * math.pi * np.array([[k1, b], [0, k2]]))
     lattice += list(1j * math.pi * rng.integers(-4, 5, size=(128, 2, 2)))
-    return np.concatenate([*rows, np.array(lattice, dtype=complex)])
+    triangular = []
+    for gap in (0.0, 1.0, 40.0, 300.0, 700.0):
+        for diagonal in ([gap, 0], [-gap / 2 + 1j, gap / 2 - 3j]):
+            for corner, entry in (((0, 1), 0), ((0, 1), 1.5 - 2j), ((1, 0), -0.75j)):
+                m = np.diag(diagonal).astype(complex)
+                m[corner] = entry
+                triangular.append(m)
+    return np.concatenate([*rows, np.array(lattice, dtype=complex), np.array(triangular)])
 
 
 def _array_bits(*arrays) -> bytes:
@@ -257,25 +266,27 @@ def test_expm_2x2_kernel_keeps_its_bits():
 
 
 # (count, every bit but the commute verdicts', the commute verdicts); the
-# commute digests, the d = 3 digests and the scale grid's were last
-# re-recorded when a single matrix's Frobenius norm became math.hypot of its
-# parts, which moved the d = 2 commute residuals of 53 of the 404 sweep
-# pairs, 1 of the 4 tscan pairs and the intro pair at INTRO_MIXED_T, 980 of
-# the 2972 d = 3 report residuals and 590 of the 2592 scale-grid residuals,
-# each by at most 6.5e-16 relative; no holds, flag or exponential moved.
-# The d = 2 report digests but the commute ones and INTRO_MIXED_T's were
-# last re-recorded when the stacked Frobenius norm became np.hypot folded
-# over the moduli of the entries, in place of numpy's einsum of the
-# squares, which moved 332 and 335 of the 1818 sweep residuals of seeds 1
-# and 2 and 384 of the 812 tscan residuals, each by at most 5.8e-16
-# relative; no holds or flag moved
+# commute digests and the d = 3 digests were last re-recorded when a single
+# matrix's Frobenius norm became math.hypot of its parts, which moved the
+# d = 2 commute residuals of 53 of the 404 sweep pairs, 1 of the 4 tscan
+# pairs and the intro pair at INTRO_MIXED_T and 980 of the 2972 d = 3 report
+# residuals, each by at most 6.5e-16 relative; no holds, flag or
+# exponential moved.  The other d = 2 report digests but INTRO_MIXED_T's
+# (which did not move), the scale grid's and the kernel's were last
+# re-recorded when the d = 2 closed form became the Newton form
+# e^z0 I + [z0, z1] (A - z0 I), with s = +/-b00 exactly on triangular rows,
+# and the kernel gained its triangular rows: 305 and 328 of the 1818 sweep
+# residuals of seeds 1 and 2 and 360 of the 812 tscan residuals moved, each
+# by at most 1.1e-15 absolute, and 731 of the 1296 d = 2 scale-grid
+# residuals, by at most 1.8e-15; no holds, flag or triangularizability
+# verdict moved, and no bit of the grid's d = 3 rows
 PINNED_REPORTS = {
-    1: (202, "42ba5e48b1f7a5daa2d8ff7d16a7ea3852cc2a89a33ce51f50d3b06e0be9b219",
+    1: (202, "995e5501f4eef5574a860cb395a49ea8ea73e3eea01e0c060286b3fd862194d4",
         "4f61ba3a2b708821f56e1757c97ce23754df86e4a37945425ac603255359ac21"),
-    2: (202, "a07854d42672dc8ea1a7a607d640fc494ef61b9b53239e9691c361ba4e760522",
+    2: (202, "9b88d17fa75f6d10bd8237987ed2620e0633a5bda64c7c9522a33bc671e57c9b",
         "623948f0ddf0b95dba0c58ab060df10d7f7dc6e8cce31a73349449fdabe0b6cd"),
 }
-PINNED_KERNEL = "e9a5ac506b7dfe1e87914fdc5408dd2b7cc024dc2de4d0206cfa2a17792bee94"
+PINNED_KERNEL = "5c9902547718ea3159282968240352ac234a559f6a570a8776c214b759d44447"
 PINNED_REPORTS_3X3 = {
     1: (120, "b35f24ec4d0978cbd328eef3f22a18b884349b3e91b87fa8044a4094d13c4fc4"),
     2: (120, "6c8483b7c22632257752f52060e3a271ce649e3f441977b5a4d820cce7998418"),
@@ -284,8 +295,8 @@ PINNED_TSCAN_3X3 = {
     1: (2, "bf6bc5055833c7572d2a95c35e9a57ba396fa2cdf29cfd6d6d82a008b7838c22"),
     2: (2, "a5e5b8361e35502da2c7924e1346d00dc167277f9ff721de17ed908950b8d3a5"),
 }
-PINNED_SCALE_GRID = (162, "287f616f7ada4aec5cb07234bde686c33251fd4c88b8f145ad89c94c690ce7a2")
-PINNED_TSCAN = (4, "a81370aac079e2f073281f283e39130f3079949ced561d0859728adf432d0535",
+PINNED_SCALE_GRID = (162, "bfe32145dbd05ce15fd421d0a9421a402b8e7d5eb50ba542b4aead52b0170027")
+PINNED_TSCAN = (4, "ca46c28e10ec2ee9f75fff30056696eafb4dea98def76ab05e1ee73efb3a5f13",
                 "7aa48da396f7538dc60ad47105b43b671f1531450276ba11147857a99d7d798f")
 PINNED_INTRO_MIXED_T = (1, "857ef6d111364960e645adf6a1c83606efddf1390ccedb0a3cacfc9d4e5cfe52",
                         "df16f120f45ecdda959d3bff3712e5def09ab003083280509db20983447f41e3")

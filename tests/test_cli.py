@@ -865,8 +865,9 @@ class TestProcessExitCodes:
         assert len(report["payload"]["survivors"]) == 6080
 
     @pytest.mark.parametrize("rows, message", [
-        # finite eigenvalues, but s^2 and the Frobenius norm overflow
-        ([[1e160, 1e160], [0, 0]], "SpectrumOverflowError: the spectrum of F overflows"),
+        # finite eigenvalues 1e160 and 0 (triangular, so s = b00 exactly);
+        # e^1e160 is not finite
+        ([[1e160, 1e160], [0, 0]], "ResidualOverflowError: the exp-equal residual"),
         # F and G commute; e^1000 is not finite
         ([[1, 0, 0], [0, 0, 0], [0, 0, 1e3]], "ResidualOverflowError: the exp-equal residual"),
         # finite eigenvalues +-a (and 0) whose gaps' moduli overflow
@@ -878,7 +879,7 @@ class TestProcessExitCodes:
         (NORM_PAST_FLOAT_RANGE["plus-minus-b"].tolist(),
          "SpectrumOverflowError: the spectrum of F overflows"),
         (NORM_PAST_FLOAT_RANGE["trace"].tolist(), "SpectrumOverflowError: the spectrum of F overflows"),
-    ], ids=["d2-spectrum", "d3-exponential", "d2-root-gap", "d3-root-gap", "d1-root-modulus",
+    ], ids=["d2-exponential", "d3-exponential", "d2-root-gap", "d3-root-gap", "d1-root-modulus",
             "d3-nan-roots", "d3-trace"])
     def test_overflow_prints_one_error_line_and_no_warning(self, tmp_path, rows, message):
         f, g = str(tmp_path / "F.json"), str(tmp_path / "G.json")

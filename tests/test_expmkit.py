@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from commexp import expmkit, numkernel
 from commexp.expmkit import (
     _SINHC_SERIES_BELOW,
-    _cosh_sinhc,
-    _cosh_sinhc_stack,
     _exp_divided_differences,
+    _exp_newton_stack,
+    _exp_sinhc,
     _expm_2x2_with_eigenvalues,
     _expm_pade,
     _hermite,
@@ -489,7 +489,8 @@ def _closed_form_inputs(rng):
 
 
 class TestClosedForm2x2:
-    """expm at d = 2: e^mu (cosh s I + sinh(s)/s B), or the exact snap."""
+    """expm at d = 2: e^z0 I + [z0, z1] (A - z0 I) at its eigenvalues z0, z1,
+    or the exact snap."""
 
     def test_against_mpmath(self, rng, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
@@ -536,8 +537,8 @@ class TestClosedForm2x2:
     def test_sinhc_continuous_at_series_threshold(self):
         for phase in np.linspace(0, 2 * PI, 37):
             unit = complex(math.cos(phase), math.sin(phase))
-            below = _cosh_sinhc(0j, _SINHC_SERIES_BELOW * (1 - 1e-12) * unit)[1]
-            above = _cosh_sinhc(0j, _SINHC_SERIES_BELOW * (1 + 1e-12) * unit)[1]
+            below = _exp_sinhc(0j, _SINHC_SERIES_BELOW * (1 - 1e-12) * unit)
+            above = _exp_sinhc(0j, _SINHC_SERIES_BELOW * (1 + 1e-12) * unit)
             assert abs(below - above) <= 1e-15 * abs(above)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -592,7 +593,8 @@ class TestClosedForm2x2:
             assert err <= 1e-14
 
     def test_far_apart_real_parts(self):
-        # e^mu underflows and cosh s overflows, but exp(A) is representable
+        # e^mu under- or overflows, but exp(A) is representable, and so are
+        # e^z0 and [z0, z1]
         for m in (np.diag([-1500.0, -100.0]), np.array([[-1500, 1], [0, -100]]),
                   np.array([[-800, 700], [700, -800]]), np.diag([600.0, -800.0])):
             want = _hermite_path(m)
@@ -604,6 +606,42 @@ class TestClosedForm2x2:
         n = np.array([[0, 1e-3], [0, 0]])
         got = expm(1j * PI * np.eye(2) + n)
         assert rel_residual(got, -(np.eye(2) + n)) <= 1e-15
+
+    def test_diagonal_keeps_its_unit_entry(self):
+        # e^0 stays exactly 1 beside e^x: a form that takes it as the
+        # difference of two terms of size e^x loses it, and the exponential
+        # reads as singular
+        for x in range(701):
+            assert expm(np.diag([float(x), 0.0]))[1, 1] == 1, x
+
+    def test_triangular_diagonal_against_mpmath(self):
+        # the diagonal of exp(A) is e^a00, e^a11 for upper and lower
+        # triangular A, whatever the gap between them; the error is that of
+        # the rounded nodes mu +/- b00, ~eps |a_ii|
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261022)
+        rows = np.zeros((1500, 2, 2), dtype=complex)
+        rows[:, 0, 0], rows[:, 1, 1] = (rng.uniform(-30, 30, (2, 1500))
+                                        + 1j * rng.uniform(-5, 5, (2, 1500)))
+        off = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+        rows[::2, 0, 1], rows[1::2, 1, 0] = off[::2], off[1::2]
+        got = expm_2x2_stack(rows)
+        with mpmath.workdps(40):
+            for a, g in zip(rows, got):
+                for j in range(2):
+                    want = complex(mpmath.exp(mpmath.mpc(a[j, j])))
+                    assert abs(g[j, j] - want) <= 1e-14 * abs(want), (a, j)
+
+    def test_underflowing_product_is_triangular(self):
+        # a01 a10 = 1e-400 underflows to 0, so the row is taken as
+        # triangular, s = +/-b00: every entry stays within the closed form's
+        # bound of its 50-digit value, e^0 = 1 included
+        mpmath = pytest.importorskip("mpmath")
+        for d0, d1 in ((40, 0), (0, -40), (2.5 + 1j, -3j), (1, 1)):
+            a = np.array([[d0, 1e-200], [1e-200, d1]], dtype=complex)
+            want = _mpmath_expm(mpmath, a, dps=50)
+            bound = 8 * EPS * max(1.0, np.linalg.norm(a)) * np.abs(want)
+            assert (np.abs(expm(a) - want) <= bound).all(), a
 
     def test_runs_no_eigen_decomposition(self, monkeypatch):
         calls = []
@@ -629,11 +667,15 @@ def _stack_row(kind: str, seed: int) -> np.ndarray:
     mu = complex(*rng.uniform(-3, 3, 2))
     if kind == "random":
         return random_matrix(rng, 2) * 10 ** rng.uniform(-1, 2)
-    if kind == "series":  # |s| < 1e-2: sinh(s)/s from its Taylor series
+    if kind == "close":  # |s| < 1e-2: close nodes
         return mu * np.eye(2) + _conjugated(rng, np.diag([1, -1])) * 10 ** rng.uniform(-8, -2.5)
-    if kind == "far":  # Re s > 1: the e^(mu + s) form
+    if kind == "far":  # Re s > 1
         s = complex(rng.uniform(1.5, 30), rng.uniform(-5, 5))
         return mu * np.eye(2) + _conjugated(rng, np.diag([s, -s]))
+    if kind == "triangular":  # a01 a10 = 0: s = +/-b00 exactly
+        m = np.diag([complex(*rng.uniform(-30, 30, 2)), complex(*rng.uniform(-30, 30, 2))])
+        m[divmod(int(rng.integers(1, 3)), 2)] = complex(*rng.standard_normal(2))
+        return m
     if kind == "nilpotent":  # s = 0
         return mu * np.eye(2) + _conjugated(rng, np.array([[0, 1], [0, 0]]))
     if kind in ("snap-same-parity", "snap-mixed-parity"):
@@ -649,8 +691,8 @@ def _stack_row(kind: str, seed: int) -> np.ndarray:
     return m
 
 
-_ROW_KINDS = ("random", "series", "far", "nilpotent", "snap-same-parity", "snap-mixed-parity",
-              "defective-snap", "huge-mu", "non-finite")
+_ROW_KINDS = ("random", "close", "far", "triangular", "nilpotent", "snap-same-parity",
+              "snap-mixed-parity", "defective-snap", "huge-mu", "non-finite")
 # rows whose eigenvalues snap and whose nodes annihilate them: a stack of
 # only these skips the closed form
 _EXACT_KINDS = ("snap-same-parity", "snap-mixed-parity")
@@ -689,7 +731,7 @@ class TestStackedClosedForm:
             assert _bits(out) == _bits(expm_2x2_stack(row[None])[0])
             assert _bits(out) == _bits(expm(row))
 
-    @pytest.mark.parametrize("kind", ["series", "far", "nilpotent", "huge-mu"])
+    @pytest.mark.parametrize("kind", ["close", "far", "triangular", "nilpotent", "huge-mu"])
     def test_against_mpmath(self, kind):
         # relative Frobenius error at most 8 eps max(1, ||A||_F): what
         # rounding mu, B and s from the entries of A allows (e^mu alone
@@ -697,7 +739,7 @@ class TestStackedClosedForm:
         mpmath = pytest.importorskip("mpmath")
         rows = np.array([_stack_row(kind, seed) for seed in range(40)], dtype=complex)
         if kind == "huge-mu":
-            # e^mu cosh s overflows, e^(mu + s) does not: exp(A) ~ e^7
+            # cosh s overflows, e^z1 = e^7 does not: exp(A) ~ e^7
             rows[:20] = [[[-705, 2], [0, -705]]] + 712 * np.diag([1, -1])
             rows[:20, 0, 1] *= np.arange(1, 21)
         if kind == "nilpotent":  # B^2 = 0 exactly, so s = 0
@@ -733,7 +775,7 @@ class TestStackedClosedForm:
         # i pi k I of both parities and a mixed-parity i pi diag(1, 2) under a
         # shear are all exact: _pi_snap_rows writes every row, and the closed
         # form does not run; one random row more brings it back
-        forms = _spy(monkeypatch, "_cosh_sinhc_stack")
+        forms = _spy(monkeypatch, "_exp_newton_stack")
         snapped = _spy(monkeypatch, "_pi_snap_rows")
         shear = np.array([[1, 1], [0, 1]])
         exact = np.array([1j * PI * np.eye(2), 2j * PI * np.eye(2),
@@ -800,11 +842,11 @@ class TestStackedClosedForm:
         assert _bits(got[is_finite]) == _bits(expm_2x2_stack(mixed[is_finite]))
         assert not np.isfinite(got[~is_finite]).all(axis=(1, 2)).any()
 
-    def test_array_twin_of_cosh_sinhc(self):
-        # one branch per entry, as the scalar form takes it: Re s > 1, |s|
-        # below and above the series threshold, s = 0; s folded to Re s >= 0
-        # first, as the stack is only passed principal roots.  numpy's array
-        # arithmetic may fuse multiply-adds, so agreement is to 4 eps
+    def test_first_difference_against_mpmath(self):
+        # [z0, z1] of the float nodes z0 = mu - s and z1 = mu + s, Re s >= 0,
+        # against mpmath's quotient of the same nodes: s = 0, |s| from 1e-6
+        # up through the scalar form's series threshold to ~100
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(11)
         n = 3000
         mu = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 3
@@ -812,25 +854,28 @@ class TestStackedClosedForm:
         s[:3] = 0
         s[3:6] = _SINHC_SERIES_BELOW * np.array([1 - 1e-12, 1, 1 + 1e-12])
         s = np.where(s.real < 0, -s, s)
-        with np.errstate(all="ignore"):
-            c, q = _cosh_sinhc_stack(mu, s)
-        for i in range(n):
-            want_c, want_q = _cosh_sinhc(complex(mu[i]), complex(s[i]))
-            assert abs(c[i] - want_c) <= 4 * EPS * abs(want_c), (mu[i], s[i])
-            assert abs(q[i] - want_q) <= 4 * EPS * abs(want_q), (mu[i], s[i])
+        z0, z1 = mu - s, mu + s
+        got = _exp_newton_stack(np.array([z0, z1]))[1]
+        with mpmath.workdps(50):
+            for i in range(n):
+                x, y = mpmath.mpc(z0[i]), mpmath.mpc(z1[i])
+                want = complex(mpmath.exp(x) if x == y else (mpmath.exp(y) - mpmath.exp(x)) / (y - x))
+                assert abs(got[i] - want) <= 5 * EPS * abs(want), (z0[i], z1[i])
 
     def test_stack_is_passed_principal_roots_only(self, monkeypatch):
-        # _cosh_sinhc_stack has no fold of Re s < 0: every s that reaches it,
-        # from rows of every kind, the non-finite ones included, is np.sqrt's
-        # principal root, from stacks of many rows and of one
+        # _exp_newton_stack takes its nodes in order of real part: every pair
+        # that reaches it, from rows of every kind, the non-finite ones
+        # included, is mu -/+ s with s np.sqrt's principal root or, on a
+        # triangular row, +/-b00 with Re s >= 0, from stacks of many rows and
+        # of one
         passed = []
-        original = expmkit._cosh_sinhc_stack
+        original = expmkit._exp_newton_stack
 
-        def spy(mu, s):
-            passed.append(s.copy())
-            return original(mu, s)
+        def spy(nodes):
+            passed.append(nodes[1] - nodes[0])
+            return original(nodes)
 
-        monkeypatch.setattr(expmkit, "_cosh_sinhc_stack", spy)
+        monkeypatch.setattr(expmkit, "_exp_newton_stack", spy)
         rows = np.array([_stack_row(kind, seed) for seed in range(20) for kind in _ROW_KINDS])
         rows = np.concatenate([rows, [np.full((2, 2), math.inf), np.full((2, 2), math.nan),
                                       [[0, 1.7e308], [1.7e308, 0]]]])
@@ -838,10 +883,10 @@ class TestStackedClosedForm:
         for row in rows:
             expm_2x2_stack(row[None])
         assert len(passed) > 1
-        s = np.concatenate(passed)
-        assert not np.count_nonzero(s.real < 0)
-        assert np.count_nonzero(s.real > 1) and np.count_nonzero(np.abs(s) < _SINHC_SERIES_BELOW)
-        assert np.count_nonzero(np.isnan(s)) and np.count_nonzero(np.isinf(s))
+        h = np.concatenate(passed)
+        assert not np.count_nonzero(h.real < 0)
+        assert np.count_nonzero(h.real > 2) and np.count_nonzero(np.abs(h) < 1e-2)
+        assert np.count_nonzero(np.isnan(h)) and np.count_nonzero(np.isinf(h))
 
 
 class TestOverflowIsQuiet:

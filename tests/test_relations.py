@@ -523,10 +523,11 @@ class TestSpectrumEdges:
         assert all(math.isfinite(v.residual) for v in long)
 
     @pytest.mark.parametrize("f, g, name", [
-        ([[1e160, 1e160], [0, 0]], np.eye(2), "F"),
-        (np.eye(2), [[1e160, 1e160], [0, 0]], "G"),
-        ([[0, 1e160], [0, 0]], [[0, 0], [1e160, 0]], "F + G"),  # F and G nilpotent
-    ], ids=["F", "G", "F+G"])
+        # F and G nilpotent; F + G has the finite eigenvalues +/-1e160, but
+        # s^2 = 1e320 overflows, so the d = 2 report raises here where its
+        # x = 0 lift raises ResidualOverflowError naming commute
+        ([[0, 1e160], [0, 0]], [[0, 0], [1e160, 0]], "F + G"),
+    ], ids=["F+G"])
     def test_overflowing_spectrum_names_its_matrix(self, f, g, name):
         f, g = np.array(f, dtype=complex), np.array(g, dtype=complex)
         with pytest.raises(SpectrumOverflowError, match=f"spectrum of {re.escape(name)} overflows"
@@ -560,6 +561,9 @@ _LIFTED_PAIRS = {
 }
 
 
+_TRIANGULAR_PAST_THE_SQUARES = [[1e160, 1e160], [0, 0]]
+
+
 class TestBlockLift:
     """(F + x, G + x), the block-diagonal 3x3 lift of a 2x2 pair by one
     scalar x, keeps every verdict: exp(t F + G) + e^((t+1) x) against
@@ -589,6 +593,25 @@ class TestBlockLift:
         # real2d (residuals ~1.5 at d = 2, ~5.6e-7 lifted); nothing else is
         # within three decades of tol
         assert compared >= len(flat.verdicts) - 2
+
+    @pytest.mark.parametrize("f, g, first", [
+        (_TRIANGULAR_PAST_THE_SQUARES, np.eye(2), "exp-equal"),
+        (np.eye(2), _TRIANGULAR_PAST_THE_SQUARES, "exp-equal"),
+        (*(m.real * 1e155 + 1j * m.imag for m in map(as_matrix, _theorem2(1))), "commute"),
+    ], ids=["F", "G", "theorem2-1e155"])
+    def test_overflow_raises_what_the_lift_raises(self, f, g, first):
+        # triangular matrices whose eigenvalues are finite, though s^2 =
+        # b00^2 would overflow: s is b00 exactly, so the d = 2 report raises
+        # what the lift raises, e^1e160 naming exp-equal, and theorem2's
+        # pair with its real parts times 1e155 names commute
+        f, g = np.array(f, dtype=complex), np.array(g, dtype=complex)
+        raised = []
+        for pair in ((f, g), (_lift(f, 0), _lift(g, 0))):
+            with pytest.raises(ResidualOverflowError) as error:
+                relation_report(*pair, TScanConfig.through(2))
+            raised.append(str(error.value))
+        assert raised[0] == raised[1]
+        assert raised[0].startswith(f"the {first} residual is not finite")
 
     @pytest.mark.parametrize("x, t_values", [(120, (1, 2, 3)), (200, (2, 3)), (300, (2,))])
     def test_lift_keeps_verdicts_past_the_squares_overflow(self, x, t_values):
