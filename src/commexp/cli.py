@@ -454,13 +454,12 @@ def cmd_solve_u(ns) -> tuple:
     from . import uset
 
     ks = parse_int_range(ns.k)
-    wanted = [k for k in ks if k != 0]
+    wanted = set(ks) - {0}
     if not wanted:
         raise UsageError("the k = 0 branch holds only the excluded root u = 0")
     roots = uset.enumerate_u(min(wanted), max(wanted))
-    roots = [r for r in roots if r.branch_hint in set(wanted)]
-    payload = {"roots": [{"value": r.value, "residual": r.residual, "branch_hint": r.branch_hint}
-                         for r in roots]}
+    roots = [r for r in roots if r.branch_hint in wanted]
+    payload = {"roots": [r._asdict() for r in roots]}
     reproduced = len(roots) == len(wanted) and all(
         r.residual <= uset.RESIDUAL_TARGET for r in roots
     )
@@ -479,33 +478,7 @@ def cmd_solve_u(ns) -> tuple:
 
 
 def _outcome_payload(outcome: SearchOutcome) -> dict:
-    from fractions import Fraction
-
-    # the III4 survivors' Fraction residuals become strings here, not one
-    # json.dumps default call at a time, which costs a large search a third
-    # of its process time.  The n = 1 survivors share one residual tuple, so
-    # each distinct tuple is converted once, keyed by id(): the tuples live
-    # as long as the outcome, and hashing six Fractions would cost more than
-    # converting them, in time and in memory
-    converted = {}
-
-    def residuals(values):
-        out = converted.get(id(values))
-        if out is None:
-            out = converted[id(values)] = [str(r) if isinstance(r, Fraction) else r
-                                           for r in values]
-        return out
-
-    return {
-        "survivors": [{"params": s.params, "residuals": residuals(s.residuals)}
-                      for s in outcome.survivors],
-        "tuples_scanned": outcome.tuples_scanned,
-        "bounds": outcome.bounds,
-        "pruned": outcome.pruned,
-        "prune_reasons": outcome.prune_reasons,
-        "first_failure": outcome.first_failure,
-        "metadata": outcome.metadata,
-    }
+    return {**outcome._asdict(), "survivors": [s._asdict() for s in outcome.survivors]}
 
 
 def _discriminant_claim(name: str, outcome: SearchOutcome, nmax: int) -> dict:
@@ -701,8 +674,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CommexpError, OSError, ValueError, OverflowError) as exc:
-        # OverflowError: an exact search past intsearch's integer budget
+    except (CommexpError, OSError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: an exact search past intsearch's integer budget
+        # (OverflowError) or a rational input with a zero denominator
+        # (ZeroDivisionError)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     claim = report[-1]

@@ -132,7 +132,7 @@ def real2d_family(p: Real2DParams) -> tuple[CMat, CMat]:
     b, c.
     """
     s = (p.lam**2 + p.mu**2 - p.nu**2) / p.lam  # b - c
-    prod = -(p.mu**2 + p.a**2)  # b * c
+    prod = -(p.mu**2 + p.a * p.a)  # b * c; a * a overflows to inf, where a**2 raises
     disc = s * s + 4 * prod
     if disc < 0:
         raise ComplexRootsError(

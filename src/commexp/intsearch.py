@@ -14,20 +14,11 @@ P is the square of a linear polynomial, i.e. beta^2 = 4 alpha^2 gamma.
 smallest t at which squareness breaks when it does not hold.
 
 The type-III4 search (``grobner_replacement_search``) stands in for the
-paper's computer-algebra elimination and is decided from exact identities of
-the residuals r of ``case3_III4_residuals``, with no candidate scan (that
-entry algebra lives here, so no search imports numpy).  For the scale
-n >= 2, r[2] + r[3] = -l1 l2 n (n - 1) != 0 rules out every tuple.  For the
-identity-scaling control n = 1, with both trace identities imposed and
-P = n~1 n~2 - n1 n2 - 2 lambda (n1 + n2) - 3 lambda^2,
-(m1 - m2) r[4] = -(m1 - m2) r[5] = P and
-(m1 - m2) r[2] = -(m1 - m2) r[3] = lambda (lambda + n1)(lambda + n2) + (m3 + lambda) P,
-so a scaling survives iff P = 0 and lambda is 0, -n1 or -n2.  Each survivor
-is re-checked on cleared numerators, in plain integers: the shift by lambda
-keeps the common denominator m1 - m2 of the entries, so at rho = sigma = 0
-the residuals are r[0] = r[1] = 0 and (m1 - m2) r[2..5] = n N_base - N_scaled,
-with N the numerators of ``_iii4_numerators``, and a survivor needs
-n N_base == N_scaled.
+paper's computer-algebra elimination.  It is decided from exact identities of
+the residuals of ``case3_III4_residuals``, with no candidate scan (that
+entry algebra lives here, so no search imports numpy); its docstring derives
+them, the n = 1 survival condition and the re-check of each survivor on
+cleared integer numerators.
 
 Every count the search reports is closed form: the base tuples per trace sum
 and the n = 1 prune classes are sums of ``_distinct_pairs`` counts, O(box^2)
@@ -468,8 +459,9 @@ def _identity_scaling_survivors(box: int) -> list[Survivor]:
     with {-n1, n2 - n1} and lambda = -n2 with {-n2, n1 - n2}, both orders,
     inside the box.  The re-check compares cleared numerators, N_base with
     N_scaled at n = 1 (see ``grobner_replacement_search``), and raises
-    RuntimeError when they differ."""
-    zeros = (Fraction(0),) * 6
+    RuntimeError when they differ.  Every survivor shares one tuple of exact
+    integer zero residuals, as a squareness scan's survivor holds (0,)."""
+    zeros = (0,) * 6
     survivors = []
     for base in _iii4_base_tuples(box):
         l1, l2, m1, m2, m3, n1, n2 = base

@@ -149,8 +149,8 @@ class TScanConfig(Frozen):
         t_values = tuple(t_values)
         if not t_values:
             raise ValueError("a t scan needs at least one t")
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < tol < math.inf:  # NaN fails both comparisons
+            raise ValueError("tol must be positive and finite")
         try:
             t_rows = np.array((*t_values, 1), dtype=complex)
         except OverflowError:  # an int past the float range, refused below

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -293,7 +294,7 @@ class TestPinnedSearchReports:
 
     @pytest.mark.parametrize("argv, digest", [
         (("search", "iii4", "--box", "2", "--n", "1"),
-         "7ae21edc308e80ba7c045404e22966909acec2f9fa989c6947e2b896736ad580"),
+         "7123944ad4e8afaa7c2a25dfb8577b13022910a0074be76db21e6800c351dcd1"),
         (("search", "iii4", "--box", "2", "--n", "2"),
          "cdb9e68dc9bcc502f1770113d4c27bca2985196f46fff5efc09b2e754b6f1ab7"),
         (("search", "a1-discriminant", "--m", "1", "8", "--n", "1", "9", "--nmax", "200"),
@@ -308,6 +309,30 @@ class TestPinnedSearchReports:
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(payload_without_clock(out).encode()).hexdigest() == digest
+
+
+class TestSearchPayloads:
+    """A search report's payload is its ``SearchOutcome`` record as JSON,
+    each survivor a dict, and every survivor residual a JSON integer."""
+
+    @pytest.mark.parametrize("argv, search", [
+        (("search", "iii4", "--box", "2", "--n", "1"),
+         lambda: intsearch.grobner_replacement_search(2, 1)),
+        (("search", "a1-discriminant", "--m", "1", "8", "--n", "1", "9", "--nmax", "200"),
+         lambda: intsearch.discriminant_scan_A1(1, 8, 1, 9, 200)),
+        (("search", "iii2ii-discriminant", "--m", "2", "--products", "0", "3/2", "5",
+          "--nmax", "200"),
+         lambda: intsearch.discriminant_scan_III2ii((0, Fraction(3, 2), 5), 2, 200)),
+    ], ids=["iii4-n1", "a1-degenerate", "iii2ii-degenerate"])
+    def test_payload_is_the_outcome_record(self, capsys, argv, search):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out)["payload"]
+        outcome = search()
+        assert outcome.survivors
+        assert payload == json.loads(json.dumps(
+            {**outcome._asdict(), "survivors": [s._asdict() for s in outcome.survivors]}))
+        assert all(type(r) is int for s in payload["survivors"] for r in s["residuals"])
 
 
 class TestClaimFailedExitsTwo:
@@ -780,6 +805,49 @@ class TestParsers:
     def test_commands_exit_one_naming_the_spec(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestMalformedNumbers:
+    """A number no command can use (a non-finite tolerance, a zero
+    denominator, a real2d coefficient whose square overflows) exits 1 with
+    one ``error:`` line and no report, never a traceback or a report that
+    is not standard JSON."""
+
+    CASES = [
+        (("verify", "--builtin", "intro", "--tol", "nan"), "tol must be positive and finite"),
+        (("verify", "--builtin", "intro", "--tol", "inf"), "tol must be positive and finite"),
+        (("search", "iii2ii-discriminant", "--products", "1/0", "1", "1"), "ZeroDivisionError"),
+        (("search", "iii2ii-discriminant", "--alpha", "1/0", "--n", "4", "5"),
+         "ZeroDivisionError"),
+        (("families", "iii2ii", "--alpha", "1/0"), "ZeroDivisionError"),
+        (("families", "real2d", "--a", "1e200"), "ComplexRootsError"),
+        (("verify", "--builtin", "real2d", "--a", "-1e200"), "ComplexRootsError"),
+        # guards: refused before this grid existed
+        (("verify", "--builtin", "intro", "--t-complex", "nan,0"), "not finite"),
+        (("search", "iii2ii-discriminant", "--alpha", "nan", "--n", "4", "5"), "ValueError"),
+        (("families", "iii2ii", "--alpha", "nan"), "ValueError"),
+        (("search", "iii2ii-discriminant", "--products", "1e400", "1", "1"), "OverflowError"),
+        (("verify", "--builtin", "intro", "--tol", "-inf"), "--tol"),
+        (("verify", "--builtin", "intro", "--tol=-inf"), "tol must be positive"),
+    ]
+
+    @pytest.mark.parametrize("argv, names", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_exits_one_with_one_error_line(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert names in err
+
+
+class TestSolveURepeatedK:
+    @pytest.mark.parametrize("spec, branches", [("1,1", [1]), ("2,-2,2", [-2, 2])])
+    def test_a_repeated_k_counts_once(self, capsys, spec, branches):
+        code, out, err = run(capsys, "solve-u", "--k", spec)
+        assert code == 0, err
+        report = json.loads(out)
+        assert sorted(r["branch_hint"] for r in report["payload"]["roots"]) == branches
+        assert report["claim"]["detail"].startswith(
+            f"{len(branches)} roots for {len(branches)} requested branches")
 
 
 def test_form_choices_match_the_family_enum():

@@ -85,6 +85,12 @@ class TestReal2D:
         with pytest.raises(ComplexRootsError):
             real2d_family(Real2DParams(lam=3, mu=4, nu=5))
 
+    @pytest.mark.parametrize("a", [1e200, -1e200, 1.7976931348623157e308])
+    def test_an_overflowing_a_squared_is_complex_roots(self, a):
+        # a^2 overflows to inf, so b c = -inf: no real b, c, not a bare errno
+        with pytest.raises(ComplexRootsError, match="-inf < 0"):
+            real2d_family(Real2DParams(lam=1, mu=2, nu=5, a=a))
+
     def test_derived_b_c_for_spec_point(self):
         # frozen from the quadratic c^2 - 19c + 16 = 0 (oracle: numpy.roots)
         f, g = real2d_family(Real2DParams(lam=1, mu=4, nu=6, a=0.0))

@@ -304,7 +304,7 @@ class TestIII4Search:
             assert control.pruned == sum(reasons.values())
             for s in control.survivors:
                 assert len(s.residuals) == 6
-                assert all(type(r) is Fraction and r == 0 for r in s.residuals)
+                assert all(type(r) is int and r == 0 for r in s.residuals)
 
     @pytest.mark.parametrize("row", [2, 3, 4, 5])
     def test_broken_entry_formula_raises(self, monkeypatch, row):

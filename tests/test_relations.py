@@ -145,8 +145,9 @@ class TestScan:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="at least one t"):
             TScanConfig(())
-        with pytest.raises(ValueError):
-            TScanConfig((1, 2), tol=0)
+        for tol in (0, -1.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                TScanConfig((1, 2), tol=tol)
         # any order, any sign, repeats and complex t are a scan's own business
         assert TScanConfig([3, -1, 0, 0.5j, 3]).t_values == (3, -1, 0, 0.5j, 3)
 
